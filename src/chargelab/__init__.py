@@ -2,7 +2,7 @@
 
 Modules
 -------
-numerics     quadrature, Gamma, graded radial grids
+numerics     quadrature, Gamma, uniform radial grids
 foldy        the constant J and the local cutoff energy integral
 bogolubov    quadratic-Hamiltonian lower bound and truncated-Fock sharpness
 correlation  Yukawa pair energies and correlation inequality checkers

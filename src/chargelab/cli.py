@@ -8,10 +8,10 @@ files.  The wall-clock duration is written to a sidecar ``<name>.meta.json``
 to keep it out of the deterministic surface.  Plot-ready tables are CSV
 with a schema tag comment on the first line; rendering is out of scope.
 
-The verification suite derives one 64-bit seed per check from the master
-seed -- ``SeedSequence(master).generate_state(n_checks)``, check i taking
-word i -- so the worker count and scheduling order cannot change any
-numeric field.
+The verification suite runs its checks one after another and derives one
+64-bit seed per check from the master seed --
+``SeedSequence(master).generate_state(n_checks)``, check i taking word i --
+so each check's numbers depend only on the master seed and its index.
 
 Exit codes: 0 every asserted check holds, 1 a check failed, 2 usage or
 validation error, 3 resource/accuracy limit hit.
@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -274,12 +273,9 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int = 2, n_max_hi: int 
     return [row], {"violations": violations, "min_gap": min_gap}, {"models": table}
 
 
-_ALL_CHECKERS = ("onsager", "baxter", "positivity")
-
-
 def run_inequality_fuzz(which: str, trials: int, seed: int):
     """Seeded configuration fuzz for the classical electrostatic inequalities."""
-    names = _ALL_CHECKERS if which == "all" else (which,)
+    names = correlation.CHECKERS if which == "all" else (which,)
     sub_seeds = np.random.SeedSequence(seed).generate_state(len(names), dtype=np.uint64)
     rows, samples = [], []
     total_violations, min_slack = 0, math.inf
@@ -675,31 +671,16 @@ def _battery(quick: bool):
     ]
 
 
-def run_verification_suite(master_seed: int, quick: bool = False,
-                           workers: int | None = None):
-    """The canonical battery; per-check seeds come from the master seed by
-    index, so results do not depend on the worker count."""
+def run_verification_suite(master_seed: int, quick: bool = False):
+    """The canonical battery, run serially; check i takes word i of the
+    master seed's SeedSequence state."""
     checks = _battery(quick)
     seeds = np.random.SeedSequence(master_seed).generate_state(
         len(checks), dtype=np.uint64
     )
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-    if workers < 1:
-        raise PreconditionError("workers must be >= 1")
-
-    def call(i: int):
-        return checks[i][1](int(seeds[i]))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(call, i) for i in range(len(checks))]
-            outputs = [f.result() for f in futures]
-    else:
-        outputs = [call(i) for i in range(len(checks))]
-
     rows, failed = [], []
-    for (name, _), (check_rows, summary, _tables) in zip(checks, outputs):
+    for (name, check), seed in zip(checks, seeds):
+        check_rows, summary, _tables = check(int(seed))
         ok = all(r.get("holds", True) for r in check_rows)
         rows.extend(check_rows)
         rows.append({"check": f"{name}-result", "passed": ok, **summary})
@@ -773,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-inequalities", parents=[common],
                        help="seeded fuzz of the electrostatic inequalities")
-    p.add_argument("--which", choices=_ALL_CHECKERS + ("all",), default="all")
+    p.add_argument("--which", choices=correlation.CHECKERS + ("all",), default="all")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -826,7 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", default=False,
                    help="reduced trial counts, same checks")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=None)
 
     return parser
 
@@ -867,7 +847,7 @@ def _handle(args):
         return run_stability(args.charges, args.q, args.c_lt, args.n_electrons,
                              args.radius, args.vacuum_strength)
     if name == "verify":
-        return run_verification_suite(args.seed, quick=args.quick, workers=args.workers)
+        return run_verification_suite(args.seed, quick=args.quick)
     raise PreconditionError(f"no handler for subcommand {name!r}")
 
 
@@ -921,9 +901,7 @@ def _short(value) -> str:
     return str(value)
 
 
-# workers is scheduling, not configuration: the per-check seed derivation
-# guarantees the record cannot depend on it
-_PLUMBING_KEYS = ("subcommand", "outdir", "output", "config", "workers")
+_PLUMBING_KEYS = ("subcommand", "outdir", "output", "config")
 
 
 def main(argv=None) -> int:

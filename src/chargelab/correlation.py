@@ -34,6 +34,7 @@ __all__ = [
     "localization_omega_sweep",
     "random_configuration",
     "run_random_ensemble",
+    "CHECKERS",
 ]
 
 HOLDS_TOL = 1e-10
@@ -321,7 +322,7 @@ def random_configuration(
     return ParticleConfiguration(positions=pos, charges=z)
 
 
-_CHECKERS = ("onsager", "baxter", "positivity")
+CHECKERS = ("onsager", "baxter", "positivity")
 
 
 def run_random_ensemble(
@@ -334,8 +335,8 @@ def run_random_ensemble(
 ) -> list[tuple[int, int, float, float, float, float]]:
     """Seeded fuzzing rows (trial_seed, n, mu, lhs, rhs, slack) for one
     checker; each trial is reproducible from its recorded 64-bit seed."""
-    if which not in _CHECKERS:
-        raise PreconditionError(f"which must be one of {_CHECKERS}")
+    if which not in CHECKERS:
+        raise PreconditionError(f"which must be one of {CHECKERS}")
     if trials < 1:
         raise PreconditionError("trials must be positive")
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)

@@ -272,32 +272,38 @@ def _realify(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a square matrix: first token N, then N*N row-major entries."""
-    tokens = Path(path).read_text().split()
+def _read_entries(path, what: str, ndim: int) -> np.ndarray:
+    """First token N, then N**ndim row-major entries shaped (N,) * ndim."""
+    try:
+        tokens = Path(path).read_text().split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {what} file: {exc}") from exc
     if not tokens:
-        raise PreconditionError("empty matrix file")
-    n = int(tokens[0])
-    if n < 1 or len(tokens) != 1 + n * n:
+        raise PreconditionError(f"empty {what} file")
+    try:
+        n = int(tokens[0])
+    except ValueError as exc:
         raise PreconditionError(
-            f"expected {n}x{n} entries after the header, got {len(tokens) - 1}"
+            f"{what} header must be an integer N, got {tokens[0]!r}"
+        ) from exc
+    shape = (n,) * ndim
+    if n < 1 or len(tokens) != 1 + n**ndim:
+        raise PreconditionError(
+            f"expected {'x'.join(map(str, shape))} entries after the header, "
+            f"got {len(tokens) - 1}"
         )
     values = np.array([_parse_entry(t) for t in tokens[1:]], dtype=np.complex128)
-    return _realify(values.reshape(n, n))
+    return _realify(values.reshape(shape))
+
+
+def read_matrix(path) -> np.ndarray:
+    """Read a square matrix: first token N, then N*N row-major entries."""
+    return _read_entries(path, "matrix", 2)
 
 
 def read_vector(path) -> np.ndarray:
     """Read a vector: first token N, then N entries."""
-    tokens = Path(path).read_text().split()
-    if not tokens:
-        raise PreconditionError("empty vector file")
-    n = int(tokens[0])
-    if n < 1 or len(tokens) != 1 + n:
-        raise PreconditionError(
-            f"expected {n} entries after the header, got {len(tokens) - 1}"
-        )
-    values = np.array([_parse_entry(t) for t in tokens[1:]], dtype=np.complex128)
-    return _realify(values)
+    return _read_entries(path, "vector", 1)
 
 
 def _format_entry(value) -> str:

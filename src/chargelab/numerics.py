@@ -1,19 +1,19 @@
 """Shared numerical kernels: 1D adaptive quadrature, the Gamma function,
-and graded radial grids for 3D radial integrals.
+and uniform radial grids for 3D radial integrals.
 
-All downstream integrals funnel through `integrate_1d` and `integrate_radial`.
-Semi-infinite ranges use one declared substitution, x = a + scale*t/(1-t),
-so results are reproducible bit-for-bit for identical inputs.
+All downstream 1D integrals funnel through `integrate_1d`; radial integrals
+are the dot product of a grid's weights with node values.  Semi-infinite
+ranges use one declared substitution, x = a + scale*t/(1-t), so results
+are reproducible bit-for-bit for identical inputs.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import integrate as _si
 
 from .errors import BudgetExceededError, DomainError, PreconditionError
@@ -23,9 +23,7 @@ __all__ = [
     "RadialGrid",
     "integrate_1d",
     "gamma",
-    "make_radial_grid",
     "uniform_radial_grid",
-    "integrate_radial",
 ]
 
 
@@ -108,10 +106,10 @@ def gamma(x: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Graded quadrature grid for 4*pi*int r^2 f(r) dr on (0, r_max).
+    """Quadrature grid for 4*pi*int r^2 f(r) dr on (0, r_max).
 
     nodes are strictly increasing and positive; weights already include the
-    4*pi*r^2 measure factor, so integrate_radial is a plain dot product.
+    4*pi*r^2 measure factor, so a radial integral is weights @ values.
     """
 
     nodes: np.ndarray
@@ -138,45 +136,6 @@ class RadialGrid:
         return self.nodes.size
 
 
-def make_radial_grid(
-    n_nodes: int = 800,
-    r_max: float = 40.0,
-    grading: float = 1e-4,
-    nodes_per_panel: int = 8,
-    tolerance: float = 1e-8,
-) -> RadialGrid:
-    """Geometrically graded Gauss-Legendre panel grid, dense near the origin.
-
-    Panel breakpoints are 0 < r_max*sigma^(K-1) < ... < r_max with
-    sigma = grading^(1/(K-1)); `grading` is the first breakpoint as a
-    fraction of r_max.  n_nodes must be a multiple of nodes_per_panel.
-    """
-    if n_nodes % nodes_per_panel != 0:
-        raise PreconditionError("n_nodes must be a multiple of nodes_per_panel")
-    n_panels = n_nodes // nodes_per_panel
-    if n_panels < 2:
-        raise PreconditionError("need at least 2 panels")
-    if not (0 < grading < 1):
-        raise DomainError("grading must lie in (0, 1)")
-    sigma = grading ** (1.0 / (n_panels - 1))
-    breaks = np.concatenate(([0.0], r_max * sigma ** np.arange(n_panels - 1, -1.0, -1)))
-    x_gl, w_gl = leggauss(nodes_per_panel)
-    nodes = []
-    weights = []
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        r = mid + half * x_gl
-        nodes.append(r)
-        weights.append(4.0 * math.pi * r * r * w_gl * half)
-    return RadialGrid(
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        r_max=r_max,
-        tolerance=tolerance,
-    )
-
-
 def uniform_radial_grid(
     n_nodes: int = 800, r_max: float = 40.0, tolerance: float = 1e-8
 ) -> RadialGrid:
@@ -198,19 +157,3 @@ def uniform_radial_grid(
     w[-1] *= 0.5
     return RadialGrid(nodes=r, weights=w, r_max=r_max, tolerance=tolerance)
 
-
-def integrate_radial(f, grid: RadialGrid) -> float:
-    """Return sum(w_i f(r_i)), approximating 4*pi*int_0^rmax r^2 f(r) dr.
-
-    f may be a callable of r or an array of values at the grid nodes.
-    """
-    if callable(f):
-        values = np.asarray([f(r) for r in grid.nodes], dtype=float)
-    else:
-        values = np.asarray(f, dtype=float)
-        if values.shape != grid.nodes.shape:
-            raise PreconditionError("value array does not match grid nodes")
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise DomainError(f"non-finite integrand value at node r={grid.nodes[bad]!r}")
-    return float(np.dot(grid.weights, values))

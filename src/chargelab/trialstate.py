@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     SolverError,
 )
 from .foldy import foldy_j, simplified_energy_quadrature
-from .numerics import integrate_1d
+from .numerics import gamma, integrate_1d
 from .variational import RadialProfile, functional_energy, rescale
 
 __all__ = [
@@ -127,35 +128,42 @@ def condensate_from_minimizer(
     )
 
 
-def trace_gamma(spec: CondensateSpec, tol: float = 1e-8) -> float:
+@lru_cache(maxsize=1)
+def _momentum_constant() -> float:
+    """C = int_0^inf q^2 f(q) dq = Gamma(1/4)^2 / (24 2^(1/4) sqrt(pi)) for the
+    occupation in the rescaled variable q = p / (8 pi rho)^(1/4).
+
+    Follows from q^2 f = (sqrt(q^4+2) - q^2 - 1/sqrt(q^4+2)) / 2; the
+    closed form is cross-checked once against adaptive quadrature of
+    occupation_f at 8 pi rho = 1.
+    """
+    closed = gamma(0.25) ** 2 / (24.0 * 2.0**0.25 * math.sqrt(math.pi))
+    rho_unit = 1.0 / (8.0 * math.pi)
+
+    def g(q: float) -> float:
+        return q * q * occupation_f(rho_unit, q)
+
+    head = integrate_1d(g, 0.0, 1.0, tol=5e-11)
+    tail = integrate_1d(g, 1.0, math.inf, tol=5e-11)
+    integral = head.value + tail.value
+    if abs(closed - integral) > 1e-8 * closed:
+        raise ConsistencyError(
+            f"Tr Gamma constant routes disagree: gamma={closed!r} "
+            f"integral={integral!r}"
+        )
+    return closed
+
+
+def trace_gamma(spec: CondensateSpec) -> float:
     """(2 pi)^-3 iint f(rho(u), |p|) du dp over R^3 x R^3.
 
-    Iterated radially: each grid node u carries the momentum integral
-    4 pi int p^2 f(rho(u), p) dp, evaluated in the rescaled variable
-    q = p / (8 pi rho)^(1/4) so the integrand keeps one fixed O(1) shape
-    across the many orders of magnitude rho(u) spans along the profile
-    tail.  The inner integral scales exactly like rho^(3/4), so the total
-    is proportional to int rho(u)^(3/4) du.  Summation runs in fixed grid
-    order for reproducibility.
+    In q = p / (8 pi rho)^(1/4) the momentum integral 4 pi int p^2 f dp at
+    density rho is 4 pi (8 pi rho)^(3/4) C with the universal constant
+    C = int q^2 f(q) dq, so the total is C sum_u w_u (8 pi rho_u)^(3/4)
+    / (2 pi^2); empty nodes (rho_u = 0) contribute exactly zero.
     """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
-    density = spec.density()
-    weights = spec.phi0.grid.weights
-    total = 0.0
-    for rho_u, w_u in zip(density, weights):
-        if rho_u <= 0.0:
-            continue
-        p_scale = (8.0 * math.pi * rho_u) ** 0.25
-
-        def g(q: float, rho=rho_u, s=p_scale) -> float:
-            p = s * q
-            return p * p * occupation_f(rho, p)
-
-        head = integrate_1d(g, 0.0, 1.0, tol=tol / 2)
-        tail = integrate_1d(g, 1.0, math.inf, tol=tol / 2)
-        total += w_u * p_scale * (head.value + tail.value)
-    return total / (2.0 * math.pi**2)
+    radial = float(spec.phi0.grid.weights @ (8.0 * math.pi * spec.density()) ** 0.75)
+    return _momentum_constant() * radial / (2.0 * math.pi**2)
 
 
 def upper_bound_energy(n_particles: int, phi_star: RadialProfile) -> float:

@@ -92,15 +92,13 @@ class MinimizationResult:
 
 
 class _Discretization:
-    """Staggered gradient data for one grid, built once.
+    """Staggered gradient data for one grid.
 
     Cell i spans [r_i, r_{i+1}]; the gradient lives at midpoints with
     weight w_mid = 4 pi r_mid^2 h.  The cell [0, r_1] is dropped: with
     phi'(0) = 0 its kinetic content is O(h^5).  The kinetic quadratic
     form K is tridiagonal with null space spanned by constants only.
     """
-
-    _cache: dict[int, "_Discretization"] = {}
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
@@ -123,15 +121,6 @@ class _Discretization:
         out[1:] += self.k_off * values[:-1]
         return out
 
-    @classmethod
-    def for_grid(cls, grid: RadialGrid) -> "_Discretization":
-        key = id(grid)
-        if key not in cls._cache:
-            if len(cls._cache) > 8:
-                cls._cache.clear()
-            cls._cache[key] = cls(grid)
-        return cls._cache[key]
-
 
 def _energy_terms(disc: _Discretization, values: np.ndarray):
     kinetic = disc.kinetic(values)
@@ -153,7 +142,7 @@ def functional_energy(profile: RadialProfile) -> tuple[float, float, float]:
         raise PreconditionError(
             f"profile norm^2 = {profile.norm_sq:.8f} is not 1 within {NORM_SLACK:g}"
         )
-    return _energy_terms(_Discretization.for_grid(profile.grid), profile.values)
+    return _energy_terms(_Discretization(profile.grid), profile.values)
 
 
 def rescale(profile: RadialProfile, lam: float) -> RadialProfile:
@@ -208,7 +197,7 @@ def minimize(
     if init is None:
         init = default_init()
     phi = init.normalized().values
-    disc = _Discretization.for_grid(init.grid)
+    disc = _Discretization(init.grid)
     w = disc.grid.weights
     j = foldy_j().value
     energy, kinetic, potential = _energy_terms(disc, phi)

@@ -213,6 +213,20 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_unreadable_matrix_files_are_usage(self, tmp_path, capsys):
+        psi = tmp_path / "psi.txt"
+        matrixloc.write_vector(psi, np.ones(2))
+        bad_header = tmp_path / "bad.txt"
+        bad_header.write_text("x\n1 2\n3 4\n")
+        for matrix in (tmp_path / "missing.txt", bad_header):
+            code = cli.main(
+                ["matrix-localize", "--matrix", str(matrix), "--psi", str(psi),
+                 "--window", "1", "--outdir", str(tmp_path)]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "subcommand" in capsys.readouterr().out or True
@@ -302,7 +316,7 @@ class TestVerifySuite:
     def test_quick_suite_passes_and_is_deterministic(self, tmp_path, capsys):
         base = ["verify", "--quick", "--seed", "77", "--outdir", str(tmp_path)]
         assert cli.main(base + ["--output", "a"]) == 0
-        assert cli.main(base + ["--output", "b", "--workers", "1"]) == 0
+        assert cli.main(base + ["--output", "b"]) == 0
         assert cli.main(
             ["verify", "--quick", "--seed", "78", "--outdir", str(tmp_path),
              "--output", "c"]
@@ -338,11 +352,6 @@ class TestVerifySuite:
         assert "pair-energy-identity" in summary["failed"]
         err = capsys.readouterr().err
         assert "pair-energy-identity" in err
-
-    def test_worker_validation(self, capsys):
-        with pytest.raises(Exception):
-            cli.run_verification_suite(1, quick=True, workers=0)
-        capsys.readouterr()
 
 
 class TestHelpers:

@@ -12,7 +12,7 @@ from chargelab.errors import (
     DomainError,
     PreconditionError,
 )
-from chargelab.numerics import make_radial_grid, uniform_radial_grid
+from chargelab.numerics import RadialGrid, uniform_radial_grid
 from chargelab.spectral import (
     SEMICLASSICAL_LT_RATIO,
     GridDescriptor,
@@ -180,8 +180,10 @@ class TestGroundState:
             ground_state_energy(gaussian_well(50.0), uniform_radial_grid(64, 8.0))
 
     def test_graded_grid_rejected(self):
+        nodes = 8.0 * np.linspace(0.05, 1.0, 400) ** 2
+        graded = RadialGrid(nodes=nodes, weights=4.0 * np.pi * nodes**2, r_max=8.0)
         with pytest.raises(PreconditionError):
-            ground_state_energy(gaussian_well(5.0), make_radial_grid(800, 8.0))
+            ground_state_energy(gaussian_well(5.0), graded)
 
 
 class TestNegativeSum:

@@ -9,6 +9,7 @@ from chargelab.errors import ConsistencyError, DomainError, PreconditionError
 from chargelab.foldy import foldy_j
 from chargelab.trialstate import (
     XI_FUNCTIONS,
+    _momentum_constant,
     CoherentFrame,
     CondensateSpec,
     berezin_lieb_check,
@@ -190,10 +191,29 @@ class TestTraceGamma:
         ratios = values / ns**0.6
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-10
 
-    def test_rejects_bad_tolerance(self, grid800):
-        spec = CondensateSpec(lambda0_sq=1.0, phi0=gaussian_profile(grid800))
-        with pytest.raises(DomainError):
-            trace_gamma(spec, tol=-1e-8)
+    def test_momentum_constant_against_quadrature(self):
+        # q^2 f(q) in the conjugate form 1 / (2 D (N + D)) times q^2, with
+        # N = q^4 + 1 and D = q^2 sqrt(q^4 + 2), integrated by scipy
+        def integrand(q):
+            q2 = q * q
+            low = q2 * math.sqrt(q2 * q2 + 2.0)
+            return 0.5 * q2 / (low * (q2 * q2 + 1.0 + low))
+
+        head, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+        tail, _ = quad(integrand, 1.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert _momentum_constant() == pytest.approx(head + tail, rel=1e-12, abs=0)
+        assert _momentum_constant() is _momentum_constant()
+
+    def test_momentum_constant_guard_fires(self, monkeypatch):
+        import chargelab.trialstate as ts
+
+        monkeypatch.setattr(ts, "gamma", lambda x: 1.001 * math.gamma(x))
+        ts._momentum_constant.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError):
+                ts._momentum_constant()
+        finally:
+            ts._momentum_constant.cache_clear()
 
 
 class TestUpperBoundEnergy:
