@@ -217,7 +217,8 @@ def run_bogolubov_ladder(
     bound = float(bogolubov.closed_form_bound(model))
     rows = []
     for n_max, energy, gap in bogolubov.sharpness_study(model, tuple(n_max_list)):
-        fraction = gap / abs(bound) if bound != 0.0 else math.inf
+        # bound 0 is the uncoupled model, whose ladder meets it exactly
+        fraction = gap / abs(bound) if bound != 0.0 else (0.0 if gap == 0.0 else math.inf)
         rows.append(
             {
                 "check": "bogolubov-ladder",
@@ -700,11 +701,18 @@ def run_verification_suite(master_seed: int, quick: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _finite_float(text: str) -> float:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a float: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite float: {text!r}")
+    return value
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -732,18 +740,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("foldy-j", parents=[common],
                        help="constant J by quadrature vs closed form")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
 
     sub.add_parser("foldy-identity", parents=[common],
                    help="simplified local energy vs -J nu^(5/4) ell^(-3/4)")
 
     p = sub.add_parser("bogolubov-sharpness", parents=[common],
                        help="truncated-ladder gap against the closed bound")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--gplus", type=float, default=1.0)
-    p.add_argument("--gminus", type=float, default=0.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
+    p.add_argument("--gplus", type=_finite_float, default=1.0)
+    p.add_argument("--gminus", type=_finite_float, default=0.0)
     p.add_argument("--nmax-list", type=_int_list, default=(2, 4, 8, 12))
-    p.add_argument("--gap-fraction", type=float, default=0.01)
+    p.add_argument("--gap-fraction", type=_finite_float, default=0.01)
 
     p = sub.add_parser("bogolubov-fuzz", parents=[common],
                        help="random models against the lower bound")
@@ -761,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dyson-minimize", parents=[common],
                        help="variational minimum, virial, grid agreement")
     p.add_argument("--nodes", type=int, default=800)
-    p.add_argument("--rmax", type=float, default=25.0)
+    p.add_argument("--rmax", type=_finite_float, default=25.0)
 
     p = sub.add_parser("trialstate", parents=[common],
                        help="condensate trial-state checks")
@@ -775,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--window", type=int, required=True)
-    p.add_argument("--budget-c", type=float, default=None)
+    p.add_argument("--budget-c", type=_finite_float, default=None)
 
     p = sub.add_parser("matrixloc-ensemble", parents=[common],
                        help="Gaussian ensemble for the localization budget")
@@ -783,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--window", type=int, default=8)
-    p.add_argument("--ceiling", type=float, default=50.0)
+    p.add_argument("--ceiling", type=_finite_float, default=50.0)
 
     p = sub.add_parser("lt-study", parents=[common],
                        help="negative-spectrum sums vs the semiclassical ratio")
@@ -797,10 +805,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="nearest-nucleus lower bound per electron")
     p.add_argument("--charges", type=_float_list, default=(1.0,))
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--c-lt", type=float, default=0.04)
+    p.add_argument("--c-lt", type=_finite_float, default=0.04)
     p.add_argument("--n-electrons", type=int, default=10)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--vacuum-strength", type=float, default=None)
+    p.add_argument("--radius", type=_finite_float, default=None)
+    p.add_argument("--vacuum-strength", type=_finite_float, default=None)
 
     p = sub.add_parser("verify", parents=[common],
                        help="the full verification battery")

@@ -1,9 +1,9 @@
 """Tests for the quadratic lower bound and its truncated-Fock realization."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from chargelab.bogolubov import (
-    DENSE_CUTOFF,
     BogolubovModel,
     build_hamiltonian,
     closed_form_bound,
@@ -14,6 +14,28 @@ from chargelab.errors import DomainError, PreconditionError, ResourceLimitError
 
 BOUND_110 = -2.0 + np.sqrt(3.0)  # -0.26794919243112270
 BOUND_111 = -3.0 + np.sqrt(5.0)  # -0.76393202250021030
+
+
+def full_space_matrix(model, n_max):
+    """Oracle: the Hamiltonian on all (n_max+1)^4 occupation states, built
+    from Kronecker products of single-mode ladder matrices."""
+    d = n_max + 1
+    lower = sp.diags(np.sqrt(np.arange(1.0, d)), offsets=1)  # b|n> = sqrt(n)|n-1>
+    b = []
+    for mode in range(4):
+        out = sp.identity(1)
+        for k in range(4):
+            out = sp.kron(out, lower if k == mode else sp.identity(d))
+        b.append(out.tocsr())
+    bd = [op.T for op in b]
+    num = [bd[m] @ b[m] for m in range(4)]
+    h = model.t * (num[0] + num[1] + num[2] + num[3])
+    h = h + model.g_plus * (num[0] + num[2] + bd[0] @ bd[2] + b[0] @ b[2])
+    h = h + model.g_minus * (num[1] + num[3] + bd[1] @ bd[3] + b[1] @ b[3])
+    hop = bd[0] @ b[1] + bd[2] @ b[3]
+    pair = bd[0] @ bd[3] + bd[1] @ bd[2]
+    h = h - np.sqrt(model.g_plus * model.g_minus) * (hop + hop.T + pair + pair.T)
+    return h.toarray()
 
 
 class TestClosedFormBound:
@@ -53,13 +75,18 @@ class TestClosedFormBound:
             BogolubovModel(-1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             BogolubovModel(1.0, -0.1, 0.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            for couplings in ((bad, 1.0, 1.0), (1.0, bad, 0.0), (1.0, 0.0, bad)):
+                with pytest.raises(DomainError):
+                    BogolubovModel(*couplings)
 
 
 class TestBuildHamiltonian:
     def test_dimension_and_symmetry(self):
+        # Q = 0 states at n_max=2: sum over n0+n1 = k of (1, 2, 3, 2, 1)^2
         op = build_hamiltonian(BogolubovModel(1, 1, 1), 2)
-        assert op.dimension == 81
-        assert op.matrix.shape == (81, 81)
+        assert op.dimension == 19
+        assert op.matrix.shape == (19, 19)
         diff = op.matrix - op.matrix.T
         assert diff.nnz == 0 or np.abs(diff.data).max() <= 1e-12
 
@@ -83,6 +110,9 @@ class TestBuildHamiltonian:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             build_hamiltonian(BogolubovModel(1, 1, 1), 40)
+        with pytest.raises(ResourceLimitError):
+            build_hamiltonian(BogolubovModel(1, 1, 1), 21)
+        assert build_hamiltonian(BogolubovModel(1, 1, 1), 20).dimension == 6181
 
 
 class TestGroundEnergy:
@@ -90,13 +120,21 @@ class TestGroundEnergy:
         op = build_hamiltonian(BogolubovModel(0, 0, 0), 1)
         assert ground_energy(op) == 0.0
 
-    def test_dense_sparse_agreement(self):
-        # n_max=5 gives dimension 1296 > DENSE_CUTOFF, exercising ARPACK
-        op = build_hamiltonian(BogolubovModel(1.0, 1.0, 1.0), 5)
-        assert op.dimension > DENSE_CUTOFF
-        sparse_val = ground_energy(op)
-        dense_val = np.linalg.eigvalsh(op.matrix.toarray())[0]
-        assert sparse_val == pytest.approx(dense_val, abs=1e-10)
+    def test_sector_matches_full_space(self):
+        # the Q = 0 ground energy is the ground energy of the whole space
+        rng = np.random.default_rng(2718)
+        models = [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.7, 1.3, 0.0), (0.4, 0.0, 2.1)]
+        models += [tuple(rng.uniform(0.0, 4.0, size=3)) for _ in range(28)]
+        for k, couplings in enumerate(models):
+            model, n_max = BogolubovModel(*couplings), 1 + k % 4
+            full = np.linalg.eigvalsh(full_space_matrix(model, n_max))[0]
+            sector = ground_energy(build_hamiltonian(model, n_max))
+            assert sector == pytest.approx(full, abs=1e-12)
+
+    def test_uncoupled_vacuum_is_exact(self):
+        for n_max in (8, 12):
+            op = build_hamiltonian(BogolubovModel(1.0, 0.0, 0.0), n_max)
+            assert ground_energy(op) == 0.0
 
     def test_never_below_bound(self):
         rng = np.random.default_rng(314)

@@ -206,12 +206,31 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_resource_limit_is_exit_3(self, tmp_path, capsys):
-        code = cli.main(
-            ["bogolubov-sharpness", "--nmax-list", "2,40",
-             "--outdir", str(tmp_path)]
-        )
-        assert code == 3
-        assert "cap" in capsys.readouterr().err
+        for nmax_list in ("2,40", "2,21"):
+            code = cli.main(
+                ["bogolubov-sharpness", "--nmax-list", nmax_list,
+                 "--outdir", str(tmp_path)]
+            )
+            assert code == 3
+            assert "cap" in capsys.readouterr().err
+
+    def test_non_finite_floats_are_usage(self, tmp_path, capsys):
+        for argv in (["bogolubov-sharpness", "--t", "nan"],
+                     ["stability-bound", "--c-lt", "inf"],
+                     ["lt-study", "--depths", "50,inf"]):
+            assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_uncoupled_ladder_passes(self, tmp_path, capsys):
+        code = cli.main(["bogolubov-sharpness", "--gplus", "0",
+                         "--outdir", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        _, rows, summary = read_record(tmp_path / "bogolubov-sharpness.jsonl")
+        assert [r["ground_energy"] for r in rows] == [0.0] * 4
+        assert summary["final_gap_fraction"] == 0.0
 
     def test_unreadable_matrix_files_are_usage(self, tmp_path, capsys):
         psi = tmp_path / "psi.txt"
