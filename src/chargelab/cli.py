@@ -4,14 +4,17 @@ Run records are line-oriented JSON -- a header line carrying the schema
 tag, package version, subcommand, seed, and parameters; one line per
 check row; a closing summary line -- with sorted keys and repr round-trip
 floats, so two runs with the same configuration produce byte-identical
-files.  The wall-clock duration is written to a sidecar ``<name>.meta.json``
-to keep it out of the deterministic surface.  Plot-ready tables are CSV
-with a schema tag comment on the first line; rendering is out of scope.
+files.  Records are strict JSON: a non-finite float is written as the
+string "inf", "-inf" or "nan", the spelling the CSV tables use.  The
+wall-clock duration is written to a sidecar ``<name>.meta.json`` to keep
+it out of the deterministic surface.  Plot-ready tables are CSV with a
+schema tag comment on the first line; rendering is out of scope.
 
-The verification suite runs its checks one after another and derives one
-64-bit seed per check from the master seed --
-``SeedSequence(master).generate_state(n_checks)``, check i taking word i --
-so each check's numbers depend only on the master seed and its index.
+Each subcommand's parser carries the function it runs (``args.run``).  The
+verification suite is `BATTERY`, ten subcommand invocations run one after
+another through that same parser; check i takes word i of
+``seed_words(master, 10)``, and a seeded check gets it as ``--seed``, so
+``chargelab <argv> --trials N --seed <word i>`` replays it alone.
 
 Exit codes: 0 every asserted check holds, 1 a check failed, 2 usage or
 validation error, 3 resource/accuracy limit hit.
@@ -42,7 +45,7 @@ from .errors import (
     SolverError,
 )
 from .foldy import foldy_j, j_closed_form, j_from_integral, simplified_energy_quadrature
-from .numerics import uniform_radial_grid
+from .numerics import seed_words, uniform_radial_grid
 
 __all__ = [
     "RunConfig",
@@ -63,6 +66,7 @@ __all__ = [
     "run_sobolev_study",
     "run_stability",
     "run_verification_suite",
+    "BATTERY",
     "write_record",
     "write_table",
     "build_parser",
@@ -81,9 +85,11 @@ IDENTITY_POINTS = tuple(
 
 
 def _py(value):
-    """Coerce numpy scalars so records stay plain JSON/CSV types."""
-    if isinstance(value, np.floating):
-        return float(value)
+    """Coerce numpy scalars so records stay plain JSON/CSV types; a
+    non-finite float becomes the string "inf", "-inf" or "nan"."""
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else str(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.bool_):
@@ -116,17 +122,18 @@ class ReportRecord:
             "seed": self.config.seed,
             "params": {k: _py(v) for k, v in self.config.params.items()},
         }
-        out = [json.dumps(header, sort_keys=True)]
+        out = [json.dumps(header, sort_keys=True, allow_nan=False)]
         for i, row in enumerate(self.rows):
             out.append(
                 json.dumps(
-                    {"row": i, **{k: _py(v) for k, v in row.items()}}, sort_keys=True
+                    {"row": i, **{k: _py(v) for k, v in row.items()}},
+                    sort_keys=True, allow_nan=False,
                 )
             )
         out.append(
             json.dumps(
                 {"summary": {k: _py(v) for k, v in self.summary.items()}},
-                sort_keys=True,
+                sort_keys=True, allow_nan=False,
             )
         )
         return out
@@ -244,10 +251,9 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int = 2, n_max_hi: int 
         raise PreconditionError("trials must be >= 1")
     if not 1 <= n_max_lo <= n_max_hi:
         raise PreconditionError("need 1 <= n_max_lo <= n_max_hi")
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     samples, violations, min_gap = [], 0, math.inf
-    for ts in trial_seeds:
-        rng = np.random.default_rng(int(ts))
+    for ts in seed_words(seed, trials):
+        rng = np.random.default_rng(ts)
         model = bogolubov.BogolubovModel(
             t=float(rng.uniform(0.0, 5.0)),
             g_plus=float(rng.uniform(0.0, 3.0)),
@@ -260,7 +266,7 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int = 2, n_max_hi: int 
             violations += 1
         min_gap = min(min_gap, gap)
         samples.append(
-            (int(ts), model.t, model.g_plus, model.g_minus, n_max, energy, gap)
+            (ts, model.t, model.g_plus, model.g_minus, n_max, energy, gap)
         )
     row = {
         "check": "bogolubov-fuzz",
@@ -277,11 +283,10 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int = 2, n_max_hi: int 
 def run_inequality_fuzz(which: str, trials: int, seed: int):
     """Seeded configuration fuzz for the classical electrostatic inequalities."""
     names = correlation.CHECKERS if which == "all" else (which,)
-    sub_seeds = np.random.SeedSequence(seed).generate_state(len(names), dtype=np.uint64)
     rows, samples = [], []
     total_violations, min_slack = 0, math.inf
-    for name, sub in zip(names, sub_seeds):
-        ensemble = correlation.run_random_ensemble(name, trials, int(sub))
+    for name, sub in zip(names, seed_words(seed, len(names))):
+        ensemble = correlation.run_random_ensemble(name, trials, sub)
         slacks = np.array([r[5] for r in ensemble])
         violations = int(np.sum(slacks < -correlation.HOLDS_TOL))
         total_violations += violations
@@ -437,11 +442,10 @@ def run_berezin(trials: int, seed: int, dimension: int = 8, count: int = 24,
     """Trace-inequality ensembles for every registered xi; the identity xi
     is an equality and must be exact to identity_tol (relative)."""
     names = tuple(sorted(trialstate.XI_FUNCTIONS))
-    sub_seeds = np.random.SeedSequence(seed).generate_state(len(names), dtype=np.uint64)
     rows, samples, total_violations = [], [], 0
-    for name, sub in zip(names, sub_seeds):
+    for name, sub in zip(names, seed_words(seed, len(names))):
         violations, ensemble = trialstate.berezin_lieb_ensemble(
-            name, trials, int(sub), dimension=dimension, count=count
+            name, trials, sub, dimension=dimension, count=count
         )
         total_violations += violations
         slacks = np.array([r[3] for r in ensemble])
@@ -653,42 +657,39 @@ def run_stability(charges, q: int, c_lt: float, n_electrons: int,
 # ---------------------------------------------------------------------------
 
 
-def _battery(quick: bool):
-    full = not quick
-    return [
-        ("j-cross-route", lambda seed: run_j_check()),
-        ("simplified-identity", lambda seed: run_identity_check()),
-        ("bogolubov-ladder",
-         lambda seed: run_bogolubov_ladder(1.0, 1.0, 0.0, (2, 4, 8, 12))),
-        ("inequality-fuzz",
-         lambda seed: run_inequality_fuzz("all", 3334 if full else 300, seed)),
-        ("dyson-minimize", lambda seed: run_dyson()),
-        ("pair-energy-identity", lambda seed: run_pair_identity()),
-        ("trace-scaling", lambda seed: run_trace_scaling()),
-        ("berezin-lieb", lambda seed: run_berezin(1000 if full else 100, seed)),
-        ("matrix-localization",
-         lambda seed: run_matrixloc_ensemble(1000 if full else 100, seed)),
-        ("lt-semiclassics", lambda seed: run_lt_study()),
-    ]
+# (check name, subcommand argv, trials): trials is None for an unseeded
+# check, else (full, quick), run with "--trials N --seed <word i>" appended.
+BATTERY = (
+    ("j-cross-route", ("foldy-j",), None),
+    ("simplified-identity", ("foldy-identity",), None),
+    ("bogolubov-ladder", ("bogolubov-sharpness",), None),
+    ("inequality-fuzz", ("check-inequalities",), (3334, 300)),
+    ("dyson-minimize", ("dyson-minimize",), None),
+    ("pair-energy-identity", ("trialstate", "--check", "pair-energy"), None),
+    ("trace-scaling", ("trialstate", "--check", "trace-scaling"), None),
+    ("berezin-lieb", ("trialstate", "--check", "berezin-lieb"), (1000, 100)),
+    ("matrix-localization", ("matrixloc-ensemble",), (1000, 100)),
+    ("lt-semiclassics", ("lt-study",), None),
+)
 
 
 def run_verification_suite(master_seed: int, quick: bool = False):
-    """The canonical battery, run serially; check i takes word i of the
-    master seed's SeedSequence state."""
-    checks = _battery(quick)
-    seeds = np.random.SeedSequence(master_seed).generate_state(
-        len(checks), dtype=np.uint64
-    )
+    """The canonical battery, run serially as subcommand invocations; check
+    i takes word i of seed_words(master_seed, len(BATTERY))."""
+    parser = build_parser()
     rows, failed = [], []
-    for (name, check), seed in zip(checks, seeds):
-        check_rows, summary, _tables = check(int(seed))
+    for (name, argv, trials), seed in zip(BATTERY, seed_words(master_seed, len(BATTERY))):
+        if trials is not None:
+            argv += ("--trials", str(trials[1] if quick else trials[0]), "--seed", str(seed))
+        args = parser.parse_args(argv)
+        check_rows, summary, _tables = args.run(args)
         ok = all(r.get("holds", True) for r in check_rows)
         rows.extend(check_rows)
         rows.append({"check": f"{name}-result", "passed": ok, **summary})
         if not ok:
             failed.append(name)
     summary = {
-        "checks": len(checks),
+        "checks": len(BATTERY),
         "failures": len(failed),
         "failed": failed,
         "passed": not failed,
@@ -722,7 +723,18 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
+# trialstate --check: the choices and what each one runs
+_TRIALSTATE_CHECKS = {
+    "pair-energy": lambda a: run_pair_identity(),
+    "trace-scaling": lambda a: run_trace_scaling(),
+    "upper-bound": lambda a: run_upper_bound(),
+    "berezin-lieb": lambda a: run_berezin(a.trials, a.seed),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand table: each subparser's flags, and in `run` the check
+    it calls with the parsed arguments."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", default=None,
                         help=f"output directory (default ${OUTDIR_ENV} or '.')")
@@ -731,6 +743,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="key=value file mirroring the flags; explicit flags win; "
                              "'key = true' switches a flag on")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     parser = argparse.ArgumentParser(
         prog="chargelab",
@@ -741,9 +755,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("foldy-j", parents=[common],
                        help="constant J by quadrature vs closed form")
     p.add_argument("--tol", type=_finite_float, default=1e-10)
+    p.set_defaults(run=lambda a: run_j_check(tol=a.tol))
 
-    sub.add_parser("foldy-identity", parents=[common],
-                   help="simplified local energy vs -J nu^(5/4) ell^(-3/4)")
+    p = sub.add_parser("foldy-identity", parents=[common],
+                       help="simplified local energy vs -J nu^(5/4) ell^(-3/4)")
+    p.set_defaults(run=lambda a: run_identity_check())
 
     p = sub.add_parser("bogolubov-sharpness", parents=[common],
                        help="truncated-ladder gap against the closed bound")
@@ -752,31 +768,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gminus", type=_finite_float, default=0.0)
     p.add_argument("--nmax-list", type=_int_list, default=(2, 4, 8, 12))
     p.add_argument("--gap-fraction", type=_finite_float, default=0.01)
+    p.set_defaults(run=lambda a: run_bogolubov_ladder(
+        a.t, a.gplus, a.gminus, a.nmax_list, a.gap_fraction))
 
-    p = sub.add_parser("bogolubov-fuzz", parents=[common],
+    p = sub.add_parser("bogolubov-fuzz", parents=[seeded],
                        help="random models against the lower bound")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--nmax-lo", type=int, default=2)
     p.add_argument("--nmax-hi", type=int, default=6)
+    p.set_defaults(run=lambda a: run_bogolubov_fuzz(a.trials, a.seed, a.nmax_lo, a.nmax_hi))
 
-    p = sub.add_parser("check-inequalities", parents=[common],
+    p = sub.add_parser("check-inequalities", parents=[seeded],
                        help="seeded fuzz of the electrostatic inequalities")
     p.add_argument("--which", choices=correlation.CHECKERS + ("all",), default="all")
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.set_defaults(run=lambda a: run_inequality_fuzz(a.which, a.trials, a.seed))
 
     p = sub.add_parser("dyson-minimize", parents=[common],
                        help="variational minimum, virial, grid agreement")
     p.add_argument("--nodes", type=int, default=800)
     p.add_argument("--rmax", type=_finite_float, default=25.0)
+    p.set_defaults(run=lambda a: run_dyson(a.nodes, a.rmax))
 
-    p = sub.add_parser("trialstate", parents=[common],
+    p = sub.add_parser("trialstate", parents=[seeded],
                        help="condensate trial-state checks")
-    p.add_argument("--check", required=True,
-                   choices=("pair-energy", "trace-scaling", "upper-bound", "berezin-lieb"))
+    p.add_argument("--check", required=True, choices=tuple(_TRIALSTATE_CHECKS))
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.set_defaults(run=lambda a: _TRIALSTATE_CHECKS[a.check](a))
 
     p = sub.add_parser("matrix-localize", parents=[common],
                        help="localize one instance from plain-text files")
@@ -784,22 +802,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--budget-c", type=_finite_float, default=None)
+    p.set_defaults(run=lambda a: run_matrix_localize(a.matrix, a.psi, a.window, a.budget_c))
 
-    p = sub.add_parser("matrixloc-ensemble", parents=[common],
+    p = sub.add_parser("matrixloc-ensemble", parents=[seeded],
                        help="Gaussian ensemble for the localization budget")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--window", type=int, default=8)
     p.add_argument("--ceiling", type=_finite_float, default=50.0)
+    p.set_defaults(run=lambda a: run_matrixloc_ensemble(
+        a.trials, a.seed, a.size, a.window, a.ceiling))
 
     p = sub.add_parser("lt-study", parents=[common],
                        help="negative-spectrum sums vs the semiclassical ratio")
     p.add_argument("--depths", type=_float_list, default=(50.0, 100.0, 200.0))
+    p.set_defaults(run=lambda a: run_lt_study(a.depths))
 
     p = sub.add_parser("sobolev-study", parents=[common],
                        help="scale-invariant ground-state ratios")
     p.add_argument("--depths", type=_float_list, default=(5.0, 10.0, 20.0, 50.0))
+    p.set_defaults(run=lambda a: run_sobolev_study(a.depths))
 
     p = sub.add_parser("stability-bound", parents=[common],
                        help="nearest-nucleus lower bound per electron")
@@ -809,54 +831,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-electrons", type=int, default=10)
     p.add_argument("--radius", type=_finite_float, default=None)
     p.add_argument("--vacuum-strength", type=_finite_float, default=None)
+    p.set_defaults(run=lambda a: run_stability(
+        a.charges, a.q, a.c_lt, a.n_electrons, a.radius, a.vacuum_strength))
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[seeded],
                        help="the full verification battery")
     p.add_argument("--quick", action="store_true", default=False,
                    help="reduced trial counts, same checks")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.set_defaults(run=lambda a: run_verification_suite(a.seed, quick=a.quick))
 
     return parser
-
-
-def _handle(args):
-    name = args.subcommand
-    if name == "foldy-j":
-        return run_j_check(tol=args.tol)
-    if name == "foldy-identity":
-        return run_identity_check()
-    if name == "bogolubov-sharpness":
-        return run_bogolubov_ladder(args.t, args.gplus, args.gminus,
-                                    args.nmax_list, args.gap_fraction)
-    if name == "bogolubov-fuzz":
-        return run_bogolubov_fuzz(args.trials, args.seed, args.nmax_lo, args.nmax_hi)
-    if name == "check-inequalities":
-        return run_inequality_fuzz(args.which, args.trials, args.seed)
-    if name == "dyson-minimize":
-        return run_dyson(args.nodes, args.rmax)
-    if name == "trialstate":
-        if args.check == "pair-energy":
-            return run_pair_identity()
-        if args.check == "trace-scaling":
-            return run_trace_scaling()
-        if args.check == "upper-bound":
-            return run_upper_bound()
-        return run_berezin(args.trials, args.seed)
-    if name == "matrix-localize":
-        return run_matrix_localize(args.matrix, args.psi, args.window, args.budget_c)
-    if name == "matrixloc-ensemble":
-        return run_matrixloc_ensemble(args.trials, args.seed, args.size,
-                                      args.window, args.ceiling)
-    if name == "lt-study":
-        return run_lt_study(args.depths)
-    if name == "sobolev-study":
-        return run_sobolev_study(args.depths)
-    if name == "stability-bound":
-        return run_stability(args.charges, args.q, args.c_lt, args.n_electrons,
-                             args.radius, args.vacuum_strength)
-    if name == "verify":
-        return run_verification_suite(args.seed, quick=args.quick)
-    raise PreconditionError(f"no handler for subcommand {name!r}")
 
 
 def _load_config_flags(path) -> list[str]:
@@ -909,7 +893,7 @@ def _short(value) -> str:
     return str(value)
 
 
-_PLUMBING_KEYS = ("subcommand", "outdir", "output", "config")
+_PLUMBING_KEYS = ("subcommand", "outdir", "output", "config", "run")
 
 
 def main(argv=None) -> int:
@@ -927,7 +911,7 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        rows, summary, tables = _handle(args)
+        rows, summary, tables = args.run(args)
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import integrate_1d
+from .numerics import integrate_1d, seed_words
 
 __all__ = [
     "ParticleConfiguration",
@@ -339,10 +339,9 @@ def run_random_ensemble(
         raise PreconditionError(f"which must be one of {CHECKERS}")
     if trials < 1:
         raise PreconditionError("trials must be positive")
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     rows = []
-    for ts in trial_seeds:
-        rng = np.random.default_rng(int(ts))
+    for ts in seed_words(seed, trials):
+        rng = np.random.default_rng(ts)
         n = int(rng.integers(1, max_particles + 1))
         box = float(rng.uniform(*box_range))
         kind = "pm1" if rng.random() < 0.5 else "mixed"
@@ -356,5 +355,5 @@ def run_random_ensemble(
         else:
             mu = mu if mu > 0 else 0.5
             rep = yukawa_positivity_check(config, mu)
-        rows.append((int(ts), n, mu, rep.lhs, rep.rhs, rep.slack))
+        rows.append((ts, n, mu, rep.lhs, rep.rhs, rep.slack))
     return rows

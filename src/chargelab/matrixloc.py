@@ -18,6 +18,7 @@ import numpy as np
 
 from .correlation import InequalityReport
 from .errors import ConsistencyError, DomainError, PreconditionError
+from .numerics import seed_words
 
 __all__ = [
     "LocalizationProblem",
@@ -236,13 +237,12 @@ def gaussian_ensemble(
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    seeds = np.random.SeedSequence(master_seed).generate_state(
-        trials, dtype=np.uint64
-    )
+    if n < 1:
+        raise PreconditionError("matrix size n must be >= 1")
     rows = []
     worst = 0.0
-    for seed in seeds:
-        rng = np.random.default_rng(int(seed))
+    for seed in seed_words(master_seed, trials):
+        rng = np.random.default_rng(seed)
         raw = rng.standard_normal((n, n))
         matrix = 0.5 * (raw + raw.T)
         psi = rng.standard_normal(n)
@@ -250,7 +250,7 @@ def gaussian_ensemble(
         result = localize(LocalizationProblem(matrix=matrix, psi=psi, window=window))
         c_req = result.c_required
         worst = max(worst, c_req)
-        rows.append((int(seed), result.lam, result.value, c_req))
+        rows.append((seed, result.lam, result.value, c_req))
     return worst, rows
 
 

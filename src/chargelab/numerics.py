@@ -1,5 +1,5 @@
 """Shared numerical kernels: 1D adaptive quadrature, the Gamma function,
-and uniform radial grids for 3D radial integrals.
+uniform radial grids for 3D radial integrals, and seed derivation.
 
 All downstream 1D integrals funnel through `integrate_1d`; radial integrals
 are the dot product of a grid's weights with node values.  Semi-infinite
@@ -24,6 +24,7 @@ __all__ = [
     "integrate_1d",
     "gamma",
     "uniform_radial_grid",
+    "seed_words",
 ]
 
 
@@ -115,7 +116,6 @@ class RadialGrid:
     nodes: np.ndarray
     weights: np.ndarray
     r_max: float
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -136,9 +136,7 @@ class RadialGrid:
         return self.nodes.size
 
 
-def uniform_radial_grid(
-    n_nodes: int = 800, r_max: float = 40.0, tolerance: float = 1e-8
-) -> RadialGrid:
+def uniform_radial_grid(n_nodes: int = 800, r_max: float = 40.0) -> RadialGrid:
     """Equally spaced grid h, 2h, ..., r_max with trapezoid weights 4*pi*r^2*h
     (half weight at r_max; the r=0 endpoint carries zero weight).
 
@@ -155,5 +153,16 @@ def uniform_radial_grid(
     r = h * np.arange(1, n_nodes + 1)
     w = 4.0 * math.pi * r * r * h
     w[-1] *= 0.5
-    return RadialGrid(nodes=r, weights=w, r_max=r_max, tolerance=tolerance)
+    return RadialGrid(nodes=r, weights=w, r_max=r_max)
+
+
+def seed_words(seed: int, count: int) -> list[int]:
+    """The first `count` uint64 words of SeedSequence(seed).
+
+    Every seeded run derives its per-trial or per-check seeds here, so word
+    i depends only on the seed and i.
+    """
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64).tolist()
 

@@ -142,8 +142,9 @@ class PotentialSpec:
     def v_integral_quadrature(self, tol: float = 1e-10) -> float:
         """Independent quadrature route for the same integral.
 
-        The nucleus integrand's r^(-5/2) singularity is regularized by
-        r = u^2, which makes it bounded: u^4 (u^-2 - 1/R)^(5/2) u -> 1.
+        For the nucleus, r = R s^2 turns 4 pi r^2 (1/r - 1/R)^(5/2) dr into
+        8 pi sqrt(R) (1 - s^2)^(5/2) ds on (0, 1): bounded, and free of R,
+        so no radius overflows the integrand.
         """
         if self.kind == "gaussian-well":
             quad = integrate_1d(
@@ -166,14 +167,9 @@ class PotentialSpec:
                 tol=tol,
             )
             return quad.value
-        r_cut = self.cutoff_radius
-
-        def g(u: float) -> float:
-            # r = u^2; 4 pi r^2 (1/r - 1/R)^(5/2) dr = 8 pi u^5 (...) du
-            return 8.0 * math.pi * u**5 * (1.0 / u**2 - 1.0 / r_cut) ** 2.5
-
-        quad = integrate_1d(g, 0.0, math.sqrt(r_cut), tol=tol)
-        return self.strength**2.5 * self.centers.shape[0] * quad.value
+        quad = integrate_1d(lambda s: (1.0 - s * s) ** 2.5, 0.0, 1.0, tol=tol)
+        per_ball = 8.0 * math.pi * math.sqrt(self.cutoff_radius) * quad.value
+        return self.strength**2.5 * self.centers.shape[0] * per_ball
 
 
 def gaussian_well(depth: float, width: float = 1.0) -> PotentialSpec:

@@ -23,7 +23,7 @@ from .errors import (
     SolverError,
 )
 from .foldy import foldy_j, simplified_energy_quadrature
-from .numerics import gamma, integrate_1d
+from .numerics import gamma, integrate_1d, seed_words
 from .variational import RadialProfile, functional_energy, rescale
 
 __all__ = [
@@ -327,13 +327,10 @@ def berezin_lieb_ensemble(
         raise PreconditionError(f"xi must be one of {sorted(XI_FUNCTIONS)}")
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    seeds = np.random.SeedSequence(master_seed).generate_state(
-        trials, dtype=np.uint64
-    )
     rows = []
     violations = 0
-    for seed in seeds:
-        rng = np.random.default_rng(int(seed))
+    for seed in seed_words(master_seed, trials):
+        rng = np.random.default_rng(seed)
         frame = random_tight_frame(rng, dimension, count)
         raw = rng.standard_normal((dimension, dimension))
         y_psd = raw @ raw.T
@@ -341,5 +338,5 @@ def berezin_lieb_ensemble(
         report = berezin_lieb_check(frame, f_draw, y_psd, xi)
         if not report.holds:
             violations += 1
-        rows.append((int(seed), report.lhs, report.rhs, report.slack))
+        rows.append((seed, report.lhs, report.rhs, report.slack))
     return violations, rows

@@ -158,7 +158,6 @@ def rescale(profile: RadialProfile, lam: float) -> RadialProfile:
         nodes=g.nodes / lam,
         weights=g.weights / lam**3,
         r_max=g.r_max / lam,
-        tolerance=g.tolerance,
     )
     return RadialProfile(grid=new_grid, values=lam**1.5 * profile.values)
 

@@ -1,17 +1,36 @@
 """Command-line layer: records, determinism, exit codes, config plumbing."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargelab import cli, matrixloc
 from chargelab.foldy import JConstant, foldy_j
 
 
+SUBCOMMANDS = (
+    "foldy-j", "foldy-identity", "bogolubov-sharpness", "bogolubov-fuzz",
+    "check-inequalities", "dyson-minimize", "trialstate", "matrix-localize",
+    "matrixloc-ensemble", "lt-study", "sobolev-study", "stability-bound", "verify",
+)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
 def read_record(path):
-    lines = [json.loads(ln) for ln in path.read_text().splitlines()]
+    """Header, rows and summary of a record; fails on anything but strict JSON."""
+    lines = [json.loads(ln, parse_constant=_reject_constant)
+             for ln in path.read_text().splitlines()]
     header, summary = lines[0], lines[-1]["summary"]
     rows = lines[1:-1]
     return header, rows, summary
@@ -172,6 +191,18 @@ class TestMainPlumbing:
         assert rows[1]["check"] == "budget" and rows[1]["holds"]
         assert (tmp_path / "matrix-localize-bands.csv").exists()
 
+    def test_infinite_c_required_is_strict_json(self, tmp_path):
+        matrixloc.write_matrix(tmp_path / "a.txt", np.diag([0.0, 1.0, 0.0]))
+        matrixloc.write_vector(tmp_path / "psi.txt", np.full(3, 3**-0.5))
+        code = cli.main(
+            ["matrix-localize", "--matrix", str(tmp_path / "a.txt"),
+             "--psi", str(tmp_path / "psi.txt"), "--window", "2",
+             "--outdir", str(tmp_path)]
+        )
+        assert code == 0
+        _, rows, summary = read_record(tmp_path / "matrix-localize.jsonl")
+        assert rows[0]["c_required"] == "inf" and summary["c_required"] == "inf"
+
     def test_stability_record(self, tmp_path):
         assert cli.main(["stability-bound", "--outdir", str(tmp_path)]) == 0
         _, rows, _ = read_record(tmp_path / "stability-bound.jsonl")
@@ -232,6 +263,19 @@ class TestExitCodes:
         assert [r["ground_energy"] for r in rows] == [0.0] * 4
         assert summary["final_gap_fraction"] == 0.0
 
+    def test_negative_seed_and_size_are_usage(self, tmp_path, capsys):
+        for argv in (["bogolubov-fuzz", "--seed", "-1"],
+                     ["check-inequalities", "--seed", "-1"],
+                     ["trialstate", "--check", "berezin-lieb", "--seed", "-1"],
+                     ["matrixloc-ensemble", "--seed", "-1"],
+                     ["verify", "--seed", "-1"],
+                     ["matrixloc-ensemble", "--size", "-1"]):
+            assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_unreadable_matrix_files_are_usage(self, tmp_path, capsys):
         psi = tmp_path / "psi.txt"
         matrixloc.write_vector(psi, np.ones(2))
@@ -248,7 +292,9 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out or True
+        out = capsys.readouterr().out
+        for name in SUBCOMMANDS:
+            assert name in out
 
     def test_failed_check_is_exit_1(self, tmp_path, monkeypatch, capsys):
         # the sensitivity canary: a wrong J must surface as a check failure
@@ -373,6 +419,62 @@ class TestVerifySuite:
         assert "pair-energy-identity" in err
 
 
+def _unnumbered(row):
+    return {k: v for k, v in row.items() if k != "row"}
+
+
+class TestParser:
+    # header params of each subcommand at default flags
+    GOLDEN = {
+        ("foldy-j",): {"tol": 1e-10},
+        ("foldy-identity",): {},
+        ("bogolubov-sharpness",): {"gap_fraction": 0.01, "gminus": 0.0, "gplus": 1.0,
+                                   "nmax_list": (2, 4, 8, 12), "t": 1.0},
+        ("bogolubov-fuzz",): {"nmax_hi": 6, "nmax_lo": 2, "seed": 1905, "trials": 200},
+        ("check-inequalities",): {"seed": 1905, "trials": 10_000, "which": "all"},
+        ("dyson-minimize",): {"nodes": 800, "rmax": 25.0},
+        ("trialstate", "--check", "upper-bound"): {"check": "upper-bound", "seed": 1905,
+                                                   "trials": 1000},
+        ("matrix-localize", "--matrix", "a.txt", "--psi", "b.txt", "--window", "2"): {
+            "budget_c": None, "matrix": "a.txt", "psi": "b.txt", "window": 2},
+        ("matrixloc-ensemble",): {"ceiling": 50.0, "seed": 1905, "size": 64,
+                                  "trials": 1000, "window": 8},
+        ("lt-study",): {"depths": (50.0, 100.0, 200.0)},
+        ("sobolev-study",): {"depths": (5.0, 10.0, 20.0, 50.0)},
+        ("stability-bound",): {"c_lt": 0.04, "charges": (1.0,), "n_electrons": 10, "q": 2,
+                               "radius": None, "vacuum_strength": None},
+        ("verify",): {"quick": False, "seed": 1905},
+    }
+
+    def test_default_params_per_subcommand(self):
+        parser = cli.build_parser()
+        assert sorted(argv[0] for argv in self.GOLDEN) == sorted(SUBCOMMANDS)
+        for argv, expected in self.GOLDEN.items():
+            args = parser.parse_args(argv)
+            params = {k: v for k, v in vars(args).items() if k not in cli._PLUMBING_KEYS}
+            assert params == expected, argv
+
+    def test_battery_replays_as_subcommands(self, tmp_path, capsys):
+        seed = 1905
+        assert cli.main(["verify", "--quick", "--seed", str(seed),
+                         "--outdir", str(tmp_path)]) == 0
+        _, suite_rows, _ = read_record(tmp_path / "verify.jsonl")
+        words = np.random.SeedSequence(seed).generate_state(len(cli.BATTERY), dtype=np.uint64)
+        for (name, argv, trials), word in zip(cli.BATTERY, words):
+            if trials is not None:
+                argv += ("--trials", str(trials[1]), "--seed", str(word))
+            assert cli.main([*argv, "--outdir", str(tmp_path), "--output", name]) == 0
+            _, rows, summary = read_record(tmp_path / f"{name}.jsonl")
+            end = next(i for i, r in enumerate(suite_rows) if r["check"] == f"{name}-result")
+            assert [_unnumbered(r) for r in suite_rows[:end]] == [
+                _unnumbered(r) for r in rows], name
+            assert _unnumbered(suite_rows[end]) == {
+                "check": f"{name}-result", "passed": True, **summary}
+            suite_rows = suite_rows[end + 1:]
+        assert suite_rows == []
+        capsys.readouterr()
+
+
 class TestHelpers:
     def test_float_list_parser(self):
         assert cli._float_list("1,2.5,3") == (1.0, 2.5, 3.0)
@@ -384,6 +486,9 @@ class TestHelpers:
         assert cli._py(np.int64(3)) == 3 and isinstance(cli._py(np.int64(3)), int)
         assert cli._py(np.bool_(True)) is True
         assert cli._py("text") == "text"
+        assert [cli._py(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+        assert [cli._py(np.float64(v)) for v in (np.inf, -np.inf, np.nan)] == [
+            "inf", "-inf", "nan"]
 
     def test_inject_config_forms(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -398,3 +503,33 @@ class TestHelpers:
     def test_inject_without_config_is_identity(self):
         argv = ["foldy-j", "--tol", "1e-9"]
         assert cli._inject_config(argv) == argv
+
+
+# every integer flag of the seeded ensembles, from a range that includes negatives
+_INT = st.integers(-2, 6).map(str)
+_ENSEMBLE_ARGV = st.one_of(
+    st.tuples(st.just("bogolubov-fuzz"), st.just("--trials"), _INT, st.just("--seed"), _INT,
+              st.just("--nmax-lo"), _INT, st.just("--nmax-hi"), _INT),
+    st.tuples(st.just("check-inequalities"), st.just("--trials"), _INT,
+              st.just("--seed"), _INT),
+    st.tuples(st.just("trialstate"), st.just("--check"), st.just("berezin-lieb"),
+              st.just("--trials"), _INT, st.just("--seed"), _INT),
+    st.tuples(st.just("matrixloc-ensemble"), st.just("--trials"), _INT, st.just("--seed"), _INT,
+              st.just("--size"), _INT, st.just("--window"), _INT),
+)
+
+
+class TestBoundaryProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(argv=_ENSEMBLE_ARGV)
+    def test_integer_flags_map_to_exit_codes(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as outdir, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--outdir", outdir])
+            records = list(Path(outdir).glob("*.jsonl"))
+            for record in records:
+                read_record(record)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert bool(records) == (code in (0, 1))

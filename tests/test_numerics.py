@@ -1,4 +1,4 @@
-"""Contracts of the quadrature kernels, gamma, and radial grids."""
+"""Contracts of the quadrature kernels, gamma, radial grids and seeds."""
 import math
 
 import numpy as np
@@ -10,6 +10,7 @@ from chargelab.numerics import (
     RadialGrid,
     gamma,
     integrate_1d,
+    seed_words,
     uniform_radial_grid,
 )
 
@@ -150,3 +151,13 @@ def test_uniform_grid_validation():
         uniform_radial_grid(4, 10.0)
     with pytest.raises(DomainError):
         uniform_radial_grid(100, -1.0)
+
+
+def test_seed_words():
+    words = seed_words(1905, 5)
+    expected = np.random.SeedSequence(1905).generate_state(5, dtype=np.uint64)
+    assert words == [int(w) for w in expected]
+    assert all(type(w) is int for w in words)
+    assert seed_words(1905, 3) == words[:3]
+    with pytest.raises(PreconditionError):
+        seed_words(-1, 5)

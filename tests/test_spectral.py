@@ -133,6 +133,11 @@ class TestVIntegral:
             NUCLEUS_13_INTEGRAL, rel=1e-8
         )
 
+    @pytest.mark.parametrize("radius", [1e-298, 1e-6, 1.0, 1e123])
+    def test_nucleus_routes_agree_across_radii(self, radius):
+        spec = nucleus_potential(np.zeros((1, 3)), 1.0, radius)
+        assert spec.v_integral_quadrature() == pytest.approx(spec.v_integral(), rel=1e-8)
+
     def test_nucleus_scales_with_count_and_strength(self):
         base = nucleus_potential(np.zeros((1, 3)), 1.0, 0.7).v_integral()
         centers = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
