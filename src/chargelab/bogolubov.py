@@ -55,6 +55,9 @@ class BogolubovModel:
         couplings = (self.t, self.g_plus, self.g_minus)
         if not all(math.isfinite(c) and c >= 0 for c in couplings):
             raise DomainError("couplings must be finite and nonnegative")
+        s = float(self.t + self.g_plus + self.g_minus)
+        if not math.isfinite(s * s):  # the closed-form bound squares it
+            raise DomainError(f"(t + g_plus + g_minus)^2 overflows at {s:.3e}")
 
 
 @dataclass(frozen=True, eq=False)

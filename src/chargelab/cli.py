@@ -280,30 +280,33 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int = 2, n_max_hi: int 
     return [row], {"violations": violations, "min_gap": min_gap}, {"models": table}
 
 
+def _ensemble_row(check: str, trials: int, slacks: np.ndarray) -> dict:
+    """The verdict row of one seeded ensemble; a slack below -HOLDS_TOL, or
+    a NaN slack, is a violation."""
+    violations = int(np.sum(~(slacks >= -correlation.HOLDS_TOL)))
+    return {
+        "check": check,
+        "trials": trials,
+        "violations": violations,
+        "min_slack": float(slacks.min()),
+        "tolerance": correlation.HOLDS_TOL,
+        "holds": violations == 0,
+    }
+
+
 def run_inequality_fuzz(which: str, trials: int, seed: int):
     """Seeded configuration fuzz for the classical electrostatic inequalities."""
     names = correlation.CHECKERS if which == "all" else (which,)
     rows, samples = [], []
-    total_violations, min_slack = 0, math.inf
     for name, sub in zip(names, seed_words(seed, len(names))):
         ensemble = correlation.run_random_ensemble(name, trials, sub)
         slacks = np.array([r[5] for r in ensemble])
-        violations = int(np.sum(slacks < -correlation.HOLDS_TOL))
-        total_violations += violations
-        min_slack = min(min_slack, float(slacks.min()))
-        rows.append(
-            {
-                "check": f"inequality-{name}",
-                "trials": trials,
-                "violations": violations,
-                "min_slack": float(slacks.min()),
-                "tolerance": correlation.HOLDS_TOL,
-                "holds": violations == 0,
-            }
-        )
+        rows.append(_ensemble_row(f"inequality-{name}", trials, slacks))
         samples.extend((name,) + r for r in ensemble)
     table = (("checker", "trial_seed", "n", "mu", "lhs", "rhs", "slack"), samples)
-    return rows, {"violations": total_violations, "min_slack": min_slack}, {"trials": table}
+    summary = {"violations": sum(r["violations"] for r in rows),
+               "min_slack": min(r["min_slack"] for r in rows)}
+    return rows, summary, {"trials": table}
 
 
 def run_dyson(nodes: int = 800, r_max: float = 25.0, agreement_tol: float = 1e-4):
@@ -442,21 +445,13 @@ def run_berezin(trials: int, seed: int, dimension: int = 8, count: int = 24,
     """Trace-inequality ensembles for every registered xi; the identity xi
     is an equality and must be exact to identity_tol (relative)."""
     names = tuple(sorted(trialstate.XI_FUNCTIONS))
-    rows, samples, total_violations = [], [], 0
+    rows, samples = [], []
     for name, sub in zip(names, seed_words(seed, len(names))):
-        violations, ensemble = trialstate.berezin_lieb_ensemble(
+        ensemble = trialstate.berezin_lieb_ensemble(
             name, trials, sub, dimension=dimension, count=count
         )
-        total_violations += violations
         slacks = np.array([r[3] for r in ensemble])
-        row = {
-            "check": f"berezin-{name}",
-            "trials": trials,
-            "violations": violations,
-            "min_slack": float(slacks.min()),
-            "tolerance": 1e-10,
-            "holds": violations == 0,
-        }
+        row = _ensemble_row(f"berezin-{name}", trials, slacks)
         if name == "identity":
             scale = np.array([max(1.0, abs(r[1])) for r in ensemble])
             exactness = float(np.max(np.abs(slacks) / scale))
@@ -465,7 +460,7 @@ def run_berezin(trials: int, seed: int, dimension: int = 8, count: int = 24,
         rows.append(row)
         samples.extend((name,) + r for r in ensemble)
     table = (("xi", "trial_seed", "lhs", "rhs", "slack"), samples)
-    return rows, {"violations": total_violations}, {"instances": table}
+    return rows, {"violations": sum(r["violations"] for r in rows)}, {"instances": table}
 
 
 def run_matrixloc_ensemble(trials: int, seed: int, size: int = 64, window: int = 8,

@@ -43,14 +43,17 @@ MIN_SEPARATION = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ParticleConfiguration:
-    """Point particles at positions (n, 3) carrying signed charges (n,)."""
+    """Point particles at positions (n, 3) carrying signed charges (n,);
+    `distances` is the (n, n) pair-distance matrix, computed once.  All
+    three are read-only copies, so the distances cannot go stale."""
 
     positions: np.ndarray
     charges: np.ndarray
+    distances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        z = np.atleast_1d(np.asarray(self.charges, dtype=float))
+        pos = np.array(self.positions, dtype=float, ndmin=2)
+        z = np.array(self.charges, dtype=float, ndmin=1)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise PreconditionError("positions must be an (n, 3) array")
         if z.shape != (pos.shape[0],):
@@ -59,15 +62,16 @@ class ParticleConfiguration:
             raise PreconditionError("configuration must be nonempty")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(z))):
             raise PreconditionError("positions and charges must be finite")
+        dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=-1))
         if pos.shape[0] > 1:
-            i, j = np.triu_indices(pos.shape[0], 1)
-            rmin = np.sqrt(((pos[i] - pos[j]) ** 2).sum(axis=1)).min()
+            rmin = dist[np.triu_indices(pos.shape[0], 1)].min()
             if rmin <= MIN_SEPARATION:
                 raise PreconditionError(
                     f"minimum separation {rmin:.3e} below {MIN_SEPARATION:.0e}"
                 )
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "charges", z)
+        for name, value in (("positions", pos), ("charges", z), ("distances", dist)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -99,8 +103,7 @@ def yukawa(r: float, mu: float) -> float:
 def _pair_data(config: ParticleConfiguration):
     """Upper-triangle pair distances and charge products."""
     i, j = np.triu_indices(config.n, 1)
-    r = np.sqrt(((config.positions[i] - config.positions[j]) ** 2).sum(axis=1))
-    return r, config.charges[i] * config.charges[j]
+    return config.distances[i, j], config.charges[i] * config.charges[j]
 
 
 def pair_energy(config: ParticleConfiguration, mu: float) -> float:
@@ -116,11 +119,8 @@ def pair_energy(config: ParticleConfiguration, mu: float) -> float:
 def nearest_opposite_distances(config: ParticleConfiguration) -> np.ndarray:
     """D_i = distance from particle i to the nearest opposite charge,
     +inf when no oppositely charged particle exists."""
-    pos, z = config.positions, config.charges
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    opposite = np.outer(z, z) < 0
-    return np.where(opposite, dist, np.inf).min(axis=1)
+    opposite = np.outer(config.charges, config.charges) < 0
+    return np.where(opposite, config.distances, np.inf).min(axis=1)
 
 
 def onsager_check(config: ParticleConfiguration, mu: float) -> InequalityReport:
@@ -244,10 +244,8 @@ def _localized_rhs(
         nodes, weight = grid.axis_rule(d)
         c = chi.axis_profile(config.positions[:, d, None] - nodes[None, :])
         overlap *= weight * (c @ c.T)
-    i, j = np.triu_indices(n, 1)
-    r = np.sqrt(((config.positions[i] - config.positions[j]) ** 2).sum(axis=1))
-    zz = config.charges[i] * config.charges[j]
-    return float(np.sum(zz * np.exp(-mu_eff * r) / r * overlap[i, j]))
+    r, zz = _pair_data(config)
+    return float(np.sum(zz * np.exp(-mu_eff * r) / r * overlap[np.triu_indices(n, 1)]))
 
 
 def cly_localization_check(
@@ -303,14 +301,10 @@ def random_configuration(
 ) -> ParticleConfiguration:
     """Uniform positions in [0, box]^3; charges are random signs ("pm1")
     or negatives of -1 mixed with positive charges up to +3 ("mixed"),
-    so every checker's precondition is satisfied."""
-    while True:
-        pos = rng.uniform(0.0, box, size=(n, 3))
-        if n == 1:
-            break
-        i, j = np.triu_indices(n, 1)
-        if np.sqrt(((pos[i] - pos[j]) ** 2).sum(axis=1)).min() > 1e-9:
-            break
+    so every checker's precondition is satisfied.  Positions are drawn
+    once: ParticleConfiguration rejects a pair closer than MIN_SEPARATION,
+    which uniform draws in a box of side >= 1 essentially never produce."""
+    pos = rng.uniform(0.0, box, size=(n, 3))
     if charge_kind == "pm1":
         z = rng.choice([-1.0, 1.0], size=n)
     elif charge_kind == "mixed":

@@ -54,6 +54,17 @@ ELL_CAP = 300
 REFINE_TOL = 1e-4  # two-grid disagreement beyond this aborts
 
 
+def _five_halves_fits(x: float) -> bool:
+    """x > 0 and x^(5/2) is a positive finite float (no overflow to inf,
+    no underflow to 0), as every int |V|_-^(5/2) below needs."""
+    if not x > 0:
+        return False
+    try:
+        return 0.0 < float(x) ** 2.5 < math.inf
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True, eq=False)
 class PotentialSpec:
     """One attractive potential from a named family, with |V|_-^(5/2)
@@ -76,8 +87,8 @@ class PotentialSpec:
         if self.kind not in POTENTIAL_KINDS:
             raise DomainError(f"kind must be one of {POTENTIAL_KINDS}")
         if self.kind in ("gaussian-well", "square-well"):
-            if not (self.depth > 0 and math.isfinite(self.depth)):
-                raise DomainError("depth must be finite and > 0")
+            if not _five_halves_fits(self.depth):
+                raise DomainError("depth must be > 0 with depth^(5/2) finite and > 0")
             if not (self.width > 0 and math.isfinite(self.width)):
                 raise DomainError("width must be finite and > 0")
         else:
@@ -86,8 +97,8 @@ class PotentialSpec:
                 raise DomainError("centers must be a nonempty (n, 3) array")
             if not np.all(np.isfinite(centers)):
                 raise DomainError("centers must be finite")
-            if not (self.strength > 0 and math.isfinite(self.strength)):
-                raise DomainError("strength must be finite and > 0")
+            if not _five_halves_fits(self.strength):
+                raise DomainError("strength must be > 0 with strength^(5/2) finite and > 0")
             if not (self.cutoff_radius > 0 and math.isfinite(self.cutoff_radius)):
                 raise DomainError("cutoff_radius must be finite and > 0")
             object.__setattr__(self, "centers", centers)

@@ -318,17 +318,13 @@ def berezin_lieb_ensemble(
     dimension: int = 8,
     count: int = 24,
 ):
-    """Random (frame, PSD Y, f) instances for one xi.
-
-    Returns (n_violations, rows); each row is
-    (seed, lhs, rhs, slack) for the trial drawn from that seed.
-    """
+    """Random (frame, PSD Y, f) instances for one xi: rows
+    (seed, lhs, rhs, slack), one per trial drawn from that seed."""
     if xi not in XI_FUNCTIONS:
         raise PreconditionError(f"xi must be one of {sorted(XI_FUNCTIONS)}")
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     rows = []
-    violations = 0
     for seed in seed_words(master_seed, trials):
         rng = np.random.default_rng(seed)
         frame = random_tight_frame(rng, dimension, count)
@@ -336,7 +332,5 @@ def berezin_lieb_ensemble(
         y_psd = raw @ raw.T
         f_draw = rng.uniform(0.0, 5.0, size=count)
         report = berezin_lieb_check(frame, f_draw, y_psd, xi)
-        if not report.holds:
-            violations += 1
         rows.append((seed, report.lhs, report.rhs, report.slack))
-    return violations, rows
+    return rows

@@ -276,6 +276,33 @@ class TestExitCodes:
             assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_out_of_range_floats_are_usage(self, tmp_path, capsys):
+        # each overflowed, divided by zero or failed a check before the
+        # boundary rejected it
+        for argv in (["stability-bound", "--charges", "1e124"],
+                     ["sobolev-study", "--depths", "3e123"],
+                     ["sobolev-study", "--depths", "1e-131"],
+                     ["lt-study", "--depths", "1e-300"],
+                     ["bogolubov-sharpness", "--t", "0", "--gplus", "1.35e154",
+                      "--gminus", "1.35e154"],
+                     ["bogolubov-sharpness", "--t", "0", "--gplus", "1.34e154",
+                      "--gminus", "1.34e154"],
+                     ["bogolubov-sharpness", "--t", "2.6e160", "--gplus", "1e-101",
+                      "--nmax-list", "2,4"]):
+            assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_and_smallest_in_range_floats_pass(self, tmp_path, capsys):
+        for argv in (["stability-bound", "--charges", "1e123"],
+                     ["sobolev-study", "--depths", "2e123"],
+                     ["sobolev-study", "--depths", "1e-129"]):
+            assert cli.main(argv + ["--outdir", str(tmp_path)]) == 0
+            read_record(tmp_path / f"{argv[0]}.jsonl")
+        capsys.readouterr()
+
     def test_unreadable_matrix_files_are_usage(self, tmp_path, capsys):
         psi = tmp_path / "psi.txt"
         matrixloc.write_vector(psi, np.ones(2))
@@ -519,17 +546,48 @@ _ENSEMBLE_ARGV = st.one_of(
 )
 
 
+# every float flag of three cheap subcommands over the whole finite range,
+# negatives, zero and subnormals included; passed as --flag=value, since
+# argparse would read a separate "-1e-05" as an option
+def _float_flag(name):
+    return st.floats(allow_nan=False, allow_infinity=False).map(
+        lambda v: f"{name}={v!r}")
+
+
+_FLOAT_ARGV = st.one_of(
+    st.tuples(st.just("bogolubov-sharpness"), _float_flag("--t"), _float_flag("--gplus"),
+              _float_flag("--gminus"), st.just("--nmax-list=2,4")),
+    st.tuples(st.just("stability-bound"), _float_flag("--charges"),
+              _float_flag("--c-lt"), _float_flag("--radius")),
+    st.tuples(st.just("sobolev-study"), _float_flag("--depths")),
+)
+
+
+def _run_main(argv):
+    """Exit code of main(argv) and whether it wrote a record, asserting the
+    documented exit codes, no traceback and strict-JSON records."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--outdir", outdir])
+        records = list(Path(outdir).glob("*.jsonl"))
+        for record in records:
+            read_record(record)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    return code, bool(records)
+
+
 class TestBoundaryProperty:
     @settings(max_examples=100, deadline=None)
     @given(argv=_ENSEMBLE_ARGV)
     def test_integer_flags_map_to_exit_codes(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as outdir, \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([*argv, "--outdir", outdir])
-            records = list(Path(outdir).glob("*.jsonl"))
-            for record in records:
-                read_record(record)
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err.getvalue()
-        assert bool(records) == (code in (0, 1))
+        code, wrote = _run_main(argv)
+        assert wrote == (code in (0, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=_FLOAT_ARGV)
+    def test_float_flags_map_to_exit_codes(self, argv):
+        # a failed consistency check exits 1 without a record
+        code, wrote = _run_main(argv)
+        assert not (wrote and code in (2, 3))

@@ -1,4 +1,6 @@
 """Tests for pairwise energies and the correlation-inequality checkers."""
+import math
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,75 @@ class TestLocalization:
             cly_localization_check(
                 dipole(), 0.0, -1.0, BumpChi(), grid_covering(dipole())
             )
+
+
+# (seed, n, box, charge kind): both kinds, n from 1 to 50, boxes from 1 to 10
+GEOMETRY_DRAWS = [(s, s, 1.0 + 1.5 * (s % 7), ("pm1", "mixed")[s % 2]) for s in range(1, 51)]
+
+
+def _close(value, reference, scale):
+    """Agreement to 1e-12 relative to the larger of the reference and the
+    sum of the magnitudes of its terms."""
+    return abs(value - reference) <= 1e-12 * max(scale, abs(reference))
+
+
+class TestStoredGeometry:
+    """The stored distances and every reader of them against a plain double
+    loop over pairs with math.dist."""
+
+    def test_against_pair_loop(self):
+        for seed, n, box, kind in GEOMETRY_DRAWS:
+            cfg = random_configuration(np.random.default_rng(seed), n, box, kind)
+            pts = [tuple(float(x) for x in p) for p in cfg.positions]
+            z = [float(q) for q in cfg.charges]
+            pairs = [(i, j, math.dist(pts[i], pts[j]))
+                     for i in range(n) for j in range(i + 1, n)]
+            for i, j, r in pairs:
+                assert cfg.distances[i, j] == cfg.distances[j, i]
+                assert _close(cfg.distances[i, j], r, 0.0)
+            assert not cfg.distances.diagonal().any()
+
+            def energy(mu):
+                terms = [z[i] * z[j] * math.exp(-mu * r) / r for i, j, r in pairs]
+                return math.fsum(terms), math.fsum(map(abs, terms))
+
+            nearest = [min((math.dist(pts[i], pts[j]) for j in range(n) if z[i] * z[j] < 0),
+                           default=math.inf) for i in range(n)]
+            for mu in (0.0, 0.5, 5.0):
+                reference, scale = energy(mu)
+                assert _close(pair_energy(cfg, mu), reference, scale)
+                rep = onsager_check(cfg, mu)
+                terms = [z[i] ** 2 * ((d * mu) ** 2 / 12 + d * mu / 2 + 1) * math.exp(-mu * d) / d
+                         for i, d in enumerate(nearest) if d < math.inf]
+                assert _close(rep.lhs, reference, scale)
+                assert _close(rep.rhs, -math.fsum(terms), 0.0)
+            rep = baxter_check(cfg)
+            reference, scale = energy(0.0)
+            rhs = -(1 + 2 * max(z)) * math.fsum(
+                1 / d for d, q in zip(nearest, z) if q < 0 and d < math.inf)
+            assert _close(rep.lhs, reference, scale) and _close(rep.rhs, rhs, 0.0)
+            for mu in (0.5, 5.0):
+                rep = yukawa_positivity_check(cfg, mu)
+                terms = [-z[i] * z[j] * math.expm1(-mu * r) / r for i, j, r in pairs]
+                assert _close(rep.lhs, math.fsum(terms), math.fsum(map(abs, terms)))
+                assert _close(rep.rhs, -0.5 * mu * math.fsum(q * q for q in z), 0.0)
+
+    def test_geometry_is_read_only(self):
+        positions = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        cfg = ParticleConfiguration(positions=positions, charges=[1.0, -1.0])
+        positions[1, 0] = 5.0  # the caller's array is not the stored one
+        assert cfg.positions[1, 0] == 2.0
+        assert cfg.distances.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        for stored in (cfg.positions, cfg.charges, cfg.distances):
+            with pytest.raises(ValueError):
+                stored[0] = 1.0
+
+    def test_draw_order_is_pinned(self):
+        # positions come first and in one draw, so a trial seed replays
+        for seed, n, box, kind in GEOMETRY_DRAWS:
+            cfg = random_configuration(np.random.default_rng(seed), n, box, kind)
+            expected = np.random.default_rng(seed).uniform(0, box, (n, 3))
+            assert np.array_equal(cfg.positions, expected)
 
 
 class TestEnsembles:
