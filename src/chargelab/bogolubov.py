@@ -38,11 +38,18 @@ __all__ = [
     "ground_energy",
     "sharpness_study",
     "DIMENSION_CAP",
+    "GAP_RTOL",
 ]
 
 # Mode order: 0=(+,+1), 1=(+,-1), 2=(-,+1), 3=(-,-1).  The cap counts
 # Q = 0 states and admits n_max <= 20 (6181 states).
 DIMENSION_CAP = 6_500
+
+# Rounding allowance on a gap (ground energy minus bound), relative to the
+# energy scale t + g_plus + g_minus: the dense solve is exact to a few eps
+# times the matrix norm, which is that scale times at most a few n_max
+# (measured: gaps down to -5e-15 of the scale, at t = 1e8 and n_max = 20).
+GAP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,11 @@ class BogolubovModel:
         s = float(self.t + self.g_plus + self.g_minus)
         if not math.isfinite(s * s):  # the closed-form bound squares it
             raise DomainError(f"(t + g_plus + g_minus)^2 overflows at {s:.3e}")
+
+    @property
+    def gap_tolerance(self) -> float:
+        """How far below the bound a computed ground energy may fall."""
+        return GAP_RTOL * (self.t + self.g_plus + self.g_minus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,22 +156,24 @@ def sharpness_study(
     model: BogolubovModel, n_max_list: Sequence[int]
 ) -> list[tuple[int, float, float]]:
     """Rows (n_max, ground_energy, gap_to_bound) along an increasing cutoff
-    ladder; raises if any gap is negative beyond 1e-9 or the gaps increase."""
+    ladder; raises if any gap is negative or the gaps increase, beyond the
+    model's gap_tolerance."""
     if len(n_max_list) == 0:
         raise PreconditionError("n_max_list must be nonempty")
     if any(b <= a for a, b in zip(n_max_list, n_max_list[1:])):
         raise PreconditionError("n_max_list must be strictly increasing")
     bound = closed_form_bound(model)
+    tol = model.gap_tolerance
     rows = []
     for n_max in n_max_list:
         energy = ground_energy(build_hamiltonian(model, n_max))
         gap = energy - bound
-        if gap < -1e-9:
+        if gap < -tol:
             raise ConsistencyError(
                 f"lower bound violated at n_max={n_max}: gap={gap:.3e}"
             )
         rows.append((int(n_max), energy, gap))
     for (_, _, g1), (_, _, g2) in zip(rows, rows[1:]):
-        if g2 > g1 + 1e-9:
+        if g2 > g1 + tol:
             raise ConsistencyError("gap sequence not nonincreasing")
     return rows

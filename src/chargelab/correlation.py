@@ -7,6 +7,15 @@ upstream, which the property suites are designed to surface.
 The localization check integrates the sliding-cube interaction over the
 window center y with a tensor-product rule; the per-axis factorization
 used there is exact for product bumps on product grids.
+
+The seeded fuzz (`run_random_ensemble`) draws each trial from its own
+generator, in the order `random_configuration` draws, but computes in
+batches: consecutive trials are taken in blocks of `_BLOCK`, and within a
+block the trials with the same particle number share one array pass for
+validation, distances, charge products and kernels.  Every sum is still a
+1D reduction over one trial's elements in the order the public checkers
+sum them, so each row is bit-identical to replaying its trial seed through
+`random_configuration` and the public checker.
 """
 from __future__ import annotations
 
@@ -41,6 +50,27 @@ HOLDS_TOL = 1e-10
 MIN_SEPARATION = 1e-12
 
 
+@lru_cache(maxsize=256)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only upper-triangle index pair (i, j), i < j, of n particles."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _check_separation(rmin: float) -> None:
+    if rmin <= MIN_SEPARATION:
+        raise PreconditionError(
+            f"minimum separation {rmin:.3e} below {MIN_SEPARATION:.0e}"
+        )
+
+
+def _check_baxter_charges(z: np.ndarray) -> None:
+    if np.any(z[z < 0] != -1.0):
+        raise PreconditionError("all negative charges must equal -1")
+
+
 @dataclass(frozen=True, eq=False)
 class ParticleConfiguration:
     """Point particles at positions (n, 3) carrying signed charges (n,);
@@ -64,11 +94,7 @@ class ParticleConfiguration:
             raise PreconditionError("positions and charges must be finite")
         dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=-1))
         if pos.shape[0] > 1:
-            rmin = dist[np.triu_indices(pos.shape[0], 1)].min()
-            if rmin <= MIN_SEPARATION:
-                raise PreconditionError(
-                    f"minimum separation {rmin:.3e} below {MIN_SEPARATION:.0e}"
-                )
+            _check_separation(dist[_pairs(pos.shape[0])].min())
         for name, value in (("positions", pos), ("charges", z), ("distances", dist)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -102,7 +128,7 @@ def yukawa(r: float, mu: float) -> float:
 
 def _pair_data(config: ParticleConfiguration):
     """Upper-triangle pair distances and charge products."""
-    i, j = np.triu_indices(config.n, 1)
+    i, j = _pairs(config.n)
     return config.distances[i, j], config.charges[i] * config.charges[j]
 
 
@@ -139,8 +165,7 @@ def baxter_check(config: ParticleConfiguration) -> InequalityReport:
     """Coulomb energy against -(1+2 max_j z_j) sum over negative particles
     of 1/D_i; requires every negative charge to be exactly -1."""
     z = config.charges
-    if np.any(z[z < 0] != -1.0):
-        raise PreconditionError("all negative charges must equal -1")
+    _check_baxter_charges(z)
     lhs = pair_energy(config, 0.0)
     d = nearest_opposite_distances(config)
     sel = (z < 0) & np.isfinite(d)
@@ -245,7 +270,7 @@ def _localized_rhs(
         c = chi.axis_profile(config.positions[:, d, None] - nodes[None, :])
         overlap *= weight * (c @ c.T)
     r, zz = _pair_data(config)
-    return float(np.sum(zz * np.exp(-mu_eff * r) / r * overlap[np.triu_indices(n, 1)]))
+    return float(np.sum(zz * np.exp(-mu_eff * r) / r * overlap[_pairs(n)]))
 
 
 def cly_localization_check(
@@ -293,6 +318,20 @@ def localization_omega_sweep(
     return float(omega_star), reports
 
 
+def _draw(rng: np.random.Generator, n: int, box: float, charge_kind: str):
+    """Positions (n, 3) uniform in [0, box]^3, then charges (n,), from rng."""
+    pos = rng.uniform(0.0, box, size=(n, 3))
+    if charge_kind == "pm1":
+        z = rng.choice([-1.0, 1.0], size=n)
+    elif charge_kind == "mixed":
+        z = np.where(
+            rng.random(n) < 0.5, -1.0, rng.integers(1, 4, size=n).astype(float)
+        )
+    else:
+        raise PreconditionError(f"unknown charge_kind {charge_kind!r}")
+    return pos, z
+
+
 def random_configuration(
     rng: np.random.Generator,
     n: int,
@@ -304,19 +343,55 @@ def random_configuration(
     so every checker's precondition is satisfied.  Positions are drawn
     once: ParticleConfiguration rejects a pair closer than MIN_SEPARATION,
     which uniform draws in a box of side >= 1 essentially never produce."""
-    pos = rng.uniform(0.0, box, size=(n, 3))
-    if charge_kind == "pm1":
-        z = rng.choice([-1.0, 1.0], size=n)
-    elif charge_kind == "mixed":
-        z = np.where(
-            rng.random(n) < 0.5, -1.0, rng.integers(1, 4, size=n).astype(float)
-        )
-    else:
-        raise PreconditionError(f"unknown charge_kind {charge_kind!r}")
+    pos, z = _draw(rng, n, box, charge_kind)
     return ParticleConfiguration(positions=pos, charges=z)
 
 
 CHECKERS = ("onsager", "baxter", "positivity")
+
+# Trials per block of the fuzz; bounds its arrays at any trial count.
+_BLOCK = 1024
+
+
+def _group_sums(which: str, n: int, pos: np.ndarray, z: np.ndarray, mu: np.ndarray):
+    """Per-trial (lhs, rhs) lists of one checker for T trials of n particles:
+    positions (T, n, 3), charges (T, n), screening mu (T,).  Validates as
+    ParticleConfiguration and the checker do; elementwise work spans the
+    group, and each sum is a 1D reduction over the elements the public
+    checker sums, in its order, so the values are bit-identical to it."""
+    if not (np.isfinite(pos).all() and np.isfinite(z).all()):
+        raise PreconditionError("positions and charges must be finite")
+    i, j = _pairs(n)
+    # (x^2 + y^2) + z^2 per pair is the order in which numpy sums the short
+    # last axis in ParticleConfiguration, so r equals its distances exactly
+    sq = [(pos[:, i, a] - pos[:, j, a]) ** 2 for a in range(3)]
+    r = np.sqrt(sq[0] + sq[1] + sq[2])
+    if n > 1:
+        _check_separation(r.min())
+    zz = z[:, i] * z[:, j]
+    if which == "positivity":
+        pair = zz * (-np.expm1(-mu[:, None] * r)) / r
+        rhs = [-0.5 * m * float(np.add.reduce(z2)) for m, z2 in zip(mu.tolist(), z**2)]
+        return [float(np.add.reduce(row)) for row in pair], rhs
+    if which == "baxter":
+        _check_baxter_charges(z)
+    elif np.any(mu < 0):  # onsager: pair_energy rejects it
+        raise DomainError("mu must be nonnegative")
+    pair = zz * np.exp(-mu[:, None] * r) / r
+    # nearest opposite charge D_i; a minimum is exact, so one pass serves the group
+    opposite = np.full((len(z), n, n), np.inf)
+    opposite[:, i, j] = opposite[:, j, i] = np.where(zz < 0, r, np.inf)
+    d = opposite.min(axis=2)
+    finite = np.isfinite(d)
+    if which == "onsager":
+        d = np.where(finite, d, 1.0)  # inf would give inf * 0; the mask drops it
+        dm = d * mu[:, None]
+        terms = z**2 * (dm**2 / 12 + dm / 2 + 1) * np.exp(-dm) / d
+        rhs = [-float(np.add.reduce(row[keep])) for row, keep in zip(terms, finite)]
+    else:
+        rhs = [-(1.0 + 2.0 * zmax) * float(np.add.reduce(row[keep]))
+               for zmax, row, keep in zip(z.max(axis=1).tolist(), 1.0 / d, (z < 0) & finite)]
+    return [float(np.add.reduce(row)) for row in pair], rhs
 
 
 def run_random_ensemble(
@@ -328,26 +403,39 @@ def run_random_ensemble(
     mus: tuple[float, ...] = (0.0, 0.5, 1.0, 5.0),
 ) -> list[tuple[int, int, float, float, float, float]]:
     """Seeded fuzzing rows (trial_seed, n, mu, lhs, rhs, slack) for one
-    checker; each trial is reproducible from its recorded 64-bit seed."""
+    checker; each trial is reproducible from its recorded 64-bit seed.
+
+    Each trial draws n, box, charge kind and mu, then its configuration as
+    `random_configuration` does, from its own `default_rng(trial_seed)`.
+    The arithmetic runs per block of `_BLOCK` consecutive trials, grouped
+    by n (`_group_sums`), with every sum taken per trial, so row k equals
+    replaying trial seed k through `random_configuration` and the public
+    checker, bit for bit."""
     if which not in CHECKERS:
         raise PreconditionError(f"which must be one of {CHECKERS}")
     if trials < 1:
         raise PreconditionError("trials must be positive")
+    seeds = seed_words(seed, trials)
     rows = []
-    for ts in seed_words(seed, trials):
-        rng = np.random.default_rng(ts)
-        n = int(rng.integers(1, max_particles + 1))
-        box = float(rng.uniform(*box_range))
-        kind = "pm1" if rng.random() < 0.5 else "mixed"
-        mu = float(rng.choice(mus))
-        config = random_configuration(rng, n, box, kind)
-        if which == "onsager":
-            rep = onsager_check(config, mu)
-        elif which == "baxter":
-            rep = baxter_check(config)
-            mu = 0.0
-        else:
-            mu = mu if mu > 0 else 0.5
-            rep = yukawa_positivity_check(config, mu)
-        rows.append((ts, n, mu, rep.lhs, rep.rhs, rep.slack))
+    for start in range(0, trials, _BLOCK):
+        block = seeds[start:start + _BLOCK]
+        groups = {}  # n -> [(index in block, mu, positions, charges)]
+        for k, ts in enumerate(block):
+            rng = np.random.default_rng(ts)
+            n = int(rng.integers(1, max_particles + 1))
+            box = float(rng.uniform(*box_range))
+            kind = "pm1" if rng.random() < 0.5 else "mixed"
+            mu = float(rng.choice(mus))
+            if which == "baxter":
+                mu = 0.0
+            elif which == "positivity":
+                mu = mu if mu > 0 else 0.5
+            groups.setdefault(n, []).append((k, mu, *_draw(rng, n, box, kind)))
+        out = [None] * len(block)
+        for n, members in groups.items():
+            ks, mu, pos, z = zip(*members)
+            lhs, rhs = _group_sums(which, n, np.stack(pos), np.stack(z), np.array(mu))
+            for k, m, a, b in zip(ks, mu, lhs, rhs):
+                out[k] = (block[k], n, m, a, b, a - b)
+        rows += out
     return rows

@@ -3,14 +3,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from chargelab import bogolubov
 from chargelab.bogolubov import (
+    GAP_RTOL,
     BogolubovModel,
     build_hamiltonian,
     closed_form_bound,
     ground_energy,
     sharpness_study,
 )
-from chargelab.errors import DomainError, PreconditionError, ResourceLimitError
+from chargelab.errors import (
+    ConsistencyError, DomainError, PreconditionError, ResourceLimitError,
+)
 
 BOUND_110 = -2.0 + np.sqrt(3.0)  # -0.26794919243112270
 BOUND_111 = -3.0 + np.sqrt(5.0)  # -0.76393202250021030
@@ -174,6 +178,19 @@ class TestSharpnessStudy:
         rows = sharpness_study(BogolubovModel(1, 1, 1), [4, 8, 12])
         assert rows[-1][2] <= 0.01 * abs(BOUND_111)
         assert rows[-1][1] == pytest.approx(BOUND_111, rel=1e-9)
+
+    def test_gap_tolerance_is_relative_to_the_energy_scale(self, monkeypatch):
+        model = BogolubovModel(1e8, 1e-3, 0.0)
+        tol = model.gap_tolerance
+        assert tol == GAP_RTOL * (1e8 + 1e-3)
+        rows = sharpness_study(model, [2, 4])  # the n_max = 2 gap is -4e-8
+        assert min(r[2] for r in rows) < 0 and all(r[2] >= -tol for r in rows)
+        bound = closed_form_bound(model)
+        monkeypatch.setattr(bogolubov, "ground_energy", lambda op: bound - 0.5 * tol)
+        sharpness_study(model, [2])
+        monkeypatch.setattr(bogolubov, "ground_energy", lambda op: bound - 2.0 * tol)
+        with pytest.raises(ConsistencyError):
+            sharpness_study(model, [2])
 
     def test_validates_cutoff_list(self):
         with pytest.raises(PreconditionError):

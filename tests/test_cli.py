@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,30 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "error:" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_large_scale_ladder_passes(self, tmp_path, capsys):
+        # at t = 1e8 the dense solve lands 4e-8 below the bound, which is
+        # rounding at that energy scale, and the bound itself rounds to 0
+        code = cli.main(["bogolubov-sharpness", "--t", "1e8", "--gplus", "1e-3",
+                         "--nmax-list", "2,4", "--outdir", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        _, rows, _ = read_record(tmp_path / "bogolubov-sharpness.jsonl")
+        assert rows[0]["gap"] < 0 and all(r["holds"] for r in rows)
+
+    def test_overflowing_radius_is_usage_without_warning(self, tmp_path, capsys):
+        # 4 * radius overflows for one nucleus; for two, the squared distance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["stability-bound", "--radius=1e308"],
+                         ["stability-bound", "--radius=1e200", "--charges", "1,1"]):
+                assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: radius") and "too large" in err
+                assert err.count("\n") == 1
+            assert cli.main(["stability-bound", "--radius=4e307",
+                             "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
 
     def test_uncoupled_ladder_passes(self, tmp_path, capsys):
         code = cli.main(["bogolubov-sharpness", "--gplus", "0",

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from chargelab.correlation import (
+    _BLOCK,
+    CHECKERS,
     BumpChi,
     InequalityReport,
     ParticleConfiguration,
@@ -22,6 +24,7 @@ from chargelab.correlation import (
     yukawa_positivity_check,
 )
 from chargelab.errors import DomainError, PreconditionError
+from chargelab.numerics import seed_words
 
 CHI_SQ = (128.0 / 315.0) ** 3  # integral of the default quartic bump squared
 
@@ -378,3 +381,58 @@ class TestEnsembles:
             run_random_ensemble("unknown", 10, 1)
         with pytest.raises(PreconditionError):
             run_random_ensemble("onsager", 0, 1)
+
+
+def _replay(which, ts, max_particles=50, box_range=(1.0, 10.0), mus=(0.0, 0.5, 1.0, 5.0)):
+    """(row, configuration) of one trial seed through random_configuration
+    and the public checker: the per-trial route the fuzz batches."""
+    rng = np.random.default_rng(ts)
+    n = int(rng.integers(1, max_particles + 1))
+    box = float(rng.uniform(*box_range))
+    kind = "pm1" if rng.random() < 0.5 else "mixed"
+    mu = float(rng.choice(mus))
+    cfg = random_configuration(rng, n, box, kind)
+    if which == "onsager":
+        rep = onsager_check(cfg, mu)
+    elif which == "baxter":
+        mu, rep = 0.0, baxter_check(cfg)
+    else:
+        mu = mu if mu > 0 else 0.5
+        rep = yukawa_positivity_check(cfg, mu)
+    return (ts, n, mu, rep.lhs, rep.rhs, rep.slack), cfg
+
+
+class TestBatchedEnsemble:
+    """Every fuzz row equals replaying its trial seed through the public
+    route, bit for bit, in trial-seed order."""
+
+    @staticmethod
+    def replayed(which, trials, seed, **kwargs):
+        rows = run_random_ensemble(which, trials, seed, **kwargs)
+        assert [r[0] for r in rows] == seed_words(seed, trials)
+        replay = [_replay(which, r[0], **kwargs) for r in rows]
+        expected = [row for row, _ in replay]
+        assert rows == expected
+        assert repr(rows) == repr(expected)  # signed zeros as well
+        return [cfg for _, cfg in replay]
+
+    @pytest.mark.parametrize("which", CHECKERS)
+    def test_rows_equal_public_route(self, which):
+        self.replayed(which, 300, 8675309)
+
+    @pytest.mark.parametrize("which", CHECKERS)
+    def test_single_particles_and_same_sign_pairs(self, which):
+        configs = self.replayed(which, 200, 271828, max_particles=2)
+        assert any(c.n == 1 for c in configs)
+        # a same-sign pair has no opposite charge: D_i = inf for both
+        same = [c for c in configs if c.n == 2 and c.charges[0] * c.charges[1] > 0]
+        assert same and np.all(np.isinf(nearest_opposite_distances(same[0])))
+
+    @pytest.mark.parametrize("which", CHECKERS)
+    def test_across_a_block_boundary(self, which):
+        assert len(self.replayed(which, _BLOCK + 37, 314159, max_particles=6)) == _BLOCK + 37
+
+    @pytest.mark.parametrize("which", CHECKERS)
+    def test_generated_configurations_are_validated(self, which):
+        with pytest.raises(PreconditionError, match="minimum separation"):
+            run_random_ensemble(which, 5, 0, box_range=(1e-14, 1e-14))
