@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import ConsistencyError, DomainError, PreconditionError, ResourceLimitError
 
@@ -86,10 +84,16 @@ class TruncatedFockOperator:
 
 
 def closed_form_bound(model: BogolubovModel) -> float:
-    """-(t+g+ +g-) + sqrt((t+g+ +g-)^2 - (g+ +g-)^2), always <= 0."""
+    """-(t+g+ +g-) + sqrt((t+g+ +g-)^2 - (g+ +g-)^2), always <= 0.
+
+    Evaluated as -g x / (1 + sqrt((1-x)(1+x))) with x = g/s, s = t+g+ +g-:
+    the same value without the cancellation of -s + sqrt(...), so the bound
+    keeps its relative accuracy when g << s and scales with the couplings."""
     g = model.g_plus + model.g_minus
-    s = model.t + g
-    return -s + np.sqrt(s * s - g * g) if s > 0 else 0.0
+    if g == 0:
+        return 0.0
+    x = g / (model.t + g)
+    return -g * x / (1.0 + math.sqrt((1.0 - x) * (1.0 + x)))
 
 
 def _sector_basis(n_max: int) -> np.ndarray:
@@ -103,6 +107,8 @@ def build_hamiltonian(model: BogolubovModel, n_max: int) -> TruncatedFockOperato
     """Matrix of the quadratic form on the Q = 0 states of the occupation
     basis with per-mode cutoff n_max; ladder elements that would leave the
     cutoff are dropped."""
+    import scipy.sparse as sp
+
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     # sum over k of #{(a, b) in [0, n_max]^2 : a + b = k}^2, with m = n_max + 1
@@ -146,6 +152,8 @@ def build_hamiltonian(model: BogolubovModel, n_max: int) -> TruncatedFockOperato
 
 def ground_energy(op: TruncatedFockOperator) -> float:
     """Smallest eigenvalue by one exact dense LAPACK solve."""
+    import scipy.linalg
+
     return float(
         scipy.linalg.eigh(op.matrix.toarray(order="F"), eigvals_only=True,
                           subset_by_index=[0, 0], overwrite_a=True)[0]

@@ -92,7 +92,10 @@ class ParticleConfiguration:
             raise PreconditionError("configuration must be nonempty")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(z))):
             raise PreconditionError("positions and charges must be finite")
-        dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=-1))
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=-1))
+        if not np.all(np.isfinite(dist)):
+            raise PreconditionError("pair distances overflow: positions too far apart")
         if pos.shape[0] > 1:
             _check_separation(dist[_pairs(pos.shape[0])].min())
         for name, value in (("positions", pos), ("charges", z), ("distances", dist)):
@@ -119,9 +122,9 @@ class InequalityReport:
 
 def yukawa(r: float, mu: float) -> float:
     """exp(-mu*r)/r; mu = 0 is the Coulomb case."""
-    if r <= 0:
+    if not r > 0:
         raise DomainError("r must be positive")
-    if mu < 0:
+    if not mu >= 0:
         raise DomainError("mu must be nonnegative")
     return np.exp(-mu * r) / r
 
@@ -134,7 +137,7 @@ def _pair_data(config: ParticleConfiguration):
 
 def pair_energy(config: ParticleConfiguration, mu: float) -> float:
     """Total interaction sum_{i<j} z_i z_j exp(-mu r_ij)/r_ij."""
-    if mu < 0:
+    if not mu >= 0:
         raise DomainError("mu must be nonnegative")
     if config.n < 2:
         return 0.0
@@ -178,7 +181,7 @@ def yukawa_positivity_check(
 ) -> InequalityReport:
     """sum z_i z_j (Y_0 - Y_mu)(r_ij) >= -sum z_i^2 mu/2, the positive-type
     property of the Coulomb-minus-Yukawa kernel."""
-    if mu <= 0:
+    if not mu > 0:
         raise DomainError("mu must be positive")
     if config.n < 2:
         lhs = 0.0
@@ -283,9 +286,9 @@ def cly_localization_check(
     """Sliding-cube localization: (int chi^2) * pair_energy(mu) + N*omega
     against the y-integrated unit-cube interaction at screening mu+omega.
     The report tolerance is the measured quadrature error of the rhs."""
-    if mu < 0:
+    if not mu >= 0:
         raise DomainError("mu must be nonnegative")
-    if omega <= 0:
+    if not omega > 0:
         raise DomainError("omega must be positive")
     lhs = chi.chi_sq_integral() * pair_energy(config, mu) + config.n * omega
     rhs = _localized_rhs(config, mu + omega, chi, y_grid)

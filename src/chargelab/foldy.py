@@ -44,7 +44,7 @@ class CutoffSpec:
     def __post_init__(self):
         if not (self.mu_short > self.mu_long >= 0):
             raise DomainError("need mu_short > mu_long >= 0")
-        if self.s <= 0 or self.ell <= 0:
+        if not (self.s > 0 and self.ell > 0):
             raise DomainError("need s > 0 and ell > 0")
 
 
@@ -111,7 +111,7 @@ def foldy_j(tol: float = 1e-10) -> JConstant:
 
 def kinetic_symbol(p: float, spec: CutoffSpec) -> float:
     """t(p) = (1/2) ell^3 p^4 / (p^2 + ell/s^2)."""
-    if p < 0:
+    if not p >= 0:
         raise DomainError("p must be >= 0")
     p2 = p * p
     return 0.5 * spec.ell**3 * p2 * p2 / (p2 + spec.ell / spec.s**2)
@@ -120,7 +120,7 @@ def kinetic_symbol(p: float, spec: CutoffSpec) -> float:
 def potential_hat(p: float, spec: CutoffSpec) -> float:
     """Fourier transform of Y_mu_long - Y_mu_short:
     4*pi*(1/(p^2+mu_long^2) - 1/(p^2+mu_short^2))."""
-    if p < 0:
+    if not p >= 0:
         raise DomainError("p must be >= 0")
     p2 = p * p
     return 4.0 * math.pi * (
@@ -152,7 +152,7 @@ def _local_integrals(g, scale: float, tol: float) -> QuadratureResult:
 def local_energy(nu: float, spec: CutoffSpec, tol: float = 1e-10) -> LocalEnergyResult:
     """-(1/(2(2pi)^3)) * 4pi * int_0^inf p^2 [ (t + nu*Vhat) -
     sqrt(t^2 + 2 t nu Vhat) ] dp for the cutoff symbols."""
-    if nu < 0:
+    if not nu >= 0:
         raise DomainError("nu must be >= 0")
     if nu == 0.0:
         return LocalEnergyResult(
@@ -178,7 +178,7 @@ def local_energy(nu: float, spec: CutoffSpec, tol: float = 1e-10) -> LocalEnergy
 def simplified_energy_quadrature(nu: float, ell: float, tol: float = 1e-9) -> float:
     """Quadrature route for the cutoff-free symbols t = ell^3 p^2/2,
     Vhat = 4 pi / p^2."""
-    if nu < 0 or ell <= 0:
+    if not (nu >= 0 and ell > 0):
         raise DomainError("need nu >= 0 and ell > 0")
     if nu == 0.0:
         return 0.0

@@ -125,7 +125,7 @@ class LocalizationResult:
 
     def budget(self, c: float) -> float:
         """lambda + (C/M^2) sum_{1<=k<M} k^2 |d_k| + C sum_{k>=M} |d_k|."""
-        if c < 0:
+        if not c >= 0:
             raise DomainError("C must be >= 0")
         k = np.arange(len(self.d))
         near = float(np.sum(k[1 : self.window] ** 2 * np.abs(self.d[1 : self.window])))
@@ -219,7 +219,7 @@ def localize(problem: LocalizationProblem) -> LocalizationResult:
 def verify_budget(result: LocalizationResult, c: float) -> InequalityReport:
     """budget(C) >= value, i.e. the localized quadratic form stays within
     the band-weighted error allowance."""
-    if c <= 0:
+    if not c > 0:
         raise DomainError("C must be > 0")
     return InequalityReport(lhs=result.budget(c), rhs=result.value)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _si
 
 from .errors import BudgetExceededError, DomainError, PreconditionError
 
@@ -37,7 +36,7 @@ class QuadratureResult:
     evaluations: int
 
     def __post_init__(self):
-        if self.error_estimate < 0:
+        if not self.error_estimate >= 0:
             raise PreconditionError("error_estimate must be >= 0")
         if self.evaluations < 1:
             raise PreconditionError("evaluations must be >= 1")
@@ -59,14 +58,14 @@ def integrate_1d(
     the transformed nodes toward the integrand's natural scale and must be
     chosen deterministically by the caller.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be > 0")
     if not b > a:
         raise DomainError("need b > a")
     count = [0]
 
     if math.isinf(b):
-        if scale <= 0:
+        if not scale > 0:
             raise DomainError("scale must be > 0")
 
         def g(t: float) -> float:
@@ -82,6 +81,8 @@ def integrate_1d(
             return f(x)
 
         lo, hi = a, b
+
+    from scipy import integrate as _si
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
@@ -100,7 +101,7 @@ def integrate_1d(
 
 def gamma(x: float) -> float:
     """Gamma function on the positive half line."""
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"gamma requires x > 0, got {x}")
     return math.gamma(x)
 
@@ -147,7 +148,7 @@ def uniform_radial_grid(n_nodes: int = 800, r_max: float = 40.0) -> RadialGrid:
     """
     if n_nodes < 8:
         raise PreconditionError("need at least 8 nodes")
-    if r_max <= 0:
+    if not r_max > 0:
         raise DomainError("r_max must be positive")
     h = r_max / n_nodes
     r = h * np.arange(1, n_nodes + 1)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .correlation import ParticleConfiguration
 from .errors import (
@@ -271,6 +270,8 @@ def _discrete_potential(spec: PotentialSpec, r: np.ndarray, h: float) -> np.ndar
 def _channel_negatives(
     v_nodes: np.ndarray, r: np.ndarray, h: float, ell: int
 ) -> np.ndarray:
+    from scipy.linalg import eigvalsh_tridiagonal
+
     diag = 1.0 / h**2 + v_nodes + 0.5 * ell * (ell + 1) / r**2
     lo = float(diag.min()) - 1.0 / h**2 - 1.0  # Gershgorin floor
     if lo >= 0.0:
@@ -280,6 +281,8 @@ def _channel_negatives(
 
 
 def _lowest_eigenvalue(spec: PotentialSpec, grid: RadialGrid) -> float:
+    from scipy.linalg import eigvalsh_tridiagonal
+
     r, h = _interior(grid)
     diag = 1.0 / h**2 + _discrete_potential(spec, r, h)
     off = np.full(r.size - 1, -0.5 / h**2)
@@ -377,12 +380,12 @@ def stability_bound(
     """
     if q < 1:
         raise DomainError("q must be >= 1")
-    if c_lt <= 0:
+    if not c_lt > 0:
         raise DomainError("c_lt must be > 0")
     if n_electrons < 1:
         raise DomainError("n_electrons must be >= 1")
     if nuclei is None:
-        if strength is None or strength <= 0:
+        if strength is None or not strength > 0:
             raise DomainError("the vacuum case needs an explicit strength > 0")
         coupling = float(strength)
         v_int = 0.0
@@ -393,7 +396,7 @@ def stability_bound(
         coupling = 1.0 + 2.0 * float(np.max(charges))
         v_int = math.nan  # filled below once the radius is fixed
     r_cut = 1.0 / coupling if radius is None else float(radius)
-    if r_cut <= 0:
+    if not r_cut > 0:
         raise DomainError("radius must be > 0")
     if nuclei is not None:
         spec = nucleus_potential(nuclei.positions, coupling, r_cut)

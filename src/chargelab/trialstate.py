@@ -55,7 +55,7 @@ def occupation_f(rho: float, p):
     Decays like 16 pi^2 rho^2 / p^8 for large p and grows like
     sqrt(pi rho) / p^2 as p -> 0.
     """
-    if rho < 0:
+    if not rho >= 0:
         raise DomainError("rho must be >= 0")
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr <= 0) or not np.all(np.isfinite(p_arr)):
@@ -81,9 +81,9 @@ def pointwise_pair_energy(rho: float, tol: float = 1e-9) -> float:
     scale, which is delegated to the shared quadrature and cross-checked
     against the closed form -J rho^(5/4).
     """
-    if rho < 0:
+    if not rho >= 0:
         raise DomainError("rho must be >= 0")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be > 0")
     if rho == 0.0:
         return 0.0

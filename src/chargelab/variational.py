@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ConsistencyError, DomainError, PreconditionError
-from .foldy import foldy_j
+from .foldy import foldy_j, j_closed_form
 from .numerics import RadialGrid, uniform_radial_grid
 
 __all__ = [
@@ -130,7 +129,7 @@ def _energy_terms(disc: _Discretization, values: np.ndarray):
 
 def gaussian_profile(grid: RadialGrid, width: float = 1.0) -> RadialProfile:
     """Normalized Gaussian pi^(-3/4) w^(-3/2) exp(-r^2/(2 w^2)) on the grid."""
-    if width <= 0:
+    if not width > 0:
         raise DomainError("width must be positive")
     vals = np.pi**-0.75 * width**-1.5 * np.exp(-(grid.nodes**2) / (2 * width**2))
     return RadialProfile(grid=grid, values=vals).normalized()
@@ -149,7 +148,7 @@ def rescale(profile: RadialProfile, lam: float) -> RadialProfile:
     """Dilation phi_lam(r) = lam^(3/2) phi(lam r), with the grid carried
     along (nodes/lam, weights/lam^3) so the norm is preserved exactly and
     the energy transforms as lam^2 T - lam^(3/4) V to machine precision."""
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError("lambda must be positive")
     if lam == 1.0:
         return profile
@@ -189,7 +188,9 @@ def minimize(
     pre-rescaled by its analytic optimal dilation, which removes the slow
     dilation mode).  Steps never increase the energy (backtracking); stops
     when the per-step decrease falls below tol."""
-    if step <= 0 or tol <= 0:
+    from scipy.linalg import solveh_banded
+
+    if not (step > 0 and tol > 0):
         raise DomainError("step and tol must be positive")
     if max_iter < 1:
         raise PreconditionError("max_iter must be >= 1")
@@ -265,4 +266,4 @@ def asymptotic_energy(n_particles: int, e_star: float) -> float:
 
 # optimal dilation of the unit Gaussian: lambda* = (3 V / (8 T))^(4/5) with
 # T = 3/4 and V = J pi^(-3/8) (4/5)^(3/2)
-GAUSSIAN_OPTIMAL_SCALE = (3.0 * foldy_j().value * np.pi**-0.375 * 0.8**1.5 / 6.0) ** 0.8
+GAUSSIAN_OPTIMAL_SCALE = (3.0 * j_closed_form() * np.pi**-0.375 * 0.8**1.5 / 6.0) ** 0.8

@@ -74,6 +74,20 @@ class TestClosedFormBound:
             vals = [closed_form_bound(BogolubovModel(t, g, 0.3)) for g in gs]
             assert all(b <= a + 1e-14 for a, b in zip(vals, vals[1:]))
 
+    def test_no_cancellation_when_coupling_is_small(self):
+        # -g^2 / (2s) to leading order; -s + sqrt(s^2 - g^2) rounds to 0 here
+        b = closed_form_bound(BogolubovModel(1e6, 1e-3, 0))
+        assert b == pytest.approx(-0.5e-12 / (1.0 + 1e-9), rel=1e-12, abs=0)
+
+    def test_homogeneous_of_degree_one(self):
+        rng = np.random.default_rng(7)
+        models = [(1.0, 1.0, 0.0), (1e6, 1e-3, 0.0), *rng.uniform(0, 10, size=(20, 3))]
+        for couplings in models:
+            bound = closed_form_bound(BogolubovModel(*couplings))
+            for lam in np.logspace(-200, 100, 31):
+                scaled = closed_form_bound(BogolubovModel(*(lam * c for c in couplings)))
+                assert scaled == pytest.approx(lam * bound, rel=1e-14, abs=0)
+
     def test_rejects_negative_couplings(self):
         with pytest.raises(DomainError):
             BogolubovModel(-1.0, 1.0, 1.0)

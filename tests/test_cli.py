@@ -4,7 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -256,14 +260,21 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     def test_large_scale_ladder_passes(self, tmp_path, capsys):
-        # at t = 1e8 the dense solve lands 4e-8 below the bound, which is
-        # rounding at that energy scale, and the bound itself rounds to 0
+        # at t = 1e8 the dense solve lands 4e-8 below the bound of -5e-15,
+        # which is rounding at that energy scale
         code = cli.main(["bogolubov-sharpness", "--t", "1e8", "--gplus", "1e-3",
                          "--nmax-list", "2,4", "--outdir", str(tmp_path)])
         assert code == 0
         capsys.readouterr()
         _, rows, _ = read_record(tmp_path / "bogolubov-sharpness.jsonl")
         assert rows[0]["gap"] < 0 and all(r["holds"] for r in rows)
+
+    def test_tiny_scale_ladder_passes(self, tmp_path, capsys):
+        # the bound is -2.68e-201; -s + sqrt(s^2 - g^2) gave -2e-200 here
+        code = cli.main(["bogolubov-sharpness", "--t=1e-200", "--gplus=1e-200",
+                         "--nmax-list=2,4", "--outdir", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
 
     def test_overflowing_radius_is_usage_without_warning(self, tmp_path, capsys):
         # 4 * radius overflows for one nucleus; for two, the squared distance
@@ -469,6 +480,45 @@ class TestVerifySuite:
         assert "pair-energy-identity" in summary["failed"]
         err = capsys.readouterr().err
         assert "pair-energy-identity" in err
+
+
+# Runs in a fresh interpreter and prints, as its last line, the scipy modules
+# loaded after each stage: import, three scipy-free subcommands, and
+# bogolubov-fuzz.
+_STARTUP_PROBE = textwrap.dedent("""
+    import json, sys, tempfile
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    stages = {}
+    from chargelab import cli
+    stages["import"] = scipy_modules()
+    with tempfile.TemporaryDirectory() as outdir:
+        for argv in (["check-inequalities", "--trials", "20"],
+                     ["trialstate", "--check", "berezin-lieb", "--trials", "5"],
+                     ["matrixloc-ensemble", "--trials", "5"]):
+            assert cli.main([*argv, "--outdir", outdir]) == 0, argv
+        stages["scipy-free"] = scipy_modules()
+        assert cli.main(["bogolubov-fuzz", "--trials", "5", "--outdir", outdir]) == 0
+        stages["bogolubov-fuzz"] = scipy_modules()
+    print(json.dumps(stages))
+""")
+
+
+class TestStartup:
+    def test_subcommands_import_only_the_scipy_they_run(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        stages = json.loads(proc.stdout.splitlines()[-1])
+        assert stages["import"] == []
+        assert stages["scipy-free"] == []
+        assert "scipy.integrate" not in stages["bogolubov-fuzz"]
+        assert "scipy.linalg" in stages["bogolubov-fuzz"]
 
 
 def _unnumbered(row):

@@ -1,5 +1,6 @@
 """Tests for pairwise energies and the correlation-inequality checkers."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ class TestConfiguration:
             ParticleConfiguration(
                 positions=[[0, 0, 0], [0, 0, 1e-13]], charges=[1, -1]
             )
+
+    def test_rejects_overflowing_distances(self):
+        # finite positions whose squared separation overflows, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for positions in ([[0, 0, 0], [2e154, 0, 0]], [[-1e308, 0, 0], [1e308, 0, 0]]):
+                with pytest.raises(PreconditionError, match="overflow"):
+                    ParticleConfiguration(positions=positions, charges=[1, -1])
+            far = ParticleConfiguration(positions=[[0, 0, 0], [1e150, 0, 0]], charges=[1, -1])
+            assert far.distances[0, 1] == 1e150
 
     def test_report_fields(self):
         rep = InequalityReport(lhs=1.0, rhs=0.25)
