@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -142,25 +143,39 @@ class ReportRecord:
         return out
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A text file to write in place of `path`: a temporary file beside it
+    that is moved onto `path` only once the block completes, so a write
+    that fails midway leaves `path` as it was and no temporary file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_record(record: ReportRecord, outdir: Path) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{record.config.out_name}.jsonl"
-    path.write_text("\n".join(record.lines()) + "\n")
+    with _replacing(path) as fh:
+        fh.write("\n".join(record.lines()) + "\n")
     meta = {
         "schema": SCHEMA_META,
         "duration_s": record.duration_s,
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
-    (outdir / f"{record.config.out_name}.meta.json").write_text(
-        json.dumps(meta, sort_keys=True) + "\n"
-    )
+    with _replacing(outdir / f"{record.config.out_name}.meta.json") as fh:
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
     return path
 
 
 def write_table(outdir: Path, base: str, name: str, columns, rows) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{base}-{name}.csv"
-    with path.open("w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(f"# schema: {SCHEMA_CSV} table={name}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)

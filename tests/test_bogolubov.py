@@ -7,6 +7,7 @@ from chargelab import bogolubov
 from chargelab.bogolubov import (
     GAP_RTOL,
     BogolubovModel,
+    TruncatedFockOperator,
     build_hamiltonian,
     closed_form_bound,
     ground_energy,
@@ -101,25 +102,50 @@ class TestClosedFormBound:
 
 class TestBuildHamiltonian:
     def test_dimension_and_symmetry(self):
-        # Q = 0 states at n_max=2: sum over n0+n1 = k of (1, 2, 3, 2, 1)^2
+        # Q = 0 states at n_max=2: sum over n0+n1 = k of (1, 2, 3, 2, 1)^2;
+        # 9 of them are fixed by the tau-swap, so the blocks are 14 and 5
         op = build_hamiltonian(BogolubovModel(1, 1, 1), 2)
         assert op.dimension == 19
-        assert op.matrix.shape == (19, 19)
-        diff = op.matrix - op.matrix.T
-        assert diff.nnz == 0 or np.abs(diff.data).max() <= 1e-12
+        assert op.even.shape == (14, 14) and op.odd.shape == (5, 5)
+        for block in (op.even, op.odd):
+            assert np.abs(block - block.T).max() <= 1e-12
 
     def test_vacuum_diagonal_is_zero(self):
+        # the vacuum is the first state and fixed by the tau-swap
         op = build_hamiltonian(BogolubovModel(2.0, 1.5, 0.5), 3)
-        assert op.matrix[0, 0] == 0.0
+        assert op.even[0, 0] == 0.0
 
     def test_free_case_is_diagonal(self):
         op = build_hamiltonian(BogolubovModel(1.0, 0.0, 0.0), 2)
-        dense = op.matrix.toarray()
-        assert np.all(dense == np.diag(np.diag(dense)))
+        for block in (op.even, op.odd):
+            assert np.all(block == np.diag(np.diag(block)))
         # diagonal = total occupation, so eigenvalues are 0..4*n_max
-        diag = np.sort(np.diag(dense))
+        diag = np.sort(np.concatenate([np.diag(op.even), np.diag(op.odd)]))
         assert diag[0] == 0.0
         assert diag[-1] == 8.0
+
+    def test_blocks_carry_the_sector_spectrum(self):
+        # the two blocks together have exactly the Q = 0 eigenvalues
+        rng = np.random.default_rng(1618)
+        models = [(0.9, 0.0, 1.7), (1.1, 2.3, 0.0), (0.0, 0.0, 0.0)]
+        models += [tuple(rng.uniform(0.0, 4.0, size=3)) for _ in range(7)]
+        for k, couplings in enumerate(models):
+            model, n_max = BogolubovModel(*couplings), 1 + k % 5
+            occ = np.indices((n_max + 1,) * 4).reshape(4, -1).T
+            q0 = np.flatnonzero(occ[:, 0] + occ[:, 1] == occ[:, 2] + occ[:, 3])
+            sector = np.linalg.eigvalsh(full_space_matrix(model, n_max)[np.ix_(q0, q0)])
+            op = build_hamiltonian(model, n_max)
+            blocks = np.sort(np.concatenate(
+                [np.linalg.eigvalsh(op.even), np.linalg.eigvalsh(op.odd)]))
+            assert op.dimension == len(q0) == len(blocks)
+            np.testing.assert_allclose(blocks, sector, rtol=0, atol=1e-12)
+
+    def test_rejects_an_asymmetric_block(self):
+        good = np.eye(2)
+        bad = np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
+        for blocks in ((bad, good), (good, bad)):
+            with pytest.raises(PreconditionError, match="not symmetric"):
+                TruncatedFockOperator(n_max=1, dimension=4, even=blocks[0], odd=blocks[1])
 
     def test_invalid_cutoff(self):
         with pytest.raises(PreconditionError):
@@ -197,8 +223,8 @@ class TestSharpnessStudy:
         model = BogolubovModel(1e8, 1e-3, 0.0)
         tol = model.gap_tolerance
         assert tol == GAP_RTOL * (1e8 + 1e-3)
-        rows = sharpness_study(model, [2, 4])  # the n_max = 2 gap is -4e-8
-        assert min(r[2] for r in rows) < 0 and all(r[2] >= -tol for r in rows)
+        rows = sharpness_study(model, [2, 4])
+        assert all(r[2] >= -tol for r in rows)
         bound = closed_form_bound(model)
         monkeypatch.setattr(bogolubov, "ground_energy", lambda op: bound - 0.5 * tol)
         sharpness_study(model, [2])

@@ -1,6 +1,7 @@
 """Command-line layer: records, determinism, exit codes, config plumbing."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargelab import cli, matrixloc
+from chargelab import bogolubov, cli, matrixloc
 from chargelab.foldy import JConstant, foldy_j
 
 
@@ -178,6 +179,38 @@ class TestMainPlumbing:
         assert lines[1] == "checker,trial_seed,n,mu,lhs,rhs,slack"
         assert len(lines) == 2 + 90  # three checkers x 30 trials
 
+    def test_failed_write_keeps_the_earlier_files(self, tmp_path, monkeypatch):
+        argv = ["bogolubov-fuzz", "--trials", "5", "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert set(before) == {"bogolubov-fuzz.jsonl", "bogolubov-fuzz.meta.json",
+                               "bogolubov-fuzz-models.csv"}
+
+        class DiskFull:
+            """A file that stores half of the first write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = Path.open
+        monkeypatch.setattr(Path, "open", lambda p, *a, **k: DiskFull(real_open(p, *a, **k)))
+        with pytest.raises(OSError):
+            cli.main(argv[:-2] + ["--seed", "2", *argv[-2:]])
+        with pytest.raises(OSError):
+            cli.write_table(tmp_path, "bogolubov-fuzz", "models", ("a",), [(1,)])
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_matrix_localize_end_to_end(self, tmp_path):
         n = 8
         a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
@@ -259,15 +292,22 @@ class TestExitCodes:
             assert "error:" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
-    def test_large_scale_ladder_passes(self, tmp_path, capsys):
-        # at t = 1e8 the dense solve lands 4e-8 below the bound of -5e-15,
-        # which is rounding at that energy scale
-        code = cli.main(["bogolubov-sharpness", "--t", "1e8", "--gplus", "1e-3",
-                         "--nmax-list", "2,4", "--outdir", str(tmp_path)])
-        assert code == 0
+    def test_large_scale_ladder_passes(self, tmp_path, capsys, monkeypatch):
+        argv = ["bogolubov-sharpness", "--t", "1e8", "--gplus", "1e-3",
+                "--nmax-list", "2,4", "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 0
         capsys.readouterr()
         _, rows, _ = read_record(tmp_path / "bogolubov-sharpness.jsonl")
-        assert rows[0]["gap"] < 0 and all(r["holds"] for r in rows)
+        assert all(r["holds"] for r in rows)
+        # the bound is -5e-15 and the rounding allowance 1e-4 at this scale:
+        # a ground energy below the bound but within the allowance passes
+        model = bogolubov.BogolubovModel(1e8, 1e-3, 0.0)
+        bound, tol = bogolubov.closed_form_bound(model), model.gap_tolerance
+        monkeypatch.setattr(bogolubov, "ground_energy", lambda op: bound - 0.5 * tol)
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(bogolubov, "ground_energy", lambda op: bound - 2.0 * tol)
+        assert cli.main(argv) == 1
+        capsys.readouterr()
 
     def test_tiny_scale_ladder_passes(self, tmp_path, capsys):
         # the bound is -2.68e-201; -s + sqrt(s^2 - g^2) gave -2e-200 here
@@ -482,9 +522,15 @@ class TestVerifySuite:
         assert "pair-energy-identity" in err
 
 
+def _src_env():
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 # Runs in a fresh interpreter and prints, as its last line, the scipy modules
-# loaded after each stage: import, three scipy-free subcommands, and
-# bogolubov-fuzz.
+# loaded after import and after five subcommands that need no scipy.
 _STARTUP_PROBE = textwrap.dedent("""
     import json, sys, tempfile
 
@@ -497,28 +543,31 @@ _STARTUP_PROBE = textwrap.dedent("""
     with tempfile.TemporaryDirectory() as outdir:
         for argv in (["check-inequalities", "--trials", "20"],
                      ["trialstate", "--check", "berezin-lieb", "--trials", "5"],
-                     ["matrixloc-ensemble", "--trials", "5"]):
+                     ["matrixloc-ensemble", "--trials", "5"],
+                     ["bogolubov-fuzz", "--trials", "5"],
+                     ["bogolubov-sharpness", "--nmax-list", "2,4"]):
             assert cli.main([*argv, "--outdir", outdir]) == 0, argv
         stages["scipy-free"] = scipy_modules()
-        assert cli.main(["bogolubov-fuzz", "--trials", "5", "--outdir", outdir]) == 0
-        stages["bogolubov-fuzz"] = scipy_modules()
     print(json.dumps(stages))
 """)
 
 
 class TestStartup:
     def test_subcommands_import_only_the_scipy_they_run(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+        proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=_src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         stages = json.loads(proc.stdout.splitlines()[-1])
-        assert stages["import"] == []
-        assert stages["scipy-free"] == []
-        assert "scipy.integrate" not in stages["bogolubov-fuzz"]
-        assert "scipy.linalg" in stages["bogolubov-fuzz"]
+        assert stages == {"import": [], "scipy-free": []}
+
+    def test_runs_as_a_module(self, tmp_path):
+        for argv in (["--help"],
+                     ["bogolubov-sharpness", "--nmax-list", "2,4", "--outdir", str(tmp_path)]):
+            proc = subprocess.run([sys.executable, "-m", "chargelab", *argv], env=_src_env(),
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        _, rows, _ = read_record(tmp_path / "bogolubov-sharpness.jsonl")
+        assert [r["n_max"] for r in rows] == [2, 4]
 
 
 def _unnumbered(row):
