@@ -6,9 +6,10 @@ check row; a closing summary line -- with sorted keys and repr round-trip
 floats, so two runs with the same configuration produce byte-identical
 files.  Records are strict JSON: a non-finite float is written as the
 string "inf", "-inf" or "nan", the spelling the CSV tables use.  The
-wall-clock duration is written to a sidecar ``<name>.meta.json`` to keep
-it out of the deterministic surface.  Plot-ready tables are CSV with a
-schema tag comment on the first line; rendering is out of scope.
+wall-clock duration (and, for `verify`, each check's duration) is written
+to a sidecar ``<name>.meta.json`` to keep it out of the deterministic
+surface.  Plot-ready tables are CSV with a schema tag comment on the first
+line; rendering is out of scope.
 
 Each subcommand's parser carries the function it runs (``args.run``).  The
 verification suite is `BATTERY`, ten subcommand invocations run one after
@@ -16,8 +17,8 @@ another through that same parser; check i takes word i of
 ``seed_words(master, 10)``, and a seeded check gets it as ``--seed``, so
 ``chargelab <argv> --trials N --seed <word i>`` replays it alone.
 
-The library imports scipy submodules inside the functions that use them,
-so a subcommand pays at start-up only for the scipy it runs.
+The library imports scipy.linalg inside the functions that use it, so a
+subcommand pays at start-up only for the scipy it runs.
 
 Exit codes: 0 every asserted check holds, 1 a check failed, 2 usage or
 validation error, 3 resource/accuracy limit hit.
@@ -32,7 +33,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -117,6 +118,7 @@ class ReportRecord:
     rows: tuple
     summary: dict
     duration_s: float
+    meta: dict = field(default_factory=dict)  # extra sidecar fields
 
     def lines(self) -> list[str]:
         header = {
@@ -166,6 +168,7 @@ def write_record(record: ReportRecord, outdir: Path) -> Path:
         "schema": SCHEMA_META,
         "duration_s": record.duration_s,
         "written_at": datetime.now(timezone.utc).isoformat(),
+        **record.meta,
     }
     with _replacing(outdir / f"{record.config.out_name}.meta.json") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
@@ -697,16 +700,21 @@ BATTERY = (
 )
 
 
-def run_verification_suite(master_seed: int, quick: bool = False):
+def run_verification_suite(master_seed: int, quick: bool = False,
+                           durations: dict | None = None):
     """The canonical battery, run serially as subcommand invocations; check
-    i takes word i of seed_words(master_seed, len(BATTERY))."""
+    i takes word i of seed_words(master_seed, len(BATTERY)).  Each check's
+    wall time in seconds is stored under its name in `durations`, if given."""
     parser = build_parser()
     rows, failed = [], []
     for (name, argv, trials), seed in zip(BATTERY, seed_words(master_seed, len(BATTERY))):
         if trials is not None:
             argv += ("--trials", str(trials[1] if quick else trials[0]), "--seed", str(seed))
         args = parser.parse_args(argv)
+        started = time.perf_counter()
         check_rows, summary, _tables = args.run(args)
+        if durations is not None:
+            durations[name] = time.perf_counter() - started
         ok = all(r.get("holds", True) for r in check_rows)
         rows.extend(check_rows)
         rows.append({"check": f"{name}-result", "passed": ok, **summary})
@@ -862,7 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the full verification battery")
     p.add_argument("--quick", action="store_true", default=False,
                    help="reduced trial counts, same checks")
-    p.set_defaults(run=lambda a: run_verification_suite(a.seed, quick=a.quick))
+    p.set_defaults(run=lambda a: run_verification_suite(
+        a.seed, quick=a.quick, durations=a.meta.setdefault("checks", {})))
 
     return parser
 
@@ -917,7 +926,7 @@ def _short(value) -> str:
     return str(value)
 
 
-_PLUMBING_KEYS = ("subcommand", "outdir", "output", "config", "run")
+_PLUMBING_KEYS = ("subcommand", "outdir", "output", "config", "run", "meta")
 
 
 def main(argv=None) -> int:
@@ -933,6 +942,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    args.meta = {}  # sidecar fields a run adds
     started = time.perf_counter()
     try:
         rows, summary, tables = args.run(args)
@@ -955,7 +965,7 @@ def main(argv=None) -> int:
         out_name=args.output or args.subcommand,
     )
     record = ReportRecord(config=config, rows=tuple(rows), summary=summary,
-                          duration_s=duration)
+                          duration_s=duration, meta=args.meta)
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
     record_path = write_record(record, outdir)
     for name, (columns, table_rows) in tables.items():

@@ -1,5 +1,6 @@
 """NaN at the library boundary: every guarded public scalar argument
-rejects NaN with the exception its range check documents."""
+rejects NaN, and integrate_1d a NaN or infinite integrand value, with the
+exception its range check documents."""
 import math
 
 import numpy as np
@@ -42,6 +43,9 @@ CASES = {
     "integrate-tol": (lambda: numerics.integrate_1d(math.exp, 0.0, 1.0, tol=NAN),
                       DomainError),
     "integrate-scale": (lambda: numerics.integrate_1d(math.exp, 0.0, math.inf, scale=NAN),
+                        DomainError),
+    "integrate-f": (lambda: numerics.integrate_1d(lambda x: NAN, 0.0, 1.0), DomainError),
+    "integrate-f-inf": (lambda: numerics.integrate_1d(lambda x: math.inf, 0.0, math.inf),
                         DomainError),
     "gamma-x": (lambda: numerics.gamma(NAN), DomainError),
     "radial_grid-r_max": (lambda: numerics.uniform_radial_grid(16, NAN), DomainError),

@@ -157,6 +157,14 @@ class TestMainPlumbing:
         meta = json.loads((tmp_path / "foldy-j.meta.json").read_text())
         assert meta["schema"] == cli.SCHEMA_META
         assert meta["duration_s"] > 0
+        assert "checks" not in meta
+
+    def test_verify_sidecar_times_each_check(self, tmp_path):
+        assert cli.main(["verify", "--quick", "--outdir", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "verify.meta.json").read_text())["checks"]
+        assert sorted(checks) == sorted(name for name, _argv, _trials in cli.BATTERY)
+        for seconds in checks.values():
+            assert type(seconds) is float and math.isfinite(seconds) and seconds >= 0
 
     def test_output_name_override(self, tmp_path):
         assert cli.main(
@@ -530,7 +538,7 @@ def _src_env():
 
 
 # Runs in a fresh interpreter and prints, as its last line, the scipy modules
-# loaded after import and after five subcommands that need no scipy.
+# loaded after import and after the subcommands in argv[1], run in turn.
 _STARTUP_PROBE = textwrap.dedent("""
     import json, sys, tempfile
 
@@ -541,24 +549,41 @@ _STARTUP_PROBE = textwrap.dedent("""
     from chargelab import cli
     stages["import"] = scipy_modules()
     with tempfile.TemporaryDirectory() as outdir:
-        for argv in (["check-inequalities", "--trials", "20"],
-                     ["trialstate", "--check", "berezin-lieb", "--trials", "5"],
-                     ["matrixloc-ensemble", "--trials", "5"],
-                     ["bogolubov-fuzz", "--trials", "5"],
-                     ["bogolubov-sharpness", "--nmax-list", "2,4"]):
+        for argv in json.loads(sys.argv[1]):
             assert cli.main([*argv, "--outdir", outdir]) == 0, argv
-        stages["scipy-free"] = scipy_modules()
+        stages["run"] = scipy_modules()
     print(json.dumps(stages))
 """)
+
+# subcommands that need no scipy at all
+_SCIPY_FREE = (
+    ["foldy-j"],
+    ["foldy-identity"],
+    ["trialstate", "--check", "pair-energy"],
+    ["stability-bound"],
+    ["check-inequalities", "--trials", "20"],
+    ["trialstate", "--check", "berezin-lieb", "--trials", "5"],
+    ["matrixloc-ensemble", "--trials", "5"],
+    ["bogolubov-fuzz", "--trials", "5"],
+    ["bogolubov-sharpness", "--nmax-list", "2,4"],
+)
+
+
+def _scipy_after(*argvs):
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestStartup:
     def test_subcommands_import_only_the_scipy_they_run(self):
-        proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=_src_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        stages = json.loads(proc.stdout.splitlines()[-1])
-        assert stages == {"import": [], "scipy-free": []}
+        assert _scipy_after(*_SCIPY_FREE) == {"import": [], "run": []}
+
+    def test_verify_loads_no_scipy_beyond_linalg(self):
+        loaded = _scipy_after(["verify", "--quick"])["run"]
+        unused = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
+        assert [m for m in loaded if m.startswith(unused)] == []
 
     def test_runs_as_a_module(self, tmp_path):
         for argv in (["--help"],

@@ -1,9 +1,12 @@
 """Contracts of the quadrature kernels, gamma, radial grids and seeds."""
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from chargelab import numerics
 from chargelab.errors import BudgetExceededError, DomainError, PreconditionError
 from chargelab.numerics import (
     QuadratureResult,
@@ -72,15 +75,87 @@ def test_budget_exceeded_carries_partial():
     assert exc.value.error_estimate > 1e-13
 
 
+def test_budget_stops_where_nodes_would_reach_the_endpoint():
+    # bisecting toward the singular endpoint x = 1 would round a node onto it
+    with pytest.raises(BudgetExceededError, match="too narrow to bisect") as exc:
+        integrate_1d(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0, tol=1e-14, limit=1000)
+    assert abs(exc.value.partial_value - 2.0) < 1e-6
+
+
 def test_bad_arguments():
     with pytest.raises(DomainError):
         integrate_1d(lambda x: x, 0.0, 1.0, tol=-1.0)
     with pytest.raises(DomainError):
         integrate_1d(lambda x: x, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        integrate_1d(lambda x: x, 0.0, 1.0, limit=0)
     with pytest.raises(PreconditionError):
         QuadratureResult(value=0.0, error_estimate=-1.0, evaluations=3)
     with pytest.raises(PreconditionError):
         QuadratureResult(value=0.0, error_estimate=0.0, evaluations=0)
+
+
+def test_nonfinite_integrand_is_rejected():
+    first_node = 0.5 - 0.5 * numerics._XGK[0]
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=re.escape(f"x = {first_node!r}") + "$"):
+            integrate_1d(lambda x: bad, 0.0, 1.0)
+    # under the t/(1-t) map the node is named in x, not in t
+    with pytest.raises(DomainError, match=r"x = 2\.5$"):
+        integrate_1d(lambda x: math.nan if x == 2.5 else 1.0, 0.0, math.inf, scale=2.5)
+    # finite values whose weighted sum overflows
+    with pytest.raises(DomainError, match="overflows"):
+        integrate_1d(lambda x: 1e308, 0.0, 1.0)
+
+
+LORENTZ_WIDTH = 1e-3
+
+# name -> (f, a, b, scale, exact integral or None)
+ORACLE_CASES = {
+    "polynomial": (lambda x: 3.0 * x**5 - x * x + 1.0, 0.0, 2.0, 1.0, 31.0 + 1.0 / 3.0),
+    "exp-scale-0.1": (lambda x: math.exp(-x), 0.0, math.inf, 0.1, 1.0),
+    "exp-scale-1": (lambda x: math.exp(-x), 0.0, math.inf, 1.0, 1.0),
+    "exp-scale-10": (lambda x: math.exp(-x), 0.0, math.inf, 10.0, 1.0),
+    "inverse-sqrt": (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, 1.0, 2.0),
+    "log": (math.log, 0.0, 1.0, 1.0, -1.0),
+    "narrow-lorentzian": (
+        lambda x: LORENTZ_WIDTH / ((x - 0.3) ** 2 + LORENTZ_WIDTH**2), 0.0, 1.0, 1.0,
+        math.atan(0.7 / LORENTZ_WIDTH) + math.atan(0.3 / LORENTZ_WIDTH)),
+    "j-head": (bare_j_integrand, 0.0, 1.0, 1.0, None),
+    "j-tail": (bare_j_integrand, 1.0, math.inf, 1.0, None),
+}
+
+
+@pytest.mark.parametrize("f, a, b, scale, exact", ORACLE_CASES.values(),
+                         ids=ORACLE_CASES.keys())
+def test_agrees_with_scipy_quad(f, a, b, scale, exact):
+    res = integrate_1d(f, a, b, tol=1e-12, scale=scale)
+    reference, _ = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
+    assert abs(res.value - reference) <= 1e-12
+    if exact is not None:
+        assert res.error_estimate >= abs(res.value - exact)
+
+
+def test_kronrod_rule_is_exact_to_degree_31():
+    for k in range(32):
+        value, _ = numerics._gk21(lambda x: x**k, 0.0, 1.0)
+        assert abs(value - 1.0 / (k + 1)) <= 1e-15, k
+
+
+def test_evaluations_count_every_call():
+    # one rule on the first interval, then two per bisection
+    for f, a, b, scale, _ in ORACLE_CASES.values():
+        calls = []
+        res = integrate_1d(lambda x: calls.append(x) or f(x), a, b, tol=1e-12, scale=scale)
+        assert res.evaluations == len(calls)
+        rules, rest = divmod(res.evaluations, 21)
+        assert rest == 0 and rules % 2 == 1
+
+
+def test_repeat_calls_are_identical():
+    for f, a, b, scale, _ in ORACLE_CASES.values():
+        first = integrate_1d(f, a, b, tol=1e-12, scale=scale)
+        assert repr(integrate_1d(f, a, b, tol=1e-12, scale=scale)) == repr(first)
 
 
 def test_gamma_classical_values():
