@@ -494,6 +494,8 @@ def run_matrixloc_ensemble(trials: int, seed: int, size: int = 64, window: int =
                            ceiling: float = 50.0):
     """Gaussian symmetric instances: the restriction construction must meet
     the band budget with constant <= ceiling on every draw."""
+    if not ceiling >= 0:  # c_required >= 0, so no draw could meet it
+        raise DomainError("ceiling must be >= 0")
     worst, samples = matrixloc.gaussian_ensemble(trials, seed, n=size, window=window)
     row = {
         "check": "matrix-localization",

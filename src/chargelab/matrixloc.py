@@ -7,6 +7,11 @@ band-weighted budget (C/M^2) sum_{k<M} k^2 |d_k| + C sum_{k>=M} |d_k|,
 where d_k collects the k-th supra- and infra-diagonals of A in psi's
 quadratic form.  The restriction construction is deliberate: minimizing
 over each window instead would satisfy any budget while testing nothing.
+
+The arithmetic runs on stacks of trials, shape (T, N, N) and (T, N):
+`gaussian_ensemble` passes a block of trials and `localize` a stack of one,
+to the same kernels.  Every product and sum is taken per trial, in the
+same order for any T, so a trial's values do not depend on its block.
 """
 from __future__ import annotations
 
@@ -17,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import InequalityReport
-from .errors import ConsistencyError, DomainError, PreconditionError
-from .numerics import seed_words
+from .errors import ConsistencyError, DomainError, PreconditionError, ResourceLimitError
+from .numerics import seed_words, trials_per_block
 
 __all__ = [
     "LocalizationProblem",
@@ -32,11 +37,17 @@ __all__ = [
     "read_vector",
     "write_matrix",
     "write_vector",
+    "SIZE_CAP",
 ]
 
 HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-12
 SUM_RULE_TOL = 1e-10  # sum_k d_k must reproduce lambda this closely
+
+# Largest matrix size of the Gaussian ensemble, checked before anything is
+# drawn.  At the cap a block is one trial holding two 32 MB matrices (the
+# draw and its symmetrization).
+SIZE_CAP = 2048
 
 
 def _coerce_square(matrix) -> np.ndarray:
@@ -79,9 +90,7 @@ class LocalizationProblem:
     def __post_init__(self):
         matrix = _coerce_square(self.matrix)
         psi = _coerce_vector(self.psi, matrix.shape[0])
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise PreconditionError(f"psi must be unit norm, got {norm!r}")
+        _check_unit_norm(psi)
         if not 1 <= self.window <= matrix.shape[0]:
             raise PreconditionError("window must lie in [1, N]")
         object.__setattr__(self, "matrix", matrix)
@@ -118,30 +127,98 @@ class LocalizationResult:
         outside[self.offset : self.offset + self.window] = False
         if np.any(phi[outside] != 0):
             raise ConsistencyError("phi must vanish outside the window")
-        if abs(float(d.sum()) - self.lam) > SUM_RULE_TOL:
-            raise ConsistencyError(
-                f"band sum {d.sum()!r} must reproduce lambda {self.lam!r}"
-            )
+        _check_sum_rule(d, self.lam)
 
     def budget(self, c: float) -> float:
         """lambda + (C/M^2) sum_{1<=k<M} k^2 |d_k| + C sum_{k>=M} |d_k|."""
         if not c >= 0:
             raise DomainError("C must be >= 0")
-        k = np.arange(len(self.d))
-        near = float(np.sum(k[1 : self.window] ** 2 * np.abs(self.d[1 : self.window])))
-        far = float(np.sum(np.abs(self.d[self.window :])))
-        return self.lam + c * (near / self.window**2 + far)
+        return self.lam + c * float(_band_slope(self.d, self.window))
 
     @property
     def c_required(self) -> float:
         """Smallest C >= 0 with value <= budget(C); inf if none exists."""
-        excess = self.value - self.lam
-        if excess <= 0.0:
-            return 0.0
-        slope = self.budget(1.0) - self.lam
-        if slope <= 0.0:
-            return math.inf
-        return excess / slope
+        return float(_c_required(self.value, self.lam, self.d, self.window))
+
+
+def _check_unit_norm(psis: np.ndarray) -> None:
+    """Each psi of a stack (or a single psi) has unit norm to NORM_TOL."""
+    norms = np.atleast_1d(np.linalg.norm(psis, axis=-1))
+    bad = np.abs(norms - 1.0) > NORM_TOL
+    if bad.any():
+        raise PreconditionError(f"psi must be unit norm, got {float(norms[bad.argmax()])!r}")
+
+
+def _check_sum_rule(d: np.ndarray, lam) -> None:
+    """sum_k d_k reproduces lambda to SUM_RULE_TOL, per trial."""
+    sums = np.atleast_1d(np.add.reduce(d, axis=-1))
+    lam = np.atleast_1d(lam)
+    bad = np.abs(sums - lam) > SUM_RULE_TOL
+    if bad.any():
+        k = int(bad.argmax())
+        raise ConsistencyError(
+            f"band sum {float(sums[k])!r} must reproduce lambda {float(lam[k])!r}"
+        )
+
+
+def _band_slope(d: np.ndarray, window: int):
+    """(1/M^2) sum_{1<=k<M} k^2 |d_k| + sum_{k>=M} |d_k|, per trial: the
+    budget's growth per unit C."""
+    near = np.add.reduce(np.arange(1, window) ** 2 * np.abs(d[..., 1:window]), axis=-1)
+    far = np.add.reduce(np.abs(d[..., window:]), axis=-1)
+    return near / window**2 + far
+
+
+def _c_required(value, lam, d: np.ndarray, window: int):
+    """Smallest C >= 0 with value <= budget(C), per trial; inf if none."""
+    excess = value - lam
+    slope = (lam + _band_slope(d, window)) - lam  # budget(1) - lambda
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = excess / slope
+    return np.where(excess <= 0.0, 0.0, np.where(slope <= 0.0, math.inf, ratio))
+
+
+def _best_windows(mats: np.ndarray, psis: np.ndarray, window: int):
+    """(offset, value, lam) arrays for a stack of T problems.
+
+    Scans the window starts; at each, every trial's mass and quadratic form
+    is one stacked product.  Windows where psi has no mass are skipped, and
+    ties go to the smallest offset.
+    """
+    count, n = psis.shape
+    rows = psis.conj()[:, None, :]
+    cols = psis[:, :, None]
+    best_value = np.full(count, math.inf)
+    best_offset = np.full(count, -1)
+    for start in range(n - window + 1):
+        win = slice(start, start + window)
+        mass = (rows[:, :, win] @ cols[:, win]).real[:, 0, 0]
+        quad = (rows[:, :, win] @ (mats[:, win, win] @ cols[:, win])).real[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = quad / mass
+        better = (mass > 0.0) & (value < best_value)
+        best_value[better] = value[better]
+        best_offset[better] = start
+    if np.any(best_offset < 0):
+        raise DomainError("psi has no mass in any window")
+    # normalized like the window quotients, so M = N gives value = lam
+    # bit-for-bit
+    lam = ((rows @ (mats @ cols)).real / (rows @ cols).real)[:, 0, 0]
+    return best_offset, best_value, lam
+
+
+def _band_forms(mats: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """d_k per trial of a stack, shape (T, N), one diagonal pair at a time:
+    the k-th sum runs over psi_i^* a_ij psi_j with |i - j| = k in order of i."""
+    conj = psis.conj()
+    count, n = psis.shape
+    out = np.empty((count, n))
+    out[:, 0] = np.add.reduce(conj * np.diagonal(mats, 0, 1, 2) * psis, axis=1).real
+    for k in range(1, n):
+        upper = conj[:, :-k] * np.diagonal(mats, k, 1, 2) * psis[:, k:]
+        lower = conj[:, k:] * np.diagonal(mats, -k, 1, 2) * psis[:, :-k]
+        out[:, k] = (np.add.reduce(upper, axis=1) + np.add.reduce(lower, axis=1)).real
+    return out
 
 
 def band_component(matrix, k: int) -> np.ndarray:
@@ -164,13 +241,7 @@ def band_quadratic_forms(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:
     Real for Hermitian A: the k-th value pairs each entry with its
     conjugate transpose partner.
     """
-    weighted = psi.conj()[:, None] * matrix * psi[None, :]
-    n = matrix.shape[0]
-    out = np.empty(n)
-    out[0] = np.trace(weighted).real
-    for k in range(1, n):
-        out[k] = (np.trace(weighted, offset=k) + np.trace(weighted, offset=-k)).real
-    return out
+    return _band_forms(matrix[None], psi[None])[0]
 
 
 def localize(problem: LocalizationProblem) -> LocalizationResult:
@@ -182,35 +253,16 @@ def localize(problem: LocalizationProblem) -> LocalizationResult:
     a = problem.matrix
     psi = problem.psi
     m = problem.window
-    n = problem.size
-    best_value = math.inf
-    best_offset = -1
-    for start in range(n - m + 1):
-        seg = psi[start : start + m]
-        mass = float(np.real(seg.conj() @ seg))
-        if mass <= 0.0:
-            continue
-        block = a[start : start + m, start : start + m]
-        quad = float(np.real(seg.conj() @ (block @ seg)))
-        value = quad / mass
-        if value < best_value:
-            best_value = value
-            best_offset = start
-    if best_offset < 0:
-        raise DomainError("psi has no mass in any window")
-    seg = psi[best_offset : best_offset + m]
+    offsets, values, lams = _best_windows(a[None], psi[None], m)
+    offset = int(offsets[0])
+    seg = psi[offset : offset + m]
     phi = np.zeros_like(psi)
-    phi[best_offset : best_offset + m] = seg / np.linalg.norm(seg)
-    # normalized like the window quotients, so M = N gives value = lam
-    # bit-for-bit
-    lam = float(np.real(psi.conj() @ (a @ psi))) / float(
-        np.real(psi.conj() @ psi)
-    )
+    phi[offset : offset + m] = seg / np.linalg.norm(seg)
     return LocalizationResult(
-        offset=best_offset,
+        offset=offset,
         phi=phi,
-        value=best_value,
-        lam=lam,
+        value=float(values[0]),
+        lam=float(lams[0]),
         d=band_quadratic_forms(a, psi),
         window=m,
     )
@@ -232,25 +284,49 @@ def gaussian_ensemble(
 ):
     """Symmetric Gaussian matrices with random unit psi.
 
-    Returns (max_c_required, rows); rows are
-    (seed, lam, value, c_required) per trial.
+    Returns (max_c_required, rows); rows are (seed, lam, value, c_required)
+    per trial, each reproducible from its recorded seed.
+
+    Each trial draws its matrix, then psi, from its own
+    `default_rng(trial_seed)`.  The arithmetic runs per block of
+    `trials_per_block(n, n)` consecutive trials, on the kernels `localize`
+    uses, with every product and sum taken per trial; the psi norms and
+    the band sum rule are checked for the whole block.  So row k equals
+    replaying trial seed k through `LocalizationProblem`, `localize` and
+    `c_required`, bit for bit.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     if n < 1:
         raise PreconditionError("matrix size n must be >= 1")
+    if n > SIZE_CAP:
+        raise ResourceLimitError(f"matrix size {n} exceeds cap {SIZE_CAP}")
+    if not 1 <= window <= n:
+        raise PreconditionError("window must lie in [1, N]")
+    seeds = seed_words(master_seed, trials)
+    block = trials_per_block(n, n)
+    raw = np.empty((n, n))  # one draw at a time; the block holds only its symmetrization
     rows = []
     worst = 0.0
-    for seed in seed_words(master_seed, trials):
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((n, n))
-        matrix = 0.5 * (raw + raw.T)
-        psi = rng.standard_normal(n)
-        psi /= np.linalg.norm(psi)
-        result = localize(LocalizationProblem(matrix=matrix, psi=psi, window=window))
-        c_req = result.c_required
-        worst = max(worst, c_req)
-        rows.append((seed, result.lam, result.value, c_req))
+    for start in range(0, trials, block):
+        chunk = seeds[start : start + block]
+        mats = np.empty((len(chunk), n, n))
+        psis = np.empty((len(chunk), n))
+        for k, seed in enumerate(chunk):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(out=raw)
+            np.add(raw, raw.T, out=mats[k])
+            mats[k] *= 0.5
+            psi = rng.standard_normal(out=psis[k])
+            psi /= np.linalg.norm(psi)
+        _check_unit_norm(psis)
+        _, values, lams = _best_windows(mats, psis, window)
+        d = _band_forms(mats, psis)
+        _check_sum_rule(d, lams)
+        c_req = _c_required(values, lams, d, window)
+        for row in zip(chunk, lams.tolist(), values.tolist(), c_req.tolist()):
+            worst = max(worst, row[3])
+            rows.append(row)
     return worst, rows
 
 

@@ -1,5 +1,6 @@
 """Shared numerical kernels: 1D adaptive quadrature, the Gamma function,
-uniform radial grids for 3D radial integrals, and seed derivation.
+uniform radial grids for 3D radial integrals, seed derivation, and the
+block size of the batched ensembles.
 
 All downstream 1D integrals funnel through `integrate_1d`, a globally
 adaptive Gauss-Kronrod integrator: the 21-point Kronrod rule with its
@@ -27,6 +28,8 @@ __all__ = [
     "gamma",
     "uniform_radial_grid",
     "seed_words",
+    "BLOCK_BYTES",
+    "trials_per_block",
 ]
 
 
@@ -277,3 +280,15 @@ def seed_words(seed: int, count: int) -> list[int]:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64).tolist()
 
+
+# Byte budget of one stacked float64 array in the batched ensembles, which
+# bounds their memory at any trial count: a 64 x 64 matrix per trial gives
+# blocks of 16 trials.  Blocks of 32 ran `matrixloc-ensemble` about 20%
+# faster in-process but raised the peak RSS of `verify --quick` by 3%, not 2%.
+BLOCK_BYTES = 1 << 19
+
+
+def trials_per_block(*shape: int) -> int:
+    """Trials per block when each trial stacks one float64 array of `shape`
+    (at least one, whatever the shape)."""
+    return max(1, BLOCK_BYTES // (8 * math.prod(shape)))

@@ -6,6 +6,13 @@ its momentum integrals (pair energy per unit volume and the particle count
 Tr Gamma), the assembled N^(7/5) upper-bound energy, and a Berezin-Lieb
 inequality verifier on finite tight frames -- the finite-dimensional content
 of the coherent-state operator-Jensen argument.
+
+The frame construction, the frame and Y checks and the two sides of the
+trace inequality run on stacks of instances: `berezin_lieb_ensemble`
+passes a block of trials, and `random_tight_frame`, `CoherentFrame` and
+`berezin_lieb_check` a stack of one, to the same kernels.  Every product
+and sum is taken per instance, so an instance's values do not depend on
+its block.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ from .errors import (
     SolverError,
 )
 from .foldy import foldy_j, simplified_energy_quadrature
-from .numerics import gamma, integrate_1d, seed_words
+from .numerics import gamma, integrate_1d, seed_words, trials_per_block
 from .variational import RadialProfile, functional_energy, rescale
 
 __all__ = [
@@ -41,6 +48,10 @@ __all__ = [
 ]
 
 FRAME_TOL = 1e-10  # tight-frame residual cap enforced by CoherentFrame
+# A frame draw is redrawn when a vector's norm is below NORM_FLOOR or its
+# frame operator's eigenvalues span more than a factor 1 / CONDITION_FLOOR.
+NORM_FLOOR = 1e-8
+CONDITION_FLOOR = 1e-8
 
 
 def occupation_f(rho: float, p):
@@ -210,31 +221,75 @@ class CoherentFrame:
             raise DomainError("need at least `dimension` vectors")
         if weights.shape[0] != vectors.shape[0]:
             raise DomainError("one weight per vector")
-        if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(weights))):
-            raise DomainError("vectors and weights must be finite")
-        if np.any(weights <= 0.0):
-            raise DomainError("weights must be > 0")
-        norms = np.linalg.norm(vectors, axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > 1e-10:
-            raise DomainError("frame vectors must have unit length")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "weights", weights)
-        residual = self.frame_residual()
-        if residual > FRAME_TOL:
-            raise DomainError(
-                f"tight-frame residual {residual:.3e} exceeds {FRAME_TOL:g}"
-            )
+        _check_frames(vectors, weights)
 
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
 
     def frame_operator(self) -> np.ndarray:
-        return (self.vectors * self.weights[:, None]).T @ self.vectors
+        return _frame_operators(self.vectors, self.weights)
 
     def frame_residual(self) -> float:
-        gap = self.frame_operator() - np.eye(self.dimension)
-        return float(np.max(np.abs(np.linalg.eigvalsh(gap))))
+        return float(_frame_residuals(self.vectors, self.weights))
+
+
+def _frame_operators(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k theta_k theta_k^T of each frame of a stack (or of one)."""
+    return (vectors * weights[..., None]).swapaxes(-1, -2) @ vectors
+
+
+def _frame_residuals(vectors: np.ndarray, weights: np.ndarray):
+    """Largest |eigenvalue| of frame operator minus identity, per frame."""
+    gap = _frame_operators(vectors, weights) - np.eye(vectors.shape[-1])
+    return np.max(np.abs(np.linalg.eigvalsh(gap)), axis=-1)
+
+
+def _check_frames(vectors: np.ndarray, weights: np.ndarray) -> None:
+    """CoherentFrame's numerical checks, for a stack of frames (or one)."""
+    if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(weights))):
+        raise DomainError("vectors and weights must be finite")
+    if np.any(weights <= 0.0):
+        raise DomainError("weights must be > 0")
+    norms = np.linalg.norm(vectors, axis=-1)
+    if np.any(np.abs(norms - 1.0) > 1e-10):
+        raise DomainError("frame vectors must have unit length")
+    residual = np.max(_frame_residuals(vectors, weights))
+    if residual > FRAME_TOL:
+        raise DomainError(
+            f"tight-frame residual {residual:.3e} exceeds {FRAME_TOL:g}"
+        )
+
+
+def _check_frame_size(dimension: int, count: int) -> None:
+    if dimension < 2:
+        raise DomainError("dimension must be >= 2")
+    if count < dimension:
+        raise DomainError("count must be >= dimension")
+
+
+def _tight_frames(draws: np.ndarray):
+    """Tight frames from a stack of draws (T, count, dimension).
+
+    Returns (kept, vectors, weights): the indices of the draws that are not
+    redrawn (no norm below NORM_FLOOR, conditioning above CONDITION_FLOOR),
+    and for each of them the rows S^(-1/2) theta_k, normalized, with weights
+    |S^(-1/2) theta_k|^2.
+    """
+    norms = np.linalg.norm(draws, axis=2)
+    kept = np.flatnonzero(~np.any(norms < NORM_FLOOR, axis=1))
+    units = draws[kept]
+    units /= norms[kept][:, :, None]
+    eigenvalues, basis = np.linalg.eigh(units.transpose(0, 2, 1) @ units)
+    well = ~(eigenvalues[:, 0] < CONDITION_FLOOR * eigenvalues[:, -1])
+    kept, units, eigenvalues, basis = kept[well], units[well], eigenvalues[well], basis[well]
+    inv_root = (basis / np.sqrt(eigenvalues)[:, None, :]) @ basis.transpose(0, 2, 1)
+    rows = units @ inv_root
+    weights = np.einsum("tkd,tkd->tk", rows, rows)
+    rows /= np.sqrt(weights)[:, :, None]
+    return kept, rows, weights
 
 
 def random_tight_frame(
@@ -243,25 +298,12 @@ def random_tight_frame(
     """Sample `count` unit vectors and symmetrize by the inverse square
     root of their frame operator: rows S^(-1/2) theta_k with weights
     |S^(-1/2) theta_k|^2 form a tight frame by construction."""
-    if dimension < 2:
-        raise DomainError("dimension must be >= 2")
-    if count < dimension:
-        raise DomainError("count must be >= dimension")
+    _check_frame_size(dimension, count)
     for _ in range(64):
         draws = rng.standard_normal((count, dimension))
-        norms = np.linalg.norm(draws, axis=1)
-        if np.any(norms < 1e-8):
-            continue
-        units = draws / norms[:, None]
-        frame_op = units.T @ units
-        eigenvalues, basis = np.linalg.eigh(frame_op)
-        if eigenvalues[0] < 1e-8 * eigenvalues[-1]:
-            continue  # nearly rank-deficient draw
-        inv_root = (basis / np.sqrt(eigenvalues)) @ basis.T
-        rows = units @ inv_root
-        weights = np.einsum("kd,kd->k", rows, rows)
-        vectors = rows / np.sqrt(weights)[:, None]
-        return CoherentFrame(dimension=dimension, vectors=vectors, weights=weights)
+        kept, vectors, weights = _tight_frames(draws[None])
+        if kept.size:
+            return CoherentFrame(dimension=dimension, vectors=vectors[0], weights=weights[0])
     raise SolverError("failed to draw a well-conditioned frame")
 
 
@@ -293,22 +335,46 @@ def berezin_lieb_check(
     y_arr = np.asarray(y_matrix, dtype=float)
     if y_arr.shape != (frame.dimension, frame.dimension):
         raise PreconditionError("Y must be dimension x dimension")
-    if float(np.max(np.abs(y_arr - y_arr.T))) > 1e-12:
+    _check_psd(y_arr)
+    lhs, rhs = _berezin_lieb_sums(
+        frame.vectors[None], frame.weights[None], f_arr[None], y_arr[None], XI_FUNCTIONS[xi]
+    )
+    return InequalityReport(lhs=float(lhs[0]), rhs=float(rhs[0]))
+
+
+def _check_psd(y: np.ndarray) -> None:
+    """Y symmetric to 1e-12 with lowest eigenvalue >= -1e-10, for a stack of
+    matrices (or one)."""
+    if float(np.max(np.abs(y - y.swapaxes(-1, -2)))) > 1e-12:
         raise PreconditionError("Y must be symmetric")
-    y_low = float(np.linalg.eigvalsh(y_arr)[0])
+    y_low = float(np.min(np.linalg.eigvalsh(y)[..., 0]))
     if y_low < -1e-10:
         raise PreconditionError(f"Y has negative eigenvalue {y_low:.3e}")
 
-    func = XI_FUNCTIONS[xi]
-    gamma = (frame.vectors * (frame.weights * f_arr)[:, None]).T @ frame.vectors
-    gamma = 0.5 * (gamma + gamma.T)
+
+def _berezin_lieb_sums(vectors, weights, f, y, func):
+    """(lhs, rhs) arrays of the trace inequality for a stack of T instances:
+    vectors (T, count, d), weights and f (T, count), Y (T, d, d)."""
+    gamma = (vectors * (weights * f)[:, :, None]).transpose(0, 2, 1) @ vectors
+    gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
     occ, basis = np.linalg.eigh(gamma)
     occ = np.clip(occ, 0.0, None)  # PSD up to roundoff; xi needs t >= 0
-    xi_gamma = (basis * func(occ)) @ basis.T
-    lhs = float(np.sum(y_arr * xi_gamma))
-    quad_forms = np.einsum("kd,de,ke->k", frame.vectors, y_arr, frame.vectors)
-    rhs = float(np.dot(frame.weights * func(f_arr), quad_forms))
-    return InequalityReport(lhs=lhs, rhs=rhs)
+    xi_gamma = (basis * func(occ)[:, None, :]) @ basis.transpose(0, 2, 1)
+    lhs = np.add.reduce((y * xi_gamma).reshape(len(y), -1), axis=1)
+    quad_forms = np.einsum("tkd,tde,tke->tk", vectors, y, vectors)
+    rhs = ((weights * func(f))[:, None, :] @ quad_forms[:, :, None])[:, 0, 0]
+    return lhs, rhs
+
+
+def _berezin_lieb_trial(xi: str, seed: int, dimension: int, count: int) -> InequalityReport:
+    """One instance drawn from `default_rng(seed)` -- the frame, then Y,
+    then f -- through `random_tight_frame` and `berezin_lieb_check`."""
+    rng = np.random.default_rng(seed)
+    frame = random_tight_frame(rng, dimension, count)
+    raw = rng.standard_normal((dimension, dimension))
+    y_psd = raw @ raw.T
+    f_draw = rng.uniform(0.0, 5.0, size=count)
+    return berezin_lieb_check(frame, f_draw, y_psd, xi)
 
 
 def berezin_lieb_ensemble(
@@ -319,18 +385,48 @@ def berezin_lieb_ensemble(
     count: int = 24,
 ):
     """Random (frame, PSD Y, f) instances for one xi: rows
-    (seed, lhs, rhs, slack), one per trial drawn from that seed."""
+    (seed, lhs, rhs, slack), one per trial drawn from that seed.
+
+    Each trial draws its frame, then Y, then f from its own
+    `default_rng(trial_seed)`.  The arithmetic runs per block of
+    `trials_per_block(count, dimension)` consecutive trials, on the kernels
+    of the per-trial route, with every product and sum taken per trial; the
+    frame and Y checks cover the whole block.  A trial whose first frame
+    draw is redrawn has drawn Y and f from the wrong place in its stream,
+    so it is recomputed from its seed through `random_tight_frame` and
+    `berezin_lieb_check`.  So row k equals replaying trial seed k through
+    that route, bit for bit.
+    """
     if xi not in XI_FUNCTIONS:
         raise PreconditionError(f"xi must be one of {sorted(XI_FUNCTIONS)}")
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    _check_frame_size(dimension, count)
+    seeds = seed_words(master_seed, trials)
+    block = trials_per_block(count, dimension)
     rows = []
-    for seed in seed_words(master_seed, trials):
-        rng = np.random.default_rng(seed)
-        frame = random_tight_frame(rng, dimension, count)
-        raw = rng.standard_normal((dimension, dimension))
-        y_psd = raw @ raw.T
-        f_draw = rng.uniform(0.0, 5.0, size=count)
-        report = berezin_lieb_check(frame, f_draw, y_psd, xi)
-        rows.append((seed, report.lhs, report.rhs, report.slack))
+    for start in range(0, trials, block):
+        chunk = seeds[start : start + block]
+        draws = np.empty((len(chunk), count, dimension))
+        raw = np.empty((len(chunk), dimension, dimension))
+        f_draw = np.empty((len(chunk), count))
+        for k, seed in enumerate(chunk):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(out=draws[k])
+            rng.standard_normal(out=raw[k])
+            f_draw[k] = rng.uniform(0.0, 5.0, size=count)
+        kept, vectors, weights = _tight_frames(draws)
+        sums = {}
+        if kept.size:
+            _check_frames(vectors, weights)
+            raw = raw[kept]
+            y_psd = raw @ raw.transpose(0, 2, 1)
+            _check_psd(y_psd)
+            lhs, rhs = _berezin_lieb_sums(vectors, weights, f_draw[kept], y_psd, XI_FUNCTIONS[xi])
+            sums = dict(zip(kept.tolist(), zip(lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist())))
+        for k, seed in enumerate(chunk):
+            if k not in sums:
+                report = _berezin_lieb_trial(xi, seed, dimension, count)
+                sums[k] = (report.lhs, report.rhs, report.slack)
+            rows.append((seed, *sums[k]))
     return rows

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -291,6 +292,21 @@ class TestExitCodes:
             assert code == 3
             assert "cap" in capsys.readouterr().err
 
+    def test_oversized_matrix_is_exit_3_before_allocating(self, tmp_path, capsys):
+        # 10^6 x 10^6 doubles would be 7.3 TiB
+        tracemalloc.start()
+        try:
+            code = cli.main(["matrixloc-ensemble", "--trials", "1", "--size", "1000000",
+                             "--outdir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: matrix size 1000000 exceeds cap {matrixloc.SIZE_CAP}\n"
+        assert peak < 2**20
+        assert not list(tmp_path.iterdir())
+
     def test_non_finite_floats_are_usage(self, tmp_path, capsys):
         for argv in (["bogolubov-sharpness", "--t", "nan"],
                      ["stability-bound", "--c-lt", "inf"],
@@ -353,7 +369,8 @@ class TestExitCodes:
                      ["trialstate", "--check", "berezin-lieb", "--seed", "-1"],
                      ["matrixloc-ensemble", "--seed", "-1"],
                      ["verify", "--seed", "-1"],
-                     ["matrixloc-ensemble", "--size", "-1"]):
+                     ["matrixloc-ensemble", "--size", "-1"],
+                     ["matrixloc-ensemble", "--ceiling=-1", "--trials", "2"]):
             assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from chargelab.errors import ConsistencyError, DomainError, PreconditionError
+from chargelab import matrixloc
+from chargelab.errors import (
+    ConsistencyError,
+    DomainError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from chargelab.matrixloc import (
     LocalizationProblem,
     LocalizationResult,
@@ -18,6 +24,7 @@ from chargelab.matrixloc import (
     write_matrix,
     write_vector,
 )
+from chargelab.numerics import seed_words, trials_per_block
 
 
 def second_difference(n: int) -> np.ndarray:
@@ -258,6 +265,69 @@ class TestGaussianEnsemble:
         first = gaussian_ensemble(40, 77)
         second = gaussian_ensemble(40, 77)
         assert first == second
+
+
+def _replay(seed, n, window):
+    """One ensemble trial through the public route, from its trial seed."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, n))
+    matrix = 0.5 * (raw + raw.T)
+    psi = rng.standard_normal(n)
+    psi /= np.linalg.norm(psi)
+    result = localize(LocalizationProblem(matrix=matrix, psi=psi, window=window))
+    return seed, result.lam, result.value, result.c_required
+
+
+class TestBatchedEnsembles:
+    """Every ensemble row equals replaying its trial seed through
+    LocalizationProblem, localize and c_required, bit for bit."""
+
+    @staticmethod
+    def replayed(trials, seed, n=64, window=8):
+        worst, rows = gaussian_ensemble(trials, seed, n=n, window=window)
+        assert [r[0] for r in rows] == seed_words(seed, trials)
+        expected = [_replay(r[0], n, window) for r in rows]
+        assert rows == expected
+        assert repr(rows) == repr(expected)  # signed zeros as well
+        assert worst == max([0.0] + [r[3] for r in expected])
+        return rows
+
+    def test_single_trial(self):
+        self.replayed(1, 5)
+
+    def test_across_block_boundaries(self):
+        assert trials_per_block(64, 64) == 16
+        self.replayed(70, 8675309)
+        assert trials_per_block(300, 300) == 1
+        self.replayed(3, 27, n=300, window=20)
+
+    @pytest.mark.parametrize("n, window", [(1, 1), (7, 7), (9, 1), (12, 5)])
+    def test_extreme_windows(self, n, window):
+        rows = self.replayed(40, 314159, n=n, window=window)
+        if window == n:  # one window, the whole vector: value = lam exactly
+            assert all(r[2] == r[1] and r[3] == 0.0 for r in rows)
+
+    def test_block_path_checks_the_sum_rule(self, monkeypatch):
+        def per_trial(problem):
+            raise AssertionError("the ensemble must not localize one trial at a time")
+
+        monkeypatch.setattr(matrixloc, "localize", per_trial)
+        gaussian_ensemble(3, 1)
+        monkeypatch.setattr(matrixloc, "SUM_RULE_TOL", -1.0)
+        with pytest.raises(ConsistencyError, match="band sum"):
+            gaussian_ensemble(3, 1)
+
+    def test_block_path_checks_psi_norms(self, monkeypatch):
+        monkeypatch.setattr(matrixloc, "NORM_TOL", -1.0)
+        with pytest.raises(PreconditionError, match="unit norm"):
+            gaussian_ensemble(3, 1)
+
+    def test_arguments_are_checked_before_drawing(self):
+        for n, window in ((4, 0), (4, 5)):
+            with pytest.raises(PreconditionError, match="window"):
+                gaussian_ensemble(1, 0, n=n, window=window)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            gaussian_ensemble(1, 0, n=matrixloc.SIZE_CAP + 1)
 
 
 class TestFileFormat:

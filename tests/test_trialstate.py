@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from chargelab import trialstate
 from chargelab.correlation import HOLDS_TOL
 from chargelab.errors import ConsistencyError, DomainError, PreconditionError
 from chargelab.foldy import foldy_j
@@ -28,7 +29,7 @@ from chargelab.variational import (
     minimize,
     rescale,
 )
-from chargelab.numerics import uniform_radial_grid
+from chargelab.numerics import seed_words, trials_per_block, uniform_radial_grid
 
 # direct evaluation of ((1+8pi)/sqrt(1+16pi) - 1)/2, checked in extended
 # precision before the build
@@ -336,3 +337,109 @@ class TestBerezinLieb:
         rng = np.random.default_rng(0)
         with pytest.raises(PreconditionError):
             berezin_lieb_check(frame, f_vals, rng.standard_normal((8, 8)), "sqrt")
+
+
+def _replay(xi, seed, dimension, count):
+    """One ensemble trial through the public route, from its trial seed."""
+    rng = np.random.default_rng(seed)
+    frame = trialstate.random_tight_frame(rng, dimension, count)
+    raw = rng.standard_normal((dimension, dimension))
+    y_psd = raw @ raw.T
+    f_draw = rng.uniform(0.0, 5.0, size=count)
+    report = berezin_lieb_check(frame, f_draw, y_psd, xi)
+    return seed, report.lhs, report.rhs, report.slack
+
+
+def _first_draws(seeds, dimension, count):
+    """Per trial seed: the smallest vector norm of its first frame draw and
+    that draw's eigenvalue ratio lambda_min / lambda_max."""
+    norms, ratios = [], []
+    for seed in seeds:
+        draws = np.random.default_rng(seed).standard_normal((count, dimension))
+        lengths = np.linalg.norm(draws, axis=1)
+        units = draws / lengths[:, None]
+        eigenvalues = np.linalg.eigvalsh(units.T @ units)
+        norms.append(lengths.min())
+        ratios.append(eigenvalues[0] / eigenvalues[-1])
+    return np.array(norms), np.array(ratios)
+
+
+class TestBatchedEnsembles:
+    """Every ensemble row equals replaying its trial seed through
+    random_tight_frame and berezin_lieb_check, bit for bit."""
+
+    @staticmethod
+    def replayed(xi, trials, seed, dimension=8, count=24):
+        rows = berezin_lieb_ensemble(xi, trials, seed, dimension, count)
+        assert [r[0] for r in rows] == seed_words(seed, trials)
+        expected = [_replay(xi, r[0], dimension, count) for r in rows]
+        assert rows == expected
+        assert repr(rows) == repr(expected)  # signed zeros as well
+
+    @pytest.mark.parametrize("xi", sorted(XI_FUNCTIONS))
+    def test_rows_equal_public_route(self, xi):
+        self.replayed(xi, 150, 8675309)
+
+    @pytest.mark.parametrize("xi", sorted(XI_FUNCTIONS))
+    def test_single_trial(self, xi):
+        self.replayed(xi, 1, 5)
+
+    def test_across_block_boundaries(self):
+        assert trials_per_block(1024, 8) == 8
+        self.replayed("sqrt", 40, 271828, count=1024)
+
+    @pytest.mark.parametrize("dimension", [2, 3, 4])
+    def test_minimal_frames(self, dimension):
+        self.replayed("sqrt-pairing", 30, 161803, dimension=dimension, count=dimension)
+
+    def test_a_frame_beyond_tolerance_fails_both_routes(self):
+        # square frames of dimension 8 can pass CONDITION_FLOOR and still miss
+        # FRAME_TOL; the block raises the error of its worst trial's replay
+        with pytest.raises(DomainError, match="tight-frame residual") as batch:
+            berezin_lieb_ensemble("sqrt-pairing", 30, 161803, dimension=8, count=8)
+        errors = []
+        for seed in seed_words(161803, 30):
+            try:
+                _replay("sqrt-pairing", seed, 8, 8)
+            except DomainError as exc:
+                errors.append(str(exc))
+        assert str(batch.value) in errors
+
+    @pytest.mark.parametrize("floor", ["NORM_FLOOR", "CONDITION_FLOOR"])
+    def test_redrawn_frames_are_replayed(self, monkeypatch, floor):
+        # raise the floor to just above one trial's first draw, so that
+        # trial alone redraws its frame and takes the per-trial route
+        seeds = seed_words(1905, 60)
+        first = _first_draws(seeds, 4, 6)[floor == "CONDITION_FLOOR"]
+        low, second = np.sort(first)[:2]
+        monkeypatch.setattr(trialstate, floor, 0.5 * (low + second))
+        calls = []
+        public = trialstate.random_tight_frame
+
+        def counted(rng, dimension, count):
+            calls.append(dimension)
+            return public(rng, dimension, count)
+
+        monkeypatch.setattr(trialstate, "random_tight_frame", counted)
+        self.replayed("sqrt", 60, 1905, dimension=4, count=6)
+        # one call from the ensemble's replay, then one per replayed row
+        assert len(calls) == 1 + 60
+
+    def test_block_path_checks_the_frames(self, monkeypatch):
+        def per_trial(rng, dimension, count):
+            raise AssertionError("no frame is redrawn, so no trial takes this route")
+
+        monkeypatch.setattr(trialstate, "random_tight_frame", per_trial)
+        berezin_lieb_ensemble("sqrt", 20, 3)
+        monkeypatch.setattr(trialstate, "FRAME_TOL", 0.0)
+        with pytest.raises(DomainError, match="tight-frame residual"):
+            berezin_lieb_ensemble("sqrt", 20, 3)
+        monkeypatch.setattr(trialstate, "random_tight_frame", random_tight_frame)
+        with pytest.raises(DomainError, match="tight-frame residual"):
+            random_tight_frame(np.random.default_rng(3), 8, 24)
+
+    def test_arguments_are_checked_before_drawing(self):
+        with pytest.raises(DomainError, match="dimension"):
+            berezin_lieb_ensemble("sqrt", 1, 0, dimension=1, count=4)
+        with pytest.raises(DomainError, match="count"):
+            berezin_lieb_ensemble("sqrt", 1, 0, dimension=4, count=3)
