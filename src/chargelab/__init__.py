@@ -3,10 +3,10 @@
 Modules
 -------
 numerics     quadrature, Gamma, uniform radial grids
-foldy        the constant J and the local cutoff energy integral
+foldy        the constant J and the simplified local energy by quadrature
 bogolubov    quadratic-Hamiltonian lower bound and truncated-Fock sharpness
 correlation  Yukawa pair energies and correlation inequality checkers
-variational  minimization of the density functional and N^(7/5) assembly
+variational  minimization of the density functional (the N^(7/5) constant)
 trialstate   occupation function, pair-energy identity, trace scaling,
              finite tight-frame trace inequality
 matrixloc    window localization of large Hermitian matrices

@@ -4,10 +4,6 @@ Checkers return an InequalityReport rather than raising on violation: a
 false `holds` on one of these theorems signals an implementation bug
 upstream, which the property suites are designed to surface.
 
-The localization check integrates the sliding-cube interaction over the
-window center y with a tensor-product rule; the per-axis factorization
-used there is exact for product bumps on product grids.
-
 The seeded fuzz (`run_random_ensemble`) draws each trial from its own
 generator, in the order `random_configuration` draws, but computes in
 batches: consecutive trials are taken in blocks of `_BLOCK`, and within a
@@ -25,22 +21,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import integrate_1d, seed_words
+from .numerics import seed_words
 
 __all__ = [
     "ParticleConfiguration",
     "InequalityReport",
-    "BumpChi",
-    "ProductGrid",
-    "yukawa",
     "pair_energy",
     "nearest_opposite_distances",
     "onsager_check",
     "baxter_check",
     "yukawa_positivity_check",
-    "cly_localization_check",
-    "grid_covering",
-    "localization_omega_sweep",
     "random_configuration",
     "run_random_ensemble",
     "CHECKERS",
@@ -111,22 +101,12 @@ class ParticleConfiguration:
 class InequalityReport:
     lhs: float
     rhs: float
-    tolerance: float = HOLDS_TOL
     slack: float = field(init=False)
     holds: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slack", self.lhs - self.rhs)
-        object.__setattr__(self, "holds", bool(self.slack >= -self.tolerance))
-
-
-def yukawa(r: float, mu: float) -> float:
-    """exp(-mu*r)/r; mu = 0 is the Coulomb case."""
-    if not r > 0:
-        raise DomainError("r must be positive")
-    if not mu >= 0:
-        raise DomainError("mu must be nonnegative")
-    return np.exp(-mu * r) / r
+        object.__setattr__(self, "holds", bool(self.slack >= -HOLDS_TOL))
 
 
 def _pair_data(config: ParticleConfiguration):
@@ -190,135 +170,6 @@ def yukawa_positivity_check(
         lhs = float(np.sum(zz * (-np.expm1(-mu * r)) / r))
     rhs = -0.5 * mu * float((config.charges**2).sum())
     return InequalityReport(lhs=lhs, rhs=rhs)
-
-
-@dataclass(frozen=True)
-class BumpChi:
-    """Product bump chi(x) = prod_d (1 - 4 x_d^2)^power, supported in the
-    unit cube |x_d| <= 1/2, with 0 <= chi <= 1 and chi(0) = 1."""
-
-    power: int = 2
-
-    def __post_init__(self):
-        if self.power < 1:
-            raise DomainError("power must be a positive integer")
-
-    def axis_profile(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        core = np.clip(1.0 - 4.0 * u**2, 0.0, None)
-        return core**self.power
-
-    def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.prod(self.axis_profile(pts), axis=-1)
-
-    def chi_sq_integral(self) -> float:
-        return _chi_sq_integral(self.power)
-
-
-@lru_cache(maxsize=16)
-def _chi_sq_integral(power: int) -> float:
-    axis = integrate_1d(lambda u: (1.0 - 4.0 * u**2) ** (2 * power), -0.5, 0.5)
-    return float(axis.value**3)
-
-
-@dataclass(frozen=True, eq=False)
-class ProductGrid:
-    """Midpoint tensor-product rule for the window-center integral, with
-    per-axis ranges [lo_d, hi_d] and n_per_axis cells on each axis."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    n_per_axis: int
-
-    def __post_init__(self):
-        lo = np.broadcast_to(np.asarray(self.lo, dtype=float), (3,)).copy()
-        hi = np.broadcast_to(np.asarray(self.hi, dtype=float), (3,)).copy()
-        if np.any(hi <= lo):
-            raise PreconditionError("grid upper bounds must exceed lower bounds")
-        if self.n_per_axis < 2:
-            raise PreconditionError("n_per_axis must be at least 2")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def axis_rule(self, d: int):
-        h = (self.hi[d] - self.lo[d]) / self.n_per_axis
-        nodes = self.lo[d] + h * (np.arange(self.n_per_axis) + 0.5)
-        return nodes, h
-
-    def refined(self) -> "ProductGrid":
-        return ProductGrid(self.lo, self.hi, 2 * self.n_per_axis)
-
-
-def grid_covering(config: ParticleConfiguration, n_per_axis: int = 24) -> ProductGrid:
-    """Product grid covering every window center whose unit cube can touch
-    a particle (half-cube margin per axis)."""
-    lo = config.positions.min(axis=0) - 0.5
-    hi = config.positions.max(axis=0) + 0.5
-    return ProductGrid(lo, hi, n_per_axis)
-
-
-def _localized_rhs(
-    config: ParticleConfiguration, mu_eff: float, chi: BumpChi, grid: ProductGrid
-) -> float:
-    """Quadrature of sum_{i<j} z_i z_j chi_y(x_i) Y_mu_eff(r_ij) chi_y(x_j)
-    over y. The y-sum factorizes per axis: overlap[i,j] = prod_d
-    (C_d W_d C_d^T)[i,j] with C_d[i,k] = chi_axis(x_id - y_k)."""
-    n = config.n
-    if n < 2:
-        return 0.0
-    overlap = np.ones((n, n))
-    for d in range(3):
-        nodes, weight = grid.axis_rule(d)
-        c = chi.axis_profile(config.positions[:, d, None] - nodes[None, :])
-        overlap *= weight * (c @ c.T)
-    r, zz = _pair_data(config)
-    return float(np.sum(zz * np.exp(-mu_eff * r) / r * overlap[_pairs(n)]))
-
-
-def cly_localization_check(
-    config: ParticleConfiguration,
-    mu: float,
-    omega: float,
-    chi: BumpChi,
-    y_grid: ProductGrid,
-) -> InequalityReport:
-    """Sliding-cube localization: (int chi^2) * pair_energy(mu) + N*omega
-    against the y-integrated unit-cube interaction at screening mu+omega.
-    The report tolerance is the measured quadrature error of the rhs."""
-    if not mu >= 0:
-        raise DomainError("mu must be nonnegative")
-    if not omega > 0:
-        raise DomainError("omega must be positive")
-    lhs = chi.chi_sq_integral() * pair_energy(config, mu) + config.n * omega
-    rhs = _localized_rhs(config, mu + omega, chi, y_grid)
-    rhs_fine = _localized_rhs(config, mu + omega, chi, y_grid.refined())
-    tol = max(HOLDS_TOL, 2.0 * abs(rhs_fine - rhs))
-    return InequalityReport(lhs=lhs, rhs=rhs_fine, tolerance=tol)
-
-
-def localization_omega_sweep(
-    config: ParticleConfiguration,
-    mu: float,
-    chi: BumpChi,
-    y_grid: ProductGrid,
-    omegas,
-) -> tuple[float, list[tuple[float, InequalityReport]]]:
-    """Runs the localization check along increasing omega values; returns
-    (omega_star, reports) where omega_star is the smallest omega from
-    which every later check holds (inf when none do)."""
-    omegas = sorted(float(w) for w in omegas)
-    if not omegas:
-        raise PreconditionError("omegas must be nonempty")
-    reports = [
-        (w, cly_localization_check(config, mu, w, chi, y_grid)) for w in omegas
-    ]
-    omega_star = np.inf
-    for w, rep in reversed(reports):
-        if not rep.holds:
-            break
-        omega_star = w
-    return float(omega_star), reports
 
 
 def _draw(rng: np.random.Generator, n: int, box: float, charge_kind: str):

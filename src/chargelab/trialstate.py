@@ -48,10 +48,14 @@ __all__ = [
 ]
 
 FRAME_TOL = 1e-10  # tight-frame residual cap enforced by CoherentFrame
-# A frame draw is redrawn when a vector's norm is below NORM_FLOOR or its
-# frame operator's eigenvalues span more than a factor 1 / CONDITION_FLOOR.
+# A frame draw is redrawn when a vector's norm is below NORM_FLOOR, its
+# frame operator's eigenvalues span more than a factor 1 / CONDITION_FLOOR,
+# or its tight frame's residual is not at most REDRAW_RESIDUAL (NaN
+# included).  That equals FRAME_TOL, so every kept frame passes
+# CoherentFrame, which still checks it on its own.
 NORM_FLOOR = 1e-8
 CONDITION_FLOOR = 1e-8
+REDRAW_RESIDUAL = FRAME_TOL
 
 
 def occupation_f(rho: float, p):
@@ -274,9 +278,9 @@ def _tight_frames(draws: np.ndarray):
     """Tight frames from a stack of draws (T, count, dimension).
 
     Returns (kept, vectors, weights): the indices of the draws that are not
-    redrawn (no norm below NORM_FLOOR, conditioning above CONDITION_FLOOR),
-    and for each of them the rows S^(-1/2) theta_k, normalized, with weights
-    |S^(-1/2) theta_k|^2.
+    redrawn (no norm below NORM_FLOOR, conditioning above CONDITION_FLOOR,
+    residual at most REDRAW_RESIDUAL), and for each of them the rows
+    S^(-1/2) theta_k, normalized, with weights |S^(-1/2) theta_k|^2.
     """
     norms = np.linalg.norm(draws, axis=2)
     kept = np.flatnonzero(~np.any(norms < NORM_FLOOR, axis=1))
@@ -289,7 +293,8 @@ def _tight_frames(draws: np.ndarray):
     rows = units @ inv_root
     weights = np.einsum("tkd,tkd->tk", rows, rows)
     rows /= np.sqrt(weights)[:, :, None]
-    return kept, rows, weights
+    tight = _frame_residuals(rows, weights) <= REDRAW_RESIDUAL
+    return kept[tight], rows[tight], weights[tight]
 
 
 def random_tight_frame(

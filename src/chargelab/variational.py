@@ -1,5 +1,6 @@
 """Radial minimization of the functional (1/2)int |grad phi|^2 - J int phi^(5/2)
-over normalized nonnegative profiles, and the N^(7/5) energy assembly.
+over normalized nonnegative profiles; its minimum e_star is the constant of
+the N^(7/5) law.
 
 The discrete kinetic form uses the staggered cell-midpoint gradient:
 T(phi) = (1/2) sum_cells 4 pi r_mid^2 ((phi_{i+1}-phi_i)/h_i)^2 h_i.
@@ -31,7 +32,6 @@ __all__ = [
     "rescale",
     "default_init",
     "minimize",
-    "asymptotic_energy",
     "GAUSSIAN_OPTIMAL_SCALE",
     "DEFAULT_R_MAX",
 ]
@@ -255,13 +255,6 @@ def minimize(
         iterations=iterations,
         converged=converged,
     )
-
-
-def asymptotic_energy(n_particles: int, e_star: float) -> float:
-    """Leading ground-state energy N^(7/5) * e_star for N particles."""
-    if n_particles < 1:
-        raise PreconditionError("n_particles must be >= 1")
-    return float(n_particles) ** 1.4 * e_star
 
 
 # optimal dilation of the unit Gaussian: lambda* = (3 V / (8 T))^(4/5) with

@@ -5,6 +5,7 @@ Run with -v (and -s to see the printed lines on success).  Every numeric
 threshold here is load-bearing; none may be loosened to make a test pass.
 """
 
+import hashlib
 import json
 import time
 
@@ -14,6 +15,8 @@ from chargelab import cli, matrixloc, spectral
 from chargelab.foldy import j_closed_form, j_from_integral
 
 SEED = 1905
+# sha256 of `verify --seed 1905`'s verify.jsonl, the behavioural oracle
+VERIFY_SHA256 = "23d0f3259097cc5a61eb3b0036736247abc18ac2c410199be4b2bebc079eeb5b"
 
 
 def _verdict(label, ok, detail):
@@ -168,7 +171,11 @@ def test_12_full_suite_determinism(tmp_path):
     bytes_a = (dir_a / "verify.jsonl").read_bytes()
     bytes_b = (dir_b / "verify.jsonl").read_bytes()
     summary = json.loads(bytes_a.splitlines()[-1])["summary"]
-    ok = code_a == 0 and code_b == 0 and bytes_a == bytes_b and summary["passed"]
+    digest = hashlib.sha256(bytes_a).hexdigest()
+    ok = (code_a == 0 and code_b == 0 and bytes_a == bytes_b and summary["passed"]
+          and digest == VERIFY_SHA256)
     _verdict("12 suite-determinism", ok,
              f"two runs, {len(bytes_a)} record bytes identical, "
-             f"{summary['checks']} checks passed")
+             f"{summary['checks']} checks passed, sha256 {digest} "
+             f"(pinned {VERIFY_SHA256}; a change that alters the records on "
+             f"purpose updates the pin and names the changed fields in CHANGES.md)")

@@ -11,30 +11,14 @@ from chargelab.errors import DomainError, PreconditionError
 
 NAN = math.nan
 PAIR = correlation.ParticleConfiguration(positions=[[0, 0, 0], [1, 0, 0]], charges=[1, -1])
-SPEC = foldy.CutoffSpec(mu_long=0.5, mu_short=2.0, s=1.0, ell=1.0)
 GRID = numerics.uniform_radial_grid(16, 8.0)
 LOCALIZED = matrixloc.localize(
     matrixloc.LocalizationProblem(matrix=np.eye(4), psi=np.full(4, 0.5), window=2))
 
-
-def _cly(mu, omega):
-    return correlation.cly_localization_check(
-        PAIR, mu, omega, correlation.BumpChi(), correlation.grid_covering(PAIR, 4))
-
-
 CASES = {
-    "yukawa-r": (lambda: correlation.yukawa(NAN, 0.0), DomainError),
-    "yukawa-mu": (lambda: correlation.yukawa(1.0, NAN), DomainError),
     "pair_energy-mu": (lambda: correlation.pair_energy(PAIR, NAN), DomainError),
     "yukawa_positivity-mu": (lambda: correlation.yukawa_positivity_check(PAIR, NAN),
                              DomainError),
-    "cly-mu": (lambda: _cly(NAN, 1.0), DomainError),
-    "cly-omega": (lambda: _cly(0.0, NAN), DomainError),
-    "cutoff-s": (lambda: foldy.CutoffSpec(0.5, 2.0, NAN, 1.0), DomainError),
-    "cutoff-ell": (lambda: foldy.CutoffSpec(0.5, 2.0, 1.0, NAN), DomainError),
-    "kinetic_symbol-p": (lambda: foldy.kinetic_symbol(NAN, SPEC), DomainError),
-    "potential_hat-p": (lambda: foldy.potential_hat(NAN, SPEC), DomainError),
-    "local_energy-nu": (lambda: foldy.local_energy(NAN, SPEC), DomainError),
     "simplified-nu": (lambda: foldy.simplified_energy_quadrature(NAN, 1.0), DomainError),
     "simplified-ell": (lambda: foldy.simplified_energy_quadrature(1.0, NAN), DomainError),
     "budget-c": (lambda: LOCALIZED.budget(NAN), DomainError),

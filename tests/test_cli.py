@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import math
@@ -187,6 +188,23 @@ class TestMainPlumbing:
         assert lines[0].startswith(f"# schema: {cli.SCHEMA_CSV}")
         assert lines[1] == "checker,trial_seed,n,mu,lhs,rhs,slack"
         assert len(lines) == 2 + 90  # three checkers x 30 trials
+
+    def test_inequality_records_match_the_pinned_digests(self, tmp_path):
+        # the behavioural oracle of the seeded fuzz, byte for byte
+        assert cli.main(["check-inequalities", "--trials", "3000", "--seed", "1905",
+                         "--outdir", str(tmp_path)]) == 0
+        pins = {
+            "check-inequalities.jsonl":
+                "2f3ddf22a5f252a6125f6181c2a706c40b1213493b6ed23722c218ef9032a452",
+            "check-inequalities-trials.csv":
+                "2dd4cdfa0a0957ad31fc657cb5fcdec835c5db1c8de226cf2ffff715a3be453b",
+        }
+        for name, pinned in pins.items():
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == pinned, (
+                f"{name}: sha256 {digest} != pinned {pinned}; a change that alters "
+                f"the records on purpose updates the pin and names the changed "
+                f"fields in CHANGES.md")
 
     def test_failed_write_keeps_the_earlier_files(self, tmp_path, monkeypatch):
         argv = ["bogolubov-fuzz", "--trials", "5", "--outdir", str(tmp_path)]

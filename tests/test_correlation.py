@@ -8,26 +8,18 @@ import pytest
 from chargelab.correlation import (
     _BLOCK,
     CHECKERS,
-    BumpChi,
     InequalityReport,
     ParticleConfiguration,
-    ProductGrid,
     baxter_check,
-    cly_localization_check,
-    grid_covering,
-    localization_omega_sweep,
     nearest_opposite_distances,
     onsager_check,
     pair_energy,
     random_configuration,
     run_random_ensemble,
-    yukawa,
     yukawa_positivity_check,
 )
 from chargelab.errors import DomainError, PreconditionError
 from chargelab.numerics import seed_words
-
-CHI_SQ = (128.0 / 315.0) ** 3  # integral of the default quartic bump squared
 
 
 def dipole(distance=1.0):
@@ -72,21 +64,6 @@ class TestConfiguration:
         rep = InequalityReport(lhs=0.0, rhs=1e-3)
         assert not rep.holds
         assert InequalityReport(lhs=0.0, rhs=5e-11).holds  # within tolerance
-
-
-class TestYukawa:
-    def test_reference_values(self):
-        assert yukawa(1.0, 0.0) == 1.0
-        assert yukawa(1.0, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
-        assert yukawa(2.0, 0.0) == 0.5
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            yukawa(0.0, 1.0)
-        with pytest.raises(DomainError):
-            yukawa(-1.0, 0.0)
-        with pytest.raises(DomainError):
-            yukawa(1.0, -0.5)
 
 
 class TestPairEnergy:
@@ -234,67 +211,6 @@ class TestPositivity:
     def test_requires_positive_mu(self):
         with pytest.raises(DomainError):
             yukawa_positivity_check(dipole(), 0.0)
-
-
-class TestBumpChi:
-    def test_support_and_bounds(self):
-        chi = BumpChi()
-        assert chi([[0, 0, 0]])[0] == 1.0
-        assert chi([[0.5, 0, 0]])[0] == 0.0
-        assert chi([[0.7, 0.1, 0]])[0] == 0.0
-        u = np.linspace(-1, 1, 101)
-        vals = chi.axis_profile(u)
-        assert np.all(vals >= 0) and np.all(vals <= 1)
-        assert np.all(vals[np.abs(u) >= 0.5] == 0)
-
-    def test_chi_sq_integral(self):
-        assert BumpChi().chi_sq_integral() == pytest.approx(CHI_SQ, rel=1e-12)
-
-    def test_invalid_power(self):
-        with pytest.raises(DomainError):
-            BumpChi(power=0)
-
-
-class TestLocalization:
-    def test_single_particle(self):
-        cfg = ParticleConfiguration(positions=[[0.2, 0.1, 0.0]], charges=[1.0])
-        rep = cly_localization_check(cfg, 0.0, 0.5, BumpChi(), grid_covering(cfg))
-        assert rep.lhs == 0.5 and rep.rhs == 0.0 and rep.holds
-
-    def test_far_dipole_threshold(self):
-        # no unit cube contains both particles, so the localized side is 0
-        # and the check reduces to 2*omega >= chi_sq / distance
-        cfg = dipole(2.0)
-        grid = grid_covering(cfg)
-        threshold = CHI_SQ / 4.0
-        low = cly_localization_check(cfg, 0.0, 0.95 * threshold, BumpChi(), grid)
-        high = cly_localization_check(cfg, 0.0, 1.05 * threshold, BumpChi(), grid)
-        assert low.rhs == 0.0 and not low.holds
-        assert high.rhs == 0.0 and high.holds
-
-    def test_close_dipole_holds(self):
-        cfg = dipole(0.01)
-        rep = cly_localization_check(cfg, 0.0, 0.5, BumpChi(), grid_covering(cfg, 32))
-        assert rep.holds
-
-    def test_omega_sweep(self):
-        rng = np.random.default_rng(5)
-        cfg = random_configuration(rng, 10, 2.0, "pm1")
-        omega_star, reports = localization_omega_sweep(
-            cfg, 0.0, BumpChi(), grid_covering(cfg, 16), np.geomspace(0.01, 2.0, 10)
-        )
-        assert np.isfinite(omega_star)
-        assert all(rep.holds for w, rep in reports if w >= omega_star)
-
-    def test_grid_validation(self):
-        with pytest.raises(PreconditionError):
-            ProductGrid(lo=0.0, hi=0.0, n_per_axis=8)
-        with pytest.raises(PreconditionError):
-            ProductGrid(lo=0.0, hi=1.0, n_per_axis=1)
-        with pytest.raises(DomainError):
-            cly_localization_check(
-                dipole(), 0.0, -1.0, BumpChi(), grid_covering(dipole())
-            )
 
 
 # (seed, n, box, charge kind): both kinds, n from 1 to 50, boxes from 1 to 10

@@ -1,36 +1,14 @@
-"""J routes and the local cutoff energy against frozen oracles."""
-import math
-
-import numpy as np
-import pytest
-
-from chargelab.errors import ConsistencyError, DomainError
+"""J routes and the simplified local energy quadrature against frozen oracles."""
 from chargelab.foldy import (
-    CutoffSpec,
-    LocalEnergyResult,
     foldy_j,
     j_closed_form,
     j_from_integral,
     j_integrand,
-    kinetic_symbol,
-    local_energy,
-    local_energy_simplified,
-    potential_hat,
     simplified_energy_quadrature,
 )
-from chargelab.numerics import QuadratureResult
 
 # 30-digit mpmath evaluations, frozen before the build.
 J_FROZEN = 0.574447353215854
-LOCAL_NU100_S01 = -225.424554502270731   # nu=100, ell=1, s=0.1, mu=(0.1, 100)
-LOCAL_NU100_S1 = -177.527231549080916    # same but s=1
-# widening-cutoff ladder (mu_long, mu_short, s) -> frozen value
-LADDER = [
-    ((0.8, 300.0, 2.0), -146.191356814135),
-    ((0.4, 1000.0, 4.0), -162.859357874541),
-    ((0.2, 3000.0, 8.0), -171.965086986185),
-    ((0.1, 10000.0, 16.0), -176.73446136224),
-]
 
 
 def test_j_closed_form_digits():
@@ -57,116 +35,14 @@ def test_foldy_j_cached_with_provenance():
     assert "quadrature" in jc.route
 
 
-def test_kinetic_symbol():
-    spec = CutoffSpec(mu_long=0.0, mu_short=1.0, s=1.0, ell=1.0)
-    assert kinetic_symbol(0.0, spec) == 0.0
-    assert abs(kinetic_symbol(1.0, spec) - 0.25) < 1e-15
-    wide = CutoffSpec(mu_long=0.0, mu_short=1.0, s=1e8, ell=2.0)
-    for p in (0.5, 1.0, 3.0):
-        assert abs(kinetic_symbol(p, wide) - 0.5 * 8.0 * p * p) < 1e-12
-    ps = np.linspace(0.0, 10.0, 200)
-    ts = [kinetic_symbol(p, spec) for p in ps]
-    assert all(t >= 0.0 for t in ts)
-    assert all(b >= a for a, b in zip(ts, ts[1:]))
-
-
-def test_potential_hat():
-    coulomb = CutoffSpec(mu_long=0.0, mu_short=1e8, s=1.0, ell=1.0)
-    for p in (0.3, 1.0, 5.0):
-        assert abs(potential_hat(p, coulomb) - 4.0 * math.pi / p**2) < 1e-12
-    spec = CutoffSpec(mu_long=1.0, mu_short=2.0, s=1.0, ell=1.0)
-    assert abs(potential_hat(0.0, spec) - 3.0 * math.pi) < 1e-14
-    assert potential_hat(1e6, spec) < 1e-10
-    assert potential_hat(2.5, spec) >= 0.0
-
-
-def test_local_energy_zero_nu():
-    spec = CutoffSpec(mu_long=0.1, mu_short=10.0, s=1.0, ell=1.0)
-    res = local_energy(0.0, spec)
-    assert res.value == 0.0
-
-
-def test_local_energy_frozen_values():
-    spec = CutoffSpec(mu_long=0.1, mu_short=100.0, s=0.1, ell=1.0)
-    res = local_energy(100.0, spec)
-    assert abs(res.value - LOCAL_NU100_S01) < 1e-7 * abs(LOCAL_NU100_S01)
-    assert res.value <= 0.0
-    assert res.integrand_peak_p > 0.0
-    spec1 = CutoffSpec(mu_long=0.1, mu_short=100.0, s=1.0, ell=1.0)
-    v1 = local_energy(100.0, spec1).value
-    assert abs(v1 - LOCAL_NU100_S1) < 1e-7 * abs(LOCAL_NU100_S1)
-    # at s=1 the cutoff value sits within 5% of the simplified closed form
-    simp = -foldy_j().value * 100.0**1.25
-    assert abs(v1 - simp) < 0.05 * abs(simp)
-
-
-def test_cutoff_ladder_monotone_convergence():
-    simp = -foldy_j().value * 100.0**1.25
-    gaps = []
-    for (mu, nus, s), frozen in LADDER:
-        spec = CutoffSpec(mu_long=mu, mu_short=nus, s=s, ell=1.0)
-        v = local_energy(100.0, spec).value
-        assert abs(v - frozen) < 1e-6 * abs(frozen)
-        gaps.append(abs(v - simp))
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-
-
-def test_local_energy_sign_ensemble():
-    rng = np.random.default_rng(20260825)
-    for _ in range(1000):
-        mu = float(rng.uniform(0.0, 2.0))
-        spec = CutoffSpec(
-            mu_long=mu,
-            mu_short=mu + float(rng.uniform(0.5, 200.0)),
-            s=float(rng.uniform(0.05, 20.0)),
-            ell=float(rng.uniform(0.2, 5.0)),
-        )
-        nu = float(rng.uniform(0.0, 300.0))
-        assert local_energy(nu, spec, tol=1e-8).value <= 0.0
-
-
-def test_integrand_nonnegative_pointwise():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        spec = CutoffSpec(
-            mu_long=float(rng.uniform(0.0, 1.0)),
-            mu_short=float(rng.uniform(2.0, 50.0)),
-            s=float(rng.uniform(0.1, 5.0)),
-            ell=float(rng.uniform(0.2, 3.0)),
-        )
-        nu = float(rng.uniform(0.0, 50.0))
-        for p in np.logspace(-2, 2, 25):
-            t = kinetic_symbol(p, spec)
-            b = nu * potential_hat(p, spec)
-            assert (t + b) - math.sqrt(t * t + 2 * t * b) >= -1e-12
-
-
 def test_simplified_identity_and_scaling():
-    v1 = local_energy_simplified(1.0, 1.0)
-    assert abs(v1 + foldy_j().value) < 1e-12
+    j = foldy_j().value
     quad = simplified_energy_quadrature(1.0, 1.0, tol=1e-10)
-    assert abs(quad - v1) < 1e-8 * abs(v1)
-    v16 = local_energy_simplified(16.0, 1.0)
-    assert abs(v16 - 32.0 * v1) < 1e-9 * abs(v16)
-    assert local_energy_simplified(0.0, 2.0) == 0.0
+    assert abs(quad + j) < 1e-8 * j
+    # E(lam^4 nu, ell) = lam^5 E(nu, ell), the nu^(5/4) law
     for lam in (2.0, 3.0):
         for nu, ell in ((1.0, 1.0), (3.0, 0.7)):
-            left = local_energy_simplified(lam**4 * nu, ell)
-            right = lam**5 * local_energy_simplified(nu, ell)
+            left = simplified_energy_quadrature(lam**4 * nu, ell)
+            right = lam**5 * simplified_energy_quadrature(nu, ell)
             assert abs(left - right) < 1e-9 * abs(right)
-
-
-def test_validation_errors():
-    with pytest.raises(DomainError):
-        CutoffSpec(mu_long=2.0, mu_short=1.0, s=1.0, ell=1.0)
-    with pytest.raises(DomainError):
-        CutoffSpec(mu_long=0.0, mu_short=1.0, s=0.0, ell=1.0)
-    spec = CutoffSpec(mu_long=0.0, mu_short=1.0, s=1.0, ell=1.0)
-    with pytest.raises(DomainError):
-        local_energy(-1.0, spec)
-    with pytest.raises(ConsistencyError):
-        LocalEnergyResult(
-            value=1.0,
-            integrand_peak_p=1.0,
-            quadrature=QuadratureResult(value=1.0, error_estimate=0.0, evaluations=1),
-        )
+    assert simplified_energy_quadrature(0.0, 2.0) == 0.0

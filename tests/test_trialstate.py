@@ -392,9 +392,18 @@ class TestBatchedEnsembles:
     def test_minimal_frames(self, dimension):
         self.replayed("sqrt-pairing", 30, 161803, dimension=dimension, count=dimension)
 
-    def test_a_frame_beyond_tolerance_fails_both_routes(self):
-        # square frames of dimension 8 can pass CONDITION_FLOOR and still miss
-        # FRAME_TOL; the block raises the error of its worst trial's replay
+    @pytest.mark.parametrize("dimension", [3, 4, 6, 8])
+    def test_square_frames_are_redrawn_to_tolerance(self, dimension):
+        # square frames can pass CONDITION_FLOOR and still miss FRAME_TOL;
+        # such a draw is redrawn, so every master seed runs and replays
+        for seed in range(20):
+            self.replayed("sqrt", 30, seed, dimension=dimension, count=dimension)
+
+    def test_a_frame_beyond_tolerance_fails_both_routes(self, monkeypatch):
+        # with FRAME_TOL below REDRAW_RESIDUAL, a kept square frame of
+        # dimension 8 can miss it; the block raises the error of its worst
+        # trial's replay
+        monkeypatch.setattr(trialstate, "FRAME_TOL", 1e-12)
         with pytest.raises(DomainError, match="tight-frame residual") as batch:
             berezin_lieb_ensemble("sqrt-pairing", 30, 161803, dimension=8, count=8)
         errors = []

@@ -8,7 +8,6 @@ from chargelab.variational import (
     GAUSSIAN_OPTIMAL_SCALE,
     MinimizationResult,
     RadialProfile,
-    asymptotic_energy,
     default_init,
     functional_energy,
     gaussian_profile,
@@ -163,21 +162,6 @@ class TestMinimize:
             minimize(tol=0.0)
         with pytest.raises(PreconditionError):
             minimize(max_iter=0)
-
-
-class TestAsymptoticEnergy:
-    def test_exact_powers(self):
-        assert asymptotic_energy(1, -0.05) == -0.05
-        assert asymptotic_energy(32, -0.05) == pytest.approx(
-            -0.05 * 128.0, rel=1e-15
-        )
-        assert asymptotic_energy(10**6, -0.05) == pytest.approx(
-            -0.05 * 10.0**8.4, rel=1e-14
-        )
-
-    def test_validates_n(self):
-        with pytest.raises(PreconditionError):
-            asymptotic_energy(0, -0.05)
 
 
 class TestMinimizationResult:
