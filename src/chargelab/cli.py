@@ -645,29 +645,12 @@ def run_sobolev_study(depths=(5.0, 10.0, 20.0, 50.0), invariance_tol: float = 1e
 
 def run_stability(charges, q: int, c_lt: float, n_electrons: int,
                   radius: float | None = None, vacuum_strength: float | None = None):
-    """Assemble the nearest-nucleus stability bound for a nuclear arrangement
-    (positions are immaterial; only the count and the largest charge enter)."""
-    if vacuum_strength is not None:
-        bound = spectral.stability_bound(
-            None, q=q, c_lt=c_lt, n_electrons=n_electrons,
-            radius=radius, strength=vacuum_strength,
-        )
-    else:
-        z = np.asarray(list(charges), dtype=float)
-        if z.size == 0:
-            raise PreconditionError("charges must be nonempty (or use --vacuum-strength)")
-        spacing = 4.0 * (radius if radius is not None else 1.0)
-        extent = spacing * (z.size - 1)  # the widest pair, squared for its distance
-        if not (math.isfinite(spacing) and math.isfinite(extent * extent)):
-            raise PreconditionError(
-                f"radius {radius:.3e} too large: nuclei placed 4*radius apart overflow"
-            )
-        positions = np.zeros((z.size, 3))
-        positions[:, 0] = spacing * np.arange(z.size)
-        nuclei = correlation.ParticleConfiguration(positions=positions, charges=z)
-        bound = spectral.stability_bound(
-            nuclei, q=q, c_lt=c_lt, n_electrons=n_electrons, radius=radius
-        )
+    """The nearest-nucleus stability bound for nuclei of the given charges,
+    or for the vacuum at an explicit strength when vacuum_strength is set."""
+    bound = spectral.stability_bound(
+        None if vacuum_strength is not None else charges, q=q, c_lt=c_lt,
+        n_electrons=n_electrons, radius=radius, strength=vacuum_strength,
+    )
     row = {
         "check": "stability-bound",
         "strength": bound.strength,

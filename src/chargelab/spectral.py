@@ -8,7 +8,9 @@ E0 / int|V|_-^(5/2) and neg_sum / int|V|_-^(5/2) bracket the Sobolev and
 Lieb-Thirring constants empirically; no universal constant is hardcoded.
 The stability calculator assembles the one-body consequence of the
 correlation estimate: every electron feels only its nearest nucleus,
-screened beyond radius R, at coupling strength 1 + 2 max z.
+screened beyond radius R, at coupling strength 1 + 2 max z.  Lieb-Thirring
+then costs one screened ball per nucleus, so the bound takes the nuclear
+charges alone: their positions never enter.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import ParticleConfiguration
 from .errors import (
     AccuracyError,
     ConsistencyError,
@@ -46,7 +47,7 @@ __all__ = [
 # limit of neg_sum / int|V|_-^(5/2)
 SEMICLASSICAL_LT_RATIO = -(2.0**2.5) / (30.0 * math.pi**2)
 
-POTENTIAL_KINDS = ("gaussian-well", "square-well", "multi-nucleus-regularized")
+POTENTIAL_KINDS = ("gaussian-well", "square-well", "screened-nucleus")
 
 ELL_CONVERGED = 1e-6  # stop adding channels below this relative contribution
 ELL_CAP = 300
@@ -64,6 +65,11 @@ def _five_halves_fits(x: float) -> bool:
         return False
 
 
+def _screened_ball(radius: float) -> float:
+    """int (1/r - 1/R)_+^(5/2) d^3x over one ball of radius R, closed form."""
+    return 1.25 * math.pi**2 * math.sqrt(radius)
+
+
 @dataclass(frozen=True, eq=False)
 class PotentialSpec:
     """One attractive potential from a named family, with |V|_-^(5/2)
@@ -71,14 +77,15 @@ class PotentialSpec:
 
     gaussian-well:  V(r) = -depth exp(-(r/width)^2)
     square-well:    V(r) = -depth for r < width, else 0
-    multi-nucleus-regularized:
-        V(x) = -strength (min_k |x - c_k|^(-1) - 1/cutoff_radius)_+
+    screened-nucleus:
+                    V(r) = -strength (1/r - 1/cutoff_radius)_+
+
+    All three are radial, centred at the origin.
     """
 
     kind: str
     depth: float = 0.0
     width: float = 0.0
-    centers: np.ndarray | None = None
     strength: float = 0.0
     cutoff_radius: float = 0.0
 
@@ -91,63 +98,33 @@ class PotentialSpec:
             if not (self.width > 0 and math.isfinite(self.width)):
                 raise DomainError("width must be finite and > 0")
         else:
-            centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-            if centers.ndim != 2 or centers.shape[1] != 3 or centers.shape[0] < 1:
-                raise DomainError("centers must be a nonempty (n, 3) array")
-            if not np.all(np.isfinite(centers)):
-                raise DomainError("centers must be finite")
             if not _five_halves_fits(self.strength):
                 raise DomainError("strength must be > 0 with strength^(5/2) finite and > 0")
             if not (self.cutoff_radius > 0 and math.isfinite(self.cutoff_radius)):
                 raise DomainError("cutoff_radius must be finite and > 0")
-            object.__setattr__(self, "centers", centers)
 
     @property
     def length_scale(self) -> float:
-        if self.kind == "multi-nucleus-regularized":
+        if self.kind == "screened-nucleus":
             return self.cutoff_radius
         return self.width
 
     def radial(self, r: np.ndarray) -> np.ndarray:
-        """V on radii r > 0; defined for radially symmetric members only
-        (wells, or a single regularized nucleus)."""
+        """V on radii r > 0."""
         r = np.asarray(r, dtype=float)
         if self.kind == "gaussian-well":
             return -self.depth * np.exp(-((r / self.width) ** 2))
         if self.kind == "square-well":
             return np.where(r < self.width, -self.depth, 0.0)
-        if self.centers.shape[0] != 1:
-            raise DomainError(
-                "radial evaluation needs a single nucleus; multi-center "
-                "potentials have no radial reduction"
-            )
         return -self.strength * np.clip(1.0 / r - 1.0 / self.cutoff_radius, 0.0, None)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """V at arbitrary 3D points (n, 3)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "multi-nucleus-regularized":
-            gaps = points[:, None, :] - self.centers[None, :, :]
-            nearest = np.sqrt((gaps**2).sum(axis=2)).min(axis=1)
-            with np.errstate(divide="ignore"):  # on a nucleus: V = -inf
-                inv = 1.0 / nearest
-            return -self.strength * np.clip(inv - 1.0 / self.cutoff_radius, 0.0, None)
-        return self.radial(np.linalg.norm(points, axis=1))
-
     def v_integral(self) -> float:
-        """int |V|_-^(5/2) d^3x, in closed form per family.
-
-        For multiple nuclei the per-ball closed form is summed; exact for
-        disjoint screening balls (spacing > 2 cutoff_radius) and an upper
-        bound otherwise, which is the safe direction for lower bounds on
-        the energy.
-        """
+        """int |V|_-^(5/2) d^3x, in closed form per family."""
         if self.kind == "gaussian-well":
             return self.depth**2.5 * (2.0 * math.pi / 5.0) ** 1.5 * self.width**3
         if self.kind == "square-well":
             return self.depth**2.5 * (4.0 * math.pi / 3.0) * self.width**3
-        per_ball = 1.25 * math.pi**2 * math.sqrt(self.cutoff_radius)
-        return self.strength**2.5 * self.centers.shape[0] * per_ball
+        return self.strength**2.5 * _screened_ball(self.cutoff_radius)
 
     def v_integral_quadrature(self, tol: float = 1e-10) -> float:
         """Independent quadrature route for the same integral.
@@ -179,7 +156,7 @@ class PotentialSpec:
             return quad.value
         quad = integrate_1d(lambda s: (1.0 - s * s) ** 2.5, 0.0, 1.0, tol=tol)
         per_ball = 8.0 * math.pi * math.sqrt(self.cutoff_radius) * quad.value
-        return self.strength**2.5 * self.centers.shape[0] * per_ball
+        return self.strength**2.5 * per_ball
 
 
 def gaussian_well(depth: float, width: float = 1.0) -> PotentialSpec:
@@ -190,14 +167,9 @@ def square_well(depth: float, width: float = 1.0) -> PotentialSpec:
     return PotentialSpec(kind="square-well", depth=depth, width=width)
 
 
-def nucleus_potential(
-    centers, strength: float, cutoff_radius: float
-) -> PotentialSpec:
+def nucleus_potential(strength: float, cutoff_radius: float) -> PotentialSpec:
     return PotentialSpec(
-        kind="multi-nucleus-regularized",
-        centers=centers,
-        strength=strength,
-        cutoff_radius=cutoff_radius,
+        kind="screened-nucleus", strength=strength, cutoff_radius=cutoff_radius
     )
 
 
@@ -363,7 +335,7 @@ class StabilityBound:
 
 
 def stability_bound(
-    nuclei: ParticleConfiguration | None,
+    charges,
     q: int,
     c_lt: float,
     n_electrons: int,
@@ -371,12 +343,14 @@ def stability_bound(
     strength: float | None = None,
 ) -> StabilityBound:
     """Lower bound on the energy of n_electrons fermions (q spin states)
-    around fixed nuclei, from the Lieb-Thirring inequality applied to the
-    screened nearest-nucleus potential.
+    around fixed nuclei of the given charges, from the Lieb-Thirring
+    inequality applied to the screened nearest-nucleus potential.
 
-    The screening radius defaults to 1 / (1 + 2 max z).  With nuclei=None
-    the potential vanishes and only the -N_e strength / radius term
-    remains (an explicit strength is then required).
+    Each nucleus contributes one screening ball, so only the number of
+    nuclei and the largest charge enter; positions are immaterial.  The
+    screening radius defaults to 1 / (1 + 2 max z).  With charges=None the
+    potential vanishes and only the -N_e strength / radius term remains
+    (an explicit strength is then required).
     """
     if q < 1:
         raise DomainError("q must be >= 1")
@@ -384,24 +358,25 @@ def stability_bound(
         raise DomainError("c_lt must be > 0")
     if n_electrons < 1:
         raise DomainError("n_electrons must be >= 1")
-    if nuclei is None:
+    if charges is None:
         if strength is None or not strength > 0:
             raise DomainError("the vacuum case needs an explicit strength > 0")
         coupling = float(strength)
-        v_int = 0.0
     else:
-        charges = nuclei.charges
-        if np.any(charges <= 0):
-            raise DomainError("nuclei must all carry positive charge")
-        coupling = 1.0 + 2.0 * float(np.max(charges))
-        v_int = math.nan  # filled below once the radius is fixed
+        z = np.array(charges, dtype=float, ndmin=1)
+        if z.size == 0:
+            raise PreconditionError("charges must be nonempty (or use --vacuum-strength)")
+        if not np.all((z > 0) & np.isfinite(z)):
+            raise DomainError("nuclear charges must be finite and > 0")
+        coupling = 1.0 + 2.0 * float(np.max(z))
     r_cut = 1.0 / coupling if radius is None else float(radius)
     if not r_cut > 0:
         raise DomainError("radius must be > 0")
-    if nuclei is not None:
-        spec = nucleus_potential(nuclei.positions, coupling, r_cut)
-        v_int = spec.v_integral()
-        by_quad = spec.v_integral_quadrature()
+    v_int = 0.0
+    if charges is not None:
+        spec = nucleus_potential(coupling, r_cut)  # rejects an overflowing strength^(5/2)
+        v_int = coupling**2.5 * z.size * _screened_ball(r_cut)
+        by_quad = z.size * spec.v_integral_quadrature()
         if abs(by_quad - v_int) > 1e-8 * v_int:
             raise ConsistencyError(
                 f"potential integral routes disagree: closed={v_int!r} "

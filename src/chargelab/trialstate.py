@@ -233,9 +233,6 @@ class CoherentFrame:
     def count(self) -> int:
         return self.vectors.shape[0]
 
-    def frame_operator(self) -> np.ndarray:
-        return _frame_operators(self.vectors, self.weights)
-
     def frame_residual(self) -> float:
         return float(_frame_residuals(self.vectors, self.weights))
 

@@ -1,6 +1,7 @@
 """NaN at the library boundary: every guarded public scalar argument
-rejects NaN, and integrate_1d a NaN or infinite integrand value, with the
-exception its range check documents."""
+rejects NaN, integrate_1d a NaN or infinite integrand value and
+stability_bound a NaN or infinite nuclear charge, with the exception its
+range check documents."""
 import math
 
 import numpy as np
@@ -33,10 +34,14 @@ CASES = {
                         DomainError),
     "gamma-x": (lambda: numerics.gamma(NAN), DomainError),
     "radial_grid-r_max": (lambda: numerics.uniform_radial_grid(16, NAN), DomainError),
-    "stability-c_lt": (lambda: spectral.stability_bound(PAIR, 2, NAN, 10), DomainError),
+    "stability-charges": (lambda: spectral.stability_bound((1.0, NAN), 2, 0.04, 10),
+                          DomainError),
+    "stability-charges-inf": (lambda: spectral.stability_bound((math.inf,), 2, 0.04, 10),
+                              DomainError),
+    "stability-c_lt": (lambda: spectral.stability_bound((1.0,), 2, NAN, 10), DomainError),
     "stability-strength": (lambda: spectral.stability_bound(None, 2, 0.04, 10, strength=NAN),
                            DomainError),
-    "stability-radius": (lambda: spectral.stability_bound(PAIR, 2, 0.04, 10, radius=NAN),
+    "stability-radius": (lambda: spectral.stability_bound((1.0,), 2, 0.04, 10, radius=NAN),
                          DomainError),
     "occupation_f-rho": (lambda: trialstate.occupation_f(NAN, 1.0), DomainError),
     "pointwise-rho": (lambda: trialstate.pointwise_pair_energy(NAN), DomainError),

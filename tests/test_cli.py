@@ -206,6 +206,32 @@ class TestMainPlumbing:
                 f"the records on purpose updates the pin and names the changed "
                 f"fields in CHANGES.md")
 
+    def test_stability_records_match_the_pinned_digests(self, tmp_path):
+        # verify does not run stability-bound, so its digests do not cover it
+        pins = {
+            (): "a89eb62bb52781a2bea4019a1cce8fefca58618e10b7db705e790b8c4f38ee76",
+            ("--charges", "1,1,1", "--q", "2", "--c-lt", "0.04", "--n-electrons", "10"):
+                "8a5c64e070d0f8aa1b6892e4589cf84bf00f798efe17a01e6ec47f9e7ab503ea",
+            ("--charges", "1,2,3", "--radius", "0.5"):
+                "1ea58ed0542b11ec65b9bed270ea02f0faee6c3d0db06049ebb4d0b47fffef78",
+            ("--charges", "1e123"):
+                "970b59d4042429c967a3f734898109c6e580e3bc71a06ac78fbe30558ce36d8e",
+            ("--vacuum-strength", "3", "--radius", "0.3333"):
+                "bb67dfd0c1b7fc93bcda040266870e8c6c7731700671219a24a53cc70f70c728",
+            ("--radius=4e307",):
+                "044deae550f75782f7dc232df8c6989ef36578d14cc1e6223c94d3565b511334",
+            ("--charges", "2", "--radius", "1e-300"):
+                "6c5d9d32e61eec38415a19e78e403d8528ddfb20c589f2f027c06e24d8b359f1",
+        }
+        for flags, pinned in pins.items():
+            assert cli.main(["stability-bound", *flags, "--outdir", str(tmp_path)]) == 0
+            name = "stability-bound.jsonl"
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == pinned, (
+                f"{name} {' '.join(flags)}: sha256 {digest} != pinned {pinned}; a change "
+                f"that alters the records on purpose updates the pin and names the "
+                f"changed fields in CHANGES.md")
+
     def test_failed_write_keeps_the_earlier_files(self, tmp_path, monkeypatch):
         argv = ["bogolubov-fuzz", "--trials", "5", "--outdir", str(tmp_path)]
         assert cli.main(argv) == 0
@@ -358,19 +384,23 @@ class TestExitCodes:
         assert code == 0
         capsys.readouterr()
 
-    def test_overflowing_radius_is_usage_without_warning(self, tmp_path, capsys):
-        # 4 * radius overflows for one nucleus; for two, the squared distance
+    def test_any_positive_finite_radius_passes_without_warning(self, tmp_path, capsys):
+        # the bound places no nuclei, so no radius crowds or overflows them
+        def row(*flags):
+            assert cli.main(["stability-bound", *flags, "--outdir", str(tmp_path)]) == 0
+            _, rows, summary = read_record(tmp_path / "stability-bound.jsonl")
+            assert math.isfinite(summary["total"]) and rows[0]["holds"]
+            return rows[0]
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for argv in (["stability-bound", "--radius=1e308"],
-                         ["stability-bound", "--radius=1e200", "--charges", "1,1"]):
-                assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
-                err = capsys.readouterr().err
-                assert err.startswith("error: radius") and "too large" in err
-                assert err.count("\n") == 1
-            assert cli.main(["stability-bound", "--radius=4e307",
-                             "--outdir", str(tmp_path)]) == 0
-        capsys.readouterr()
+            pair = row("--charges", "1,1", "--radius", "1e-14")
+            row("--radius=1e308")
+            row("--radius=1e200", "--charges", "1,1")
+            one = row("--charges", "1", "--radius", "1e-14")
+        assert capsys.readouterr().err == ""
+        assert (pair["strength"], pair["radius"]) == (one["strength"], one["radius"])
+        assert pair["v_integral"] == 2.0 * one["v_integral"]
 
     def test_uncoupled_ladder_passes(self, tmp_path, capsys):
         code = cli.main(["bogolubov-sharpness", "--gplus", "0",

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from chargelab.correlation import ParticleConfiguration
 from chargelab.errors import (
     AccuracyError,
     ConsistencyError,
@@ -35,11 +34,6 @@ NUCLEUS_13_INTEGRAL = 14.066350491965478  # 1.25 pi^2 sqrt(1.3)
 STABILITY_PER_ELECTRON = -9.888264396098041
 
 
-def origin_nucleus(strength=1.0, cutoff=1.0):
-    spec = ParticleConfiguration(positions=np.zeros((1, 3)), charges=np.ones(1))
-    return spec, nucleus_potential(np.zeros((1, 3)), strength, cutoff)
-
-
 class TestPotentialSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(DomainError):
@@ -54,17 +48,9 @@ class TestPotentialSpec:
             square_well(depth, width)
 
     def test_rejects_bad_nucleus_parameters(self):
-        good = np.zeros((1, 3))
-        with pytest.raises(DomainError):
-            nucleus_potential(np.zeros((0, 3)), 1.0, 1.0)
-        with pytest.raises(DomainError):
-            nucleus_potential(np.zeros((2, 2)), 1.0, 1.0)
-        with pytest.raises(DomainError):
-            nucleus_potential(np.array([[0.0, 0.0, math.inf]]), 1.0, 1.0)
-        with pytest.raises(DomainError):
-            nucleus_potential(good, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            nucleus_potential(good, 1.0, 0.0)
+        for strength, cutoff in ((0.0, 1.0), (1e124, 1.0), (1.0, 0.0), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                nucleus_potential(strength, cutoff)
 
     def test_radial_values(self):
         r = np.array([0.25, 1.0, 2.0])
@@ -72,43 +58,14 @@ class TestPotentialSpec:
         assert gauss[1] == pytest.approx(-3.0 / math.e, rel=1e-15)
         square = square_well(2.0, 1.0).radial(r)
         assert square[0] == -2.0 and square[1] == 0.0 and square[2] == 0.0
-        _, nucleus = origin_nucleus(strength=2.0, cutoff=1.0)
-        vals = nucleus.radial(np.array([0.5, 1.0, 3.0]))
+        vals = nucleus_potential(2.0, 1.0).radial(np.array([0.5, 1.0, 3.0]))
         # at r = R/2 the screened tail leaves exactly strength / R
         assert vals[0] == pytest.approx(-2.0, rel=1e-15)
         assert vals[1] == 0.0 and vals[2] == 0.0
 
-    def test_radial_needs_single_center(self):
-        two = nucleus_potential(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]), 1.0, 1.0)
-        with pytest.raises(DomainError):
-            two.radial(np.array([1.0]))
-
-    def test_evaluate_matches_radial_when_centered(self):
-        rng = np.random.default_rng(11)
-        points = rng.normal(size=(40, 3))
-        _, spec = origin_nucleus(strength=1.5, cutoff=2.0)
-        by_radius = spec.radial(np.linalg.norm(points, axis=1))
-        assert np.allclose(spec.evaluate(points), by_radius, rtol=1e-14, atol=0)
-        well = gaussian_well(4.0, 1.3)
-        assert np.allclose(
-            well.evaluate(points),
-            well.radial(np.linalg.norm(points, axis=1)),
-            rtol=1e-14,
-            atol=0,
-        )
-
-    def test_evaluate_uses_nearest_center(self):
-        centers = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
-        spec = nucleus_potential(centers, 1.0, 1.0)
-        # closer to the second nucleus: distance 0.5 there, 3.5 to the first
-        val = spec.evaluate(np.array([[3.5, 0.0, 0.0]]))[0]
-        assert val == pytest.approx(-(1.0 / 0.5 - 1.0), rel=1e-15)
-        assert spec.evaluate(centers[:1])[0] == -math.inf
-
     def test_length_scale(self):
         assert gaussian_well(2.0, 1.7).length_scale == 1.7
-        _, spec = origin_nucleus(cutoff=0.4)
-        assert spec.length_scale == 0.4
+        assert nucleus_potential(1.0, 0.4).length_scale == 0.4
         grid = default_eigen_grid(square_well(1.0, 2.0))
         assert grid.n_nodes == 2000 and grid.r_max == 16.0
 
@@ -127,7 +84,7 @@ class TestVIntegral:
         assert spec.v_integral_quadrature() == pytest.approx(closed, rel=1e-12)
 
     def test_nucleus_frozen_value(self):
-        spec = nucleus_potential(np.zeros((1, 3)), 1.0, 1.3)
+        spec = nucleus_potential(1.0, 1.3)
         assert spec.v_integral() == pytest.approx(NUCLEUS_13_INTEGRAL, rel=1e-13)
         assert spec.v_integral_quadrature() == pytest.approx(
             NUCLEUS_13_INTEGRAL, rel=1e-8
@@ -135,14 +92,17 @@ class TestVIntegral:
 
     @pytest.mark.parametrize("radius", [1e-298, 1e-6, 1.0, 1e123])
     def test_nucleus_routes_agree_across_radii(self, radius):
-        spec = nucleus_potential(np.zeros((1, 3)), 1.0, radius)
+        spec = nucleus_potential(1.0, radius)
         assert spec.v_integral_quadrature() == pytest.approx(spec.v_integral(), rel=1e-8)
 
     def test_nucleus_scales_with_count_and_strength(self):
-        base = nucleus_potential(np.zeros((1, 3)), 1.0, 0.7).v_integral()
-        centers = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
-        spread = nucleus_potential(centers, 2.0, 0.7).v_integral()
-        assert spread == pytest.approx(3.0 * 2.0**2.5 * base, rel=1e-14)
+        base = nucleus_potential(1.0, 0.7).v_integral()
+        assert nucleus_potential(2.0, 0.7).v_integral() == pytest.approx(
+            2.0**2.5 * base, rel=1e-14
+        )
+        # three nuclei of charge 0.5 couple at 1 + 2 * 0.5 = 2: three balls
+        three = stability_bound((0.5, 0.5, 0.5), q=1, c_lt=0.04, n_electrons=1, radius=0.7)
+        assert three.v_integral == pytest.approx(3.0 * 2.0**2.5 * base, rel=1e-14)
 
 
 class TestGroundState:
@@ -162,7 +122,7 @@ class TestGroundState:
     def test_near_coulomb_limit(self):
         # inside the screening ball the potential is hydrogenic shifted by
         # strength / R, so E0 -> -1/2 + 1/R up to exp(-R) corrections
-        _, spec = origin_nucleus(strength=1.0, cutoff=50.0)
+        spec = nucleus_potential(1.0, 50.0)
         e = ground_state_energy(spec, uniform_radial_grid(4000, 40.0))
         assert e == pytest.approx(-0.48, abs=1e-7)
 
@@ -249,8 +209,7 @@ class TestNegativeSum:
 
 class TestStabilityBound:
     def test_frozen_single_nucleus(self):
-        nuclei, _ = origin_nucleus()
-        bound = stability_bound(nuclei, q=2, c_lt=0.04, n_electrons=10)
+        bound = stability_bound((1.0,), q=2, c_lt=0.04, n_electrons=10)
         assert bound.strength == 3.0
         assert bound.radius == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert bound.v_integral == pytest.approx(111.03304951225527, rel=1e-12)
@@ -258,39 +217,21 @@ class TestStabilityBound:
         assert bound.total == pytest.approx(10.0 * STABILITY_PER_ELECTRON, rel=1e-12)
 
     def test_linear_in_electron_count(self):
-        nuclei, _ = origin_nucleus()
         totals = [
-            stability_bound(nuclei, q=2, c_lt=0.04, n_electrons=n).total
+            stability_bound((1.0,), q=2, c_lt=0.04, n_electrons=n).total
             for n in (10, 11, 12)
         ]
         # each extra electron costs exactly strength / radius = 9
         assert totals[1] - totals[0] == -9.0
         assert totals[2] - totals[1] == -9.0
 
-    def test_rigid_motion_invariance(self):
-        rng = np.random.default_rng(7)
-        pos = rng.normal(size=(3, 3)) * 5.0
-        base = ParticleConfiguration(positions=pos, charges=np.ones(3))
-        shifted = ParticleConfiguration(
-            positions=pos + np.array([2.0, -1.0, 4.0]), charges=np.ones(3)
-        )
-        a = stability_bound(base, q=2, c_lt=0.05, n_electrons=4)
-        b = stability_bound(shifted, q=2, c_lt=0.05, n_electrons=4)
-        assert a.total == b.total and a.v_integral == b.v_integral
-
-    def test_spacing_invariance_when_disjoint(self):
-        def pair(spacing):
-            pos = np.array([[0.0, 0.0, 0.0], [spacing, 0.0, 0.0]])
-            return ParticleConfiguration(positions=pos, charges=np.ones(2))
-
-        near = stability_bound(pair(3.0), q=1, c_lt=0.05, n_electrons=2)
-        far = stability_bound(pair(6.0), q=1, c_lt=0.05, n_electrons=2)
-        assert near.total == far.total
+    def test_only_count_and_largest_charge_enter(self):
+        base = stability_bound((1.0, 3.0, 2.0), q=2, c_lt=0.05, n_electrons=4)
+        for charges in ((3.0, 2.0, 1.0), (2.0, 1.0, 3.0), (0.1, 3.0, 3.0), (3.0, 1e-9, 2.5)):
+            assert stability_bound(charges, q=2, c_lt=0.05, n_electrons=4) == base
 
     def test_max_charge_sets_coupling(self):
-        pos = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
-        nuclei = ParticleConfiguration(positions=pos, charges=np.array([1.0, 2.0]))
-        bound = stability_bound(nuclei, q=2, c_lt=0.04, n_electrons=3)
+        bound = stability_bound((1.0, 2.0), q=2, c_lt=0.04, n_electrons=3)
         assert bound.strength == 5.0
         assert bound.radius == pytest.approx(0.2, rel=1e-15)
         per_ball = 1.25 * math.pi**2 * math.sqrt(0.2)
@@ -299,9 +240,8 @@ class TestStabilityBound:
         )
 
     def test_explicit_radius_override(self):
-        nuclei, _ = origin_nucleus()
-        default = stability_bound(nuclei, q=2, c_lt=0.04, n_electrons=5)
-        wide = stability_bound(nuclei, q=2, c_lt=0.04, n_electrons=5, radius=1.0)
+        default = stability_bound((1.0,), q=2, c_lt=0.04, n_electrons=5)
+        wide = stability_bound((1.0,), q=2, c_lt=0.04, n_electrons=5, radius=1.0)
         assert wide.radius == 1.0
         assert wide.v_integral == pytest.approx(
             default.v_integral * math.sqrt(3.0), rel=1e-12
@@ -317,7 +257,7 @@ class TestStabilityBound:
             stability_bound(None, q=2, c_lt=0.04, n_electrons=5, radius=1.0)
 
     def test_validation(self):
-        nuclei, _ = origin_nucleus()
+        nuclei = (1.0,)
         with pytest.raises(DomainError):
             stability_bound(nuclei, q=0, c_lt=0.04, n_electrons=1)
         with pytest.raises(DomainError):
@@ -326,8 +266,8 @@ class TestStabilityBound:
             stability_bound(nuclei, q=1, c_lt=0.04, n_electrons=0)
         with pytest.raises(DomainError):
             stability_bound(nuclei, q=1, c_lt=0.04, n_electrons=1, radius=-1.0)
-        anion = ParticleConfiguration(
-            positions=np.zeros((1, 3)), charges=-np.ones(1)
-        )
-        with pytest.raises(DomainError):
-            stability_bound(anion, q=1, c_lt=0.04, n_electrons=1)
+        for charges in ((-1.0,), (1.0, 0.0), (1e124,)):
+            with pytest.raises(DomainError):
+                stability_bound(charges, q=1, c_lt=0.04, n_electrons=1)
+        with pytest.raises(PreconditionError):
+            stability_bound((), q=1, c_lt=0.04, n_electrons=1)
