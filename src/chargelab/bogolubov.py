@@ -82,7 +82,6 @@ class TruncatedFockOperator:
     `dimension` counts the Q = 0 states, the sum of the block sizes."""
 
     n_max: int
-    dimension: int
     even: np.ndarray
     odd: np.ndarray
 
@@ -93,6 +92,10 @@ class TruncatedFockOperator:
             if asym > 1e-12:
                 raise PreconditionError(
                     f"{name} block not symmetric (max asymmetry {asym:.3e})")
+
+    @property
+    def dimension(self) -> int:
+        return self.even.shape[0] + self.odd.shape[0]
 
 
 def closed_form_bound(model: BogolubovModel) -> float:
@@ -183,7 +186,7 @@ def build_hamiltonian(model: BogolubovModel, n_max: int) -> TruncatedFockOperato
     keep = (side[rows] < 0) & (side[cols] < 0)
     odd = _block_matrix(int(odd_of[-1]) + 1, odd_of[rows[keep]], odd_of[cols[keep]],
                         vals[keep])
-    return TruncatedFockOperator(n_max=n_max, dimension=dim, even=even, odd=odd)
+    return TruncatedFockOperator(n_max=n_max, even=even, odd=odd)
 
 
 def ground_energy(op: TruncatedFockOperator) -> float:

@@ -4,12 +4,14 @@ Run records are line-oriented JSON -- a header line carrying the schema
 tag, package version, subcommand, seed, and parameters; one line per
 check row; a closing summary line -- with sorted keys and repr round-trip
 floats, so two runs with the same configuration produce byte-identical
-files.  Records are strict JSON: a non-finite float is written as the
-string "inf", "-inf" or "nan", the spelling the CSV tables use.  The
-wall-clock duration (and, for `verify`, each check's duration) is written
-to a sidecar ``<name>.meta.json`` to keep it out of the deterministic
-surface.  Plot-ready tables are CSV with a schema tag comment on the first
-line; rendering is out of scope.
+files.  `write_record` writes one from those parts; `main` passes it the
+parsed flags, less the plumbing ones, as the parameters.  Records are
+strict JSON: a non-finite float is written as the string "inf", "-inf"
+or "nan", the spelling the CSV tables use.  The wall-clock duration
+(and, for `verify`, each check's duration) is written to a sidecar
+``<name>.meta.json`` to keep it out of the deterministic surface.
+Plot-ready tables are CSV with a schema tag comment on the first line;
+rendering is out of scope.
 
 Each subcommand's parser carries the function it runs (``args.run``).  The
 verification suite is `BATTERY`, ten subcommand invocations run one after
@@ -33,7 +35,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,8 +54,6 @@ from .foldy import foldy_j, j_closed_form, j_from_integral, simplified_energy_qu
 from .numerics import seed_words, uniform_radial_grid
 
 __all__ = [
-    "RunConfig",
-    "ReportRecord",
     "run_j_check",
     "run_identity_check",
     "run_bogolubov_ladder",
@@ -90,8 +89,9 @@ IDENTITY_POINTS = tuple(
 
 
 def _py(value):
-    """Coerce numpy scalars so records stay plain JSON/CSV types; a
-    non-finite float becomes the string "inf", "-inf" or "nan"."""
+    """Coerce numpy scalars so records stay plain JSON/CSV types, through
+    nested dicts; a non-finite float becomes the string "inf", "-inf" or
+    "nan"."""
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return value if math.isfinite(value) else str(value)
@@ -99,50 +99,9 @@ def _py(value):
         return int(value)
     if isinstance(value, np.bool_):
         return bool(value)
+    if isinstance(value, dict):
+        return {k: _py(v) for k, v in value.items()}
     return value
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """What a run was asked to do; the deterministic part of a record."""
-
-    subcommand: str
-    params: dict
-    seed: int
-    out_name: str
-
-
-@dataclass(frozen=True)
-class ReportRecord:
-    config: RunConfig
-    rows: tuple
-    summary: dict
-    duration_s: float
-    meta: dict = field(default_factory=dict)  # extra sidecar fields
-
-    def lines(self) -> list[str]:
-        header = {
-            "schema": SCHEMA_RECORD,
-            "version": __version__,
-            "subcommand": self.config.subcommand,
-            "seed": self.config.seed,
-            "params": {k: _py(v) for k, v in self.config.params.items()},
-        }
-        out = [json.dumps(header, sort_keys=True, allow_nan=False)]
-        for i, row in enumerate(self.rows):
-            out.append(
-                json.dumps(
-                    {"row": i, **{k: _py(v) for k, v in row.items()}},
-                    sort_keys=True, allow_nan=False,
-                )
-            )
-        out.append(
-            json.dumps(
-                {"summary": {k: _py(v) for k, v in self.summary.items()}},
-                sort_keys=True, allow_nan=False,
-            )
-        )
-        return out
 
 
 @contextmanager
@@ -159,18 +118,22 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def write_record(record: ReportRecord, outdir: Path) -> Path:
+def write_record(outdir: Path, base: str, header: dict, rows, summary: dict,
+                 meta: dict) -> Path:
+    """Write ``<base>.jsonl`` -- the header fields after the schema tag and
+    version, one line per row, the summary -- and the ``<base>.meta.json``
+    sidecar: the `meta` fields and the time of writing."""
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{record.config.out_name}.jsonl"
+    lines = [{"schema": SCHEMA_RECORD, "version": __version__, **header},
+             *({"row": i, **row} for i, row in enumerate(rows)),
+             {"summary": summary}]
+    path = outdir / f"{base}.jsonl"
     with _replacing(path) as fh:
-        fh.write("\n".join(record.lines()) + "\n")
-    meta = {
-        "schema": SCHEMA_META,
-        "duration_s": record.duration_s,
-        "written_at": datetime.now(timezone.utc).isoformat(),
-        **record.meta,
-    }
-    with _replacing(outdir / f"{record.config.out_name}.meta.json") as fh:
+        for line in lines:
+            fh.write(json.dumps(_py(line), sort_keys=True, allow_nan=False) + "\n")
+    meta = {"schema": SCHEMA_META, "written_at": datetime.now(timezone.utc).isoformat(),
+            **meta}
+    with _replacing(outdir / f"{base}.meta.json") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
     return path
 
@@ -211,7 +174,7 @@ def run_j_check(tol: float = 1e-10):
 
 def run_identity_check(tol: float = 1e-6):
     """Quadrature of the simplified local energy against -J nu^(5/4) ell^(-3/4)."""
-    j = foldy_j().value
+    j = foldy_j()
     rows, worst = [], 0.0
     for nu, ell in IDENTITY_POINTS:
         quad = simplified_energy_quadrature(nu, ell)
@@ -382,7 +345,7 @@ def run_dyson(nodes: int = 800, r_max: float = 25.0, agreement_tol: float = 1e-4
 
 def run_pair_identity(rhos=(1e-2, 1.0, 1e2, 1e4), tol: float = 1e-6):
     """Pointwise pair energy against -J rho^(5/4)."""
-    j = foldy_j().value
+    j = foldy_j()
     rows, worst = [], 0.0
     for rho in rhos:
         value = trialstate.pointwise_pair_energy(rho)
@@ -659,7 +622,7 @@ def run_stability(charges, q: int, c_lt: float, n_electrons: int,
         "n_electrons": bound.n_electrons,
         "total": bound.total,
         "per_electron": bound.per_electron,
-        "holds": math.isfinite(bound.total),
+        "holds": True,  # stability_bound rejects a total that is not finite
     }
     return [row], {"total": bound.total, "per_electron": bound.per_electron}, {}
 
@@ -842,12 +805,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability-bound", parents=[common],
                        help="nearest-nucleus lower bound per electron")
-    p.add_argument("--charges", type=_float_list, default=(1.0,))
+    nuclei = p.add_mutually_exclusive_group()
+    nuclei.add_argument("--charges", type=_float_list, default=(1.0,))
+    nuclei.add_argument("--vacuum-strength", type=_finite_float, default=None)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--c-lt", type=_finite_float, default=0.04)
     p.add_argument("--n-electrons", type=int, default=10)
     p.add_argument("--radius", type=_finite_float, default=None)
-    p.add_argument("--vacuum-strength", type=_finite_float, default=None)
     p.set_defaults(run=lambda a: run_stability(
         a.charges, a.q, a.c_lt, a.n_electrons, a.radius, a.vacuum_strength))
 
@@ -940,21 +904,18 @@ def main(argv=None) -> int:
     except (AccuracyError, BudgetExceededError, ResourceLimitError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    duration = time.perf_counter() - started
+    args.meta["duration_s"] = time.perf_counter() - started
 
-    params = {k: v for k, v in vars(args).items() if k not in _PLUMBING_KEYS}
-    config = RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        seed=int(getattr(args, "seed", 0)),
-        out_name=args.output or args.subcommand,
-    )
-    record = ReportRecord(config=config, rows=tuple(rows), summary=summary,
-                          duration_s=duration, meta=args.meta)
+    header = {
+        "subcommand": args.subcommand,
+        "seed": int(getattr(args, "seed", 0)),
+        "params": {k: v for k, v in vars(args).items() if k not in _PLUMBING_KEYS},
+    }
+    base = args.output or args.subcommand
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
-    record_path = write_record(record, outdir)
+    record_path = write_record(outdir, base, header, rows, summary, args.meta)
     for name, (columns, table_rows) in tables.items():
-        write_table(outdir, config.out_name, name, columns, table_rows)
+        write_table(outdir, base, name, columns, table_rows)
 
     for row in rows:
         verdict = row.get("holds", row.get("passed"))

@@ -99,14 +99,19 @@ class ParticleConfiguration:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """The two sides of an inequality lhs >= rhs; it holds when the slack
+    lhs - rhs is at least -HOLDS_TOL."""
+
     lhs: float
     rhs: float
-    slack: float = field(init=False)
-    holds: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "slack", self.lhs - self.rhs)
-        object.__setattr__(self, "holds", bool(self.slack >= -HOLDS_TOL))
+    @property
+    def slack(self) -> float:
+        return self.lhs - self.rhs
+
+    @property
+    def holds(self) -> bool:
+        return bool(self.slack >= -HOLDS_TOL)
 
 
 def _pair_data(config: ParticleConfiguration):

@@ -2,38 +2,25 @@
 simplified local energy -J nu^(5/4) ell^(-3/4).
 
 J appears both as the coefficient of the rho^(5/4) local pair energy and in
-the closed form of the asymptotic variational constant.  It is computed once,
-cached with provenance, and every downstream module reads it from here.
+the closed form of the asymptotic variational constant.  `foldy_j` computes
+it once, by the closed form checked against quadrature, and caches the
+float; every downstream module reads it from there.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
 from .numerics import QuadratureResult, gamma, integrate_1d
 
 __all__ = [
-    "JConstant",
     "j_integrand",
     "j_from_integral",
     "j_closed_form",
     "foldy_j",
     "simplified_energy_quadrature",
 ]
-
-
-@dataclass(frozen=True)
-class JConstant:
-    """Cached J with provenance: route, quadrature tolerance, digits kept,
-    and the measured cross-route disagreement."""
-
-    value: float
-    route: str
-    tolerance: float
-    digits: int
-    cross_check_diff: float
 
 
 def j_integrand(x: float) -> float:
@@ -56,22 +43,17 @@ def j_closed_form() -> float:
 
 
 @lru_cache(maxsize=1)
-def foldy_j(tol: float = 1e-10) -> JConstant:
-    """The cached J constant; computed once, then frozen for all callers."""
+def foldy_j() -> float:
+    """J by the gamma closed form, once checked against the quadrature route
+    to 1e-8, then cached for all callers."""
     closed = j_closed_form()
-    integral = j_from_integral(tol)
+    integral = j_from_integral()
     diff = abs(closed - integral)
     if diff > 1e-8:
         raise ConsistencyError(
             f"J routes disagree: gamma={closed!r} integral={integral!r} diff={diff:.3e}"
         )
-    return JConstant(
-        value=closed,
-        route="gamma closed form, cross-checked against adaptive quadrature",
-        tolerance=tol,
-        digits=15,
-        cross_check_diff=diff,
-    )
+    return closed
 
 
 def _pair_floor(t: float, b: float) -> float:

@@ -34,7 +34,6 @@ __all__ = [
     "gaussian_well",
     "square_well",
     "nucleus_potential",
-    "GridDescriptor",
     "SpectrumResult",
     "StabilityBound",
     "default_eigen_grid",
@@ -173,32 +172,27 @@ def nucleus_potential(strength: float, cutoff_radius: float) -> PotentialSpec:
     )
 
 
-@dataclass(frozen=True)
-class GridDescriptor:
-    n_nodes: int
-    r_max: float
-    ell_max: int
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Negative eigenvalues (with degeneracy repeats), their sum, and the
-    potential integral entering the Lieb-Thirring comparison."""
+    """Negative eigenvalues (with degeneracy repeats), the potential integral
+    entering the Lieb-Thirring comparison, and the last angular momentum
+    channel solved; neg_sum is the sum of the eigenvalues."""
 
     eigenvalues: np.ndarray
-    neg_sum: float
     v_integral: float
-    grid_spec: GridDescriptor
+    ell_max: int
 
     def __post_init__(self):
         eig = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", eig)
         if np.any(eig >= 0):
             raise ConsistencyError("eigenvalue list must be strictly negative")
-        if self.neg_sum != float(np.sum(eig)):
-            raise ConsistencyError("neg_sum must equal the sum of the list")
         if self.v_integral < 0:
             raise ConsistencyError("v_integral must be >= 0")
+
+    @property
+    def neg_sum(self) -> float:
+        return float(np.sum(self.eigenvalues))
 
     @property
     def lt_ratio(self) -> float:
@@ -313,12 +307,7 @@ def negative_sum(spec: PotentialSpec, grid: RadialGrid | None = None) -> Spectru
         eigenvalues = np.sort(np.concatenate(channels))
     else:
         eigenvalues = np.empty(0)
-    return SpectrumResult(
-        eigenvalues=eigenvalues,
-        neg_sum=float(np.sum(eigenvalues)),
-        v_integral=spec.v_integral(),
-        grid_spec=GridDescriptor(n_nodes=grid.n_nodes, r_max=grid.r_max, ell_max=ell),
-    )
+    return SpectrumResult(eigenvalues=eigenvalues, v_integral=spec.v_integral(), ell_max=ell)
 
 
 @dataclass(frozen=True)
@@ -331,7 +320,10 @@ class StabilityBound:
     v_integral: float
     n_electrons: int
     total: float
-    per_electron: float
+
+    @property
+    def per_electron(self) -> float:
+        return self.total / self.n_electrons
 
 
 def stability_bound(
@@ -350,7 +342,8 @@ def stability_bound(
     nuclei and the largest charge enter; positions are immaterial.  The
     screening radius defaults to 1 / (1 + 2 max z).  With charges=None the
     potential vanishes and only the -N_e strength / radius term remains
-    (an explicit strength is then required).
+    (an explicit strength is then required).  A total that overflows to
+    -inf, as at a vanishing radius, raises DomainError.
     """
     if q < 1:
         raise DomainError("q must be >= 1")
@@ -383,11 +376,7 @@ def stability_bound(
                 f"quad={by_quad!r}"
             )
     total = -c_lt * q * v_int - n_electrons * coupling / r_cut
-    return StabilityBound(
-        strength=coupling,
-        radius=r_cut,
-        v_integral=v_int,
-        n_electrons=n_electrons,
-        total=total,
-        per_electron=total / n_electrons,
-    )
+    if not math.isfinite(total):
+        raise DomainError(f"the bound overflows to {total!r} at radius {r_cut!r}")
+    return StabilityBound(strength=coupling, radius=r_cut, v_integral=v_int,
+                          n_electrons=n_electrons, total=total)

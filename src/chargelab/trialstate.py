@@ -103,7 +103,7 @@ def pointwise_pair_energy(rho: float, tol: float = 1e-9) -> float:
     if rho == 0.0:
         return 0.0
     value = simplified_energy_quadrature(rho, 1.0, tol)
-    expected = -foldy_j().value * rho**1.25
+    expected = -foldy_j() * rho**1.25
     if abs(value - expected) > 10.0 * tol * abs(expected):
         raise ConsistencyError(
             f"pair energy {value!r} vs closed form {expected!r} "

@@ -72,8 +72,10 @@ class RadialProfile:
 
 @dataclass(frozen=True, eq=False)
 class MinimizationResult:
+    """The minimizing profile with its kinetic and potential terms; the
+    energy is their difference, kinetic - potential."""
+
     profile: RadialProfile
-    energy: float
     kinetic: float
     potential: float
     iterations: int
@@ -82,8 +84,10 @@ class MinimizationResult:
     def __post_init__(self):
         if self.kinetic < 0 or self.potential < 0:
             raise ConsistencyError("kinetic and potential terms must be >= 0")
-        if abs(self.energy - (self.kinetic - self.potential)) > 1e-12:
-            raise ConsistencyError("energy must equal kinetic - potential")
+
+    @property
+    def energy(self) -> float:
+        return self.kinetic - self.potential
 
     @property
     def virial_residual(self) -> float:
@@ -123,7 +127,7 @@ class _Discretization:
 
 def _energy_terms(disc: _Discretization, values: np.ndarray):
     kinetic = disc.kinetic(values)
-    potential = foldy_j().value * float(values**2.5 @ disc.grid.weights)
+    potential = foldy_j() * float(values**2.5 @ disc.grid.weights)
     return kinetic - potential, kinetic, potential
 
 
@@ -199,7 +203,7 @@ def minimize(
     phi = init.normalized().values
     disc = _Discretization(init.grid)
     w = disc.grid.weights
-    j = foldy_j().value
+    j = foldy_j()
     energy, kinetic, potential = _energy_terms(disc, phi)
     tau = step
     factor_tau = None
@@ -244,12 +248,10 @@ def minimize(
         result = rescale(result, lam_opt)
         kinetic *= lam_opt**2
         potential *= lam_opt**0.75
-        energy = kinetic - potential
-    if converged and energy > 0:
+    if converged and kinetic - potential > 0:
         raise ConsistencyError("converged to a nonnegative energy")
     return MinimizationResult(
         profile=result,
-        energy=energy,
         kinetic=kinetic,
         potential=potential,
         iterations=iterations,

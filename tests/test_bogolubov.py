@@ -145,7 +145,7 @@ class TestBuildHamiltonian:
         bad = np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
         for blocks in ((bad, good), (good, bad)):
             with pytest.raises(PreconditionError, match="not symmetric"):
-                TruncatedFockOperator(n_max=1, dimension=4, even=blocks[0], odd=blocks[1])
+                TruncatedFockOperator(n_max=1, even=blocks[0], odd=blocks[1])
 
     def test_invalid_cutoff(self):
         with pytest.raises(PreconditionError):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargelab import bogolubov, cli, matrixloc
-from chargelab.foldy import JConstant, foldy_j
+from chargelab.foldy import foldy_j
 
 
 SUBCOMMANDS = (
@@ -147,6 +147,68 @@ class TestCheckFunctions:
         )
 
 
+# sha256 of the .jsonl and of every CSV each argv writes
+RECORD_PINS = (
+    (("foldy-j",), {
+        "foldy-j.jsonl": "0ddf19b1b9dc096677ede2d0cfcfa2cc657f79b08545a72e33a6ef6483860895"}),
+    (("foldy-identity",), {
+        "foldy-identity.jsonl":
+            "e06d092f6c6ce5a42598b51898b6915f8393b9cdb847c58a20216d9e386bede2",
+        "foldy-identity-points.csv":
+            "aa8e3a9859f7ea3c9c4ac4906cd89a8c9418e129fd83d4e218948d4a38eb11bc"}),
+    (("bogolubov-sharpness",), {
+        "bogolubov-sharpness.jsonl":
+            "cfef9de0626433103fa55026186fc88a5ad4e282d56097f8506317dcb7907b8c",
+        "bogolubov-sharpness-ladder.csv":
+            "cb5e5b166a9109dd5cd7a147e80686e1875cd03e1f0991298f9edc5706e84775"}),
+    (("dyson-minimize",), {
+        "dyson-minimize.jsonl":
+            "0f555a07d13ec5e1f8212de4f85c230f84a366d684fb8a9e05f9507e603dface",
+        "dyson-minimize-profile.csv":
+            "ceec96cf7cd03f52c3220f4dd9eed5932ed6026c702c5c2d256c32ac07a669fe"}),
+    (("lt-study",), {
+        "lt-study.jsonl": "2aa4646c185a8246b34910a9f2206667f71e954fd193a5c10d1788e8a97d6c68",
+        "lt-study-ratios.csv":
+            "bde3047e018f4e8123aab86586c3de1df94fb0fa08c0071e7b088f715efba3e9"}),
+    (("sobolev-study",), {
+        "sobolev-study.jsonl":
+            "e6098a765a39d2b99e0b22d575479d8da90ec9a15fffeb1ef7426a7116292d3f",
+        "sobolev-study-ratios.csv":
+            "0be11355bdf9ba720be9231c96cad703f755879aef896d1eb3399bb6d99a0c05"}),
+    (("bogolubov-fuzz", "--trials", "25", "--seed", "1905"), {
+        "bogolubov-fuzz.jsonl":
+            "d4d560f996df420b3d6de60383c4dfaaffdfd8f7791bce7513b47c11c12b9456",
+        "bogolubov-fuzz-models.csv":
+            "70440d374f78319a5e838d93e64ded8d45010ad9631d0b70613dd2d4dee744f5"}),
+    (("trialstate", "--check", "pair-energy"), {
+        "trialstate.jsonl": "e2e2d3f15140ab4e8cf257f96da5ecaef0dd25babcfe065d09e1096f0db41966"}),
+    (("trialstate", "--check", "trace-scaling"), {
+        "trialstate.jsonl": "5d6cceb0daff64a2b538213dae4b8d07ee7fbe58548126e05f857305be518428",
+        "trialstate-traces.csv":
+            "dd21e787b01685cdedbcce27a99e3478cfc8fe933ac6ec67c94ad4d38cd907ae"}),
+    (("trialstate", "--check", "upper-bound"), {
+        "trialstate.jsonl": "b01eec1aa52997ca1c6415fffb3d794f3efa77e6059ea21e8028190838a394f5"}),
+    (("trialstate", "--check", "berezin-lieb", "--trials", "20"), {
+        "trialstate.jsonl": "363c5e249d676b25ade957af445fc365f86281530bda0c70316c11c48c99f9d3",
+        "trialstate-instances.csv":
+            "6cfcfa3c7f4ddeb0cad7dc17a7890f7b2639ec2825e94e7b04ccd2258ef2e6d8"}),
+    (("matrixloc-ensemble", "--trials", "20"), {
+        "matrixloc-ensemble.jsonl":
+            "84bc79dbdce717ee3f819fb3785ee41a722ba7730f82fa59ec765da9eb0aef4c",
+        "matrixloc-ensemble-instances.csv":
+            "022a3f30cf6ec680c38d304918b61be3614aed5882852c4b2ce8d47a992b9aab"}),
+    # the header records the file names as given, here relative to the cwd
+    (("matrix-localize", "--matrix", "a.txt", "--psi", "psi.txt", "--window", "4",
+      "--budget-c", "3.0"), {
+        "matrix-localize.jsonl":
+            "684cb3983514116809efee34b34cd40862722599d5826b0ff35edc36bf689459",
+        "matrix-localize-bands.csv":
+            "08a3e827a390d80e12ba56fa7de7f1db2d5c5497fe5e8bcbbb6f83003a31712e",
+        "matrix-localize-phi.csv":
+            "3801b6b7d1741ec83c8febf5312a5ca520424c9b3ac233f14f99da695baaecb2"}),
+)
+
+
 class TestMainPlumbing:
     def test_record_layout(self, tmp_path):
         assert cli.main(["foldy-j", "--outdir", str(tmp_path)]) == 0
@@ -163,7 +225,9 @@ class TestMainPlumbing:
 
     def test_verify_sidecar_times_each_check(self, tmp_path):
         assert cli.main(["verify", "--quick", "--outdir", str(tmp_path)]) == 0
-        checks = json.loads((tmp_path / "verify.meta.json").read_text())["checks"]
+        meta = json.loads((tmp_path / "verify.meta.json").read_text())
+        assert set(meta) == {"schema", "duration_s", "written_at", "checks"}
+        checks = meta["checks"]
         assert sorted(checks) == sorted(name for name, _argv, _trials in cli.BATTERY)
         for seconds in checks.values():
             assert type(seconds) is float and math.isfinite(seconds) and seconds >= 0
@@ -231,6 +295,27 @@ class TestMainPlumbing:
                 f"{name} {' '.join(flags)}: sha256 {digest} != pinned {pinned}; a change "
                 f"that alters the records on purpose updates the pin and names the "
                 f"changed fields in CHANGES.md")
+
+    @pytest.mark.parametrize("argv, pins", RECORD_PINS, ids=[
+        " ".join(argv[:3]) for argv, _pins in RECORD_PINS])
+    def test_records_match_the_pinned_digests(self, argv, pins, tmp_path, monkeypatch):
+        # the subcommands verify does not write, byte for byte
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "matrix-localize":
+            n = 8
+            a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+            matrixloc.write_matrix(tmp_path / "a.txt", a)
+            matrixloc.write_vector(tmp_path / "psi.txt", np.full(n, n**-0.5))
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--outdir", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir() if p.suffix in (".jsonl", ".csv")}
+        assert digests == pins, (
+            f"{' '.join(argv)}: sha256 {digests} != pinned {pins}; a change that "
+            f"alters the records on purpose updates the pin and names the changed "
+            f"fields in CHANGES.md")
+        meta = json.loads((out / f"{argv[0]}.meta.json").read_text())
+        assert set(meta) == {"schema", "duration_s", "written_at"}
 
     def test_failed_write_keeps_the_earlier_files(self, tmp_path, monkeypatch):
         argv = ["bogolubov-fuzz", "--trials", "5", "--outdir", str(tmp_path)]
@@ -402,6 +487,14 @@ class TestExitCodes:
         assert (pair["strength"], pair["radius"]) == (one["strength"], one["radius"])
         assert pair["v_integral"] == 2.0 * one["v_integral"]
 
+    def test_charges_and_vacuum_strength_exclude_each_other(self, tmp_path, capsys):
+        for argv in (["--vacuum-strength", "3", "--charges", "1,2"],
+                     ["--charges", "1", "--vacuum-strength", "3"]):
+            assert cli.main(["stability-bound", *argv, "--outdir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert "not allowed with argument" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_uncoupled_ladder_passes(self, tmp_path, capsys):
         code = cli.main(["bogolubov-sharpness", "--gplus", "0",
                          "--outdir", str(tmp_path)])
@@ -429,6 +522,7 @@ class TestExitCodes:
         # each overflowed, divided by zero or failed a check before the
         # boundary rejected it
         for argv in (["stability-bound", "--charges", "1e124"],
+                     ["stability-bound", "--radius=1e-308"],
                      ["sobolev-study", "--depths", "3e123"],
                      ["sobolev-study", "--depths", "1e-131"],
                      ["lt-study", "--depths", "1e-300"],
@@ -474,15 +568,8 @@ class TestExitCodes:
 
     def test_failed_check_is_exit_1(self, tmp_path, monkeypatch, capsys):
         # the sensitivity canary: a wrong J must surface as a check failure
-        true_j = foldy_j()
-        fake = JConstant(
-            value=true_j.value * (1.0 + 1e-3),
-            route=true_j.route,
-            tolerance=true_j.tolerance,
-            digits=true_j.digits,
-            cross_check_diff=true_j.cross_check_diff,
-        )
-        monkeypatch.setattr(cli, "foldy_j", lambda: fake)
+        j = foldy_j()
+        monkeypatch.setattr(cli, "foldy_j", lambda: j * (1 + 1e-3))
         code = cli.main(
             ["trialstate", "--check", "pair-energy", "--outdir", str(tmp_path)]
         )
@@ -575,15 +662,8 @@ class TestVerifySuite:
         capsys.readouterr()
 
     def test_injected_wrong_j_fails_suite(self, tmp_path, monkeypatch, capsys):
-        true_j = foldy_j()
-        fake = JConstant(
-            value=true_j.value * (1.0 + 1e-3),
-            route=true_j.route,
-            tolerance=true_j.tolerance,
-            digits=true_j.digits,
-            cross_check_diff=true_j.cross_check_diff,
-        )
-        monkeypatch.setattr(cli, "foldy_j", lambda: fake)
+        j = foldy_j()
+        monkeypatch.setattr(cli, "foldy_j", lambda: j * (1 + 1e-3))
         code = cli.main(
             ["verify", "--quick", "--seed", "77", "--outdir", str(tmp_path),
              "--output", "bad"]

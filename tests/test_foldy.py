@@ -1,4 +1,8 @@
 """J routes and the simplified local energy quadrature against frozen oracles."""
+import pytest
+
+from chargelab import foldy
+from chargelab.errors import ConsistencyError
 from chargelab.foldy import (
     foldy_j,
     j_closed_form,
@@ -26,17 +30,24 @@ def test_j_integrand_shape():
     assert abs(j_integrand(100.0) * 2.0 * 100.0**4 - 0.99999999) < 1e-8
 
 
-def test_foldy_j_cached_with_provenance():
-    jc = foldy_j()
-    assert jc is foldy_j()
-    assert abs(jc.value - J_FROZEN) < 1e-14
-    assert jc.cross_check_diff <= 1e-8
-    assert jc.digits >= 12
-    assert "quadrature" in jc.route
+def test_foldy_j_cached_with_provenance(monkeypatch):
+    j = foldy_j()
+    assert j is foldy_j()
+    assert abs(j - J_FROZEN) < 1e-14
+    # the cached value is the closed form checked against the quadrature
+    # route: a quadrature route off by 1e-6 fails the recomputation
+    true_integral = foldy.j_from_integral()
+    monkeypatch.setattr(foldy, "j_from_integral", lambda: true_integral + 1e-6)
+    foldy_j.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="J routes disagree"):
+            foldy_j()
+    finally:
+        foldy_j.cache_clear()
 
 
 def test_simplified_identity_and_scaling():
-    j = foldy_j().value
+    j = foldy_j()
     quad = simplified_energy_quadrature(1.0, 1.0, tol=1e-10)
     assert abs(quad + j) < 1e-8 * j
     # E(lam^4 nu, ell) = lam^5 E(nu, ell), the nu^(5/4) law

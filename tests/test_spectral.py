@@ -14,7 +14,6 @@ from chargelab.errors import (
 from chargelab.numerics import RadialGrid, uniform_radial_grid
 from chargelab.spectral import (
     SEMICLASSICAL_LT_RATIO,
-    GridDescriptor,
     PotentialSpec,
     SpectrumResult,
     default_eigen_grid,
@@ -157,20 +156,20 @@ class TestNegativeSum:
         assert result.eigenvalues.size == 0
         assert result.neg_sum == 0.0
         assert result.lt_ratio == 0.0
-        assert result.grid_spec.ell_max == 0
+        assert result.ell_max == 0
 
     def test_single_bound_state(self):
         result = negative_sum(square_well(1.3), uniform_radial_grid(3000, 60.0))
         assert result.eigenvalues.size == 1
         assert result.neg_sum == pytest.approx(SQUARE_13_CONTINUUM, abs=1e-5)
-        assert result.grid_spec == GridDescriptor(3000, 60.0, 1)
+        assert result.ell_max == 1
 
     def test_degeneracies_are_odd_multiplets(self):
         result = negative_sum(gaussian_well(30.0))
         _, counts = np.unique(result.eigenvalues, return_counts=True)
         assert np.all(counts % 2 == 1)
         assert counts.max() >= 5  # at least one d channel binds
-        assert result.grid_spec.ell_max >= 3
+        assert result.ell_max >= 3
 
     def test_depth_ladder(self):
         sums = {d: negative_sum(gaussian_well(d)).neg_sum for d in (50.0, 100.0, 200.0)}
@@ -195,14 +194,12 @@ class TestNegativeSum:
         assert b.neg_sum == pytest.approx(4.0 * a.neg_sum, rel=1e-13)
 
     def test_result_guards(self):
-        grid = GridDescriptor(10, 1.0, 0)
         with pytest.raises(ConsistencyError):
-            SpectrumResult(np.array([-1.0, 0.5]), -0.5, 1.0, grid)
+            SpectrumResult(np.array([-1.0, 0.5]), 1.0, 0)
         with pytest.raises(ConsistencyError):
-            SpectrumResult(np.array([-1.0]), -2.0, 1.0, grid)
-        with pytest.raises(ConsistencyError):
-            SpectrumResult(np.array([-1.0]), -1.0, -1.0, grid)
-        starved = SpectrumResult(np.array([-1.0]), -1.0, 0.0, grid)
+            SpectrumResult(np.array([-1.0]), -1.0, 0)
+        starved = SpectrumResult(np.array([-1.0]), 0.0, 0)
+        assert starved.neg_sum == -1.0
         with pytest.raises(DomainError):
             starved.lt_ratio
 
@@ -269,5 +266,11 @@ class TestStabilityBound:
         for charges in ((-1.0,), (1.0, 0.0), (1e124,)):
             with pytest.raises(DomainError):
                 stability_bound(charges, q=1, c_lt=0.04, n_electrons=1)
+        # N_e strength / radius overflows to inf
+        with pytest.raises(DomainError, match="overflows"):
+            stability_bound(nuclei, q=2, c_lt=0.04, n_electrons=10, radius=1e-308)
+        with pytest.raises(DomainError, match="overflows"):
+            stability_bound(None, q=2, c_lt=0.04, n_electrons=10, radius=1e-308,
+                            strength=3.0)
         with pytest.raises(PreconditionError):
             stability_bound((), q=1, c_lt=0.04, n_electrons=1)

@@ -98,7 +98,7 @@ class TestPointwisePairEnergy:
         assert pointwise_pair_energy(0.0) == 0.0
 
     def test_matches_closed_form_over_densities(self):
-        j = foldy_j().value
+        j = foldy_j()
         for rho in (1e-2, 1.0, 1e2, 1e4):
             value = pointwise_pair_energy(rho, 1e-9)
             assert value == pytest.approx(-j * rho**1.25, rel=1e-6)

@@ -168,12 +168,15 @@ class TestMinimizationResult:
     def test_consistency_guard(self, grid800):
         from chargelab.errors import ConsistencyError
 
-        with pytest.raises(ConsistencyError):
-            MinimizationResult(
-                profile=gaussian_profile(grid800),
-                energy=1.0,
-                kinetic=0.5,
-                potential=0.2,
-                iterations=1,
-                converged=True,
-            )
+        for kinetic, potential in ((-0.5, 0.2), (0.5, -0.2)):
+            with pytest.raises(ConsistencyError):
+                MinimizationResult(
+                    profile=gaussian_profile(grid800),
+                    kinetic=kinetic,
+                    potential=potential,
+                    iterations=1,
+                    converged=True,
+                )
+        result = MinimizationResult(profile=gaussian_profile(grid800), kinetic=0.5,
+                                    potential=0.2, iterations=1, converged=True)
+        assert result.energy == 0.5 - 0.2
