@@ -366,17 +366,12 @@ def run_pair_identity(rhos=(1e-2, 1.0, 1e2, 1e4), tol: float = 1e-6):
     return rows, {"worst_rel_err": worst}, {}
 
 
-def run_trace_scaling(
-    n_list=(1_000, 10_000, 100_000, 1_000_000),
-    nodes: int = 800,
-    r_max: float = 25.0,
-    slope_tol: float = 0.01,
-):
+def run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000), slope_tol: float = 0.01):
     """Tr Gamma over a particle-number ladder; the log-log slope must be
     3/5 within slope_tol."""
     if len(n_list) < 2:
         raise PreconditionError("need at least two particle numbers")
-    minimizer = variational.minimize(variational.default_init(nodes, r_max))
+    minimizer = variational.minimize()
     rows, traces = [], []
     for n in n_list:
         spec = trialstate.condensate_from_minimizer(int(n), minimizer.profile)
@@ -406,10 +401,9 @@ def run_trace_scaling(
     return rows, {"slope": slope}, {"traces": table}
 
 
-def run_upper_bound(n_list=(1, 32, 100_000), nodes: int = 800, r_max: float = 25.0,
-                    tol: float = 1e-8):
+def run_upper_bound(n_list=(1, 32, 100_000), tol: float = 1e-8):
     """Many-body upper bound against N^(7/5) times the functional minimum."""
-    minimizer = variational.minimize(variational.default_init(nodes, r_max))
+    minimizer = variational.minimize()
     rows, worst = [], 0.0
     for n in n_list:
         value = trialstate.upper_bound_energy(int(n), minimizer.profile)
@@ -692,6 +686,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _InputFile(str):
+    """A file path read by a subcommand; the record header stores the sha256
+    of its bytes, so the record does not depend on how the file was named."""
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
 
@@ -778,8 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix-localize", parents=[common],
                        help="localize one instance from plain-text files")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--psi", required=True)
+    p.add_argument("--matrix", type=_InputFile, required=True)
+    p.add_argument("--psi", type=_InputFile, required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--budget-c", type=_finite_float, default=None)
     p.set_defaults(run=lambda a: run_matrix_localize(a.matrix, a.psi, a.window, a.budget_c))
@@ -878,6 +877,14 @@ def _short(value) -> str:
 _PLUMBING_KEYS = ("subcommand", "outdir", "output", "config", "run", "meta")
 
 
+def _param(value):
+    if isinstance(value, _InputFile):
+        import hashlib  # here, not at start-up: it loads OpenSSL, about 3.5 MB
+
+        return "sha256:" + hashlib.sha256(Path(value).read_bytes()).hexdigest()
+    return value
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -909,7 +916,7 @@ def main(argv=None) -> int:
     header = {
         "subcommand": args.subcommand,
         "seed": int(getattr(args, "seed", 0)),
-        "params": {k: v for k, v in vars(args).items() if k not in _PLUMBING_KEYS},
+        "params": {k: _param(v) for k, v in vars(args).items() if k not in _PLUMBING_KEYS},
     }
     base = args.output or args.subcommand
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")

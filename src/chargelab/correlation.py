@@ -4,17 +4,18 @@ Checkers return an InequalityReport rather than raising on violation: a
 false `holds` on one of these theorems signals an implementation bug
 upstream, which the property suites are designed to surface.
 
-The seeded fuzz (`run_random_ensemble`) draws each trial from its own
-generator, in the order `random_configuration` draws, but computes in
-batches: consecutive trials are taken in blocks of `_BLOCK`, and within a
-block the trials with the same particle number share one array pass for
-validation, distances, charge products and kernels.  Every sum is still a
-1D reduction over one trial's elements in the order the public checkers
-sum them, so each row is bit-identical to replaying its trial seed through
-`random_configuration` and the public checker.
+Each quantity has one kernel over a stack of T configurations of n
+particles: `_pair_distances` (positions (T, n, 3), with the position
+checks), then `_energies`, `_nearest_opposite` and the `_SUMS` of each
+checker (charges (T, n), those distances, mu (T,), with the checker's
+preconditions).  Each sum reduces one trial's row alone.  The public
+functions pass a stack of one; the seeded fuzz passes the trials of a
+block with the same n, so each of its rows equals, bit for bit, the
+replay of its trial seed through `random_configuration` and the checker.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -49,16 +50,21 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _check_separation(rmin: float) -> None:
-    if rmin <= MIN_SEPARATION:
-        raise PreconditionError(
-            f"minimum separation {rmin:.3e} below {MIN_SEPARATION:.0e}"
-        )
-
-
-def _check_baxter_charges(z: np.ndarray) -> None:
-    if np.any(z[z < 0] != -1.0):
-        raise PreconditionError("all negative charges must equal -1")
+def _pair_distances(pos: np.ndarray) -> np.ndarray:
+    """Pair distances (T, n(n-1)/2) of positions (T, n, 3), in `_pairs`
+    order; rejects non-finite positions, distances that overflow and pairs
+    closer than MIN_SEPARATION."""
+    if not np.isfinite(pos).all():
+        raise PreconditionError("positions must be finite")
+    i, j = _pairs(pos.shape[1])
+    with np.errstate(over="ignore"):
+        sq = [(pos[:, i, a] - pos[:, j, a]) ** 2 for a in range(3)]
+        r = np.sqrt(sq[0] + sq[1] + sq[2])
+    if not np.isfinite(r).all():
+        raise PreconditionError("pair distances overflow: positions too far apart")
+    if r.size and r.min() <= MIN_SEPARATION:
+        raise PreconditionError(f"minimum separation {r.min():.3e} below {MIN_SEPARATION:.0e}")
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +86,11 @@ class ParticleConfiguration:
             raise PreconditionError("charges length must match positions")
         if pos.shape[0] == 0:
             raise PreconditionError("configuration must be nonempty")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(z))):
-            raise PreconditionError("positions and charges must be finite")
-        with np.errstate(over="ignore"):
-            dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=-1))
-        if not np.all(np.isfinite(dist)):
-            raise PreconditionError("pair distances overflow: positions too far apart")
-        if pos.shape[0] > 1:
-            _check_separation(dist[_pairs(pos.shape[0])].min())
+        if not np.isfinite(z).all():
+            raise PreconditionError("charges must be finite")
+        i, j = _pairs(len(z))
+        dist = np.zeros((len(z), len(z)))
+        dist[i, j] = dist[j, i] = _pair_distances(pos[None])[0]
         for name, value in (("positions", pos), ("charges", z), ("distances", dist)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -114,67 +117,99 @@ class InequalityReport:
         return bool(self.slack >= -HOLDS_TOL)
 
 
-def _pair_data(config: ParticleConfiguration):
-    """Upper-triangle pair distances and charge products."""
-    i, j = _pairs(config.n)
-    return config.distances[i, j], config.charges[i] * config.charges[j]
+def _row_sums(rows) -> list[float]:
+    """Per-trial sums, each a 1D reduction over one trial's row alone."""
+    return [float(np.add.reduce(row)) for row in rows]
+
+
+def _energies(z: np.ndarray, r: np.ndarray, mu: np.ndarray) -> list[float]:
+    """Per-trial sum_{i<j} z_i z_j exp(-mu r_ij)/r_ij."""
+    if not np.all(mu >= 0):
+        raise DomainError("mu must be nonnegative")
+    i, j = _pairs(z.shape[1])
+    return _row_sums(z[:, i] * z[:, j] * np.exp(-mu[:, None] * r) / r)
+
+
+def _nearest_opposite(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """D (T, n): distance from each particle to its nearest opposite charge,
+    +inf when it has none.  A minimum is exact, so one pass serves the stack."""
+    t, n = z.shape
+    i, j = _pairs(n)
+    opposite = np.full((t, n, n), np.inf)
+    opposite[:, i, j] = opposite[:, j, i] = np.where(z[:, i] * z[:, j] < 0, r, np.inf)
+    return opposite.min(axis=2)
+
+
+def _onsager_sums(z: np.ndarray, r: np.ndarray, mu: np.ndarray):
+    lhs = _energies(z, r, mu)
+    d = _nearest_opposite(z, r)
+    finite = np.isfinite(d)
+    d = np.where(finite, d, 1.0)  # inf would give inf * 0; the mask drops it
+    # exp(-dm) is exactly 0 beyond dm ~ 745, so the cap changes no term and
+    # keeps dm**2 finite for distances near the overflow limit and mu = inf
+    dm = np.minimum(d * mu[:, None], 1e3)
+    terms = z**2 * (dm**2 / 12 + dm / 2 + 1) * np.exp(-dm) / d
+    return lhs, [-s for s in _row_sums(row[k] for row, k in zip(terms, finite))]
+
+
+def _baxter_sums(z: np.ndarray, r: np.ndarray, mu: np.ndarray):
+    if np.any(z[z < 0] != -1.0):
+        raise PreconditionError("all negative charges must equal -1")
+    lhs = _energies(z, r, mu)
+    d = _nearest_opposite(z, r)
+    sums = _row_sums(row[k] for row, k in zip(1.0 / d, (z < 0) & np.isfinite(d)))
+    return lhs, [-(1.0 + 2.0 * zmax) * s for zmax, s in zip(z.max(axis=1).tolist(), sums)]
+
+
+def _positivity_sums(z: np.ndarray, r: np.ndarray, mu: np.ndarray):
+    if not np.all(mu > 0):
+        raise DomainError("mu must be positive")
+    i, j = _pairs(z.shape[1])
+    lhs = _row_sums(z[:, i] * z[:, j] * (-np.expm1(-mu[:, None] * r)) / r)
+    return lhs, [-0.5 * m * s for m, s in zip(mu.tolist(), _row_sums(z**2))]
+
+
+# (lhs, rhs) lists of each checker for charges (T, n), pair distances and mu (T,)
+_SUMS = {"onsager": _onsager_sums, "baxter": _baxter_sums, "positivity": _positivity_sums}
+
+
+def _stack(config: ParticleConfiguration) -> tuple[np.ndarray, np.ndarray]:
+    """Charges (1, n) and pair distances (1, n(n-1)/2): a stack of one."""
+    return config.charges[None], config.distances[_pairs(config.n)][None]
+
+
+def _report(sums, config: ParticleConfiguration, mu: float) -> InequalityReport:
+    (lhs,), (rhs,) = sums(*_stack(config), np.array([mu], dtype=float))
+    return InequalityReport(lhs=lhs, rhs=rhs)
 
 
 def pair_energy(config: ParticleConfiguration, mu: float) -> float:
     """Total interaction sum_{i<j} z_i z_j exp(-mu r_ij)/r_ij."""
-    if not mu >= 0:
-        raise DomainError("mu must be nonnegative")
-    if config.n < 2:
-        return 0.0
-    r, zz = _pair_data(config)
-    return float(np.sum(zz * np.exp(-mu * r) / r))
+    return _energies(*_stack(config), np.array([mu], dtype=float))[0]
 
 
 def nearest_opposite_distances(config: ParticleConfiguration) -> np.ndarray:
     """D_i = distance from particle i to the nearest opposite charge,
     +inf when no oppositely charged particle exists."""
-    opposite = np.outer(config.charges, config.charges) < 0
-    return np.where(opposite, config.distances, np.inf).min(axis=1)
+    return _nearest_opposite(*_stack(config))[0]
 
 
 def onsager_check(config: ParticleConfiguration, mu: float) -> InequalityReport:
     """Pairwise energy against the one-body screened bound
     -sum_i z_i^2 ((D_i mu)^2/12 + D_i mu/2 + 1) exp(-mu D_i)/D_i."""
-    lhs = pair_energy(config, mu)
-    d = nearest_opposite_distances(config)
-    z2 = config.charges**2
-    finite = np.isfinite(d)
-    dm = d[finite] * mu
-    terms = z2[finite] * (dm**2 / 12 + dm / 2 + 1) * np.exp(-dm) / d[finite]
-    return InequalityReport(lhs=lhs, rhs=-float(terms.sum()))
+    return _report(_onsager_sums, config, mu)
 
 
 def baxter_check(config: ParticleConfiguration) -> InequalityReport:
     """Coulomb energy against -(1+2 max_j z_j) sum over negative particles
     of 1/D_i; requires every negative charge to be exactly -1."""
-    z = config.charges
-    _check_baxter_charges(z)
-    lhs = pair_energy(config, 0.0)
-    d = nearest_opposite_distances(config)
-    sel = (z < 0) & np.isfinite(d)
-    rhs = -(1.0 + 2.0 * float(z.max())) * float((1.0 / d[sel]).sum())
-    return InequalityReport(lhs=lhs, rhs=rhs)
+    return _report(_baxter_sums, config, 0.0)
 
 
-def yukawa_positivity_check(
-    config: ParticleConfiguration, mu: float
-) -> InequalityReport:
+def yukawa_positivity_check(config: ParticleConfiguration, mu: float) -> InequalityReport:
     """sum z_i z_j (Y_0 - Y_mu)(r_ij) >= -sum z_i^2 mu/2, the positive-type
     property of the Coulomb-minus-Yukawa kernel."""
-    if not mu > 0:
-        raise DomainError("mu must be positive")
-    if config.n < 2:
-        lhs = 0.0
-    else:
-        r, zz = _pair_data(config)
-        lhs = float(np.sum(zz * (-np.expm1(-mu * r)) / r))
-    rhs = -0.5 * mu * float((config.charges**2).sum())
-    return InequalityReport(lhs=lhs, rhs=rhs)
+    return _report(_positivity_sums, config, mu)
 
 
 def _draw(rng: np.random.Generator, n: int, box: float, charge_kind: str):
@@ -208,49 +243,11 @@ def random_configuration(
 
 CHECKERS = ("onsager", "baxter", "positivity")
 
-# Trials per block of the fuzz; bounds its arrays at any trial count.
+# Trials per block of the fuzz; bounds its arrays at any trial count.  Fixed
+# rather than sized by bytes (numerics.trials_per_block): the (n, n)
+# nearest-opposite pass of a 50-particle trial is 20 KB, which would leave
+# about 26 trials per block and split the n-groups into ones and twos.
 _BLOCK = 1024
-
-
-def _group_sums(which: str, n: int, pos: np.ndarray, z: np.ndarray, mu: np.ndarray):
-    """Per-trial (lhs, rhs) lists of one checker for T trials of n particles:
-    positions (T, n, 3), charges (T, n), screening mu (T,).  Validates as
-    ParticleConfiguration and the checker do; elementwise work spans the
-    group, and each sum is a 1D reduction over the elements the public
-    checker sums, in its order, so the values are bit-identical to it."""
-    if not (np.isfinite(pos).all() and np.isfinite(z).all()):
-        raise PreconditionError("positions and charges must be finite")
-    i, j = _pairs(n)
-    # (x^2 + y^2) + z^2 per pair is the order in which numpy sums the short
-    # last axis in ParticleConfiguration, so r equals its distances exactly
-    sq = [(pos[:, i, a] - pos[:, j, a]) ** 2 for a in range(3)]
-    r = np.sqrt(sq[0] + sq[1] + sq[2])
-    if n > 1:
-        _check_separation(r.min())
-    zz = z[:, i] * z[:, j]
-    if which == "positivity":
-        pair = zz * (-np.expm1(-mu[:, None] * r)) / r
-        rhs = [-0.5 * m * float(np.add.reduce(z2)) for m, z2 in zip(mu.tolist(), z**2)]
-        return [float(np.add.reduce(row)) for row in pair], rhs
-    if which == "baxter":
-        _check_baxter_charges(z)
-    elif np.any(mu < 0):  # onsager: pair_energy rejects it
-        raise DomainError("mu must be nonnegative")
-    pair = zz * np.exp(-mu[:, None] * r) / r
-    # nearest opposite charge D_i; a minimum is exact, so one pass serves the group
-    opposite = np.full((len(z), n, n), np.inf)
-    opposite[:, i, j] = opposite[:, j, i] = np.where(zz < 0, r, np.inf)
-    d = opposite.min(axis=2)
-    finite = np.isfinite(d)
-    if which == "onsager":
-        d = np.where(finite, d, 1.0)  # inf would give inf * 0; the mask drops it
-        dm = d * mu[:, None]
-        terms = z**2 * (dm**2 / 12 + dm / 2 + 1) * np.exp(-dm) / d
-        rhs = [-float(np.add.reduce(row[keep])) for row, keep in zip(terms, finite)]
-    else:
-        rhs = [-(1.0 + 2.0 * zmax) * float(np.add.reduce(row[keep]))
-               for zmax, row, keep in zip(z.max(axis=1).tolist(), 1.0 / d, (z < 0) & finite)]
-    return [float(np.add.reduce(row)) for row in pair], rhs
 
 
 def run_random_ensemble(
@@ -266,14 +263,20 @@ def run_random_ensemble(
 
     Each trial draws n, box, charge kind and mu, then its configuration as
     `random_configuration` does, from its own `default_rng(trial_seed)`.
-    The arithmetic runs per block of `_BLOCK` consecutive trials, grouped
-    by n (`_group_sums`), with every sum taken per trial, so row k equals
-    replaying trial seed k through `random_configuration` and the public
-    checker, bit for bit."""
+    The trials of a block of `_BLOCK` consecutive trials are grouped by n,
+    and each group is one stack for the kernels the public checkers run on
+    a stack of one, so row k equals replaying trial seed k through
+    `random_configuration` and the public checker, bit for bit."""
     if which not in CHECKERS:
         raise PreconditionError(f"which must be one of {CHECKERS}")
     if trials < 1:
         raise PreconditionError("trials must be positive")
+    if max_particles < 1:
+        raise PreconditionError("max_particles must be positive")
+    if not 0 < box_range[0] <= box_range[1] < math.inf:
+        raise DomainError("box_range must satisfy 0 < low <= high < inf")
+    if not (mus and all(0 <= m < math.inf for m in mus)):
+        raise DomainError("mus must be a nonempty tuple of finite mu >= 0")
     seeds = seed_words(seed, trials)
     rows = []
     for start in range(0, trials, _BLOCK):
@@ -293,7 +296,8 @@ def run_random_ensemble(
         out = [None] * len(block)
         for n, members in groups.items():
             ks, mu, pos, z = zip(*members)
-            lhs, rhs = _group_sums(which, n, np.stack(pos), np.stack(z), np.array(mu))
+            r = _pair_distances(np.stack(pos))
+            lhs, rhs = _SUMS[which](np.stack(z), r, np.array(mu))
             for k, m, a, b in zip(ks, mu, lhs, rhs):
                 out[k] = (block[k], n, m, a, b, a - b)
         rows += out

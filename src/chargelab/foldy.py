@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
-from .numerics import QuadratureResult, gamma, integrate_1d
+from .numerics import integrate_1d
 
 __all__ = [
     "j_integrand",
@@ -39,7 +39,8 @@ def j_from_integral(tol: float = 1e-10) -> float:
 
 def j_closed_form() -> float:
     """J = (4/pi)^(3/4) Gamma(1/2) Gamma(3/4) / (5 Gamma(5/4))."""
-    return (4.0 / math.pi) ** 0.75 * gamma(0.5) * gamma(0.75) / (5.0 * gamma(1.25))
+    return ((4.0 / math.pi) ** 0.75 * math.gamma(0.5) * math.gamma(0.75)
+            / (5.0 * math.gamma(1.25)))
 
 
 @lru_cache(maxsize=1)
@@ -64,17 +65,13 @@ def _pair_floor(t: float, b: float) -> float:
     return b * b / ((t + b) + math.sqrt(t * (t + 2.0 * b)))
 
 
-def _local_integrals(g, scale: float, tol: float) -> QuadratureResult:
+def _local_integrals(g, scale: float, tol: float) -> float:
     # Head (0,1) under the declared substitution p = q^2 (handles the
     # integrable small-p structure), tail (1,inf) under the t/(1-t) map
     # with the caller's natural p-scale.
     head = integrate_1d(lambda q: 2.0 * q * g(q * q), 0.0, 1.0, tol=tol / 2)
     tail = integrate_1d(g, 1.0, math.inf, tol=tol / 2, scale=scale)
-    return QuadratureResult(
-        value=head.value + tail.value,
-        error_estimate=head.error_estimate + tail.error_estimate,
-        evaluations=head.evaluations + tail.evaluations,
-    )
+    return head.value + tail.value
 
 
 def simplified_energy_quadrature(nu: float, ell: float, tol: float = 1e-9) -> float:
@@ -91,5 +88,4 @@ def simplified_energy_quadrature(nu: float, ell: float, tol: float = 1e-9) -> fl
         return p2 * _pair_floor(a_coef * p2, 4.0 * math.pi * nu / p2)
 
     scale = (8.0 * math.pi * nu / ell**3) ** 0.25
-    quad = _local_integrals(g, max(1.0, scale), tol)
-    return -quad.value / (4.0 * math.pi**2)
+    return -_local_integrals(g, max(1.0, scale), tol) / (4.0 * math.pi**2)

@@ -1,6 +1,6 @@
-"""Shared numerical kernels: 1D adaptive quadrature, the Gamma function,
-uniform radial grids for 3D radial integrals, seed derivation, and the
-block size of the batched ensembles.
+"""Shared numerical kernels: 1D adaptive quadrature, uniform radial grids
+for 3D radial integrals, seed derivation, and the block size of the
+batched ensembles.
 
 All downstream 1D integrals funnel through `integrate_1d`, a globally
 adaptive Gauss-Kronrod integrator: the 21-point Kronrod rule with its
@@ -25,7 +25,6 @@ __all__ = [
     "QuadratureResult",
     "RadialGrid",
     "integrate_1d",
-    "gamma",
     "uniform_radial_grid",
     "seed_words",
     "BLOCK_BYTES",
@@ -210,13 +209,6 @@ def integrate_1d(
         for piece in ((lo, mid), (mid, hi)):
             piece_value, piece_error = _gk21(g, *piece)
             intervals.append((piece_error, *piece, piece_value))
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the positive half line."""
-    if not x > 0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ from .errors import (
     SolverError,
 )
 from .foldy import foldy_j, simplified_energy_quadrature
-from .numerics import gamma, integrate_1d, seed_words, trials_per_block
+from .numerics import integrate_1d, seed_words, trials_per_block
 from .variational import RadialProfile, functional_energy, rescale
 
 __all__ = [
@@ -152,7 +152,7 @@ def _momentum_constant() -> float:
     closed form is cross-checked once against adaptive quadrature of
     occupation_f at 8 pi rho = 1.
     """
-    closed = gamma(0.25) ** 2 / (24.0 * 2.0**0.25 * math.sqrt(math.pi))
+    closed = math.gamma(0.25) ** 2 / (24.0 * 2.0**0.25 * math.sqrt(math.pi))
     rho_unit = 1.0 / (8.0 * math.pi)
 
     def g(q: float) -> float:

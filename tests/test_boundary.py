@@ -32,7 +32,6 @@ CASES = {
     "integrate-f": (lambda: numerics.integrate_1d(lambda x: NAN, 0.0, 1.0), DomainError),
     "integrate-f-inf": (lambda: numerics.integrate_1d(lambda x: math.inf, 0.0, math.inf),
                         DomainError),
-    "gamma-x": (lambda: numerics.gamma(NAN), DomainError),
     "radial_grid-r_max": (lambda: numerics.uniform_radial_grid(16, NAN), DomainError),
     "stability-charges": (lambda: spectral.stability_bound((1.0, NAN), 2, 0.04, 10),
                           DomainError),

@@ -197,11 +197,11 @@ RECORD_PINS = (
             "84bc79dbdce717ee3f819fb3785ee41a722ba7730f82fa59ec765da9eb0aef4c",
         "matrixloc-ensemble-instances.csv":
             "022a3f30cf6ec680c38d304918b61be3614aed5882852c4b2ce8d47a992b9aab"}),
-    # the header records the file names as given, here relative to the cwd
+    # the header records each input file by the sha256 of its bytes
     (("matrix-localize", "--matrix", "a.txt", "--psi", "psi.txt", "--window", "4",
       "--budget-c", "3.0"), {
         "matrix-localize.jsonl":
-            "684cb3983514116809efee34b34cd40862722599d5826b0ff35edc36bf689459",
+            "834eceb3e3497f3e355c4019d1f4e69bc2b5d787cd080bc052af8e9f6acbd225",
         "matrix-localize-bands.csv":
             "08a3e827a390d80e12ba56fa7de7f1db2d5c5497fe5e8bcbbb6f83003a31712e",
         "matrix-localize-phi.csv":
@@ -366,6 +366,27 @@ class TestMainPlumbing:
         assert main_row["c_required"] == pytest.approx(16.0 / 7.0, rel=1e-12)
         assert rows[1]["check"] == "budget" and rows[1]["holds"]
         assert (tmp_path / "matrix-localize-bands.csv").exists()
+
+    def test_matrix_localize_record_ignores_how_files_are_named(self, tmp_path, monkeypatch):
+        data, other = tmp_path / "data", tmp_path / "other"
+        data.mkdir()
+        other.mkdir()
+        n = 8
+        matrixloc.write_matrix(data / "a.txt", 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        matrixloc.write_vector(data / "psi.txt", np.full(n, n**-0.5))
+        digests = set()
+        for cwd, prefix in ((data, ""), (other, "../data/")):
+            monkeypatch.chdir(cwd)
+            for spelling in (prefix, "./" + prefix, f"{data}/"):
+                out = tmp_path / "out"
+                assert cli.main(["matrix-localize", "--matrix", spelling + "a.txt",
+                                 "--psi", spelling + "psi.txt", "--window", "4",
+                                 "--outdir", str(out)]) == 0
+                digests.add(hashlib.sha256((out / "matrix-localize.jsonl").read_bytes()).digest())
+        assert len(digests) == 1
+        header, _, _ = read_record(out / "matrix-localize.jsonl")
+        assert header["params"]["matrix"] == (
+            "sha256:" + hashlib.sha256((data / "a.txt").read_bytes()).hexdigest())
 
     def test_infinite_c_required_is_strict_json(self, tmp_path):
         matrixloc.write_matrix(tmp_path / "a.txt", np.diag([0.0, 1.0, 0.0]))

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chargelab import correlation
 from chargelab.correlation import (
     _BLOCK,
     CHECKERS,
@@ -160,6 +161,15 @@ class TestOnsager:
             cfg = random_configuration(rng, 20, 1.0, "pm1")
             assert onsager_check(cfg, 1.0).holds
 
+    def test_far_apart_pair_is_finite(self):
+        # exp(-mu D) is 0 long before (mu D)^2 overflows, so the bound is -0
+        far = dipole(1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu in (5.0, math.inf):
+                rep = onsager_check(far, mu)
+                assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.holds
+
 
 class TestBaxter:
     def test_dipole(self):
@@ -308,6 +318,29 @@ class TestEnsembles:
             run_random_ensemble("unknown", 10, 1)
         with pytest.raises(PreconditionError):
             run_random_ensemble("onsager", 0, 1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_particles": 0}, {"mus": ()}, {"mus": (math.nan,)}, {"mus": (-1.0,)},
+        {"box_range": (5.0, 1.0)}, {"box_range": (-1.0, 1.0)},
+        {"box_range": (math.nan, 1.0)}, {"box_range": (1.0, math.inf)},
+    ], ids=repr)
+    def test_arguments_are_checked_before_drawing(self, kwargs, monkeypatch):
+        # no trial seed is derived, so nothing is drawn, before the check
+        monkeypatch.setattr(correlation, "seed_words", None)
+        with pytest.raises((PreconditionError, DomainError)):
+            run_random_ensemble("onsager", 3, 0, **kwargs)
+
+    def test_overflowing_draws_are_rejected_as_in_the_public_route(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="overflow"):
+                run_random_ensemble("onsager", 3, 0, box_range=(1e200, 1e200))
+
+    def test_nan_mu_is_rejected_as_in_the_public_route(self):
+        with pytest.raises(DomainError):
+            onsager_check(dipole(), math.nan)
+        with pytest.raises(DomainError):
+            run_random_ensemble("onsager", 2, 0, mus=(math.nan,))
 
 
 def _replay(which, ts, max_particles=50, box_range=(1.0, 10.0), mus=(0.0, 0.5, 1.0, 5.0)):

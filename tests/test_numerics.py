@@ -1,4 +1,4 @@
-"""Contracts of the quadrature kernels, gamma, radial grids and seeds."""
+"""Contracts of the quadrature kernels, radial grids and seeds."""
 import math
 import re
 
@@ -11,7 +11,6 @@ from chargelab.errors import BudgetExceededError, DomainError, PreconditionError
 from chargelab.numerics import (
     QuadratureResult,
     RadialGrid,
-    gamma,
     integrate_1d,
     seed_words,
     uniform_radial_grid,
@@ -19,8 +18,6 @@ from chargelab.numerics import (
 
 # Frozen from a 30-digit independent evaluation before the build.
 J_BARE_INTEGRAL = 0.80600946268832285
-SQRT_PI = 1.7724538509055160273
-GAMMA_5_4 = 0.90640247705547708
 
 
 def bare_j_integrand(x):
@@ -156,24 +153,6 @@ def test_repeat_calls_are_identical():
     for f, a, b, scale, _ in ORACLE_CASES.values():
         first = integrate_1d(f, a, b, tol=1e-12, scale=scale)
         assert repr(integrate_1d(f, a, b, tol=1e-12, scale=scale)) == repr(first)
-
-
-def test_gamma_classical_values():
-    assert gamma(1.0) == 1.0
-    assert abs(gamma(0.5) - SQRT_PI) < 1e-14
-    assert abs(gamma(1.25) - GAMMA_5_4) < 1e-13 * GAMMA_5_4
-
-
-def test_gamma_domain():
-    for x in (0.0, -1.0, -0.5):
-        with pytest.raises(DomainError):
-            gamma(x)
-
-
-def test_gamma_recurrence():
-    for x in np.linspace(0.25, 5.0, 20):
-        rel = abs(gamma(x + 1.0) - x * gamma(x)) / gamma(x + 1.0)
-        assert rel < 1e-11
 
 
 def test_radial_grid_invariants():

@@ -209,7 +209,8 @@ class TestTraceGamma:
     def test_momentum_constant_guard_fires(self, monkeypatch):
         import chargelab.trialstate as ts
 
-        monkeypatch.setattr(ts, "gamma", lambda x: 1.001 * math.gamma(x))
+        gamma = math.gamma
+        monkeypatch.setattr(ts.math, "gamma", lambda x: 1.001 * gamma(x))
         ts._momentum_constant.cache_clear()
         try:
             with pytest.raises(ConsistencyError):
