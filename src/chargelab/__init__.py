@@ -2,7 +2,7 @@
 
 Modules
 -------
-numerics     quadrature, Gamma, uniform radial grids
+numerics     quadrature, uniform radial grids, seed derivation
 foldy        the constant J and the simplified local energy by quadrature
 bogolubov    quadratic-Hamiltonian lower bound and truncated-Fock sharpness
 correlation  Yukawa pair energies and correlation inequality checkers

@@ -153,12 +153,15 @@ def write_table(outdir: Path, base: str, name: str, columns, rows) -> Path:
 # ---------------------------------------------------------------------------
 # Check implementations.  Each returns (rows, summary, tables): rows are
 # record dicts carrying a "holds" verdict where something is asserted;
-# tables map name -> (columns, tuples) for optional CSV emission.
+# tables map name -> (columns, tuples) for optional CSV emission.  A
+# check's pass bound is a constant of its function, and the row records
+# the same name its verdict reads; no caller sets it.
 # ---------------------------------------------------------------------------
 
 
-def run_j_check(tol: float = 1e-10):
-    by_integral = j_from_integral(tol)
+def run_j_check():
+    tol = 1e-8
+    by_integral = j_from_integral()
     by_gamma = j_closed_form()
     diff = abs(by_integral - by_gamma)
     row = {
@@ -166,14 +169,15 @@ def run_j_check(tol: float = 1e-10):
         "j_integral": by_integral,
         "j_gamma": by_gamma,
         "diff": diff,
-        "tolerance": 1e-8,
-        "holds": diff <= 1e-8,
+        "tolerance": tol,
+        "holds": diff <= tol,
     }
     return [row], {"j": by_gamma, "cross_route_diff": diff}, {}
 
 
-def run_identity_check(tol: float = 1e-6):
+def run_identity_check():
     """Quadrature of the simplified local energy against -J nu^(5/4) ell^(-3/4)."""
+    tol = 1e-6
     j = foldy_j()
     rows, worst = [], 0.0
     for nu, ell in IDENTITY_POINTS:
@@ -199,11 +203,10 @@ def run_identity_check(tol: float = 1e-6):
     return rows, {"points": len(rows), "worst_rel_err": worst}, {"points": table}
 
 
-def run_bogolubov_ladder(
-    t: float, g_plus: float, g_minus: float, n_max_list, gap_fraction_tol: float = 0.01
-):
+def run_bogolubov_ladder(t: float, g_plus: float, g_minus: float, n_max_list):
     """Truncated-ladder ground energies against the closed-form bound; the
-    deepest cutoff must close the gap to gap_fraction_tol of |bound|."""
+    deepest cutoff must close the gap to fraction_tol of |bound|."""
+    fraction_tol = 0.01
     model = bogolubov.BogolubovModel(t=t, g_plus=g_plus, g_minus=g_minus)
     bound = bogolubov.closed_form_bound(model)
     tol = model.gap_tolerance
@@ -226,9 +229,9 @@ def run_bogolubov_ladder(
     # a bound smaller than the rounding allowance (about -g^2/2t when g << t)
     # cannot be resolved by the eigensolve, so a gap within it also closes
     last = rows[-1]
-    last["tolerance"] = gap_fraction_tol
+    last["tolerance"] = fraction_tol
     last["holds"] = last["holds"] and (
-        last["gap_fraction"] <= gap_fraction_tol or abs(last["gap"]) <= tol)
+        last["gap_fraction"] <= fraction_tol or abs(last["gap"]) <= tol)
     table = (("n_max", "ground_energy", "gap", "gap_fraction"),
              [(r["n_max"], r["ground_energy"], r["gap"], r["gap_fraction"])
               for r in rows])
@@ -299,9 +302,10 @@ def run_inequality_fuzz(which: str, trials: int, seed: int):
     return rows, summary, {"trials": table}
 
 
-def run_dyson(nodes: int = 800, r_max: float = 25.0, agreement_tol: float = 1e-4):
+def run_dyson(nodes: int = 800, r_max: float = 25.0):
     """Minimize the energy functional; assert the scaled-Gaussian ceiling,
     the virial identity, and two-grid agreement."""
+    ceiling, agreement_tol = -0.05, 1e-4
     if nodes < 100:
         raise PreconditionError("nodes must be >= 100")
     result = variational.minimize(variational.default_init(nodes, r_max))
@@ -318,8 +322,8 @@ def run_dyson(nodes: int = 800, r_max: float = 25.0, agreement_tol: float = 1e-4
             "potential": result.potential,
             "iterations": result.iterations,
             "converged": result.converged,
-            "ceiling": -0.05,
-            "holds": result.converged and result.energy <= -0.05,
+            "ceiling": ceiling,
+            "holds": result.converged and result.energy <= ceiling,
         },
         {
             "check": "dyson-virial",
@@ -343,11 +347,12 @@ def run_dyson(nodes: int = 800, r_max: float = 25.0, agreement_tol: float = 1e-4
     return rows, summary, {"profile": table}
 
 
-def run_pair_identity(rhos=(1e-2, 1.0, 1e2, 1e4), tol: float = 1e-6):
+def run_pair_identity():
     """Pointwise pair energy against -J rho^(5/4)."""
+    tol = 1e-6
     j = foldy_j()
     rows, worst = [], 0.0
-    for rho in rhos:
+    for rho in (1e-2, 1.0, 1e2, 1e4):
         value = trialstate.pointwise_pair_energy(rho)
         closed = -j * rho**1.25
         rel = abs(value - closed) / abs(closed)
@@ -366,9 +371,10 @@ def run_pair_identity(rhos=(1e-2, 1.0, 1e2, 1e4), tol: float = 1e-6):
     return rows, {"worst_rel_err": worst}, {}
 
 
-def run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000), slope_tol: float = 0.01):
+def run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000)):
     """Tr Gamma over a particle-number ladder; the log-log slope must be
     3/5 within slope_tol."""
+    target, slope_tol = 0.6, 0.01
     if len(n_list) < 2:
         raise PreconditionError("need at least two particle numbers")
     minimizer = variational.minimize()
@@ -391,9 +397,9 @@ def run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000), slope_tol: flo
         {
             "check": "trace-scaling-slope",
             "slope": slope,
-            "target": 0.6,
+            "target": target,
             "tolerance": slope_tol,
-            "holds": abs(slope - 0.6) <= slope_tol,
+            "holds": abs(slope - target) <= slope_tol,
         }
     )
     table = (("n_particles", "trace_gamma"),
@@ -401,8 +407,9 @@ def run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000), slope_tol: flo
     return rows, {"slope": slope}, {"traces": table}
 
 
-def run_upper_bound(n_list=(1, 32, 100_000), tol: float = 1e-8):
+def run_upper_bound(n_list=(1, 32, 100_000)):
     """Many-body upper bound against N^(7/5) times the functional minimum."""
+    tol = 1e-8
     minimizer = variational.minimize()
     rows, worst = [], 0.0
     for n in n_list:
@@ -424,16 +431,14 @@ def run_upper_bound(n_list=(1, 32, 100_000), tol: float = 1e-8):
     return rows, {"worst_rel_err": worst, "e_star": minimizer.energy}, {}
 
 
-def run_berezin(trials: int, seed: int, dimension: int = 8, count: int = 24,
-                identity_tol: float = 1e-12):
+def run_berezin(trials: int, seed: int):
     """Trace-inequality ensembles for every registered xi; the identity xi
     is an equality and must be exact to identity_tol (relative)."""
+    identity_tol = 1e-12
     names = tuple(sorted(trialstate.XI_FUNCTIONS))
     rows, samples = [], []
     for name, sub in zip(names, seed_words(seed, len(names))):
-        ensemble = trialstate.berezin_lieb_ensemble(
-            name, trials, sub, dimension=dimension, count=count
-        )
+        ensemble = trialstate.berezin_lieb_ensemble(name, trials, sub)
         slacks = np.array([r[3] for r in ensemble])
         row = _ensemble_row(f"berezin-{name}", trials, slacks)
         if name == "identity":
@@ -447,12 +452,10 @@ def run_berezin(trials: int, seed: int, dimension: int = 8, count: int = 24,
     return rows, {"violations": sum(r["violations"] for r in rows)}, {"instances": table}
 
 
-def run_matrixloc_ensemble(trials: int, seed: int, size: int = 64, window: int = 8,
-                           ceiling: float = 50.0):
+def run_matrixloc_ensemble(trials: int, seed: int, size: int = 64, window: int = 8):
     """Gaussian symmetric instances: the restriction construction must meet
     the band budget with constant <= ceiling on every draw."""
-    if not ceiling >= 0:  # c_required >= 0, so no draw could meet it
-        raise DomainError("ceiling must be >= 0")
+    ceiling = 50.0
     worst, samples = matrixloc.gaussian_ensemble(trials, seed, n=size, window=window)
     row = {
         "check": "matrix-localization",
@@ -507,8 +510,9 @@ def run_matrix_localize(matrix_path, psi_path, window: int, budget_c: float | No
     return rows, {"value": result.value, "c_required": result.c_required}, tables
 
 
-def _scale_pair_rows(invariance_tol: float):
+def _scale_pair_rows():
     """Matched-grid lambda = 2 covariance rows shared by both spectral studies."""
+    invariance_tol = 1e-6
     base_grid = uniform_radial_grid(1600, 10.0)
     scaled_grid = uniform_radial_grid(1600, 5.0)
     base_spec = spectral.gaussian_well(12.0)
@@ -541,10 +545,10 @@ def _scale_pair_rows(invariance_tol: float):
     ]
 
 
-def run_lt_study(depths=(50.0, 100.0, 200.0), ratio_tol: float = 0.15,
-                 invariance_tol: float = 1e-6):
+def run_lt_study(depths=(50.0, 100.0, 200.0)):
     """Channel-summed spectra of deepening wells against the semiclassical
     ratio, plus the matched-grid scale invariance of both ratios."""
+    ratio_tol = 0.15
     if len(depths) == 0:
         raise PreconditionError("depths must be nonempty")
     rows = []
@@ -565,7 +569,7 @@ def run_lt_study(depths=(50.0, 100.0, 200.0), ratio_tol: float = 0.15,
         )
     rows[-1]["tolerance"] = ratio_tol
     rows[-1]["holds"] = rows[-1]["rel_gap"] <= ratio_tol
-    rows.extend(_scale_pair_rows(invariance_tol))
+    rows.extend(_scale_pair_rows())
     table = (("depth", "neg_sum", "v_integral", "lt_ratio", "rel_gap"),
              [(r["depth"], r["neg_sum"], r["v_integral"], r["lt_ratio"], r["rel_gap"])
               for r in rows if r["check"] == "lt-ratio"])
@@ -573,7 +577,7 @@ def run_lt_study(depths=(50.0, 100.0, 200.0), ratio_tol: float = 0.15,
     return rows, summary, {"ratios": table}
 
 
-def run_sobolev_study(depths=(5.0, 10.0, 20.0, 50.0), invariance_tol: float = 1e-6):
+def run_sobolev_study(depths=(5.0, 10.0, 20.0, 50.0)):
     """Ground-state-to-potential ratios along a depth ladder (the scale
     invariant combination), plus the matched-grid invariance rows."""
     if len(depths) == 0:
@@ -593,7 +597,7 @@ def run_sobolev_study(depths=(5.0, 10.0, 20.0, 50.0), invariance_tol: float = 1e
                 "holds": True,
             }
         )
-    rows.extend(_scale_pair_rows(invariance_tol))
+    rows.extend(_scale_pair_rows())
     table = (("depth", "ground_energy", "v_integral", "ratio"),
              [(r["depth"], r["ground_energy"], r["v_integral"], r["ratio"])
               for r in rows if r["check"] == "sobolev-ratio"])
@@ -713,28 +717,26 @@ _TRIALSTATE_CHECKS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The subcommand table: each subparser's flags, and in `run` the check
-    it calls with the parsed arguments."""
+    it calls with the parsed arguments.  An argument ``@FILE`` stands for
+    the lines of FILE, one argument per line."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", default=None,
                         help=f"output directory (default ${OUTDIR_ENV} or '.')")
     common.add_argument("--output", default=None,
                         help="base name for record files (default: the subcommand)")
-    common.add_argument("--config", default=None,
-                        help="key=value file mirroring the flags; explicit flags win; "
-                             "'key = true' switches a flag on")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     parser = argparse.ArgumentParser(
         prog="chargelab",
         description="Checks and studies for charged-gas energy estimates.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("foldy-j", parents=[common],
                        help="constant J by quadrature vs closed form")
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
-    p.set_defaults(run=lambda a: run_j_check(tol=a.tol))
+    p.set_defaults(run=lambda a: run_j_check())
 
     p = sub.add_parser("foldy-identity", parents=[common],
                        help="simplified local energy vs -J nu^(5/4) ell^(-3/4)")
@@ -746,9 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gplus", type=_finite_float, default=1.0)
     p.add_argument("--gminus", type=_finite_float, default=0.0)
     p.add_argument("--nmax-list", type=_int_list, default=(2, 4, 8, 12))
-    p.add_argument("--gap-fraction", type=_finite_float, default=0.01)
-    p.set_defaults(run=lambda a: run_bogolubov_ladder(
-        a.t, a.gplus, a.gminus, a.nmax_list, a.gap_fraction))
+    p.set_defaults(run=lambda a: run_bogolubov_ladder(a.t, a.gplus, a.gminus, a.nmax_list))
 
     p = sub.add_parser("bogolubov-fuzz", parents=[seeded],
                        help="random models against the lower bound")
@@ -788,9 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--window", type=int, default=8)
-    p.add_argument("--ceiling", type=_finite_float, default=50.0)
-    p.set_defaults(run=lambda a: run_matrixloc_ensemble(
-        a.trials, a.seed, a.size, a.window, a.ceiling))
+    p.set_defaults(run=lambda a: run_matrixloc_ensemble(a.trials, a.seed, a.size, a.window))
 
     p = sub.add_parser("lt-study", parents=[common],
                        help="negative-spectrum sums vs the semiclassical ratio")
@@ -824,57 +822,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_flags(path) -> list[str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise PreconditionError(f"cannot read config {path!r}: {exc}") from exc
-    flags = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise PreconditionError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise PreconditionError(f"{path}:{lineno}: empty key")
-        flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "yes", "on"):
-            flags.append(flag)
-        elif value.lower() in ("false", "no", "off"):
-            continue
-        else:
-            flags.append(f"{flag}={value}")
-    return flags
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    """Splice config-file flags in right after the subcommand so explicit
-    command-line flags (parsed later) win."""
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise PreconditionError("--config needs a path")
-            path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
-            break
-        if token.startswith("--config="):
-            path, rest = token.split("=", 1)[1], argv[:i] + argv[i + 1:]
-            break
-    else:
-        return argv
-    if not rest or rest[0].startswith("-"):
-        raise PreconditionError("--config must follow a subcommand")
-    return rest[:1] + _load_config_flags(path) + rest[1:]
-
-
 def _short(value) -> str:
     if isinstance(value, float):
         return f"{value:.8g}"
     return str(value)
 
 
-_PLUMBING_KEYS = ("subcommand", "outdir", "output", "config", "run", "meta")
+_PLUMBING_KEYS = ("subcommand", "outdir", "output", "run", "meta")
 
 
 def _param(value):
@@ -885,13 +839,13 @@ def _param(value):
     return value
 
 
+# an output path that names no writable file: a usage error, unlike a
+# write that fails midway (a full disk), which propagates
+_UNWRITABLE = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+               PermissionError)
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        argv = _inject_config(argv)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -901,6 +855,8 @@ def main(argv=None) -> int:
     args.meta = {}  # sidecar fields a run adds
     started = time.perf_counter()
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise PreconditionError(f"seed must be >= 0, got {args.seed}")
         rows, summary, tables = args.run(args)
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -920,9 +876,13 @@ def main(argv=None) -> int:
     }
     base = args.output or args.subcommand
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
-    record_path = write_record(outdir, base, header, rows, summary, args.meta)
-    for name, (columns, table_rows) in tables.items():
-        write_table(outdir, base, name, columns, table_rows)
+    try:
+        record_path = write_record(outdir, base, header, rows, summary, args.meta)
+        for name, (columns, table_rows) in tables.items():
+            write_table(outdir, base, name, columns, table_rows)
+    except _UNWRITABLE as exc:
+        print(f"error: cannot write {outdir / base}.jsonl: {exc.strerror}", file=sys.stderr)
+        return 2
 
     for row in rows:
         verdict = row.get("holds", row.get("passed"))

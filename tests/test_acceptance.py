@@ -3,6 +3,8 @@ tolerance and trial count, one test and one printed pass/fail line apiece.
 
 Run with -v (and -s to see the printed lines on success).  Every numeric
 threshold here is load-bearing; none may be loosened to make a test pass.
+The checks fix their own pass bounds, so each test asserts the recorded
+quantity against its stated bound, and that the row records that bound.
 """
 
 import hashlib
@@ -34,9 +36,13 @@ def test_01_j_cross_route():
 
 def test_02_simplified_energy_identity():
     start = time.perf_counter()
-    rows, summary, _ = cli.run_identity_check(tol=1e-6)
+    rows, summary, _ = cli.run_identity_check()
     elapsed = time.perf_counter() - start
-    ok = len(rows) == 12 and all(r["holds"] for r in rows) and elapsed < 10.0
+    ok = (
+        len(rows) == 12
+        and all(r["holds"] and r["rel_err"] <= 1e-6 and r["tolerance"] == 1e-6 for r in rows)
+        and elapsed < 10.0
+    )
     _verdict("02 simplified-identity", ok,
              f"12 points, worst rel err {summary['worst_rel_err']:.3e}, {elapsed:.2f}s")
 
@@ -44,11 +50,13 @@ def test_02_simplified_energy_identity():
 def test_03_bogolubov_bound_and_sharpness():
     start = time.perf_counter()
     fuzz_rows, fuzz, _ = cli.run_bogolubov_fuzz(1000, SEED, n_max_lo=2, n_max_hi=6)
-    ladder_rows, ladder, _ = cli.run_bogolubov_ladder(1.0, 1.0, 0.0, (12,), 0.01)
+    ladder_rows, ladder, _ = cli.run_bogolubov_ladder(1.0, 1.0, 0.0, (12,))
     elapsed = time.perf_counter() - start
     ok = (
         all(r["holds"] for r in fuzz_rows + ladder_rows)
         and fuzz["violations"] == 0
+        and ladder["final_gap_fraction"] <= 0.01
+        and ladder_rows[-1]["tolerance"] == 0.01
         and elapsed < 300.0
     )
     _verdict("03 bogolubov-bound", ok,
@@ -74,9 +82,14 @@ def test_04_electrostatic_inequality_fuzz():
 
 def test_05_functional_minimum_virial_and_grids():
     start = time.perf_counter()
-    rows, summary, _ = cli.run_dyson(nodes=800, r_max=25.0, agreement_tol=1e-4)
+    rows, summary, _ = cli.run_dyson(nodes=800, r_max=25.0)
     elapsed = time.perf_counter() - start
-    ok = all(r["holds"] for r in rows) and elapsed < 60.0
+    ok = (
+        all(r["holds"] for r in rows)
+        and summary["e_star"] <= -0.05 and rows[0]["ceiling"] == -0.05
+        and rows[2]["rel_change"] <= 1e-4 and rows[2]["tolerance"] == 1e-4
+        and elapsed < 60.0
+    )
     _verdict("05 dyson-minimize", ok,
              f"e_star={summary['e_star']:.10f} <= -0.05, "
              f"virial residual {summary['virial_residual']:.3e}, "
@@ -85,40 +98,47 @@ def test_05_functional_minimum_virial_and_grids():
 
 def test_06_pointwise_pair_energy_identity():
     start = time.perf_counter()
-    rows, summary, _ = cli.run_pair_identity(rhos=(1e-2, 1.0, 1e2, 1e4), tol=1e-6)
+    rows, summary, _ = cli.run_pair_identity()
     elapsed = time.perf_counter() - start
-    ok = all(r["holds"] for r in rows) and elapsed < 10.0
+    ok = (
+        [r["rho"] for r in rows] == [1e-2, 1.0, 1e2, 1e4]
+        and all(r["holds"] and r["rel_err"] <= 1e-6 and r["tolerance"] == 1e-6 for r in rows)
+        and elapsed < 10.0
+    )
     _verdict("06 pair-energy-identity", ok,
              f"4 densities, worst rel err {summary['worst_rel_err']:.3e}, {elapsed:.2f}s")
 
 
 def test_07_reduced_density_trace_scaling():
     start = time.perf_counter()
-    rows, summary, _ = cli.run_trace_scaling(
-        n_list=(1_000, 10_000, 100_000, 1_000_000), slope_tol=0.01
-    )
+    rows, summary, _ = cli.run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000))
     elapsed = time.perf_counter() - start
-    ok = all(r["holds"] for r in rows) and elapsed < 60.0
+    ok = (
+        all(r["holds"] for r in rows)
+        and abs(summary["slope"] - 0.6) <= 0.01 and rows[-1]["tolerance"] == 0.01
+        and elapsed < 60.0
+    )
     _verdict("07 trace-scaling", ok,
              f"log-log slope {summary['slope']:.6f} = 0.600 +/- 0.010, {elapsed:.1f}s")
 
 
 def test_08_upper_bound_consistency():
-    rows, summary, _ = cli.run_upper_bound(n_list=(1, 32, 100_000), tol=1e-8)
-    ok = all(r["holds"] for r in rows)
+    rows, summary, _ = cli.run_upper_bound(n_list=(1, 32, 100_000))
+    ok = all(r["holds"] and r["rel_err"] <= 1e-8 and r["tolerance"] == 1e-8 for r in rows)
     _verdict("08 upper-bound", ok,
              f"N in (1, 32, 100000), worst rel err {summary['worst_rel_err']:.3e}")
 
 
 def test_09_coherent_trace_inequality_ensemble():
     start = time.perf_counter()
-    rows, summary, _ = cli.run_berezin(1000, SEED, identity_tol=1e-12)
+    rows, summary, _ = cli.run_berezin(1000, SEED)
     elapsed = time.perf_counter() - start
     identity = next(r for r in rows if r["check"] == "berezin-identity")
     ok = (
         len(rows) == 4
         and all(r["holds"] for r in rows)
         and summary["violations"] == 0
+        and identity["max_rel_slack"] <= 1e-12
         and elapsed < 60.0
     )
     _verdict("09 berezin-lieb", ok,
@@ -128,8 +148,7 @@ def test_09_coherent_trace_inequality_ensemble():
 
 def test_10_matrix_localization_ensemble():
     start = time.perf_counter()
-    rows, summary, _ = cli.run_matrixloc_ensemble(1000, SEED, size=64, window=8,
-                                                  ceiling=50.0)
+    rows, summary, _ = cli.run_matrixloc_ensemble(1000, SEED, size=64, window=8)
     elapsed = time.perf_counter() - start
     # invariants, spot-checked on a fresh draw (construction enforces them
     # on every ensemble member, raising on any breach)
@@ -146,7 +165,12 @@ def test_10_matrix_localization_ensemble():
         and abs(np.linalg.norm(result.phi) - 1.0) <= 1e-12
         and bool(np.all(result.phi[outside] == 0.0))
     )
-    ok = all(r["holds"] for r in rows) and invariants and elapsed < 60.0
+    ok = (
+        all(r["holds"] for r in rows)
+        and summary["worst_c_required"] <= 50.0 and rows[0]["ceiling"] == 50.0
+        and invariants
+        and elapsed < 60.0
+    )
     _verdict("10 matrix-localization", ok,
              f"1000 instances, worst C {summary['worst_c_required']:.4f} <= 50, "
              f"invariants {'exact' if invariants else 'BROKEN'}, {elapsed:.1f}s")
@@ -156,9 +180,13 @@ def test_11_semiclassical_ratio_and_scale_invariance():
     start = time.perf_counter()
     deep = spectral.negative_sum(spectral.gaussian_well(200.0))
     rel_gap = abs(deep.lt_ratio / -0.019105 - 1.0)
-    pair = cli._scale_pair_rows(1e-6)
+    pair = cli._scale_pair_rows()
     elapsed = time.perf_counter() - start
-    ok = rel_gap <= 0.15 and all(r["holds"] for r in pair) and elapsed < 120.0
+    ok = (
+        rel_gap <= 0.15
+        and all(r["holds"] and r["rel_drift"] <= 1e-6 and r["tolerance"] == 1e-6 for r in pair)
+        and elapsed < 120.0
+    )
     _verdict("11 semiclassical-ratio", ok,
              f"depth-200 ratio {deep.lt_ratio:.8f} within {rel_gap:.2%} of -0.019105, "
              f"scale drift {max(r['rel_drift'] for r in pair):.3e}, {elapsed:.1f}s")

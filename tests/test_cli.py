@@ -1,4 +1,4 @@
-"""Command-line layer: records, determinism, exit codes, config plumbing."""
+"""Command-line layer: records, determinism, exit codes, argument files."""
 
 import contextlib
 import errno
@@ -150,7 +150,7 @@ class TestCheckFunctions:
 # sha256 of the .jsonl and of every CSV each argv writes
 RECORD_PINS = (
     (("foldy-j",), {
-        "foldy-j.jsonl": "0ddf19b1b9dc096677ede2d0cfcfa2cc657f79b08545a72e33a6ef6483860895"}),
+        "foldy-j.jsonl": "9c7f7fbb11cc137ad63d425d3afe122ae13c90b3767cf3be555598e2412ef04d"}),
     (("foldy-identity",), {
         "foldy-identity.jsonl":
             "e06d092f6c6ce5a42598b51898b6915f8393b9cdb847c58a20216d9e386bede2",
@@ -158,7 +158,7 @@ RECORD_PINS = (
             "aa8e3a9859f7ea3c9c4ac4906cd89a8c9418e129fd83d4e218948d4a38eb11bc"}),
     (("bogolubov-sharpness",), {
         "bogolubov-sharpness.jsonl":
-            "cfef9de0626433103fa55026186fc88a5ad4e282d56097f8506317dcb7907b8c",
+            "071d3af70b4338296e5b15083f81103f969aed77896a810c0e214380af706bfd",
         "bogolubov-sharpness-ladder.csv":
             "cb5e5b166a9109dd5cd7a147e80686e1875cd03e1f0991298f9edc5706e84775"}),
     (("dyson-minimize",), {
@@ -194,7 +194,7 @@ RECORD_PINS = (
             "6cfcfa3c7f4ddeb0cad7dc17a7890f7b2639ec2825e94e7b04ccd2258ef2e6d8"}),
     (("matrixloc-ensemble", "--trials", "20"), {
         "matrixloc-ensemble.jsonl":
-            "84bc79dbdce717ee3f819fb3785ee41a722ba7730f82fa59ec765da9eb0aef4c",
+            "f98ba5336af71a27b98b2c6978c3a14564f684d843058cee138a4730adb078c4",
         "matrixloc-ensemble-instances.csv":
             "022a3f30cf6ec680c38d304918b61be3614aed5882852c4b2ce8d47a992b9aab"}),
     # the header records each input file by the sha256 of its bytes
@@ -215,7 +215,7 @@ class TestMainPlumbing:
         header, rows, summary = read_record(tmp_path / "foldy-j.jsonl")
         assert header["schema"] == cli.SCHEMA_RECORD
         assert header["subcommand"] == "foldy-j"
-        assert header["params"] == {"tol": 1e-10}
+        assert header["params"] == {}
         assert rows[0]["row"] == 0 and rows[0]["holds"]
         assert summary["cross_route_diff"] <= 1e-8
         meta = json.loads((tmp_path / "foldy-j.meta.json").read_text())
@@ -529,15 +529,27 @@ class TestExitCodes:
         for argv in (["bogolubov-fuzz", "--seed", "-1"],
                      ["check-inequalities", "--seed", "-1"],
                      ["trialstate", "--check", "berezin-lieb", "--seed", "-1"],
+                     ["trialstate", "--check", "pair-energy", "--seed", "-1"],
                      ["matrixloc-ensemble", "--seed", "-1"],
                      ["verify", "--seed", "-1"],
-                     ["matrixloc-ensemble", "--size", "-1"],
-                     ["matrixloc-ensemble", "--ceiling=-1", "--trials", "2"]):
+                     ["matrixloc-ensemble", "--size", "-1"]):
             assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
             assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_unwritable_output_is_usage(self, tmp_path, capsys):
+        # an output base in a missing directory, an output directory that is a file
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for flags in (["--outdir", str(tmp_path), "--output", "sub/x"],
+                      ["--outdir", str(afile)]):
+            assert cli.main(["foldy-j", *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write") and err.count("\n") == 1
+            assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
     def test_out_of_range_floats_are_usage(self, tmp_path, capsys):
         # each overflowed, divided by zero or failed a check before the
@@ -600,68 +612,40 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-class TestConfigFile:
-    def test_defaults_from_file_flags_win(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("trials = 12\nseed = 11  # inline comment\n\n")
-        code = cli.main(
-            ["bogolubov-fuzz", "--config", str(cfg), "--outdir", str(tmp_path)]
-        )
-        assert code == 0
-        header, _, _ = read_record(tmp_path / "bogolubov-fuzz.jsonl")
-        assert header["params"]["trials"] == 12
-        assert header["params"]["seed"] == 11
-        code = cli.main(
-            ["bogolubov-fuzz", "--config", str(cfg), "--trials", "7",
-             "--outdir", str(tmp_path)]
-        )
-        assert code == 0
-        header, _, _ = read_record(tmp_path / "bogolubov-fuzz.jsonl")
-        assert header["params"]["trials"] == 7  # explicit flag beats config
+class TestArgumentFile:
+    @pytest.mark.parametrize("argv, code, params", [
+        (["@run.args"], 0, {"seed": 11, "trials": 12}),
+        (["@run.args", "--trials", "7"], 0, {"seed": 11, "trials": 7}),
+        (["@missing.args"], 2, None),
+    ], ids=["flags-apply", "explicit-flag-wins", "missing-file"])
+    def test_flags_from_file(self, argv, code, params, tmp_path, monkeypatch, capsys):
+        # one argument per line; the later flag wins
+        monkeypatch.chdir(tmp_path)
+        Path("run.args").write_text("--trials=12\n--seed\n11\n")
+        assert cli.main(["bogolubov-fuzz", *argv, "--outdir", "out"]) == code
+        if params is None:
+            assert not Path("out").exists()
+        else:
+            header, _, _ = read_record(tmp_path / "out" / "bogolubov-fuzz.jsonl")
+            assert {k: header["params"][k] for k in params} == params
         capsys.readouterr()
 
-    def test_boolean_switch(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("quick = true\nseed = 4\n")
-        code = cli.main(["verify", "--config", str(cfg), "--outdir", str(tmp_path)])
-        assert code == 0
-        header, _, _ = read_record(tmp_path / "verify.jsonl")
-        assert header["params"]["quick"] is True
-        capsys.readouterr()
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("not_a_flag = 3\n")
-        assert cli.main(["bogolubov-fuzz", "--config", str(cfg)]) == 2
-        capsys.readouterr()
-
-    def test_malformed_line_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("just a bare line\n")
-        assert cli.main(["bogolubov-fuzz", "--config", str(cfg)]) == 2
-        assert "key=value" in capsys.readouterr().err
-
-    def test_config_binds_to_subcommand_regardless_of_position(
-        self, tmp_path, capsys
-    ):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("trials = 5\n")
-        code = cli.main(
-            ["--config", str(cfg), "bogolubov-fuzz", "--outdir", str(tmp_path)]
-        )
-        assert code == 0
-        header, _, _ = read_record(tmp_path / "bogolubov-fuzz.jsonl")
-        assert header["params"]["trials"] == 5
-        # but a config with no subcommand anywhere has nothing to bind to
-        assert cli.main(["--config", str(cfg)]) == 2
-        capsys.readouterr()
-
-    def test_missing_file_rejected(self, capsys):
-        assert cli.main(["bogolubov-fuzz", "--config", "/nonexistent.cfg"]) == 2
-        capsys.readouterr()
+# sha256 of `verify --quick --seed 1905`'s verify.jsonl
+VERIFY_QUICK_SHA256 = "ee0f722424c6873d86f0364aff49a80a7ebaa93ebb7ab2e54dde877ff883a08f"
 
 
 class TestVerifySuite:
+    def test_quick_suite_matches_the_pinned_digest(self, tmp_path, capsys):
+        assert cli.main(["verify", "--quick", "--seed", "1905",
+                         "--outdir", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "verify.jsonl").read_bytes()).hexdigest()
+        assert digest == VERIFY_QUICK_SHA256, (
+            f"verify --quick: sha256 {digest} != pinned {VERIFY_QUICK_SHA256}; a change "
+            f"that alters the records on purpose updates the pin and names the changed "
+            f"fields in CHANGES.md")
+        capsys.readouterr()
+
     def test_quick_suite_passes_and_is_deterministic(self, tmp_path, capsys):
         base = ["verify", "--quick", "--seed", "77", "--outdir", str(tmp_path)]
         assert cli.main(base + ["--output", "a"]) == 0
@@ -768,10 +752,10 @@ def _unnumbered(row):
 class TestParser:
     # header params of each subcommand at default flags
     GOLDEN = {
-        ("foldy-j",): {"tol": 1e-10},
+        ("foldy-j",): {},
         ("foldy-identity",): {},
-        ("bogolubov-sharpness",): {"gap_fraction": 0.01, "gminus": 0.0, "gplus": 1.0,
-                                   "nmax_list": (2, 4, 8, 12), "t": 1.0},
+        ("bogolubov-sharpness",): {"gminus": 0.0, "gplus": 1.0, "nmax_list": (2, 4, 8, 12),
+                                   "t": 1.0},
         ("bogolubov-fuzz",): {"nmax_hi": 6, "nmax_lo": 2, "seed": 1905, "trials": 200},
         ("check-inequalities",): {"seed": 1905, "trials": 10_000, "which": "all"},
         ("dyson-minimize",): {"nodes": 800, "rmax": 25.0},
@@ -779,8 +763,7 @@ class TestParser:
                                                    "trials": 1000},
         ("matrix-localize", "--matrix", "a.txt", "--psi", "b.txt", "--window", "2"): {
             "budget_c": None, "matrix": "a.txt", "psi": "b.txt", "window": 2},
-        ("matrixloc-ensemble",): {"ceiling": 50.0, "seed": 1905, "size": 64,
-                                  "trials": 1000, "window": 8},
+        ("matrixloc-ensemble",): {"seed": 1905, "size": 64, "trials": 1000, "window": 8},
         ("lt-study",): {"depths": (50.0, 100.0, 200.0)},
         ("sobolev-study",): {"depths": (5.0, 10.0, 20.0, 50.0)},
         ("stability-bound",): {"c_lt": 0.04, "charges": (1.0,), "n_electrons": 10, "q": 2,
@@ -831,20 +814,6 @@ class TestHelpers:
         assert [cli._py(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
         assert [cli._py(np.float64(v)) for v in (np.inf, -np.inf, np.nan)] == [
             "inf", "-inf", "nan"]
-
-    def test_inject_config_forms(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("trials = 9\n")
-        out = cli._inject_config(["bogolubov-fuzz", "--config", str(cfg), "--seed", "2"])
-        assert out == ["bogolubov-fuzz", "--trials=9", "--seed", "2"]
-        out = cli._inject_config([f"bogolubov-fuzz", f"--config={cfg}"])
-        assert out == ["bogolubov-fuzz", "--trials=9"]
-        with pytest.raises(Exception):
-            cli._inject_config([f"--config={cfg}"])  # nothing to attach to
-
-    def test_inject_without_config_is_identity(self):
-        argv = ["foldy-j", "--tol", "1e-9"]
-        assert cli._inject_config(argv) == argv
 
 
 # every integer flag of the seeded ensembles, from a range that includes negatives
