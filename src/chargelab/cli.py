@@ -8,8 +8,9 @@ files.  `write_record` writes one from those parts; `main` passes it the
 parsed flags, less the plumbing ones, as the parameters.  Records are
 strict JSON: a non-finite float is written as the string "inf", "-inf"
 or "nan", the spelling the CSV tables use.  The wall-clock duration
-(and, for `verify`, each check's duration) is written to a sidecar
-``<name>.meta.json`` to keep it out of the deterministic surface.
+(and, for `verify`, each check's duration) and the environment are
+written to a sidecar ``<name>.meta.json`` to keep them out of the
+deterministic surface.
 Plot-ready tables are CSV with a schema tag comment on the first line;
 rendering is out of scope.
 
@@ -37,6 +38,14 @@ import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+
+# OpenBLAS starts its helper threads when numpy loads, and by default an idle
+# helper spins for 2^28 cycles (about 0.1 s) after every call before it
+# sleeps; the many small solves of a run leave them spinning most of the time,
+# a third of its CPU.  2^4 cycles lets them sleep at once while large solves
+# still use them.  It must be set before numpy loads; a value the caller set
+# is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 
@@ -104,12 +113,16 @@ def _py(value):
     return value
 
 
+def _tmp_beside(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 @contextmanager
 def _replacing(path: Path):
     """A text file to write in place of `path`: a temporary file beside it
     that is moved onto `path` only once the block completes, so a write
     that fails midway leaves `path` as it was and no temporary file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _tmp_beside(path)
     try:
         with tmp.open("w", newline="") as fh:
             yield fh
@@ -118,11 +131,28 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+_ENV_VARS = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """What a run's timings depend on: versions, CPU count and the thread
+    settings as this process sees them (null when unset).  scipy's version
+    is null when the run loaded no scipy; reading it would load it."""
+    scipy = sys.modules.get("scipy")
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": getattr(scipy, "__version__", None),
+        "cpu_count": os.cpu_count(),
+        **{name: os.environ.get(name) for name in _ENV_VARS},
+    }
+
+
 def write_record(outdir: Path, base: str, header: dict, rows, summary: dict,
                  meta: dict) -> Path:
     """Write ``<base>.jsonl`` -- the header fields after the schema tag and
     version, one line per row, the summary -- and the ``<base>.meta.json``
-    sidecar: the `meta` fields and the time of writing."""
+    sidecar: the `meta` fields, the time of writing and the environment."""
     outdir.mkdir(parents=True, exist_ok=True)
     lines = [{"schema": SCHEMA_RECORD, "version": __version__, **header},
              *({"row": i, **row} for i, row in enumerate(rows)),
@@ -132,7 +162,7 @@ def write_record(outdir: Path, base: str, header: dict, rows, summary: dict,
         for line in lines:
             fh.write(json.dumps(_py(line), sort_keys=True, allow_nan=False) + "\n")
     meta = {"schema": SCHEMA_META, "written_at": datetime.now(timezone.utc).isoformat(),
-            **meta}
+            "env": _environment(), **meta}
     with _replacing(outdir / f"{base}.meta.json") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
     return path
@@ -839,10 +869,15 @@ def _param(value):
     return value
 
 
-# an output path that names no writable file: a usage error, unlike a
-# write that fails midway (a full disk), which propagates
-_UNWRITABLE = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-               PermissionError)
+def _probe_output(outdir: Path, base: str) -> None:
+    """Create `outdir`, and create and remove the temporary file that
+    writing the record starts with, so an output that cannot be written
+    raises its OSError before the check runs."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    tmp = _tmp_beside(outdir / f"{base}.jsonl")
+    with tmp.open("w"):
+        pass
+    tmp.unlink()
 
 
 def main(argv=None) -> int:
@@ -853,10 +888,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     args.meta = {}  # sidecar fields a run adds
+    base = args.output or args.subcommand
+    outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
     started = time.perf_counter()
     try:
         if getattr(args, "seed", 0) < 0:
             raise PreconditionError(f"seed must be >= 0, got {args.seed}")
+        try:
+            _probe_output(outdir, base)
+        except OSError as exc:  # a missing, read-only or non-directory output
+            raise PreconditionError(f"cannot write {outdir / base}.jsonl: {exc.strerror or exc}")
         rows, summary, tables = args.run(args)
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -874,15 +915,14 @@ def main(argv=None) -> int:
         "seed": int(getattr(args, "seed", 0)),
         "params": {k: _param(v) for k, v in vars(args).items() if k not in _PLUMBING_KEYS},
     }
-    base = args.output or args.subcommand
-    outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
     try:
         record_path = write_record(outdir, base, header, rows, summary, args.meta)
         for name, (columns, table_rows) in tables.items():
             write_table(outdir, base, name, columns, table_rows)
-    except _UNWRITABLE as exc:
-        print(f"error: cannot write {outdir / base}.jsonl: {exc.strerror}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # the probe passed, so a resource ran out (a full disk)
+        print(f"error: writing the records of {outdir / base} failed: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 3
 
     for row in rows:
         verdict = row.get("holds", row.get("passed"))

@@ -212,11 +212,15 @@ def yukawa_positivity_check(config: ParticleConfiguration, mu: float) -> Inequal
     return _report(_positivity_sums, config, mu)
 
 
+# indexing by rng.integers draws what rng.choice would, without its overhead
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _draw(rng: np.random.Generator, n: int, box: float, charge_kind: str):
     """Positions (n, 3) uniform in [0, box]^3, then charges (n,), from rng."""
     pos = rng.uniform(0.0, box, size=(n, 3))
     if charge_kind == "pm1":
-        z = rng.choice([-1.0, 1.0], size=n)
+        z = _SIGNS[rng.integers(0, 2, size=n)]
     elif charge_kind == "mixed":
         z = np.where(
             rng.random(n) < 0.5, -1.0, rng.integers(1, 4, size=n).astype(float)
@@ -287,7 +291,7 @@ def run_random_ensemble(
             n = int(rng.integers(1, max_particles + 1))
             box = float(rng.uniform(*box_range))
             kind = "pm1" if rng.random() < 0.5 else "mixed"
-            mu = float(rng.choice(mus))
+            mu = float(mus[rng.integers(0, len(mus))])
             if which == "baxter":
                 mu = 0.0
             elif which == "positivity":

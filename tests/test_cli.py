@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -222,11 +223,19 @@ class TestMainPlumbing:
         assert meta["schema"] == cli.SCHEMA_META
         assert meta["duration_s"] > 0
         assert "checks" not in meta
+        assert meta["env"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": sys.modules["scipy"].__version__ if "scipy" in sys.modules else None,
+            "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name) for name in (
+                "OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        }
 
     def test_verify_sidecar_times_each_check(self, tmp_path):
         assert cli.main(["verify", "--quick", "--outdir", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "verify.meta.json").read_text())
-        assert set(meta) == {"schema", "duration_s", "written_at", "checks"}
+        assert set(meta) == {"schema", "duration_s", "written_at", "env", "checks"}
         checks = meta["checks"]
         assert sorted(checks) == sorted(name for name, _argv, _trials in cli.BATTERY)
         for seconds in checks.values():
@@ -315,9 +324,9 @@ class TestMainPlumbing:
             f"alters the records on purpose updates the pin and names the changed "
             f"fields in CHANGES.md")
         meta = json.loads((out / f"{argv[0]}.meta.json").read_text())
-        assert set(meta) == {"schema", "duration_s", "written_at"}
+        assert set(meta) == {"schema", "duration_s", "written_at", "env"}
 
-    def test_failed_write_keeps_the_earlier_files(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_the_earlier_files(self, tmp_path, monkeypatch, capsys):
         argv = ["bogolubov-fuzz", "--trials", "5", "--outdir", str(tmp_path)]
         assert cli.main(argv) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -342,8 +351,11 @@ class TestMainPlumbing:
 
         real_open = Path.open
         monkeypatch.setattr(Path, "open", lambda p, *a, **k: DiskFull(real_open(p, *a, **k)))
-        with pytest.raises(OSError):
-            cli.main(argv[:-2] + ["--seed", "2", *argv[-2:]])
+        capsys.readouterr()
+        assert cli.main(argv[:-2] + ["--seed", "2", *argv[-2:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "No space left on device" in err
         with pytest.raises(OSError):
             cli.write_table(tmp_path, "bogolubov-fuzz", "models", ("a",), [(1,)])
         monkeypatch.undo()
@@ -551,6 +563,16 @@ class TestExitCodes:
             assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
+    def test_unwritable_output_fails_before_the_check_runs(self, tmp_path, monkeypatch,
+                                                             capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        monkeypatch.setattr(cli, "run_verification_suite",
+                            lambda *a, **k: pytest.fail("the battery ran"))
+        assert cli.main(["verify", "--quick", "--outdir", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
     def test_out_of_range_floats_are_usage(self, tmp_path, capsys):
         # each overflowed, divided by zero or failed a check before the
         # boundary rejected it
@@ -726,7 +748,54 @@ def _scipy_after(*argvs):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# Runs argv[1] in a fresh interpreter and prints, as its last line, the value
+# OPENBLAS_THREAD_TIMEOUT had when numpy was first imported (or "unloaded").
+_THREAD_TIMEOUT_PROBE = textwrap.dedent("""
+    import json, os, runpy, sys
+
+    class NumpyImport:
+        seen = "unloaded"
+
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy" and NumpyImport.seen == "unloaded":
+                NumpyImport.seen = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+
+    sys.meta_path.insert(0, NumpyImport())
+    try:
+        exec(sys.argv[1])
+    except SystemExit:
+        pass
+    print(json.dumps(NumpyImport.seen))
+""")
+
+
+def _thread_timeout_at_numpy_import(code, preset=None):
+    env = _src_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)  # this process set it by importing cli
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    proc = subprocess.run([sys.executable, "-c", _THREAD_TIMEOUT_PROBE, code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_AS_MODULE = ("sys.argv = ['chargelab', '--help']; "
+              "runpy.run_module('chargelab', run_name='__main__', alter_sys=True)")
+
+
 class TestStartup:
+    @pytest.mark.parametrize("code, preset, seen", [
+        ("import chargelab.cli", None, "4"),
+        (_AS_MODULE, None, "4"),
+        ("import chargelab.cli", "30", "30"),
+        ("import chargelab", None, "unloaded"),
+    ], ids=["import-cli", "run-as-module", "preset-kept", "package-loads-no-numpy"])
+    def test_thread_timeout_is_set_before_numpy_loads(self, code, preset, seen):
+        # an idle OpenBLAS helper spins for 2^THREAD_TIMEOUT cycles; OpenBLAS
+        # reads the setting once, when numpy loads it
+        assert _thread_timeout_at_numpy_import(code, preset) == seen
+
     def test_subcommands_import_only_the_scipy_they_run(self):
         assert _scipy_after(*_SCIPY_FREE) == {"import": [], "run": []}
 
