@@ -18,15 +18,22 @@ built only on the Q = 0 occupation states (19 at n_max = 2 against 81 for
 all four modes); the tests certify against the full (n_max+1)^4 space that
 this is the ground energy.  H also commutes with the tau-swap
 P: (n0, n1, n2, n3) -> (n2, n3, n0, n1), so the Q = 0 matrix splits into a
-P-even and a P-odd block, each about half the size.  Both are built
-directly from the ladder terms, never through the full Q = 0 matrix, and
-solved with `numpy.linalg.eigvalsh`; the module imports no scipy.
+P-even and a P-odd block, each about half the size.  A vanishing coupling
+splits these further: at g_minus = 0 every term that moves a z = -1 boson
+has a zero coefficient, so n1 and n3 are conserved and each parity block
+is a sum of sectors of fixed (n1, n3) (169 sectors of at most 13 states at
+n_max = 12, against parity blocks of 819 and 650); likewise (n0, n2) at
+g_plus = 0.  The sector blocks are built directly from the ladder terms,
+never through a parity block, from a stencil cached per n_max and sector
+rule that leaves a build only to scale and scatter the couplings; each is
+solved with `numpy.linalg.eigvalsh`, and the module imports no scipy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +54,9 @@ __all__ = [
 # Q = 0 states and admits n_max <= 20 (6181 states, parity blocks of 3311
 # and 2870).  There, on 2 shared CPUs with OpenBLAS, the build takes
 # 0.3-0.6 s, the two solves 3.4-4.6 s, and the process peaks at 322 MB RSS.
+# At g_minus = 0 the blocks are 441 sectors of at most 21 states: the build
+# takes 13 ms (5 ms with its stencil cached), the solves 7 ms, and
+# `bogolubov-sharpness --nmax-list 20` peaks at 38 MB RSS.
 DIMENSION_CAP = 6_500
 
 # Rounding allowance on a gap (ground energy minus bound), relative to the
@@ -78,24 +88,24 @@ class BogolubovModel:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFockOperator:
-    """The truncated H on the Q = 0 states as its two tau-swap parity blocks;
-    `dimension` counts the Q = 0 states, the sum of the block sizes."""
+    """The truncated H on the Q = 0 states as the diagonal blocks that its
+    symmetries split it into (see `build_hamiltonian`); `dimension` counts
+    the Q = 0 states, the sum of the block sizes."""
 
     n_max: int
-    even: np.ndarray
-    odd: np.ndarray
+    blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for name, block in (("even", self.even), ("odd", self.odd)):
+        for k, block in enumerate(self.blocks):
             diff = block - block.T
             asym = float(np.abs(diff, out=diff).max(initial=0.0))
             if asym > 1e-12:
                 raise PreconditionError(
-                    f"{name} block not symmetric (max asymmetry {asym:.3e})")
+                    f"block {k} not symmetric (max asymmetry {asym:.3e})")
 
     @property
     def dimension(self) -> int:
-        return self.even.shape[0] + self.odd.shape[0]
+        return sum(block.shape[0] for block in self.blocks)
 
 
 def closed_form_bound(model: BogolubovModel) -> float:
@@ -118,48 +128,66 @@ def _sector_basis(n_max: int) -> np.ndarray:
     return occ[occ[:, 0] + occ[:, 1] == occ[:, 2] + occ[:, 3]]
 
 
-def _block_matrix(size: int, rows: np.ndarray, cols: np.ndarray,
-                  vals: np.ndarray) -> np.ndarray:
-    """Dense size x size matrix with the vals summed at (rows, cols)."""
-    flat = np.bincount(rows * size + cols, weights=vals, minlength=size * size)
-    return flat.reshape(size, size)
+# The off-diagonal ladder terms as (coupling, i, j, dj): b*_i b*_j for
+# dj = +1, b*_i b_j for dj = -1, each entered together with its Hermitian
+# conjugate; coupling 0 is g_plus, 1 is g_minus, 2 is -sqrt(g_plus g_minus).
+_TERMS = (
+    (0, 0, 2, +1),  # z = z' = +1
+    (1, 1, 3, +1),  # z = z' = -1
+    (2, 0, 1, -1),  # hops within tau = +
+    (2, 2, 3, -1),  # hops within tau = -
+    (2, 0, 3, +1),  # opposite-charge pairs
+    (2, 1, 2, +1),
+)
 
 
-def build_hamiltonian(model: BogolubovModel, n_max: int) -> TruncatedFockOperator:
-    """The two tau-swap parity blocks of the quadratic form on the Q = 0
-    states of the occupation basis with per-mode cutoff n_max; ladder
-    elements that would leave the cutoff are dropped.
+def _conserved(model: BogolubovModel) -> tuple[int, ...]:
+    """The modes whose occupations the model's H conserves by a vanishing
+    coupling: g_minus = 0 zeroes the g_minus pair and, through
+    -sqrt(g_plus g_minus), every hop and opposite pair, which are all the
+    terms that move mode 1 or 3; g_plus = 0 likewise for modes 0 and 2."""
+    if model.g_minus == 0:
+        return (1, 3)
+    if model.g_plus == 0:
+        return (0, 2)
+    return ()
 
-    P is the tau-swap (n0, n1, n2, n3) -> (n2, n3, n0, n1).  The even block
-    has a basis vector (|n> + |Pn>)/sqrt(2) for each state with n0 < n2 and
-    |n> for each fixed point n = Pn; the odd block has (|n> - |Pn>)/sqrt(2)
-    for each state with n0 < n2; both keep the order of the states."""
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    # sum over k of #{(a, b) in [0, n_max]^2 : a + b = k}^2, with m = n_max + 1
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class _Stencil(NamedTuple):
+    """The model-independent part of a build, read-only arrays.  Entries are
+    the diagonal ones, then the off-diagonal ones; `pos` places every entry
+    in one flat buffer holding the blocks row-major one after another, and
+    block k is flat[start:start + size**2] for `blocks[k] = (start, size)`."""
+
+    blocks: tuple[tuple[int, int], ...]
+    counts: np.ndarray  # (3, diagonal entries): N, n0 + n2, n1 + n3 of its state
+    coupling: np.ndarray  # per off-diagonal entry: its coupling, 0..2 as in _TERMS
+    amp: np.ndarray  # per off-diagonal entry: its ladder amplitude
+    mixed: np.ndarray  # per off-diagonal entry: links a fixed point of P to a pair
+    pos: np.ndarray
+
+
+@lru_cache(maxsize=None)  # DIMENSION_CAP admits 20 cutoffs, times 3 mode sets
+def _stencil(n_max: int, conserved: tuple[int, ...]) -> _Stencil:
+    """The blocks of the Q = 0 states at cutoff n_max: each tau-swap parity
+    block split into sectors of equal occupations of the `conserved` modes,
+    with the terms that move a conserved mode left out (their couplings
+    vanish).  The entries keep the order of the full build, diagonal first,
+    then term by term, so each block entry sums the same values in the same
+    order as the parity block did."""
     m = n_max + 1
-    dim = m * (2 * m * m + 1) // 3
-    if dim > DIMENSION_CAP:
-        raise ResourceLimitError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
     occ = _sector_basis(n_max)
     strides = np.array([m**3, m**2, m, 1])
     flat = occ @ strides  # increasing, so searchsorted maps a state to its row
-    n0, n1, n2, n3 = occ.T
-    diag = (model.t * (n0 + n1 + n2 + n3) + model.g_plus * (n0 + n2)
-            + model.g_minus * (n1 + n3))
-    cross = -np.sqrt(model.g_plus * model.g_minus)
-    # (coupling, i, j, dj): b*_i b*_j for dj = +1, b*_i b_j for dj = -1,
-    # each entered together with its Hermitian conjugate
-    terms = (
-        (model.g_plus, 0, 2, +1),   # z = z' = +1
-        (model.g_minus, 1, 3, +1),  # z = z' = -1
-        (cross, 0, 1, -1),          # hops within tau = +
-        (cross, 2, 3, -1),          # hops within tau = -
-        (cross, 0, 3, +1),          # opposite-charge pairs
-        (cross, 1, 2, +1),
-    )
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
-    for coupling, i, j, dj in terms:
+    rows, cols, coupling, amps = [], [], [], []
+    for c, i, j, dj in _TERMS:
+        if {i, j} & set(conserved):
+            continue
         nj = occ[:, j] + dj
         src = np.flatnonzero((occ[:, i] < n_max) & (nj >= 0) & (nj <= n_max))
         dst = np.searchsorted(flat, flat[src] + strides[i] + dj * strides[j])
@@ -167,8 +195,10 @@ def build_hamiltonian(model: BogolubovModel, n_max: int) -> TruncatedFockOperato
         amp = np.sqrt(occ[src, i] + 1) * np.sqrt(np.maximum(occ[src, j], nj[src]))
         rows += [dst, src]
         cols += [src, dst]
-        vals += [coupling * amp] * 2
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        coupling.append(np.full(2 * len(src), c))
+        amps += [amp, amp]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    coupling, amps = np.concatenate(coupling), np.concatenate(amps)
 
     # P fixes the states with n0 = n2 (then n1 = n3 at Q = 0), and every
     # other orbit {n, Pn} has one state with n0 < n2.  No ladder term moves
@@ -176,23 +206,81 @@ def build_hamiltonian(model: BogolubovModel, n_max: int) -> TruncatedFockOperato
     # state, and <n|H|Pm> = 0 for n0 < n2 and m0 < m2.  The odd block is
     # then H on the n0 < n2 states, and the even block H on the n0 <= n2
     # states with each entry between a fixed point and a pair times sqrt(2).
-    side = np.sign(n0 - n2)
-    even_of, odd_of = np.cumsum(side <= 0) - 1, np.cumsum(side < 0) - 1
-    keep = (side[rows] <= 0) & (side[cols] <= 0)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    mixed = (side[rows] == 0) != (side[cols] == 0)
-    even = _block_matrix(int(even_of[-1]) + 1, even_of[rows], even_of[cols],
-                         np.where(mixed, math.sqrt(2.0) * vals, vals))
-    keep = (side[rows] < 0) & (side[cols] < 0)
-    odd = _block_matrix(int(odd_of[-1]) + 1, odd_of[rows[keep]], odd_of[cols[keep]],
-                        vals[keep])
-    return TruncatedFockOperator(n_max=n_max, even=even, odd=odd)
+    # H keeps the conserved occupations, so a block splits by them.
+    side = np.sign(occ[:, 0] - occ[:, 2])
+    label = occ[:, list(conserved)] @ m ** np.arange(len(conserved))
+    blocks, counts, diag_pos, off_pos, off_keep, mixed = [], [], [], [], [], []
+    start = 0
+    for member in (side <= 0, side < 0):
+        states = np.flatnonzero(member)
+        _, block = np.unique(label[states], return_inverse=True)
+        sizes = np.bincount(block)
+        starts = start + np.cumsum(sizes**2) - sizes**2
+        blocks += zip(starts.tolist(), sizes.tolist())
+        start = int(starts[-1] + sizes[-1] ** 2)
+        # a state's row within its block: its rank among the block's states
+        order = np.argsort(block, kind="stable")
+        local = np.empty_like(block)
+        local[order] = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        diag_pos.append(starts[block] + local * (sizes[block] + 1))
+        counts.append(occ[states])
+        block_of, local_of = np.full(len(occ), -1), np.full(len(occ), -1)
+        block_of[states], local_of[states] = block, local
+        keep = np.flatnonzero(member[rows] & member[cols])
+        r, c = rows[keep], cols[keep]
+        off_pos.append(starts[block_of[r]] + local_of[r] * sizes[block_of[r]] + local_of[c])
+        off_keep.append(keep)
+        mixed.append((side[r] == 0) != (side[c] == 0))
+    n0, n1, n2, n3 = np.concatenate(counts).T
+    keep = np.concatenate(off_keep)
+    return _Stencil(
+        blocks=tuple(blocks),
+        counts=_readonly(np.stack([n0 + n1 + n2 + n3, n0 + n2, n1 + n3])),
+        coupling=_readonly(coupling[keep]),
+        amp=_readonly(amps[keep]),
+        mixed=_readonly(np.concatenate(mixed)),
+        pos=_readonly(np.concatenate(diag_pos + off_pos)),
+    )
+
+
+def build_hamiltonian(model: BogolubovModel, n_max: int) -> TruncatedFockOperator:
+    """The blocks of the quadratic form on the Q = 0 states of the
+    occupation basis with per-mode cutoff n_max; ladder elements that would
+    leave the cutoff are dropped.
+
+    P is the tau-swap (n0, n1, n2, n3) -> (n2, n3, n0, n1).  The even
+    parity block has a basis vector (|n> + |Pn>)/sqrt(2) for each state with
+    n0 < n2 and |n> for each fixed point n = Pn; the odd block has
+    (|n> - |Pn>)/sqrt(2) for each state with n0 < n2.  Each parity block is
+    split into sectors of the occupations a vanishing coupling conserves,
+    (n1, n3) when g_minus = 0, else (n0, n2) when g_plus = 0, else one
+    sector; the blocks are the even sectors, then the odd ones, in order of
+    their occupations, and each keeps the order of the states."""
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    # sum over k of #{(a, b) in [0, n_max]^2 : a + b = k}^2, with m = n_max + 1
+    m = n_max + 1
+    dim = m * (2 * m * m + 1) // 3
+    if dim > DIMENSION_CAP:
+        raise ResourceLimitError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+    st = _stencil(n_max, _conserved(model))
+    total, plus, minus = st.counts
+    diag = model.t * total + model.g_plus * plus + model.g_minus * minus
+    couplings = np.array(
+        [model.g_plus, model.g_minus, -np.sqrt(model.g_plus * model.g_minus)])
+    off = couplings[st.coupling] * st.amp
+    off[st.mixed] *= math.sqrt(2.0)
+    last, size = st.blocks[-1]
+    flat = np.bincount(st.pos, weights=np.concatenate([diag, off]),
+                       minlength=last + size * size)
+    return TruncatedFockOperator(n_max=n_max, blocks=tuple(
+        flat[start:start + n * n].reshape(n, n) for start, n in st.blocks))
 
 
 def ground_energy(op: TruncatedFockOperator) -> float:
-    """Smallest eigenvalue of the truncated H: the lower of the two blocks'
+    """Smallest eigenvalue of the truncated H: the least of the blocks'
     smallest eigenvalues, each by one exact dense LAPACK solve."""
-    return float(min(np.linalg.eigvalsh(op.even)[0], np.linalg.eigvalsh(op.odd)[0]))
+    return float(min(np.linalg.eigvalsh(block)[0] for block in op.blocks))
 
 
 def sharpness_study(

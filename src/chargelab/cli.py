@@ -98,7 +98,7 @@ IDENTITY_POINTS = tuple(
 
 
 def _py(value):
-    """Coerce numpy scalars so records stay plain JSON/CSV types, through
+    """Coerce numpy scalars so records stay plain JSON types, through
     nested dicts; a non-finite float becomes the string "inf", "-inf" or
     "nan"."""
     if isinstance(value, (float, np.floating)):
@@ -118,17 +118,26 @@ def _tmp_beside(path: Path) -> Path:
 
 
 @contextmanager
-def _replacing(path: Path):
-    """A text file to write in place of `path`: a temporary file beside it
-    that is moved onto `path` only once the block completes, so a write
-    that fails midway leaves `path` as it was and no temporary file."""
-    tmp = _tmp_beside(path)
+def _staging():
+    """Collects (temporary file, target) pairs, see `_open_staged`, and moves
+    each temporary file onto its target only once the block completes, so
+    every file is written before the first is moved: a write that fails
+    leaves every target as it was and no temporary file."""
+    staged = []
     try:
-        with tmp.open("w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield staged
+        for tmp, path in staged:
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def _open_staged(staged: list, path: Path):
+    """A text file to write in place of `path`, staged in `staged`."""
+    tmp = _tmp_beside(path)
+    staged.append((tmp, path))
+    return tmp.open("w", newline="")
 
 
 _ENV_VARS = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -149,34 +158,39 @@ def _environment() -> dict:
 
 
 def write_record(outdir: Path, base: str, header: dict, rows, summary: dict,
-                 meta: dict) -> Path:
+                 meta: dict, staged: list) -> Path:
     """Write ``<base>.jsonl`` -- the header fields after the schema tag and
     version, one line per row, the summary -- and the ``<base>.meta.json``
-    sidecar: the `meta` fields, the time of writing and the environment."""
+    sidecar: the `meta` fields, the time of writing and the environment.
+    Both files are staged in `staged`, the list of an enclosing `_staging`,
+    which replaces the old ones with the rest of its files."""
     outdir.mkdir(parents=True, exist_ok=True)
     lines = [{"schema": SCHEMA_RECORD, "version": __version__, **header},
              *({"row": i, **row} for i, row in enumerate(rows)),
              {"summary": summary}]
     path = outdir / f"{base}.jsonl"
-    with _replacing(path) as fh:
-        for line in lines:
-            fh.write(json.dumps(_py(line), sort_keys=True, allow_nan=False) + "\n")
     meta = {"schema": SCHEMA_META, "written_at": datetime.now(timezone.utc).isoformat(),
             "env": _environment(), **meta}
-    with _replacing(outdir / f"{base}.meta.json") as fh:
+    with _open_staged(staged, path) as fh:
+        for line in lines:
+            fh.write(json.dumps(_py(line), sort_keys=True, allow_nan=False) + "\n")
+    with _open_staged(staged, outdir / f"{base}.meta.json") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
     return path
 
 
-def write_table(outdir: Path, base: str, name: str, columns, rows) -> Path:
+def write_table(outdir: Path, base: str, name: str, columns, rows,
+                staged: list) -> Path:
+    """Write the table ``<base>-<name>.csv``, staged as in `write_record`.
+    csv writes a value as its str(), which spells numpy and Python numbers
+    alike and a non-finite float as "inf", "-inf" or "nan"."""
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{base}-{name}.csv"
-    with _replacing(path) as fh:
+    with _open_staged(staged, path) as fh:
         fh.write(f"# schema: {SCHEMA_CSV} table={name}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_py(v) for v in row])
+        writer.writerows(rows)
     return path
 
 
@@ -916,9 +930,10 @@ def main(argv=None) -> int:
         "params": {k: _param(v) for k, v in vars(args).items() if k not in _PLUMBING_KEYS},
     }
     try:
-        record_path = write_record(outdir, base, header, rows, summary, args.meta)
-        for name, (columns, table_rows) in tables.items():
-            write_table(outdir, base, name, columns, table_rows)
+        with _staging() as staged:
+            record_path = write_record(outdir, base, header, rows, summary, args.meta, staged)
+            for name, (columns, table_rows) in tables.items():
+                write_table(outdir, base, name, columns, table_rows, staged)
     except OSError as exc:  # the probe passed, so a resource ran out (a full disk)
         print(f"error: writing the records of {outdir / base} failed: {exc.strerror or exc}",
               file=sys.stderr)

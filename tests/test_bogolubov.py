@@ -21,26 +21,55 @@ BOUND_110 = -2.0 + np.sqrt(3.0)  # -0.26794919243112270
 BOUND_111 = -3.0 + np.sqrt(5.0)  # -0.76393202250021030
 
 
-def full_space_matrix(model, n_max):
-    """Oracle: the Hamiltonian on all (n_max+1)^4 occupation states, built
-    from Kronecker products of single-mode ladder matrices."""
+def full_space_operator(model, n_max):
+    """Oracle: the Hamiltonian on all (n_max+1)^4 occupation states, as a
+    sparse matrix built from Kronecker products of single-mode ladder
+    matrices; the states in lexicographic order of (n0, n1, n2, n3).  The
+    number operators are exact integers, not b* b, whose diagonal is
+    sqrt(n) * sqrt(n)."""
     d = n_max + 1
-    lower = sp.diags(np.sqrt(np.arange(1.0, d)), offsets=1)  # b|n> = sqrt(n)|n-1>
-    b = []
-    for mode in range(4):
+
+    def on_mode(single, mode):
         out = sp.identity(1)
         for k in range(4):
-            out = sp.kron(out, lower if k == mode else sp.identity(d))
-        b.append(out.tocsr())
+            out = sp.kron(out, single if k == mode else sp.identity(d))
+        return out.tocsr()
+
+    lower = sp.diags(np.sqrt(np.arange(1.0, d)), offsets=1)  # b|n> = sqrt(n)|n-1>
+    b = [on_mode(lower, mode) for mode in range(4)]
     bd = [op.T for op in b]
-    num = [bd[m] @ b[m] for m in range(4)]
+    num = [on_mode(sp.diags(np.arange(float(d))), mode) for mode in range(4)]
     h = model.t * (num[0] + num[1] + num[2] + num[3])
     h = h + model.g_plus * (num[0] + num[2] + bd[0] @ bd[2] + b[0] @ b[2])
     h = h + model.g_minus * (num[1] + num[3] + bd[1] @ bd[3] + b[1] @ b[3])
     hop = bd[0] @ b[1] + bd[2] @ b[3]
     pair = bd[0] @ bd[3] + bd[1] @ bd[2]
-    h = h - np.sqrt(model.g_plus * model.g_minus) * (hop + hop.T + pair + pair.T)
-    return h.toarray()
+    return (h - np.sqrt(model.g_plus * model.g_minus) * (hop + hop.T + pair + pair.T)).tocsr()
+
+
+def full_space_matrix(model, n_max):
+    return full_space_operator(model, n_max).toarray()
+
+
+def occupations(n_max):
+    """(n0, n1, n2, n3) of every state, in the oracle's order."""
+    return np.indices((n_max + 1,) * 4).reshape(4, -1)
+
+
+def assert_blocks_carry_the_sector_spectrum(model, n_max):
+    """The blocks together have exactly the Q = 0 eigenvalues."""
+    n0, n1, n2, n3 = occupations(n_max)
+    q0 = np.flatnonzero(n0 + n1 == n2 + n3)
+    sector = np.linalg.eigvalsh(full_space_matrix(model, n_max)[np.ix_(q0, q0)])
+    op = build_hamiltonian(model, n_max)
+    blocks = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in op.blocks]))
+    assert op.dimension == len(q0) == len(blocks)
+    np.testing.assert_allclose(blocks, sector, rtol=0, atol=1e-12)
+
+
+# models of every sector rule: g_minus = 0, g_plus = 0, both zero, neither
+SECTOR_MODELS = [(0.9, 0.0, 1.7), (1.1, 2.3, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 0.0),
+                 (0.0, 0.0, 2.5), (0.3, 3.1, 0.0), (2.0, 0.0, 0.0), (0.7, 1.3, 0.4)]
 
 
 class TestClosedFormBound:
@@ -106,46 +135,52 @@ class TestBuildHamiltonian:
         # 9 of them are fixed by the tau-swap, so the blocks are 14 and 5
         op = build_hamiltonian(BogolubovModel(1, 1, 1), 2)
         assert op.dimension == 19
-        assert op.even.shape == (14, 14) and op.odd.shape == (5, 5)
-        for block in (op.even, op.odd):
+        assert [b.shape for b in op.blocks] == [(14, 14), (5, 5)]
+        for block in op.blocks:
             assert np.abs(block - block.T).max() <= 1e-12
+
+    def test_a_vanishing_coupling_splits_the_parity_blocks(self):
+        # at n_max = 12, (n1, n3) or (n0, n2) takes 91 values with n1 >= n3
+        # (even) and 78 with n1 > n3 (odd); 1469 = dimension at n_max = 12
+        for couplings in ((1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, 0.0)):
+            op = build_hamiltonian(BogolubovModel(*couplings), 12)
+            assert len(op.blocks) == 169 and op.dimension == 1469
+            assert max(b.shape[0] for b in op.blocks) == 13
+        assert len(build_hamiltonian(BogolubovModel(1.0, 1.0, 1.0), 12).blocks) == 2
 
     def test_vacuum_diagonal_is_zero(self):
         # the vacuum is the first state and fixed by the tau-swap
         op = build_hamiltonian(BogolubovModel(2.0, 1.5, 0.5), 3)
-        assert op.even[0, 0] == 0.0
+        assert op.blocks[0][0, 0] == 0.0
 
     def test_free_case_is_diagonal(self):
         op = build_hamiltonian(BogolubovModel(1.0, 0.0, 0.0), 2)
-        for block in (op.even, op.odd):
+        for block in op.blocks:
             assert np.all(block == np.diag(np.diag(block)))
         # diagonal = total occupation, so eigenvalues are 0..4*n_max
-        diag = np.sort(np.concatenate([np.diag(op.even), np.diag(op.odd)]))
+        diag = np.sort(np.concatenate([np.diag(b) for b in op.blocks]))
         assert diag[0] == 0.0
         assert diag[-1] == 8.0
 
     def test_blocks_carry_the_sector_spectrum(self):
-        # the two blocks together have exactly the Q = 0 eigenvalues
         rng = np.random.default_rng(1618)
-        models = [(0.9, 0.0, 1.7), (1.1, 2.3, 0.0), (0.0, 0.0, 0.0)]
-        models += [tuple(rng.uniform(0.0, 4.0, size=3)) for _ in range(7)]
+        models = SECTOR_MODELS + [tuple(rng.uniform(0.0, 4.0, size=3)) for _ in range(7)]
         for k, couplings in enumerate(models):
-            model, n_max = BogolubovModel(*couplings), 1 + k % 5
-            occ = np.indices((n_max + 1,) * 4).reshape(4, -1).T
-            q0 = np.flatnonzero(occ[:, 0] + occ[:, 1] == occ[:, 2] + occ[:, 3])
-            sector = np.linalg.eigvalsh(full_space_matrix(model, n_max)[np.ix_(q0, q0)])
-            op = build_hamiltonian(model, n_max)
-            blocks = np.sort(np.concatenate(
-                [np.linalg.eigvalsh(op.even), np.linalg.eigvalsh(op.odd)]))
-            assert op.dimension == len(q0) == len(blocks)
-            np.testing.assert_allclose(blocks, sector, rtol=0, atol=1e-12)
+            assert_blocks_carry_the_sector_spectrum(BogolubovModel(*couplings), 1 + k % 5)
+
+    def test_wrong_sector_labels_fail_the_spectrum_check(self, monkeypatch):
+        # labelled by (n0, n2) at g_minus = 0, the split drops the g_plus pairs
+        monkeypatch.setattr(bogolubov, "_conserved",
+                            lambda model: (0, 2) if model.g_minus == 0 else ())
+        with pytest.raises(AssertionError):
+            assert_blocks_carry_the_sector_spectrum(BogolubovModel(1.1, 2.3, 0.0), 3)
 
     def test_rejects_an_asymmetric_block(self):
         good = np.eye(2)
         bad = np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
-        for blocks in ((bad, good), (good, bad)):
+        for blocks in ((bad, good), (good, good, bad)):
             with pytest.raises(PreconditionError, match="not symmetric"):
-                TruncatedFockOperator(n_max=1, even=blocks[0], odd=blocks[1])
+                TruncatedFockOperator(n_max=1, blocks=blocks)
 
     def test_invalid_cutoff(self):
         with pytest.raises(PreconditionError):
@@ -167,13 +202,32 @@ class TestGroundEnergy:
     def test_sector_matches_full_space(self):
         # the Q = 0 ground energy is the ground energy of the whole space
         rng = np.random.default_rng(2718)
-        models = [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.7, 1.3, 0.0), (0.4, 0.0, 2.1)]
+        models = SECTOR_MODELS + [(1.0, 0.0, 0.0), (0.7, 1.3, 0.0), (0.4, 0.0, 2.1)]
         models += [tuple(rng.uniform(0.0, 4.0, size=3)) for _ in range(28)]
         for k, couplings in enumerate(models):
             model, n_max = BogolubovModel(*couplings), 1 + k % 4
             full = np.linalg.eigvalsh(full_space_matrix(model, n_max))[0]
             sector = ground_energy(build_hamiltonian(model, n_max))
             assert sector == pytest.approx(full, abs=1e-12)
+
+    def test_default_ladder_equals_the_parity_block_solve(self):
+        # at g_minus = 0 no term links a tau-swap fixed point (n0 = n2) to a
+        # pair, so the parity blocks are H on the Q = 0 states with n0 <= n2
+        # and with n0 < n2; the sectors split them without changing an entry.
+        # eigvalsh of a sector block may round differently from that of the
+        # parity block holding it, depending on the LAPACK/BLAS build, so this
+        # allows a few ulp; the default ladder's bytes are pinned by the
+        # record digests in test_cli.py
+        model = BogolubovModel(1.0, 1.0, 0.0)
+        for n_max in (2, 4, 8, 12):
+            h = full_space_operator(model, n_max)
+            n0, n1, n2, n3 = occupations(n_max)
+            q0 = n0 + n1 == n2 + n3
+            parity = min(
+                np.linalg.eigvalsh(h[states][:, states].toarray())[0]
+                for states in (np.flatnonzero(q0 & (n0 <= n2)), np.flatnonzero(q0 & (n0 < n2))))
+            np.testing.assert_array_max_ulp(
+                ground_energy(build_hamiltonian(model, n_max)), parity, maxulp=4)
 
     def test_uncoupled_vacuum_is_exact(self):
         for n_max in (8, 12):
@@ -202,6 +256,35 @@ class TestGroundEnergy:
         e1 = ground_energy(build_hamiltonian(BogolubovModel(0.8, 2.0, 0.5), 4))
         e2 = ground_energy(build_hamiltonian(BogolubovModel(0.8, 0.5, 2.0), 4))
         assert e1 == pytest.approx(e2, abs=1e-10)
+
+
+class TestStencilCache:
+    CASES = [((1.0, 1.0, 0.0), 4), ((0.7, 0.0, 1.3), 3), ((1.3, 0.7, 1.1), 5),
+             ((0.0, 0.0, 0.0), 2), ((1e8, 1e-3, 0.0), 4), ((2.0, 0.5, 1.5), 4)]
+
+    def test_cached_arrays_are_read_only(self):
+        for conserved in ((1, 3), (0, 2), ()):
+            stencil = bogolubov._stencil(3, conserved)
+            assert bogolubov._stencil(3, conserved) is stencil
+            arrays = [f for f in stencil if isinstance(f, np.ndarray)]
+            assert len(arrays) == 5
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    def test_builds_after_others_equal_a_fresh_build(self):
+        fresh = []
+        for couplings, n_max in self.CASES:
+            bogolubov._stencil.cache_clear()
+            fresh.append(build_hamiltonian(BogolubovModel(*couplings), n_max).blocks)
+        for n_max in (1, 2, 3, 4, 5, 6):
+            for couplings in ((0.3, 0.0, 0.0), (0.0, 0.9, 0.0), (1.1, 0.2, 0.4)):
+                build_hamiltonian(BogolubovModel(*couplings), n_max)
+        for (couplings, n_max), blocks in reversed(list(zip(self.CASES, fresh))):
+            again = build_hamiltonian(BogolubovModel(*couplings), n_max).blocks
+            assert [(b.shape, b.tobytes()) for b in again] == [
+                (b.shape, b.tobytes()) for b in blocks]
 
 
 class TestSharpnessStudy:

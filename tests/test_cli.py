@@ -356,9 +356,30 @@ class TestMainPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "No space left on device" in err
-        with pytest.raises(OSError):
-            cli.write_table(tmp_path, "bogolubov-fuzz", "models", ("a",), [(1,)])
+        with pytest.raises(OSError), cli._staging() as staged:
+            cli.write_table(tmp_path, "bogolubov-fuzz", "models", ("a",), [(1,)], staged)
         monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_table_write_keeps_the_whole_earlier_set(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the record and its sidecar are written before the table; none of
+        # the three may be replaced unless all three were written
+        argv = ["bogolubov-fuzz", "--trials", "5", "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_open = Path.open
+
+        def open_failing_csv(path, *args, **kwargs):
+            if path.name.startswith(".bogolubov-fuzz-models.csv."):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_failing_csv)
+        capsys.readouterr()
+        assert cli.main(argv[:-2] + ["--seed", "2", *argv[-2:]]) == 3
+        monkeypatch.undo()
+        assert "No space left on device" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_matrix_localize_end_to_end(self, tmp_path):
