@@ -25,8 +25,10 @@ is a sum of sectors of fixed (n1, n3) (169 sectors of at most 13 states at
 n_max = 12, against parity blocks of 819 and 650); likewise (n0, n2) at
 g_plus = 0.  The sector blocks are built directly from the ladder terms,
 never through a parity block, from a stencil cached per n_max and sector
-rule that leaves a build only to scale and scatter the couplings; each is
-solved with `numpy.linalg.eigvalsh`, and the module imports no scipy.
+rule that leaves a build only to scale and scatter the couplings.  There
+every odd sector repeats an even one (78 of the 169 at n_max = 12), so it is
+built and solved once.  Each distinct block is solved with
+`numpy.linalg.eigvalsh`, and the module imports no scipy.
 """
 from __future__ import annotations
 
@@ -206,14 +208,21 @@ def _stencil(n_max: int, conserved: tuple[int, ...]) -> _Stencil:
     # state, and <n|H|Pm> = 0 for n0 < n2 and m0 < m2.  The odd block is
     # then H on the n0 < n2 states, and the even block H on the n0 <= n2
     # states with each entry between a fixed point and a pair times sqrt(2).
-    # H keeps the conserved occupations, so a block splits by them.
+    # H keeps the conserved occupations, so a block splits by them.  A
+    # sector with a fixed point holds only fixed points (n0 = n2 and n1 = n3
+    # fix both conserved pairs), so every odd sector holds the states of the
+    # even sector with its label, with the same entries: it is that block.
     side = np.sign(occ[:, 0] - occ[:, 2])
     label = occ[:, list(conserved)] @ m ** np.arange(len(conserved))
     blocks, counts, diag_pos, off_pos, off_keep, mixed = [], [], [], [], [], []
-    start = 0
+    start, even_labels = 0, None
     for member in (side <= 0, side < 0):
         states = np.flatnonzero(member)
-        _, block = np.unique(label[states], return_inverse=True)
+        labels, block = np.unique(label[states], return_inverse=True)
+        if conserved and even_labels is not None:
+            blocks += [blocks[k] for k in np.searchsorted(even_labels, labels).tolist()]
+            break
+        even_labels = labels
         sizes = np.bincount(block)
         starts = start + np.cumsum(sizes**2) - sizes**2
         blocks += zip(starts.tolist(), sizes.tolist())
@@ -255,7 +264,9 @@ def build_hamiltonian(model: BogolubovModel, n_max: int) -> TruncatedFockOperato
     split into sectors of the occupations a vanishing coupling conserves,
     (n1, n3) when g_minus = 0, else (n0, n2) when g_plus = 0, else one
     sector; the blocks are the even sectors, then the odd ones, in order of
-    their occupations, and each keeps the order of the states."""
+    their occupations, and each keeps the order of the states.  At a
+    vanishing coupling an odd sector equals the even sector of the same
+    occupations, and `blocks` holds that one array for both."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     # sum over k of #{(a, b) in [0, n_max]^2 : a + b = k}^2, with m = n_max + 1
@@ -270,17 +281,21 @@ def build_hamiltonian(model: BogolubovModel, n_max: int) -> TruncatedFockOperato
         [model.g_plus, model.g_minus, -np.sqrt(model.g_plus * model.g_minus)])
     off = couplings[st.coupling] * st.amp
     off[st.mixed] *= math.sqrt(2.0)
-    last, size = st.blocks[-1]
     flat = np.bincount(st.pos, weights=np.concatenate([diag, off]),
-                       minlength=last + size * size)
+                       minlength=max(start + n * n for start, n in st.blocks))
+    views = {}  # a block the stencil repeats is the same array
     return TruncatedFockOperator(n_max=n_max, blocks=tuple(
-        flat[start:start + n * n].reshape(n, n) for start, n in st.blocks))
+        views.setdefault(start, flat[start:start + n * n].reshape(n, n))
+        for start, n in st.blocks))
 
 
 def ground_energy(op: TruncatedFockOperator) -> float:
     """Smallest eigenvalue of the truncated H: the least of the blocks'
-    smallest eigenvalues, each by one exact dense LAPACK solve."""
-    return float(min(np.linalg.eigvalsh(block)[0] for block in op.blocks))
+    smallest eigenvalues, each distinct block by one exact dense LAPACK
+    solve; a block that `blocks` repeats (the odd sectors at a vanishing
+    coupling) is solved once."""
+    distinct = {id(block): block for block in op.blocks}
+    return float(min(np.linalg.eigvalsh(block)[0] for block in distinct.values()))
 
 
 def sharpness_study(

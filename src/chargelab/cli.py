@@ -20,8 +20,7 @@ another through that same parser; check i takes word i of
 ``seed_words(master, 10)``, and a seeded check gets it as ``--seed``, so
 ``chargelab <argv> --trials N --seed <word i>`` replays it alone.
 
-The library imports scipy.linalg inside the functions that use it, so a
-subcommand pays at start-up only for the scipy it runs.
+The package runs on numpy alone: no subcommand imports scipy.
 
 Exit codes: 0 every asserted check holds, 1 a check failed, 2 usage or
 validation error, 3 resource/accuracy limit hit.
@@ -757,6 +756,8 @@ _TRIALSTATE_CHECKS = {
     "upper-bound": lambda a: run_upper_bound(),
     "berezin-lieb": lambda a: run_berezin(a.trials, a.seed),
 }
+# the trialstate checks that read neither --seed nor --trials
+_UNSEEDED_CHECKS = ("pair-energy", "trace-scaling", "upper-bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -883,6 +884,16 @@ def _param(value):
     return value
 
 
+def _params(args) -> dict:
+    """The parsed flags a run records in its header: all but the plumbing
+    ones, and without --seed and --trials for a trialstate check that reads
+    neither, so that its record does not depend on them."""
+    params = {k: v for k, v in vars(args).items() if k not in _PLUMBING_KEYS}
+    if params.get("check") in _UNSEEDED_CHECKS:
+        del params["seed"], params["trials"]
+    return params
+
+
 def _probe_output(outdir: Path, base: str) -> None:
     """Create `outdir`, and create and remove the temporary file that
     writing the record starts with, so an output that cannot be written
@@ -924,10 +935,11 @@ def main(argv=None) -> int:
         return 3
     args.meta["duration_s"] = time.perf_counter() - started
 
+    params = _params(args)
     header = {
         "subcommand": args.subcommand,
-        "seed": int(getattr(args, "seed", 0)),
-        "params": {k: _param(v) for k, v in vars(args).items() if k not in _PLUMBING_KEYS},
+        "seed": int(params.get("seed", 0)),
+        "params": {k: _param(v) for k, v in params.items()},
     }
     try:
         with _staging() as staged:

@@ -12,7 +12,9 @@ and transforms exactly under the grid-in-tandem rescale.  functional_energy
 and the descent in `minimize` share one discrete energy to the last bit.
 Descent steps are semi-implicit: the stiff kinetic part is inverted via the
 tridiagonal SPD system (W + tau K), K = D^T W_mid D, which removes the
-h^-2 step-size ceiling of explicit gradient flow.
+h^-2 step-size ceiling of explicit gradient flow.  The system is solved by
+`numerics.tridiagonal_ldl`, LAPACK's ?pttrf/?pttrs recurrences in plain
+Python, so the descent needs numpy alone.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, PreconditionError
 from .foldy import foldy_j, j_closed_form
-from .numerics import RadialGrid, uniform_radial_grid
+from .numerics import RadialGrid, tridiagonal_ldl, tridiagonal_ldl_solve, uniform_radial_grid
 
 __all__ = [
     "RadialProfile",
@@ -165,13 +167,9 @@ def rescale(profile: RadialProfile, lam: float) -> RadialProfile:
     return RadialProfile(grid=new_grid, values=lam**1.5 * profile.values)
 
 
-def _implicit_band(disc: _Discretization, tau: float) -> np.ndarray:
-    """Upper banded form of the tridiagonal SPD system W + tau K."""
-    n = disc.grid.n_nodes
-    ab = np.zeros((2, n))
-    ab[1] = disc.grid.weights + tau * disc.k_diag
-    ab[0, 1:] = tau * disc.k_off
-    return ab
+def _implicit_factor(disc: _Discretization, tau: float):
+    """LDL^T factor of the tridiagonal SPD system W + tau K."""
+    return tridiagonal_ldl(disc.grid.weights + tau * disc.k_diag, tau * disc.k_off)
 
 
 def default_init(n_nodes: int = 800, r_max: float = DEFAULT_R_MAX) -> RadialProfile:
@@ -192,8 +190,6 @@ def minimize(
     pre-rescaled by its analytic optimal dilation, which removes the slow
     dilation mode).  Steps never increase the energy (backtracking); stops
     when the per-step decrease falls below tol."""
-    from scipy.linalg import solveh_banded
-
     if not (step > 0 and tol > 0):
         raise DomainError("step and tol must be positive")
     if max_iter < 1:
@@ -219,10 +215,10 @@ def minimize(
         improved = False
         while tau > 1e-18:
             if factor_tau != tau:
-                factor = _implicit_band(disc, tau)
+                factor = _implicit_factor(disc, tau)
                 factor_tau = tau
             rhs = w * (phi + tau * (nonlinear + lam_hat * phi))
-            cand = solveh_banded(factor, rhs)
+            cand = tridiagonal_ldl_solve(factor, rhs)
             np.clip(cand, 0.0, None, out=cand)
             cand /= np.sqrt(cand**2 @ w)
             cand_terms = _energy_terms(disc, cand)

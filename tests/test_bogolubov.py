@@ -148,6 +148,22 @@ class TestBuildHamiltonian:
             assert max(b.shape[0] for b in op.blocks) == 13
         assert len(build_hamiltonian(BogolubovModel(1.0, 1.0, 1.0), 12).blocks) == 2
 
+    def test_odd_sectors_are_their_even_blocks(self, monkeypatch):
+        # at a vanishing coupling each of the 78 odd sectors at n_max = 12
+        # holds the states and entries of the even sector of its occupations:
+        # one array, solved once
+        for couplings in ((1.0, 1.0, 0.0), (1.0, 0.0, 1.0)):
+            op = build_hamiltonian(BogolubovModel(*couplings), 12)
+            even, odd = op.blocks[:91], op.blocks[91:]
+            assert len({id(block) for block in even}) == 91
+            assert all(any(block is other for other in even) for block in odd)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: solved.append(a.shape) or eigvalsh(a))
+        ground_energy(op)
+        assert len(solved) == 91 and op.dimension == 1469
+
     def test_vacuum_diagonal_is_zero(self):
         # the vacuum is the first state and fixed by the tau-swap
         op = build_hamiltonian(BogolubovModel(2.0, 1.5, 0.5), 3)

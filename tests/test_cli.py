@@ -1,5 +1,6 @@
 """Command-line layer: records, determinism, exit codes, argument files."""
 
+import ast
 import contextlib
 import errno
 import hashlib
@@ -168,27 +169,27 @@ RECORD_PINS = (
         "dyson-minimize-profile.csv":
             "ceec96cf7cd03f52c3220f4dd9eed5932ed6026c702c5c2d256c32ac07a669fe"}),
     (("lt-study",), {
-        "lt-study.jsonl": "2aa4646c185a8246b34910a9f2206667f71e954fd193a5c10d1788e8a97d6c68",
+        "lt-study.jsonl": "96c6333931db6b9b2a23dd7af7299a95201f5341bd670069089886ea1038a0a5",
         "lt-study-ratios.csv":
-            "bde3047e018f4e8123aab86586c3de1df94fb0fa08c0071e7b088f715efba3e9"}),
+            "7f3d2c57a2c3e013840b3209d3e8dc0493354c5a3d3d29234e8a1a5401fb2362"}),
     (("sobolev-study",), {
         "sobolev-study.jsonl":
-            "e6098a765a39d2b99e0b22d575479d8da90ec9a15fffeb1ef7426a7116292d3f",
+            "fdb92c49680adb502d75fe13e39acb7169f9acb26bbe214740feb3b0fd6e8270",
         "sobolev-study-ratios.csv":
-            "0be11355bdf9ba720be9231c96cad703f755879aef896d1eb3399bb6d99a0c05"}),
+            "0ad1a935f5341e57e4f742ec5ba9b71ae1449a3f413bc9843e36d7852182bfeb"}),
     (("bogolubov-fuzz", "--trials", "25", "--seed", "1905"), {
         "bogolubov-fuzz.jsonl":
             "d4d560f996df420b3d6de60383c4dfaaffdfd8f7791bce7513b47c11c12b9456",
         "bogolubov-fuzz-models.csv":
             "70440d374f78319a5e838d93e64ded8d45010ad9631d0b70613dd2d4dee744f5"}),
     (("trialstate", "--check", "pair-energy"), {
-        "trialstate.jsonl": "e2e2d3f15140ab4e8cf257f96da5ecaef0dd25babcfe065d09e1096f0db41966"}),
+        "trialstate.jsonl": "f31f0d328238d5775449b5cc78caabae408073056ae6bcc107ca0607c2b19fba"}),
     (("trialstate", "--check", "trace-scaling"), {
-        "trialstate.jsonl": "5d6cceb0daff64a2b538213dae4b8d07ee7fbe58548126e05f857305be518428",
+        "trialstate.jsonl": "0d8be5727a979a02c8a50dbe1019e6f587f7426962ee2f8a402957ca048efde5",
         "trialstate-traces.csv":
             "dd21e787b01685cdedbcce27a99e3478cfc8fe933ac6ec67c94ad4d38cd907ae"}),
     (("trialstate", "--check", "upper-bound"), {
-        "trialstate.jsonl": "b01eec1aa52997ca1c6415fffb3d794f3efa77e6059ea21e8028190838a394f5"}),
+        "trialstate.jsonl": "8cdd67baedd8b34f4391339240c064af22f297a9782b3ecf5e616b2b8e585f71"}),
     (("trialstate", "--check", "berezin-lieb", "--trials", "20"), {
         "trialstate.jsonl": "363c5e249d676b25ade957af445fc365f86281530bda0c70316c11c48c99f9d3",
         "trialstate-instances.csv":
@@ -325,6 +326,15 @@ class TestMainPlumbing:
             f"fields in CHANGES.md")
         meta = json.loads((out / f"{argv[0]}.meta.json").read_text())
         assert set(meta) == {"schema", "duration_s", "written_at", "env"}
+
+    def test_unseeded_trialstate_records_ignore_seed_and_trials(self, tmp_path):
+        runs = (["trialstate", "--check", "pair-energy"],
+                ["trialstate", "--check", "pair-energy", "--seed", "7", "--trials", "3"])
+        for k, argv in enumerate(runs):
+            assert cli.main([*argv, "--outdir", str(tmp_path), "--output", f"run{k}"]) == 0
+        assert (tmp_path / "run0.jsonl").read_bytes() == (tmp_path / "run1.jsonl").read_bytes()
+        header, _, _ = read_record(tmp_path / "run0.jsonl")
+        assert header["seed"] == 0 and header["params"] == {"check": "pair-energy"}
 
     def test_failed_write_keeps_the_earlier_files(self, tmp_path, monkeypatch, capsys):
         argv = ["bogolubov-fuzz", "--trials", "5", "--outdir", str(tmp_path)]
@@ -675,7 +685,7 @@ class TestArgumentFile:
 
 
 # sha256 of `verify --quick --seed 1905`'s verify.jsonl
-VERIFY_QUICK_SHA256 = "ee0f722424c6873d86f0364aff49a80a7ebaa93ebb7ab2e54dde877ff883a08f"
+VERIFY_QUICK_SHA256 = "7b287d8834249408ced905ddb251286bdd5330b96b812e152143a0883385fc35"
 
 
 class TestVerifySuite:
@@ -748,7 +758,7 @@ _STARTUP_PROBE = textwrap.dedent("""
     print(json.dumps(stages))
 """)
 
-# subcommands that need no scipy at all
+# every subcommand: none needs scipy
 _SCIPY_FREE = (
     ["foldy-j"],
     ["foldy-identity"],
@@ -759,6 +769,11 @@ _SCIPY_FREE = (
     ["matrixloc-ensemble", "--trials", "5"],
     ["bogolubov-fuzz", "--trials", "5"],
     ["bogolubov-sharpness", "--nmax-list", "2,4"],
+    ["lt-study", "--depths", "20"],
+    ["sobolev-study", "--depths", "5"],
+    ["dyson-minimize"],
+    ["trialstate", "--check", "trace-scaling"],
+    ["trialstate", "--check", "upper-bound"],
 )
 
 
@@ -820,10 +835,25 @@ class TestStartup:
     def test_subcommands_import_only_the_scipy_they_run(self):
         assert _scipy_after(*_SCIPY_FREE) == {"import": [], "run": []}
 
-    def test_verify_loads_no_scipy_beyond_linalg(self):
-        loaded = _scipy_after(["verify", "--quick"])["run"]
-        unused = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
-        assert [m for m in loaded if m.startswith(unused)] == []
+    def test_verify_loads_no_scipy(self):
+        assert _scipy_after(["verify", "--quick"]) == {"import": [], "run": []}
+
+    def test_no_source_file_imports_scipy(self):
+        package = Path(cli.__file__).resolve().parent
+        sources = sorted(package.rglob("*.py"))
+        assert len(sources) >= 10
+        importers = []
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                    importers.append(f"{path.name}:{node.lineno}")
+        assert importers == []
 
     def test_runs_as_a_module(self, tmp_path):
         for argv in (["--help"],
@@ -849,8 +879,8 @@ class TestParser:
         ("bogolubov-fuzz",): {"nmax_hi": 6, "nmax_lo": 2, "seed": 1905, "trials": 200},
         ("check-inequalities",): {"seed": 1905, "trials": 10_000, "which": "all"},
         ("dyson-minimize",): {"nodes": 800, "rmax": 25.0},
-        ("trialstate", "--check", "upper-bound"): {"check": "upper-bound", "seed": 1905,
-                                                   "trials": 1000},
+        # the unseeded trialstate checks record neither --seed nor --trials
+        ("trialstate", "--check", "upper-bound"): {"check": "upper-bound"},
         ("matrix-localize", "--matrix", "a.txt", "--psi", "b.txt", "--window", "2"): {
             "budget_c": None, "matrix": "a.txt", "psi": "b.txt", "window": 2},
         ("matrixloc-ensemble",): {"seed": 1905, "size": 64, "trials": 1000, "window": 8},
@@ -865,9 +895,9 @@ class TestParser:
         parser = cli.build_parser()
         assert sorted(argv[0] for argv in self.GOLDEN) == sorted(SUBCOMMANDS)
         for argv, expected in self.GOLDEN.items():
-            args = parser.parse_args(argv)
-            params = {k: v for k, v in vars(args).items() if k not in cli._PLUMBING_KEYS}
-            assert params == expected, argv
+            assert cli._params(parser.parse_args(argv)) == expected, argv
+        berezin = parser.parse_args(["trialstate", "--check", "berezin-lieb"])
+        assert cli._params(berezin) == {"check": "berezin-lieb", "seed": 1905, "trials": 1000}
 
     def test_battery_replays_as_subcommands(self, tmp_path, capsys):
         seed = 1905

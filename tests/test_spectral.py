@@ -110,7 +110,11 @@ class TestGroundState:
         grid = uniform_radial_grid(3000, 60.0)
         assert ground_state_energy(square_well(1.2), grid) == 0.0
         e = ground_state_energy(square_well(1.3), grid)
-        assert e == pytest.approx(-0.002110991013816751, rel=1e-9)
+        # the bisection's own value: its fine-grid eigenvalue lies 1.4e-12
+        # from the exact one of the float64 stencil (a long-double Sturm
+        # bisection), inside eps * tnorm = 4.4e-12; scipy's ?stebz gave
+        # -0.002110991013816751, 1.8e-9 away after the Richardson step
+        assert e == pytest.approx(-0.0021109910175920576, rel=1e-9)
         assert e == pytest.approx(SQUARE_13_CONTINUUM, abs=1e-5)
 
     def test_gaussian_frozen_value(self):
