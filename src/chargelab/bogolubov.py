@@ -9,7 +9,9 @@ tau, z in {+, -}:
 
 and is bounded below by -(t+g) + sqrt((t+g)^2 - g^2) with g = g_plus+g_minus.
 The bound is sharp for true annihilation operators, which is what the
-truncated ladder realizes as n_max grows.
+truncated ladder realizes as n_max grows.  Its negative (t+g) - sqrt(t^2 +
+2tg) is the one-mode Bogolubov floor `mode_floor`, which `foldy` sums over
+momenta for the rho^(5/4) local energy.
 
 Every term creates or destroys one tau=+ and one tau=- boson, or moves a
 boson within one tau, so H commutes with the charge
@@ -44,6 +46,7 @@ from .errors import ConsistencyError, DomainError, PreconditionError, ResourceLi
 __all__ = [
     "BogolubovModel",
     "TruncatedFockOperator",
+    "mode_floor",
     "closed_form_bound",
     "build_hamiltonian",
     "ground_energy",
@@ -79,7 +82,7 @@ class BogolubovModel:
         if not all(math.isfinite(c) and c >= 0 for c in couplings):
             raise DomainError("couplings must be finite and nonnegative")
         s = float(self.t + self.g_plus + self.g_minus)
-        if not math.isfinite(s * s):  # the closed-form bound squares it
+        if not math.isfinite(s * s):  # the domain mode_floor documents
             raise DomainError(f"(t + g_plus + g_minus)^2 overflows at {s:.3e}")
 
     @property
@@ -110,17 +113,25 @@ class TruncatedFockOperator:
         return sum(block.shape[0] for block in self.blocks)
 
 
-def closed_form_bound(model: BogolubovModel) -> float:
-    """-(t+g+ +g-) + sqrt((t+g+ +g-)^2 - (g+ +g-)^2), always <= 0.
+def mode_floor(t: float, g: float) -> float:
+    """(t+g) - sqrt(t^2 + 2tg) >= 0, the Bogolubov floor of one mode.
 
-    Evaluated as -g x / (1 + sqrt((1-x)(1+x))) with x = g/s, s = t+g+ +g-:
-    the same value without the cancellation of -s + sqrt(...), so the bound
-    keeps its relative accuracy when g << s and scales with the couplings."""
-    g = model.g_plus + model.g_minus
-    if g == 0:
+    Computed as g x / (1 + sqrt((t/s)(1+x))) with s = t+g, x = g/s (as
+    t^2 + 2tg = s^2 (1-x)(1+x) and 1-x = t/s): no cancellation and no
+    squared coupling, so it is accurate to a few eps at any ratio t/g and
+    any scale.  Domain, unchecked since quadrature calls it per node:
+    t, g >= 0 with (t+g)^2 finite, the range BogolubovModel admits."""
+    if g == 0.0:
         return 0.0
-    x = g / (model.t + g)
-    return -g * x / (1.0 + math.sqrt((1.0 - x) * (1.0 + x)))
+    s = t + g
+    x = g / s
+    return g * x / (1.0 + math.sqrt(t / s * (1.0 + x)))
+
+
+def closed_form_bound(model: BogolubovModel) -> float:
+    """-(t+g) + sqrt((t+g)^2 - g^2) <= 0 at g = g_plus + g_minus: minus the
+    mode floor, from 0.0 so that the uncoupled bound is +0.0, not -0.0."""
+    return 0.0 - mode_floor(model.t, model.g_plus + model.g_minus)
 
 
 def _sector_basis(n_max: int) -> np.ndarray:

@@ -282,12 +282,13 @@ def run_bogolubov_ladder(t: float, g_plus: float, g_minus: float, n_max_list):
 
 
 def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int = 2, n_max_hi: int = 6):
-    """Random couplings, random cutoff: ground energy must clear the bound."""
+    """Random couplings, random cutoff: ground energy must clear the bound by
+    the model's gap_tolerance, whose largest value is `max_allowance`."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     if not 1 <= n_max_lo <= n_max_hi:
         raise PreconditionError("need 1 <= n_max_lo <= n_max_hi")
-    samples, violations, min_gap = [], 0, math.inf
+    samples, violations, min_gap, max_allowance = [], 0, math.inf, 0.0
     for ts in seed_words(seed, trials):
         rng = np.random.default_rng(ts)
         model = bogolubov.BogolubovModel(
@@ -301,6 +302,7 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int = 2, n_max_hi: int 
         if gap < -model.gap_tolerance:
             violations += 1
         min_gap = min(min_gap, gap)
+        max_allowance = max(max_allowance, model.gap_tolerance)
         samples.append(
             (ts, model.t, model.g_plus, model.g_minus, n_max, energy, gap)
         )
@@ -310,6 +312,7 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int = 2, n_max_hi: int 
         "violations": violations,
         "min_gap": min_gap,
         "tolerance": bogolubov.GAP_RTOL,
+        "max_allowance": max_allowance,
         "holds": violations == 0,
     }
     table = (("trial_seed", "t", "g_plus", "g_minus", "n_max", "energy", "gap"), samples)

@@ -169,8 +169,9 @@ def _positivity_sums(z: np.ndarray, r: np.ndarray, mu: np.ndarray):
     return lhs, [-0.5 * m * s for m, s in zip(mu.tolist(), _row_sums(z**2))]
 
 
-# (lhs, rhs) lists of each checker for charges (T, n), pair distances and mu (T,)
+# (lhs, rhs) lists of each checker by name, for charges (T, n), distances, mu (T,)
 _SUMS = {"onsager": _onsager_sums, "baxter": _baxter_sums, "positivity": _positivity_sums}
+CHECKERS = tuple(_SUMS)
 
 
 def _stack(config: ParticleConfiguration) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +245,6 @@ def random_configuration(
     pos, z = _draw(rng, n, box, charge_kind)
     return ParticleConfiguration(positions=pos, charges=z)
 
-
-CHECKERS = ("onsager", "baxter", "positivity")
 
 # Trials per block of the fuzz; bounds its arrays at any trial count.  Fixed
 # rather than sized by bytes (numerics.trials_per_block): the (n, n)

@@ -34,11 +34,7 @@ class ResourceLimitError(ChargelabError, RuntimeError):
 
 
 class SolverError(ChargelabError, RuntimeError):
-    """Iterative solver failed to converge; carries the residual if known."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Iterative solver failed to converge."""
 
 
 class ConsistencyError(ChargelabError, RuntimeError):

@@ -5,12 +5,18 @@ J appears both as the coefficient of the rho^(5/4) local pair energy and in
 the closed form of the asymptotic variational constant.  `foldy_j` computes
 it once, by the closed form checked against quadrature, and caches the
 float; every downstream module reads it from there.
+
+The local energy sums `bogolubov.mode_floor`, the one-mode Bogolubov floor,
+over momenta.  `j_integrand` is that floor after a change of variable,
+written out on its own so that J's integral route shares no code with the
+quadrature that the identity check holds against -J.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
+from .bogolubov import mode_floor
 from .errors import ConsistencyError, DomainError
 from .numerics import integrate_1d
 
@@ -57,35 +63,23 @@ def foldy_j() -> float:
     return closed
 
 
-def _pair_floor(t: float, b: float) -> float:
-    # (t+b) - sqrt(t^2 + 2tb), evaluated as b^2 / ((t+b) + sqrt(t^2+2tb)).
-    # Equivalent algebraically; immune to the large-t cancellation.
-    if b == 0.0:
-        return 0.0
-    return b * b / ((t + b) + math.sqrt(t * (t + 2.0 * b)))
-
-
-def _local_integrals(g, scale: float, tol: float) -> float:
-    # Head (0,1) under the declared substitution p = q^2 (handles the
-    # integrable small-p structure), tail (1,inf) under the t/(1-t) map
-    # with the caller's natural p-scale.
-    head = integrate_1d(lambda q: 2.0 * q * g(q * q), 0.0, 1.0, tol=tol / 2)
-    tail = integrate_1d(g, 1.0, math.inf, tol=tol / 2, scale=scale)
-    return head.value + tail.value
-
-
 def simplified_energy_quadrature(nu: float, ell: float, tol: float = 1e-9) -> float:
     """Quadrature route for the cutoff-free symbols t = ell^3 p^2/2,
-    Vhat = 4 pi / p^2."""
+    Vhat = 4 pi / p^2: -(4 pi^2)^-1 int_0^inf p^2 mode_floor(t, nu Vhat) dp."""
     if not (nu >= 0 and ell > 0):
         raise DomainError("need nu >= 0 and ell > 0")
     if nu == 0.0:
         return 0.0
     a_coef = 0.5 * ell**3
 
-    def g(p: float) -> float:
+    def integrand(p: float) -> float:
         p2 = p * p
-        return p2 * _pair_floor(a_coef * p2, 4.0 * math.pi * nu / p2)
+        return p2 * mode_floor(a_coef * p2, 4.0 * math.pi * nu / p2)
 
-    scale = (8.0 * math.pi * nu / ell**3) ** 0.25
-    return -_local_integrals(g, max(1.0, scale), tol) / (4.0 * math.pi**2)
+    # Head (0,1) under the declared substitution p = q^2 (handles the
+    # integrable small-p structure), tail (1,inf) under the t/(1-t) map
+    # with the natural p-scale.
+    scale = max(1.0, (8.0 * math.pi * nu / ell**3) ** 0.25)
+    head = integrate_1d(lambda q: 2.0 * q * integrand(q * q), 0.0, 1.0, tol=tol / 2)
+    tail = integrate_1d(integrand, 1.0, math.inf, tol=tol / 2, scale=scale)
+    return -(head.value + tail.value) / (4.0 * math.pi**2)

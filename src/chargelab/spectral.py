@@ -220,39 +220,37 @@ def default_eigen_grid(spec: PotentialSpec) -> RadialGrid:
     return uniform_radial_grid(2000, 8.0 * spec.length_scale)
 
 
-def _interior(grid: RadialGrid):
+def _stencil(spec: PotentialSpec, grid: RadialGrid):
+    """(r, diagonal, off-diagonal) of the s-wave Dirichlet stencil of
+    -1/2 d^2/dr^2 + V on the grid's interior nodes r: a wall at the last
+    node, and u(0) = 0 built in.
+
+    V is sampled at r, except that the square well is cell-averaged over
+    [r - h/2, r + h/2]: sampling the jump pointwise costs an O(h) eigenvalue
+    error that defeats the h^2 refinement gate, while the exact average
+    restores second order.
+    """
     nodes = grid.nodes
     h = nodes[1] - nodes[0]
     if np.max(np.abs(np.diff(nodes) - h)) > 1e-9 * h:
         raise PreconditionError("eigen operations need a uniform radial grid")
-    # Dirichlet wall at the last node; u(0) = 0 is built into the stencil
-    return nodes[:-1], float(h)
-
-
-def _discrete_potential(spec: PotentialSpec, r: np.ndarray, h: float) -> np.ndarray:
-    """Node values of V for the stencil.
-
-    The square well is cell-averaged over [r - h/2, r + h/2]: sampling the
-    jump pointwise costs an O(h) eigenvalue error that defeats the h^2
-    refinement gate, while the exact average restores second order.
-    Smooth families are sampled pointwise.
-    """
+    r = nodes[:-1]
     if spec.kind == "square-well":
-        frac = np.clip((spec.width - (r - 0.5 * h)) / h, 0.0, 1.0)
-        return -spec.depth * frac
-    return spec.radial(r)
+        v = -spec.depth * np.clip((spec.width - (r - 0.5 * h)) / h, 0.0, 1.0)
+    else:
+        v = spec.radial(r)
+    return r, 1.0 / h**2 + v, np.full(r.size - 1, -0.5 / h**2)
 
 
-def _channel_negatives(v_nodes: np.ndarray, r: np.ndarray, h: float):
+def _channel_negatives(r: np.ndarray, base: np.ndarray, off: np.ndarray):
     """(ell, negative eigenvalues of channel ell, ascending) for ell = 0, 1,
-    ..., ELL_CAP, up to and including the first empty channel.
+    ..., ELL_CAP, up to and including the first empty channel, where channel
+    ell adds ell (ell + 1) / (2 r^2) to the s-wave diagonal `base`.
 
     Channels are solved CHANNEL_CHUNK at a time: one inertia count at 0 per
     channel finds how many eigenvalues each holds, and every one of them
     below the chunk's first empty channel is bisected as a lane of one stack.
     """
-    base = 1.0 / h**2 + v_nodes
-    off = np.full(r.size - 1, -0.5 / h**2)
     for first in range(0, ELL_CAP + 1, CHANNEL_CHUNK):
         ells = np.arange(first, min(first + CHANNEL_CHUNK, ELL_CAP + 1))
         diag = base + (0.5 * ells * (ells + 1))[:, None] / r**2
@@ -274,9 +272,7 @@ def _lowest_eigenvalue(spec: PotentialSpec, grid: RadialGrid) -> float:
     """The lowest eigenvalue of the s-wave stencil, bisected below 0 when the
     stencil binds, else below its smallest diagonal entry (the Rayleigh
     quotient of a unit vector)."""
-    r, h = _interior(grid)
-    diag = 1.0 / h**2 + _discrete_potential(spec, r, h)
-    off = np.full(r.size - 1, -0.5 / h**2)
+    _, diag, off = _stencil(spec, grid)
     upper = 0.0 if tridiagonal_counts(diag, off, [0.0])[0] else diag.min()
     return float(tridiagonal_eigenvalues(diag, off, [0], [0], [upper])[0])
 
@@ -309,10 +305,9 @@ def negative_sum(spec: PotentialSpec, grid: RadialGrid | None = None) -> Spectru
     is empty or contributes < ELL_CONVERGED relatively."""
     if grid is None:
         grid = default_eigen_grid(spec)
-    r, h = _interior(grid)
     channels = []
     total = 0.0
-    for ell, vals in _channel_negatives(_discrete_potential(spec, r, h), r, h):
+    for ell, vals in _channel_negatives(*_stencil(spec, grid)):
         if vals.size == 0:
             break
         contribution = (2 * ell + 1) * float(vals.sum())

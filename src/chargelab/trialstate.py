@@ -92,9 +92,10 @@ def pointwise_pair_energy(rho: float, tol: float = 1e-9) -> float:
 
     f minimizes the bracket over occupations pointwise, collapsing the
     integrand to the Bogolubov floor -((t+b) - sqrt(t^2+2tb))/2 at
-    t = p^2/2 -- the cutoff-free local energy integral at unit cell
-    scale, which is delegated to the shared quadrature and cross-checked
-    against the closed form -J rho^(5/4).
+    t = p^2/2.  The bracket is not evaluated here: the value is the
+    floor's integral, `simplified_energy_quadrature(rho, 1)` (whose
+    integrand is `bogolubov.mode_floor`), cross-checked against the closed
+    form -J rho^(5/4).  A route through f itself is still open.
     """
     if not rho >= 0:
         raise DomainError("rho must be >= 0")

@@ -1,4 +1,7 @@
 """Tests for the quadratic lower bound and its truncated-Fock realization."""
+import sys
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +14,7 @@ from chargelab.bogolubov import (
     build_hamiltonian,
     closed_form_bound,
     ground_energy,
+    mode_floor,
     sharpness_study,
 )
 from chargelab.errors import (
@@ -72,6 +76,35 @@ SECTOR_MODELS = [(0.9, 0.0, 1.7), (1.1, 2.3, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 0
                  (0.0, 0.0, 2.5), (0.3, 3.1, 0.0), (2.0, 0.0, 0.0), (0.7, 1.3, 0.4)]
 
 
+def exact_floor(t, g):
+    """(t+g) - sqrt(t^2 + 2tg) in its conjugate form, to 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        t, g = Decimal(t), Decimal(g)
+        return g * g / ((t + g) + (t * (t + 2 * g)).sqrt())
+
+
+class TestModeFloor:
+    def test_within_four_eps_of_the_exact_floor(self):
+        # ratios t/g from 1e-24 to 1e24 at scales from 1e-200 to 1e100, and
+        # points where a formula with 1 - g/(t+g) cancels (t/g = 1e-12) or one
+        # that squares g underflows (1e-200)
+        rng = np.random.default_rng(1905)
+        draws = 10.0 ** rng.uniform([-24.0, -200.0], [24.0, 100.0], size=(20000, 2))
+        points = [(g * ratio, g) for ratio, g in draws.tolist()]
+        points += [(1e-12, 1.0), (1e-200, 1e-200), (1e-160, 1e-160), (1.0, 1e-12)]
+        bound = Decimal(4 * sys.float_info.epsilon)
+        for t, g in points:
+            ref = exact_floor(t, g)
+            for value in (mode_floor(t, g), -closed_form_bound(BogolubovModel(t, g, 0.0))):
+                assert abs(Decimal(value) - ref) <= bound * ref, (t, g, value, ref)
+
+    def test_edges(self):
+        assert mode_floor(0.0, 0.0) == 0.0
+        assert mode_floor(2.5, 0.0) == 0.0
+        assert mode_floor(0.0, 2.5) == 2.5  # no kinetic energy: the whole coupling
+
+
 class TestClosedFormBound:
     def test_reference_values(self):
         assert closed_form_bound(BogolubovModel(1, 1, 0)) == pytest.approx(
@@ -84,6 +117,8 @@ class TestClosedFormBound:
     def test_free_case_is_zero(self):
         assert closed_form_bound(BogolubovModel(3.7, 0, 0)) == 0.0
         assert closed_form_bound(BogolubovModel(0, 0, 0)) == 0.0
+        # +0.0, so a record writes "0.0", not "-0.0"
+        assert np.copysign(1.0, closed_form_bound(BogolubovModel(3.7, 0, 0))) == 1.0
 
     def test_nonpositive_and_symmetric(self):
         rng = np.random.default_rng(42)

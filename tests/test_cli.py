@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargelab import bogolubov, cli, matrixloc
+from chargelab import bogolubov, cli, foldy, matrixloc
 from chargelab.foldy import foldy_j
 
 
@@ -73,6 +73,10 @@ class TestCheckFunctions:
         assert tables_a["models"][1] == tables_b["models"][1]
         assert summary_a["violations"] == 0
         assert summary_a["min_gap"] >= -1e-9
+        # the row names the largest absolute allowance its verdicts read
+        assert rows_a[0]["max_allowance"] == max(
+            bogolubov.BogolubovModel(t, gp, gm).gap_tolerance
+            for _seed, t, gp, gm, *_ in tables_a["models"][1])
 
     def test_inequality_fuzz_all(self):
         rows, summary, tables = cli.run_inequality_fuzz("all", 150, 5)
@@ -155,9 +159,9 @@ RECORD_PINS = (
         "foldy-j.jsonl": "9c7f7fbb11cc137ad63d425d3afe122ae13c90b3767cf3be555598e2412ef04d"}),
     (("foldy-identity",), {
         "foldy-identity.jsonl":
-            "e06d092f6c6ce5a42598b51898b6915f8393b9cdb847c58a20216d9e386bede2",
+            "777c92fbf1a7bedf634e5a32a866b3d65c613209a72e9718f69fa1aa300f4731",
         "foldy-identity-points.csv":
-            "aa8e3a9859f7ea3c9c4ac4906cd89a8c9418e129fd83d4e218948d4a38eb11bc"}),
+            "5657d5fa4edc4fd478004ab2e13f5547bcf83cac4a99688b2e38c0bb09517126"}),
     (("bogolubov-sharpness",), {
         "bogolubov-sharpness.jsonl":
             "071d3af70b4338296e5b15083f81103f969aed77896a810c0e214380af706bfd",
@@ -179,9 +183,9 @@ RECORD_PINS = (
             "0ad1a935f5341e57e4f742ec5ba9b71ae1449a3f413bc9843e36d7852182bfeb"}),
     (("bogolubov-fuzz", "--trials", "25", "--seed", "1905"), {
         "bogolubov-fuzz.jsonl":
-            "d4d560f996df420b3d6de60383c4dfaaffdfd8f7791bce7513b47c11c12b9456",
+            "d1bc187bede2d18d5c9badb6e63a42770873411a85790e1f180d1a4cd7dc34af",
         "bogolubov-fuzz-models.csv":
-            "70440d374f78319a5e838d93e64ded8d45010ad9631d0b70613dd2d4dee744f5"}),
+            "3bbf9ff96e55cd14f44c10850befd7293236f09ab1569342cf7fd15c1047db00"}),
     (("trialstate", "--check", "pair-energy"), {
         "trialstate.jsonl": "f31f0d328238d5775449b5cc78caabae408073056ae6bcc107ca0607c2b19fba"}),
     (("trialstate", "--check", "trace-scaling"), {
@@ -664,6 +668,22 @@ class TestExitCodes:
         assert not any(r["holds"] for r in rows)
         capsys.readouterr()
 
+    def test_low_mode_floor_fails_the_identity_and_the_ladder(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the local-energy identity and the Bogolubov bound share one floor, so
+        # a floor 2e-6 low must fail both
+        floor = bogolubov.mode_floor
+
+        def low(t, g):
+            return (1 - 2e-6) * floor(t, g)
+
+        monkeypatch.setattr(bogolubov, "mode_floor", low)
+        monkeypatch.setattr(foldy, "mode_floor", low)
+        rows, _, _ = cli.run_identity_check()
+        assert any(not r["holds"] for r in rows)
+        assert cli.main(["bogolubov-sharpness", "--outdir", str(tmp_path)]) == 1
+        assert "lower bound violated" in capsys.readouterr().err
+
 
 class TestArgumentFile:
     @pytest.mark.parametrize("argv, code, params", [
@@ -685,7 +705,7 @@ class TestArgumentFile:
 
 
 # sha256 of `verify --quick --seed 1905`'s verify.jsonl
-VERIFY_QUICK_SHA256 = "7b287d8834249408ced905ddb251286bdd5330b96b812e152143a0883385fc35"
+VERIFY_QUICK_SHA256 = "d069d12e3482f2665293f1209031e02a7d375456b240437c2b629467895e6469"
 
 
 class TestVerifySuite:

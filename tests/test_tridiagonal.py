@@ -67,9 +67,7 @@ def _channels(spec, grid):
     """(ell, diagonal, off-diagonal) of every channel up to the first one
     without a negative eigenvalue, as `spectral.negative_sum` builds them."""
     grid = grid or spectral.default_eigen_grid(spec)
-    r, h = spectral._interior(grid)
-    base = 1.0 / h**2 + spectral._discrete_potential(spec, r, h)
-    off = np.full(r.size - 1, -0.5 / h**2)
+    r, base, off = spectral._stencil(spec, grid)
     ell = 0
     while True:
         diag = base + 0.5 * ell * (ell + 1) / r**2
@@ -95,8 +93,8 @@ def _diagonal_entry_shift_mismatches():
 
 
 def _s_wave(spec, grid):
-    r, h = spectral._interior(grid)
-    return 1.0 / h**2 + spectral._discrete_potential(spec, r, h), np.full(r.size - 1, -0.5 / h**2)
+    _, diag, off = spectral._stencil(spec, grid)
+    return diag, off
 
 
 class TestStudyGrids:
