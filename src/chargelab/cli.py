@@ -94,6 +94,9 @@ DEFAULT_SEED = 1905
 IDENTITY_POINTS = tuple(
     (nu, ell) for nu in (0.25, 1.0, 4.0, 100.0) for ell in (0.5, 1.0, 2.0)
 )
+# the particle-number ladders of trialstate --check trace-scaling|upper-bound
+TRACE_LADDER = (1_000, 10_000, 100_000, 1_000_000)
+UPPER_BOUND_LADDER = (1, 32, 100_000)
 
 
 def _py(value):
@@ -144,13 +147,10 @@ _ENV_VARS = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS
 
 def _environment() -> dict:
     """What a run's timings depend on: versions, CPU count and the thread
-    settings as this process sees them (null when unset).  scipy's version
-    is null when the run loaded no scipy; reading it would load it."""
-    scipy = sys.modules.get("scipy")
+    settings as this process sees them (null when unset)."""
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": getattr(scipy, "__version__", None),
         "cpu_count": os.cpu_count(),
         **{name: os.environ.get(name) for name in _ENV_VARS},
     }
@@ -281,7 +281,7 @@ def run_bogolubov_ladder(t: float, g_plus: float, g_minus: float, n_max_list):
     return rows, {"final_gap_fraction": rows[-1]["gap_fraction"]}, {"ladder": table}
 
 
-def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int = 2, n_max_hi: int = 6):
+def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int, n_max_hi: int):
     """Random couplings, random cutoff: ground energy must clear the bound by
     the model's gap_tolerance, whose largest value is `max_allowance`."""
     if trials < 1:
@@ -348,7 +348,7 @@ def run_inequality_fuzz(which: str, trials: int, seed: int):
     return rows, summary, {"trials": table}
 
 
-def run_dyson(nodes: int = 800, r_max: float = 25.0):
+def run_dyson(nodes: int, r_max: float):
     """Minimize the energy functional; assert the scaled-Gaussian ceiling,
     the virial identity, and two-grid agreement."""
     ceiling, agreement_tol = -0.05, 1e-4
@@ -417,15 +417,13 @@ def run_pair_identity():
     return rows, {"worst_rel_err": worst}, {}
 
 
-def run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000)):
-    """Tr Gamma over a particle-number ladder; the log-log slope must be
-    3/5 within slope_tol."""
+def run_trace_scaling():
+    """Tr Gamma over the particle-number ladder TRACE_LADDER; the log-log
+    slope must be 3/5 within slope_tol."""
     target, slope_tol = 0.6, 0.01
-    if len(n_list) < 2:
-        raise PreconditionError("need at least two particle numbers")
     minimizer = variational.minimize()
     rows, traces = [], []
-    for n in n_list:
+    for n in TRACE_LADDER:
         spec = trialstate.condensate_from_minimizer(int(n), minimizer.profile)
         tr = trialstate.trace_gamma(spec)
         traces.append(tr)
@@ -438,7 +436,7 @@ def run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000)):
                 "holds": True,
             }
         )
-    slope = float(np.polyfit(np.log([float(n) for n in n_list]), np.log(traces), 1)[0])
+    slope = float(np.polyfit(np.log([float(n) for n in TRACE_LADDER]), np.log(traces), 1)[0])
     rows.append(
         {
             "check": "trace-scaling-slope",
@@ -449,16 +447,21 @@ def run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000)):
         }
     )
     table = (("n_particles", "trace_gamma"),
-             [(int(n), tr) for n, tr in zip(n_list, traces)])
+             [(int(n), tr) for n, tr in zip(TRACE_LADDER, traces)])
     return rows, {"slope": slope}, {"traces": table}
 
 
-def run_upper_bound(n_list=(1, 32, 100_000)):
-    """Many-body upper bound against N^(7/5) times the functional minimum."""
+def run_upper_bound():
+    """Many-body upper bound against N^(7/5) times the functional minimum,
+    over UPPER_BOUND_LADDER.
+
+    The row guards plumbing only: `upper_bound_energy` already compares
+    the same two values at the same 1e-8 and raises ConsistencyError (exit
+    1) beyond it, so a row that reaches the record holds."""
     tol = 1e-8
     minimizer = variational.minimize()
     rows, worst = [], 0.0
-    for n in n_list:
+    for n in UPPER_BOUND_LADDER:
         value = trialstate.upper_bound_energy(int(n), minimizer.profile)
         target = float(n) ** 1.4 * minimizer.energy
         rel = abs(value - target) / abs(target)
@@ -498,9 +501,10 @@ def run_berezin(trials: int, seed: int):
     return rows, {"violations": sum(r["violations"] for r in rows)}, {"instances": table}
 
 
-def run_matrixloc_ensemble(trials: int, seed: int, size: int = 64, window: int = 8):
+def run_matrixloc_ensemble(trials: int, seed: int, size: int, window: int):
     """Gaussian symmetric instances: the restriction construction must meet
-    the band budget with constant <= ceiling on every draw."""
+    the band budget with constant <= ceiling on every draw.  The margin is
+    wide: in `verify --seed 1905` the worst c_required is 0.171."""
     ceiling = 50.0
     worst, samples = matrixloc.gaussian_ensemble(trials, seed, n=size, window=window)
     row = {
@@ -591,7 +595,7 @@ def _scale_pair_rows():
     ]
 
 
-def run_lt_study(depths=(50.0, 100.0, 200.0)):
+def run_lt_study(depths):
     """Channel-summed spectra of deepening wells against the semiclassical
     ratio, plus the matched-grid scale invariance of both ratios."""
     ratio_tol = 0.15
@@ -623,7 +627,7 @@ def run_lt_study(depths=(50.0, 100.0, 200.0)):
     return rows, summary, {"ratios": table}
 
 
-def run_sobolev_study(depths=(5.0, 10.0, 20.0, 50.0)):
+def run_sobolev_study(depths):
     """Ground-state-to-potential ratios along a depth ladder (the scale
     invariant combination), plus the matched-grid invariance rows."""
     if len(depths) == 0:

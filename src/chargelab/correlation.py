@@ -12,10 +12,10 @@ preconditions).  Each sum reduces one trial's row alone.  The public
 functions pass a stack of one; the seeded fuzz passes the trials of a
 block with the same n, so each of its rows equals, bit for bit, the
 replay of its trial seed through `random_configuration` and the checker.
+The fuzz's distribution is fixed by MAX_PARTICLES, BOX_RANGE and MUS.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -246,6 +246,12 @@ def random_configuration(
     return ParticleConfiguration(positions=pos, charges=z)
 
 
+# The fuzz's distribution: a trial draws n uniform in 1..MAX_PARTICLES, a box
+# side uniform in BOX_RANGE and mu uniform over MUS.
+MAX_PARTICLES = 50
+BOX_RANGE = (1.0, 10.0)
+MUS = (0.0, 0.5, 1.0, 5.0)
+
 # Trials per block of the fuzz; bounds its arrays at any trial count.  Fixed
 # rather than sized by bytes (numerics.trials_per_block): the (n, n)
 # nearest-opposite pass of a 50-particle trial is 20 KB, which would leave
@@ -254,18 +260,14 @@ _BLOCK = 1024
 
 
 def run_random_ensemble(
-    which: str,
-    trials: int,
-    seed: int,
-    max_particles: int = 50,
-    box_range: tuple[float, float] = (1.0, 10.0),
-    mus: tuple[float, ...] = (0.0, 0.5, 1.0, 5.0),
+    which: str, trials: int, seed: int
 ) -> list[tuple[int, int, float, float, float, float]]:
     """Seeded fuzzing rows (trial_seed, n, mu, lhs, rhs, slack) for one
     checker; each trial is reproducible from its recorded 64-bit seed.
 
-    Each trial draws n, box, charge kind and mu, then its configuration as
-    `random_configuration` does, from its own `default_rng(trial_seed)`.
+    Each trial draws n, box, charge kind and mu (from MAX_PARTICLES,
+    BOX_RANGE and MUS), then its configuration as `random_configuration`
+    does, from its own `default_rng(trial_seed)`.
     The trials of a block of `_BLOCK` consecutive trials are grouped by n,
     and each group is one stack for the kernels the public checkers run on
     a stack of one, so row k equals replaying trial seed k through
@@ -274,12 +276,6 @@ def run_random_ensemble(
         raise PreconditionError(f"which must be one of {CHECKERS}")
     if trials < 1:
         raise PreconditionError("trials must be positive")
-    if max_particles < 1:
-        raise PreconditionError("max_particles must be positive")
-    if not 0 < box_range[0] <= box_range[1] < math.inf:
-        raise DomainError("box_range must satisfy 0 < low <= high < inf")
-    if not (mus and all(0 <= m < math.inf for m in mus)):
-        raise DomainError("mus must be a nonempty tuple of finite mu >= 0")
     seeds = seed_words(seed, trials)
     rows = []
     for start in range(0, trials, _BLOCK):
@@ -287,10 +283,10 @@ def run_random_ensemble(
         groups = {}  # n -> [(index in block, mu, positions, charges)]
         for k, ts in enumerate(block):
             rng = np.random.default_rng(ts)
-            n = int(rng.integers(1, max_particles + 1))
-            box = float(rng.uniform(*box_range))
+            n = int(rng.integers(1, MAX_PARTICLES + 1))
+            box = float(rng.uniform(*BOX_RANGE))
             kind = "pm1" if rng.random() < 0.5 else "mixed"
-            mu = float(mus[rng.integers(0, len(mus))])
+            mu = float(MUS[rng.integers(0, len(MUS))])
             if which == "baxter":
                 mu = 0.0
             elif which == "positivity":

@@ -28,6 +28,9 @@ __all__ = [
     "simplified_energy_quadrature",
 ]
 
+J_TOL = 1e-10  # quadrature tolerance of j_from_integral
+QUAD_TOL = 1e-9  # quadrature tolerance of simplified_energy_quadrature
+
 
 def j_integrand(x: float) -> float:
     # Conjugate form of 1 + x^4 - x^2*sqrt(x^4+2); exact identity since
@@ -36,10 +39,10 @@ def j_integrand(x: float) -> float:
     return 1.0 / (1.0 + x2 * x2 + x2 * math.sqrt(x2 * x2 + 2.0))
 
 
-def j_from_integral(tol: float = 1e-10) -> float:
-    """J = (2/pi)^(3/4) * int_0^inf (1 + x^4 - x^2 sqrt(x^4+2)) dx."""
-    head = integrate_1d(j_integrand, 0.0, 1.0, tol=tol / 2)
-    tail = integrate_1d(j_integrand, 1.0, math.inf, tol=tol / 2)
+def j_from_integral() -> float:
+    """J = (2/pi)^(3/4) * int_0^inf (1 + x^4 - x^2 sqrt(x^4+2)) dx, to J_TOL."""
+    head = integrate_1d(j_integrand, 0.0, 1.0, tol=J_TOL / 2)
+    tail = integrate_1d(j_integrand, 1.0, math.inf, tol=J_TOL / 2)
     return (2.0 / math.pi) ** 0.75 * (head.value + tail.value)
 
 
@@ -63,9 +66,10 @@ def foldy_j() -> float:
     return closed
 
 
-def simplified_energy_quadrature(nu: float, ell: float, tol: float = 1e-9) -> float:
+def simplified_energy_quadrature(nu: float, ell: float) -> float:
     """Quadrature route for the cutoff-free symbols t = ell^3 p^2/2,
-    Vhat = 4 pi / p^2: -(4 pi^2)^-1 int_0^inf p^2 mode_floor(t, nu Vhat) dp."""
+    Vhat = 4 pi / p^2: -(4 pi^2)^-1 int_0^inf p^2 mode_floor(t, nu Vhat) dp,
+    to QUAD_TOL."""
     if not (nu >= 0 and ell > 0):
         raise DomainError("need nu >= 0 and ell > 0")
     if nu == 0.0:
@@ -80,6 +84,6 @@ def simplified_energy_quadrature(nu: float, ell: float, tol: float = 1e-9) -> fl
     # integrable small-p structure), tail (1,inf) under the t/(1-t) map
     # with the natural p-scale.
     scale = max(1.0, (8.0 * math.pi * nu / ell**3) ** 0.25)
-    head = integrate_1d(lambda q: 2.0 * q * integrand(q * q), 0.0, 1.0, tol=tol / 2)
-    tail = integrate_1d(integrand, 1.0, math.inf, tol=tol / 2, scale=scale)
+    head = integrate_1d(lambda q: 2.0 * q * integrand(q * q), 0.0, 1.0, tol=QUAD_TOL / 2)
+    tail = integrate_1d(integrand, 1.0, math.inf, tol=QUAD_TOL / 2, scale=scale)
     return -(head.value + tail.value) / (4.0 * math.pi**2)

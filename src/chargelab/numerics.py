@@ -40,6 +40,8 @@ __all__ = [
     "trials_per_block",
 ]
 
+QUAD_LIMIT = 200  # intervals integrate_1d may hold before it gives up
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -148,13 +150,12 @@ def integrate_1d(
     b: float,
     tol: float = 1e-10,
     scale: float = 1.0,
-    limit: int = 200,
 ) -> QuadratureResult:
     """Adaptive integral of f over (a, b); b may be math.inf.
 
     Globally adaptive G10/K21: starting from (a, b), the interval with the
     largest qk21 error estimate is bisected until the summed estimate is
-    below max(tol, tol*|value|).  Reaching `limit` intervals first, or an
+    below max(tol, tol*|value|).  Reaching QUAD_LIMIT intervals first, or an
     interval too narrow to bisect, raises BudgetExceededError with the
     partial value and its estimate.  There is no extrapolation, so f should
     be smooth on the open range, up to integrable endpoint behaviour.  f is
@@ -173,8 +174,6 @@ def integrate_1d(
         raise DomainError("tol must be > 0")
     if not b > a:
         raise DomainError("need b > a")
-    if limit < 1:
-        raise DomainError("limit must be >= 1")
 
     if math.isinf(b):
         if not scale > 0:
@@ -205,8 +204,8 @@ def integrate_1d(
         worst = max(intervals)
         _, lo, hi, _ = worst
         mid = 0.5 * (lo + hi)
-        if len(intervals) >= limit or not (_resolvable(lo, mid) and _resolvable(mid, hi)):
-            where = (f"after {limit} intervals" if len(intervals) >= limit
+        if len(intervals) >= QUAD_LIMIT or not (_resolvable(lo, mid) and _resolvable(mid, hi)):
+            where = (f"after {QUAD_LIMIT} intervals" if len(intervals) >= QUAD_LIMIT
                      else "at an interval too narrow to bisect")
             raise BudgetExceededError(
                 f"quadrature budget exhausted {where}: error estimate {error:.3e} "

@@ -61,6 +61,7 @@ ELL_CONVERGED = 1e-6  # stop adding channels below this relative contribution
 ELL_CAP = 300
 CHANNEL_CHUNK = 16  # channels bisected together
 REFINE_TOL = 1e-4  # two-grid disagreement beyond this aborts
+V_QUAD_TOL = 1e-10  # quadrature tolerance of v_integral_quadrature
 
 
 def _five_halves_fits(x: float) -> bool:
@@ -135,8 +136,8 @@ class PotentialSpec:
             return self.depth**2.5 * (4.0 * math.pi / 3.0) * self.width**3
         return self.strength**2.5 * _screened_ball(self.cutoff_radius)
 
-    def v_integral_quadrature(self, tol: float = 1e-10) -> float:
-        """Independent quadrature route for the same integral.
+    def v_integral_quadrature(self) -> float:
+        """Independent quadrature route for the same integral, to V_QUAD_TOL.
 
         For the nucleus, r = R s^2 turns 4 pi r^2 (1/r - 1/R)^(5/2) dr into
         8 pi sqrt(R) (1 - s^2)^(5/2) ds on (0, 1): bounded, and free of R,
@@ -151,7 +152,7 @@ class PotentialSpec:
                 * (self.depth * math.exp(-((r / self.width) ** 2))) ** 2.5,
                 0.0,
                 math.inf,
-                tol=tol,
+                tol=V_QUAD_TOL,
                 scale=self.width,
             )
             return quad.value
@@ -160,10 +161,10 @@ class PotentialSpec:
                 lambda r: 4.0 * math.pi * r * r * self.depth**2.5,
                 0.0,
                 self.width,
-                tol=tol,
+                tol=V_QUAD_TOL,
             )
             return quad.value
-        quad = integrate_1d(lambda s: (1.0 - s * s) ** 2.5, 0.0, 1.0, tol=tol)
+        quad = integrate_1d(lambda s: (1.0 - s * s) ** 2.5, 0.0, 1.0, tol=V_QUAD_TOL)
         per_ball = 8.0 * math.pi * math.sqrt(self.cutoff_radius) * quad.value
         return self.strength**2.5 * per_ball
 

@@ -12,7 +12,8 @@ trace inequality run on stacks of instances: `berezin_lieb_ensemble`
 passes a block of trials, and `random_tight_frame`, `CoherentFrame` and
 `berezin_lieb_check` a stack of one, to the same kernels.  Every product
 and sum is taken per instance, so an instance's values do not depend on
-its block.
+its block.  The ensemble's frame shape is fixed: FRAME_COUNT vectors in
+dimension FRAME_DIMENSION.
 """
 from __future__ import annotations
 
@@ -56,6 +57,9 @@ FRAME_TOL = 1e-10  # tight-frame residual cap enforced by CoherentFrame
 NORM_FLOOR = 1e-8
 CONDITION_FLOOR = 1e-8
 REDRAW_RESIDUAL = FRAME_TOL
+# pointwise_pair_energy raises beyond this relative distance from -J rho^(5/4)
+PAIR_ENERGY_RTOL = 1e-8
+FRAME_DIMENSION, FRAME_COUNT = 8, 24  # the frame shape of berezin_lieb_ensemble
 
 
 def occupation_f(rho: float, p):
@@ -86,7 +90,7 @@ def occupation_f(rho: float, p):
     return float(out) if out.ndim == 0 else out
 
 
-def pointwise_pair_energy(rho: float, tol: float = 1e-9) -> float:
+def pointwise_pair_energy(rho: float) -> float:
     """(2 pi)^-3 4 pi int_0^inf p^2 [(p^2/2 + b) f - b sqrt(f (f+1))] dp
     with b = 4 pi rho / p^2 and f = occupation_f(rho, p).
 
@@ -95,20 +99,19 @@ def pointwise_pair_energy(rho: float, tol: float = 1e-9) -> float:
     t = p^2/2.  The bracket is not evaluated here: the value is the
     floor's integral, `simplified_energy_quadrature(rho, 1)` (whose
     integrand is `bogolubov.mode_floor`), cross-checked against the closed
-    form -J rho^(5/4).  A route through f itself is still open.
+    form -J rho^(5/4) to PAIR_ENERGY_RTOL.  A route through f itself is
+    still open.
     """
     if not rho >= 0:
         raise DomainError("rho must be >= 0")
-    if not tol > 0:
-        raise DomainError("tol must be > 0")
     if rho == 0.0:
         return 0.0
-    value = simplified_energy_quadrature(rho, 1.0, tol)
+    value = simplified_energy_quadrature(rho, 1.0)
     expected = -foldy_j() * rho**1.25
-    if abs(value - expected) > 10.0 * tol * abs(expected):
+    if abs(value - expected) > PAIR_ENERGY_RTOL * abs(expected):
         raise ConsistencyError(
             f"pair energy {value!r} vs closed form {expected!r} "
-            f"beyond 10x tol={tol:g}"
+            f"beyond {PAIR_ENERGY_RTOL:g} relative"
         )
     return value
 
@@ -265,13 +268,6 @@ def _check_frames(vectors: np.ndarray, weights: np.ndarray) -> None:
         )
 
 
-def _check_frame_size(dimension: int, count: int) -> None:
-    if dimension < 2:
-        raise DomainError("dimension must be >= 2")
-    if count < dimension:
-        raise DomainError("count must be >= dimension")
-
-
 def _tight_frames(draws: np.ndarray):
     """Tight frames from a stack of draws (T, count, dimension).
 
@@ -301,7 +297,10 @@ def random_tight_frame(
     """Sample `count` unit vectors and symmetrize by the inverse square
     root of their frame operator: rows S^(-1/2) theta_k with weights
     |S^(-1/2) theta_k|^2 form a tight frame by construction."""
-    _check_frame_size(dimension, count)
+    if dimension < 2:
+        raise DomainError("dimension must be >= 2")
+    if count < dimension:
+        raise DomainError("count must be >= dimension")
     for _ in range(64):
         draws = rng.standard_normal((count, dimension))
         kept, vectors, weights = _tight_frames(draws[None])
@@ -380,15 +379,10 @@ def _berezin_lieb_trial(xi: str, seed: int, dimension: int, count: int) -> Inequ
     return berezin_lieb_check(frame, f_draw, y_psd, xi)
 
 
-def berezin_lieb_ensemble(
-    xi: str,
-    trials: int,
-    master_seed: int,
-    dimension: int = 8,
-    count: int = 24,
-):
+def berezin_lieb_ensemble(xi: str, trials: int, master_seed: int):
     """Random (frame, PSD Y, f) instances for one xi: rows
-    (seed, lhs, rhs, slack), one per trial drawn from that seed.
+    (seed, lhs, rhs, slack), one per trial drawn from that seed, each frame
+    FRAME_COUNT vectors in dimension FRAME_DIMENSION.
 
     Each trial draws its frame, then Y, then f from its own
     `default_rng(trial_seed)`.  The arithmetic runs per block of
@@ -404,7 +398,7 @@ def berezin_lieb_ensemble(
         raise PreconditionError(f"xi must be one of {sorted(XI_FUNCTIONS)}")
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    _check_frame_size(dimension, count)
+    dimension, count = FRAME_DIMENSION, FRAME_COUNT
     seeds = seed_words(master_seed, trials)
     block = trials_per_block(count, dimension)
     rows = []

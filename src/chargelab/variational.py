@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 NORM_SLACK = 1e-6  # functional_energy rejects profiles farther than this
+GAUSSIAN_WIDTH = 1.0  # of gaussian_profile, from which default_init starts
+# minimize's first step tau, the per-step decrease that stops it, its step cap
+DESCENT_STEP, DESCENT_TOL, DESCENT_MAX_ITER = 0.5, 1e-13, 2000
 # default box: the minimizer decays like exp(-0.37 r), so r_max = 25 keeps
 # the tail below 1e-9 while the finer spacing sharpens the kinetic stencil
 DEFAULT_R_MAX = 25.0
@@ -133,10 +136,10 @@ def _energy_terms(disc: _Discretization, values: np.ndarray):
     return kinetic - potential, kinetic, potential
 
 
-def gaussian_profile(grid: RadialGrid, width: float = 1.0) -> RadialProfile:
-    """Normalized Gaussian pi^(-3/4) w^(-3/2) exp(-r^2/(2 w^2)) on the grid."""
-    if not width > 0:
-        raise DomainError("width must be positive")
+def gaussian_profile(grid: RadialGrid) -> RadialProfile:
+    """Normalized Gaussian pi^(-3/4) w^(-3/2) exp(-r^2/(2 w^2)) on the grid,
+    of width w = GAUSSIAN_WIDTH."""
+    width = GAUSSIAN_WIDTH
     vals = np.pi**-0.75 * width**-1.5 * np.exp(-(grid.nodes**2) / (2 * width**2))
     return RadialProfile(grid=grid, values=vals).normalized()
 
@@ -180,20 +183,12 @@ def default_init(n_nodes: int = 800, r_max: float = DEFAULT_R_MAX) -> RadialProf
     )
 
 
-def minimize(
-    init: RadialProfile | None = None,
-    step: float = 0.5,
-    tol: float = 1e-13,
-    max_iter: int = 2000,
-) -> MinimizationResult:
+def minimize(init: RadialProfile | None = None) -> MinimizationResult:
     """Projected semi-implicit descent from `init` (default: the Gaussian
     pre-rescaled by its analytic optimal dilation, which removes the slow
     dilation mode).  Steps never increase the energy (backtracking); stops
-    when the per-step decrease falls below tol."""
-    if not (step > 0 and tol > 0):
-        raise DomainError("step and tol must be positive")
-    if max_iter < 1:
-        raise PreconditionError("max_iter must be >= 1")
+    when the per-step decrease falls below DESCENT_TOL, or after
+    DESCENT_MAX_ITER steps."""
     if init is None:
         init = default_init()
     phi = init.normalized().values
@@ -201,12 +196,12 @@ def minimize(
     w = disc.grid.weights
     j = foldy_j()
     energy, kinetic, potential = _energy_terms(disc, phi)
-    tau = step
+    tau = DESCENT_STEP
     factor_tau = None
     factor = None
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DESCENT_MAX_ITER + 1):
         nonlinear = 2.5 * j * phi**1.5
         # Rayleigh multiplier; stepping along grad E - lam W phi keeps the
         # flow tangent to the norm sphere, so renormalization stays a
@@ -232,7 +227,7 @@ def minimize(
         phi = cand
         energy, kinetic, potential = cand_terms
         tau = min(tau * 1.3, 1e4)
-        if decrease < tol:
+        if decrease < DESCENT_TOL:
             converged = True
             break
     result = RadialProfile(grid=init.grid, values=phi)
@@ -255,6 +250,6 @@ def minimize(
     )
 
 
-# optimal dilation of the unit Gaussian: lambda* = (3 V / (8 T))^(4/5) with
-# T = 3/4 and V = J pi^(-3/8) (4/5)^(3/2)
+# optimal dilation of gaussian_profile at GAUSSIAN_WIDTH = 1:
+# lambda* = (3 V / (8 T))^(4/5) with T = 3/4 and V = J pi^(-3/8) (4/5)^(3/2)
 GAUSSIAN_OPTIMAL_SCALE = (3.0 * j_closed_form() * np.pi**-0.375 * 0.8**1.5 / 6.0) ** 0.8

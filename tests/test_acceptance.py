@@ -28,7 +28,7 @@ def _verdict(label, ok, detail):
 
 def test_01_j_cross_route():
     start = time.perf_counter()
-    diff = abs(j_from_integral(1e-10) - j_closed_form())
+    diff = abs(j_from_integral() - j_closed_form())
     elapsed = time.perf_counter() - start
     ok = diff <= 1e-8 and elapsed < 1.0
     _verdict("01 j-cross-route", ok, f"diff={diff:.3e}, {elapsed:.2f}s")
@@ -111,10 +111,11 @@ def test_06_pointwise_pair_energy_identity():
 
 def test_07_reduced_density_trace_scaling():
     start = time.perf_counter()
-    rows, summary, _ = cli.run_trace_scaling(n_list=(1_000, 10_000, 100_000, 1_000_000))
+    rows, summary, _ = cli.run_trace_scaling()
     elapsed = time.perf_counter() - start
     ok = (
-        all(r["holds"] for r in rows)
+        [r["n_particles"] for r in rows[:-1]] == [1_000, 10_000, 100_000, 1_000_000]
+        and all(r["holds"] for r in rows)
         and abs(summary["slope"] - 0.6) <= 0.01 and rows[-1]["tolerance"] == 0.01
         and elapsed < 60.0
     )
@@ -123,8 +124,11 @@ def test_07_reduced_density_trace_scaling():
 
 
 def test_08_upper_bound_consistency():
-    rows, summary, _ = cli.run_upper_bound(n_list=(1, 32, 100_000))
-    ok = all(r["holds"] and r["rel_err"] <= 1e-8 and r["tolerance"] == 1e-8 for r in rows)
+    rows, summary, _ = cli.run_upper_bound()
+    ok = (
+        [r["n_particles"] for r in rows] == [1, 32, 100_000]
+        and all(r["holds"] and r["rel_err"] <= 1e-8 and r["tolerance"] == 1e-8 for r in rows)
+    )
     _verdict("08 upper-bound", ok,
              f"N in (1, 32, 100000), worst rel err {summary['worst_rel_err']:.3e}")
 

@@ -44,12 +44,8 @@ CASES = {
                          DomainError),
     "occupation_f-rho": (lambda: trialstate.occupation_f(NAN, 1.0), DomainError),
     "pointwise-rho": (lambda: trialstate.pointwise_pair_energy(NAN), DomainError),
-    "pointwise-tol": (lambda: trialstate.pointwise_pair_energy(1.0, tol=NAN), DomainError),
-    "gaussian_profile-width": (lambda: variational.gaussian_profile(GRID, NAN), DomainError),
     "rescale-lam": (lambda: variational.rescale(variational.gaussian_profile(GRID), NAN),
                     DomainError),
-    "minimize-step": (lambda: variational.minimize(step=NAN), DomainError),
-    "minimize-tol": (lambda: variational.minimize(tol=NAN), DomainError),
 }
 
 

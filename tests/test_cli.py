@@ -1,5 +1,6 @@
 """Command-line layer: records, determinism, exit codes, argument files."""
 
+import argparse
 import ast
 import contextlib
 import errno
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargelab import bogolubov, cli, foldy, matrixloc
+from chargelab import bogolubov, cli, foldy, matrixloc, trialstate
 from chargelab.foldy import foldy_j
 
 
@@ -67,8 +69,8 @@ class TestCheckFunctions:
         assert gaps == sorted(gaps, reverse=True)
 
     def test_bogolubov_fuzz_reproducible(self):
-        rows_a, summary_a, tables_a = cli.run_bogolubov_fuzz(25, 31)
-        rows_b, summary_b, tables_b = cli.run_bogolubov_fuzz(25, 31)
+        rows_a, summary_a, tables_a = cli.run_bogolubov_fuzz(25, 31, 2, 6)
+        rows_b, summary_b, tables_b = cli.run_bogolubov_fuzz(25, 31, 2, 6)
         assert rows_a == rows_b
         assert tables_a["models"][1] == tables_b["models"][1]
         assert summary_a["violations"] == 0
@@ -92,7 +94,7 @@ class TestCheckFunctions:
         assert len(tables["trials"][1]) == 40
 
     def test_dyson_rows(self):
-        rows, summary, tables = cli.run_dyson()
+        rows, summary, tables = cli.run_dyson(800, 25.0)
         by_name = {r["check"]: r for r in rows}
         assert by_name["dyson-minimize"]["energy"] <= -0.05
         assert by_name["dyson-virial"]["holds"]
@@ -105,13 +107,17 @@ class TestCheckFunctions:
         assert [r["rho"] for r in rows] == [1e-2, 1.0, 1e2, 1e4]
         assert summary["worst_rel_err"] <= 1e-6
 
-    def test_trace_scaling_short_ladder(self):
-        rows, summary, _ = cli.run_trace_scaling(n_list=(1_000, 100_000))
+    def test_trace_scaling_short_ladder(self, monkeypatch):
+        monkeypatch.setattr(cli, "TRACE_LADDER", (1_000, 100_000))
+        rows, summary, _ = cli.run_trace_scaling()
+        assert [r["n_particles"] for r in rows[:-1]] == [1_000, 100_000]
         assert abs(summary["slope"] - 0.6) <= 0.01
         assert rows[-1]["holds"]
 
-    def test_upper_bound(self):
-        rows, summary, _ = cli.run_upper_bound(n_list=(1, 32))
+    def test_upper_bound(self, monkeypatch):
+        monkeypatch.setattr(cli, "UPPER_BOUND_LADDER", (1, 32))
+        rows, summary, _ = cli.run_upper_bound()
+        assert [r["n_particles"] for r in rows] == [1, 32]
         assert all(r["holds"] for r in rows)
         assert summary["worst_rel_err"] <= 1e-8
 
@@ -126,7 +132,7 @@ class TestCheckFunctions:
         assert len(tables["instances"][1]) == 200
 
     def test_matrixloc_ensemble(self):
-        rows, summary, _ = cli.run_matrixloc_ensemble(50, 8)
+        rows, summary, _ = cli.run_matrixloc_ensemble(50, 8, 64, 8)
         assert rows[0]["holds"]
         assert summary["worst_c_required"] <= 50.0
 
@@ -231,7 +237,6 @@ class TestMainPlumbing:
         assert meta["env"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": sys.modules["scipy"].__version__ if "scipy" in sys.modules else None,
             "cpu_count": os.cpu_count(),
             **{name: os.environ.get(name) for name in (
                 "OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
@@ -684,6 +689,36 @@ class TestExitCodes:
         assert cli.main(["bogolubov-sharpness", "--outdir", str(tmp_path)]) == 1
         assert "lower bound violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("xi, convex", [
+        ("sqrt", lambda t: t**1.5),
+        ("log1p", np.expm1),
+        ("sqrt-pairing", lambda t: t * (t + 1.0)),
+    ], ids=["sqrt", "log1p", "sqrt-pairing"])
+    def test_convex_xi_fails_its_berezin_row(self, xi, convex, monkeypatch):
+        # the inequality needs xi operator concave; a convex one in its place
+        # reverses it
+        monkeypatch.setitem(trialstate.XI_FUNCTIONS, xi, convex)
+        rows, _, _ = cli.run_berezin(100, 1905)
+        row = next(r for r in rows if r["check"] == f"berezin-{xi}")
+        assert not row["holds"] and row["violations"] > 0
+
+    def test_overdilated_condensate_fails_the_upper_bound(self, tmp_path, monkeypatch,
+                                                          capsys):
+        rescale = trialstate.rescale
+        monkeypatch.setattr(trialstate, "rescale",
+                            lambda profile, lam: rescale(profile, 1.01 * lam))
+        argv = ["trialstate", "--check", "upper-bound", "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "assembled bound" in err and "differs" in err
+
+    def test_flat_band_slope_fails_matrix_localization(self, monkeypatch):
+        # with no budget growth per unit C, no finite C localizes
+        monkeypatch.setattr(matrixloc, "_band_slope", lambda d, window: np.zeros(d.shape[:-1]))
+        rows, summary, _ = cli.run_matrixloc_ensemble(100, 1905, 64, 8)
+        assert summary["worst_c_required"] == math.inf
+        assert not rows[0]["holds"]
+
 
 class TestArgumentFile:
     @pytest.mark.parametrize("argv, code, params", [
@@ -918,6 +953,13 @@ class TestParser:
             assert cli._params(parser.parse_args(argv)) == expected, argv
         berezin = parser.parse_args(["trialstate", "--check", "berezin-lieb"])
         assert cli._params(berezin) == {"check": "berezin-lieb", "seed": 1905, "trials": 1000}
+
+    def test_readme_lists_every_subcommand(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = readme.split("Subcommands:", 1)[1].split(".", 1)[0]
+        action = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        assert re.findall(r"`([^`]+)`", listed) == list(action.choices)
 
     def test_battery_replays_as_subcommands(self, tmp_path, capsys):
         seed = 1905

@@ -319,38 +319,30 @@ class TestEnsembles:
         with pytest.raises(PreconditionError):
             run_random_ensemble("onsager", 0, 1)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_particles": 0}, {"mus": ()}, {"mus": (math.nan,)}, {"mus": (-1.0,)},
-        {"box_range": (5.0, 1.0)}, {"box_range": (-1.0, 1.0)},
-        {"box_range": (math.nan, 1.0)}, {"box_range": (1.0, math.inf)},
-    ], ids=repr)
-    def test_arguments_are_checked_before_drawing(self, kwargs, monkeypatch):
-        # no trial seed is derived, so nothing is drawn, before the check
-        monkeypatch.setattr(correlation, "seed_words", None)
-        with pytest.raises((PreconditionError, DomainError)):
-            run_random_ensemble("onsager", 3, 0, **kwargs)
-
-    def test_overflowing_draws_are_rejected_as_in_the_public_route(self):
+    def test_overflowing_draws_are_rejected_as_in_the_public_route(self, monkeypatch):
+        monkeypatch.setattr(correlation, "BOX_RANGE", (1e200, 1e200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PreconditionError, match="overflow"):
-                run_random_ensemble("onsager", 3, 0, box_range=(1e200, 1e200))
+                run_random_ensemble("onsager", 3, 0)
 
-    def test_nan_mu_is_rejected_as_in_the_public_route(self):
+    def test_nan_mu_is_rejected_as_in_the_public_route(self, monkeypatch):
         with pytest.raises(DomainError):
             onsager_check(dipole(), math.nan)
+        monkeypatch.setattr(correlation, "MUS", (math.nan,))
         with pytest.raises(DomainError):
-            run_random_ensemble("onsager", 2, 0, mus=(math.nan,))
+            run_random_ensemble("onsager", 2, 0)
 
 
-def _replay(which, ts, max_particles=50, box_range=(1.0, 10.0), mus=(0.0, 0.5, 1.0, 5.0)):
+def _replay(which, ts):
     """(row, configuration) of one trial seed through random_configuration
-    and the public checker: the per-trial route the fuzz batches."""
+    and the public checker: the per-trial route the fuzz batches, from the
+    fuzz's distribution as it is set when called."""
     rng = np.random.default_rng(ts)
-    n = int(rng.integers(1, max_particles + 1))
-    box = float(rng.uniform(*box_range))
+    n = int(rng.integers(1, correlation.MAX_PARTICLES + 1))
+    box = float(rng.uniform(*correlation.BOX_RANGE))
     kind = "pm1" if rng.random() < 0.5 else "mixed"
-    mu = float(rng.choice(mus))
+    mu = float(rng.choice(correlation.MUS))
     cfg = random_configuration(rng, n, box, kind)
     if which == "onsager":
         rep = onsager_check(cfg, mu)
@@ -367,10 +359,10 @@ class TestBatchedEnsemble:
     route, bit for bit, in trial-seed order."""
 
     @staticmethod
-    def replayed(which, trials, seed, **kwargs):
-        rows = run_random_ensemble(which, trials, seed, **kwargs)
+    def replayed(which, trials, seed):
+        rows = run_random_ensemble(which, trials, seed)
         assert [r[0] for r in rows] == seed_words(seed, trials)
-        replay = [_replay(which, r[0], **kwargs) for r in rows]
+        replay = [_replay(which, r[0]) for r in rows]
         expected = [row for row, _ in replay]
         assert rows == expected
         assert repr(rows) == repr(expected)  # signed zeros as well
@@ -381,18 +373,21 @@ class TestBatchedEnsemble:
         self.replayed(which, 300, 8675309)
 
     @pytest.mark.parametrize("which", CHECKERS)
-    def test_single_particles_and_same_sign_pairs(self, which):
-        configs = self.replayed(which, 200, 271828, max_particles=2)
+    def test_single_particles_and_same_sign_pairs(self, which, monkeypatch):
+        monkeypatch.setattr(correlation, "MAX_PARTICLES", 2)
+        configs = self.replayed(which, 200, 271828)
         assert any(c.n == 1 for c in configs)
         # a same-sign pair has no opposite charge: D_i = inf for both
         same = [c for c in configs if c.n == 2 and c.charges[0] * c.charges[1] > 0]
         assert same and np.all(np.isinf(nearest_opposite_distances(same[0])))
 
     @pytest.mark.parametrize("which", CHECKERS)
-    def test_across_a_block_boundary(self, which):
-        assert len(self.replayed(which, _BLOCK + 37, 314159, max_particles=6)) == _BLOCK + 37
+    def test_across_a_block_boundary(self, which, monkeypatch):
+        monkeypatch.setattr(correlation, "MAX_PARTICLES", 6)
+        assert len(self.replayed(which, _BLOCK + 37, 314159)) == _BLOCK + 37
 
     @pytest.mark.parametrize("which", CHECKERS)
-    def test_generated_configurations_are_validated(self, which):
+    def test_generated_configurations_are_validated(self, which, monkeypatch):
+        monkeypatch.setattr(correlation, "BOX_RANGE", (1e-14, 1e-14))
         with pytest.raises(PreconditionError, match="minimum separation"):
-            run_random_ensemble(which, 5, 0, box_range=(1e-14, 1e-14))
+            run_random_ensemble(which, 5, 0)

@@ -20,7 +20,7 @@ def test_j_closed_form_digits():
 
 
 def test_j_route_agreement():
-    assert abs(j_from_integral(1e-10) - j_closed_form()) <= 1e-8
+    assert abs(j_from_integral() - j_closed_form()) <= 1e-8
 
 
 def test_j_integrand_shape():
@@ -46,9 +46,11 @@ def test_foldy_j_cached_with_provenance(monkeypatch):
         foldy_j.cache_clear()
 
 
-def test_simplified_identity_and_scaling():
+def test_simplified_identity_and_scaling(monkeypatch):
     j = foldy_j()
-    quad = simplified_energy_quadrature(1.0, 1.0, tol=1e-10)
+    with monkeypatch.context() as patch:
+        patch.setattr(foldy, "QUAD_TOL", 1e-10)
+        quad = simplified_energy_quadrature(1.0, 1.0)
     assert abs(quad + j) < 1e-8 * j
     # E(lam^4 nu, ell) = lam^5 E(nu, ell), the nu^(5/4) law
     for lam in (2.0, 3.0):

@@ -100,7 +100,7 @@ class TestPointwisePairEnergy:
     def test_matches_closed_form_over_densities(self):
         j = foldy_j()
         for rho in (1e-2, 1.0, 1e2, 1e4):
-            value = pointwise_pair_energy(rho, 1e-9)
+            value = pointwise_pair_energy(rho)
             assert value == pytest.approx(-j * rho**1.25, rel=1e-6)
 
     def test_density_scaling(self):
@@ -123,16 +123,14 @@ class TestPointwisePairEnergy:
         import chargelab.trialstate as ts
 
         monkeypatch.setattr(
-            ts, "simplified_energy_quadrature", lambda nu, ell, tol: -0.5
+            ts, "simplified_energy_quadrature", lambda nu, ell: -0.5
         )
         with pytest.raises(ConsistencyError):
-            ts.pointwise_pair_energy(1.0, 1e-9)
+            ts.pointwise_pair_energy(1.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             pointwise_pair_energy(-1.0)
-        with pytest.raises(DomainError):
-            pointwise_pair_energy(1.0, tol=0.0)
 
 
 class TestCondensateSpec:
@@ -280,8 +278,10 @@ class TestCoherentFrame:
             CoherentFrame(1, np.ones((2, 1)), np.ones(2))
         with pytest.raises(DomainError):
             CoherentFrame(6, frame.vectors[:4], frame.weights[:4])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="count"):
             random_tight_frame(rng, 8, 5)
+        with pytest.raises(DomainError, match="dimension"):
+            random_tight_frame(rng, 1, 4)
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +351,12 @@ def _replay(xi, seed, dimension, count):
     return seed, report.lhs, report.rhs, report.slack
 
 
+def _frame_shape(monkeypatch, dimension, count):
+    """Sets the ensemble's frame shape for one test."""
+    monkeypatch.setattr(trialstate, "FRAME_DIMENSION", dimension)
+    monkeypatch.setattr(trialstate, "FRAME_COUNT", count)
+
+
 def _first_draws(seeds, dimension, count):
     """Per trial seed: the smallest vector norm of its first frame draw and
     that draw's eigenvalue ratio lambda_min / lambda_max."""
@@ -370,10 +376,11 @@ class TestBatchedEnsembles:
     random_tight_frame and berezin_lieb_check, bit for bit."""
 
     @staticmethod
-    def replayed(xi, trials, seed, dimension=8, count=24):
-        rows = berezin_lieb_ensemble(xi, trials, seed, dimension, count)
+    def replayed(xi, trials, seed):
+        rows = berezin_lieb_ensemble(xi, trials, seed)
         assert [r[0] for r in rows] == seed_words(seed, trials)
-        expected = [_replay(xi, r[0], dimension, count) for r in rows]
+        shape = trialstate.FRAME_DIMENSION, trialstate.FRAME_COUNT
+        expected = [_replay(xi, r[0], *shape) for r in rows]
         assert rows == expected
         assert repr(rows) == repr(expected)  # signed zeros as well
 
@@ -385,28 +392,32 @@ class TestBatchedEnsembles:
     def test_single_trial(self, xi):
         self.replayed(xi, 1, 5)
 
-    def test_across_block_boundaries(self):
+    def test_across_block_boundaries(self, monkeypatch):
         assert trials_per_block(1024, 8) == 8
-        self.replayed("sqrt", 40, 271828, count=1024)
+        _frame_shape(monkeypatch, 8, 1024)
+        self.replayed("sqrt", 40, 271828)
 
     @pytest.mark.parametrize("dimension", [2, 3, 4])
-    def test_minimal_frames(self, dimension):
-        self.replayed("sqrt-pairing", 30, 161803, dimension=dimension, count=dimension)
+    def test_minimal_frames(self, dimension, monkeypatch):
+        _frame_shape(monkeypatch, dimension, dimension)
+        self.replayed("sqrt-pairing", 30, 161803)
 
     @pytest.mark.parametrize("dimension", [3, 4, 6, 8])
-    def test_square_frames_are_redrawn_to_tolerance(self, dimension):
+    def test_square_frames_are_redrawn_to_tolerance(self, dimension, monkeypatch):
         # square frames can pass CONDITION_FLOOR and still miss FRAME_TOL;
         # such a draw is redrawn, so every master seed runs and replays
+        _frame_shape(monkeypatch, dimension, dimension)
         for seed in range(20):
-            self.replayed("sqrt", 30, seed, dimension=dimension, count=dimension)
+            self.replayed("sqrt", 30, seed)
 
     def test_a_frame_beyond_tolerance_fails_both_routes(self, monkeypatch):
         # with FRAME_TOL below REDRAW_RESIDUAL, a kept square frame of
         # dimension 8 can miss it; the block raises the error of its worst
         # trial's replay
         monkeypatch.setattr(trialstate, "FRAME_TOL", 1e-12)
+        _frame_shape(monkeypatch, 8, 8)
         with pytest.raises(DomainError, match="tight-frame residual") as batch:
-            berezin_lieb_ensemble("sqrt-pairing", 30, 161803, dimension=8, count=8)
+            berezin_lieb_ensemble("sqrt-pairing", 30, 161803)
         errors = []
         for seed in seed_words(161803, 30):
             try:
@@ -431,7 +442,8 @@ class TestBatchedEnsembles:
             return public(rng, dimension, count)
 
         monkeypatch.setattr(trialstate, "random_tight_frame", counted)
-        self.replayed("sqrt", 60, 1905, dimension=4, count=6)
+        _frame_shape(monkeypatch, 4, 6)
+        self.replayed("sqrt", 60, 1905)
         # one call from the ensemble's replay, then one per replayed row
         assert len(calls) == 1 + 60
 
@@ -447,9 +459,3 @@ class TestBatchedEnsembles:
         monkeypatch.setattr(trialstate, "random_tight_frame", random_tight_frame)
         with pytest.raises(DomainError, match="tight-frame residual"):
             random_tight_frame(np.random.default_rng(3), 8, 24)
-
-    def test_arguments_are_checked_before_drawing(self):
-        with pytest.raises(DomainError, match="dimension"):
-            berezin_lieb_ensemble("sqrt", 1, 0, dimension=1, count=4)
-        with pytest.raises(DomainError, match="count"):
-            berezin_lieb_ensemble("sqrt", 1, 0, dimension=4, count=3)
