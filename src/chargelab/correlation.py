@@ -10,8 +10,21 @@ checks), then `_energies`, `_nearest_opposite` and the `_SUMS` of each
 checker (charges (T, n), those distances, mu (T,), with the checker's
 preconditions).  Each sum reduces one trial's row alone.  The public
 functions pass a stack of one; the seeded fuzz passes the trials of a
-block with the same n, so each of its rows equals, bit for bit, the
-replay of its trial seed through `random_configuration` and the checker.
+block with the same n.
+
+A fuzz trial draws from the SplitMix64 stream seeded at its recorded trial
+seed, each word w read as u = (w >> 11) 2^-53 in [0, 1):
+  word 0          n = 1 + floor(MAX_PARTICLES u)
+  word 1          box side, uniform in BOX_RANGE
+  word 2          charge kind: pm1 when u < 1/2, else mixed
+  word 3          mu = MUS[floor(len(MUS) u)] (0 for baxter; 0.5 in place
+                  of 0 for positivity)
+  words 4..3n+3   positions, box u, particle by particle
+  next n words    signs: -1 when u < 1/2
+  next n words    magnitudes of the positive charges: 1 for pm1, else
+                  1 + floor(3u)
+`replay_trial(which, trial_seed)` rebuilds one trial with the same draw
+code, so the public checker on it gives that trial's row, bit for bit.
 The fuzz's distribution is fixed by MAX_PARTICLES, BOX_RANGE and MUS.
 """
 from __future__ import annotations
@@ -32,7 +45,7 @@ __all__ = [
     "onsager_check",
     "baxter_check",
     "yukawa_positivity_check",
-    "random_configuration",
+    "replay_trial",
     "run_random_ensemble",
     "CHECKERS",
 ]
@@ -213,39 +226,6 @@ def yukawa_positivity_check(config: ParticleConfiguration, mu: float) -> Inequal
     return _report(_positivity_sums, config, mu)
 
 
-# indexing by rng.integers draws what rng.choice would, without its overhead
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def _draw(rng: np.random.Generator, n: int, box: float, charge_kind: str):
-    """Positions (n, 3) uniform in [0, box]^3, then charges (n,), from rng."""
-    pos = rng.uniform(0.0, box, size=(n, 3))
-    if charge_kind == "pm1":
-        z = _SIGNS[rng.integers(0, 2, size=n)]
-    elif charge_kind == "mixed":
-        z = np.where(
-            rng.random(n) < 0.5, -1.0, rng.integers(1, 4, size=n).astype(float)
-        )
-    else:
-        raise PreconditionError(f"unknown charge_kind {charge_kind!r}")
-    return pos, z
-
-
-def random_configuration(
-    rng: np.random.Generator,
-    n: int,
-    box: float,
-    charge_kind: str = "pm1",
-) -> ParticleConfiguration:
-    """Uniform positions in [0, box]^3; charges are random signs ("pm1")
-    or negatives of -1 mixed with positive charges up to +3 ("mixed"),
-    so every checker's precondition is satisfied.  Positions are drawn
-    once: ParticleConfiguration rejects a pair closer than MIN_SEPARATION,
-    which uniform draws in a box of side >= 1 essentially never produce."""
-    pos, z = _draw(rng, n, box, charge_kind)
-    return ParticleConfiguration(positions=pos, charges=z)
-
-
 # The fuzz's distribution: a trial draws n uniform in 1..MAX_PARTICLES, a box
 # side uniform in BOX_RANGE and mu uniform over MUS.
 MAX_PARTICLES = 50
@@ -258,6 +238,78 @@ MUS = (0.0, 0.5, 1.0, 5.0)
 # about 26 trials per block and split the n-groups into ones and twos.
 _BLOCK = 1024
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): word j of the stream seeded
+# at s is the mix of s + (j + 1) GAMMA modulo 2^64, so any words of any seed
+# are drawn at once.  Only arrays are mixed: numpy array arithmetic wraps
+# silently, where a numpy scalar that overflows warns.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST, _FRACTION = np.uint64(31), np.uint64(11)
+_HEADER = 4  # words 0-3 of a trial: n, box, charge kind, mu
+
+
+def _splitmix64(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Words first, ..., first + count - 1 (uint64, (T, count)) of the
+    SplitMix64 stream seeded at each of `seeds` (uint64, (T,))."""
+    z = np.arange(first + 1, first + count + 1, dtype=np.uint64) * _GAMMA + seeds[:, None]
+    for shift, multiplier in _MIX:
+        z ^= z >> shift
+        z *= multiplier
+    z ^= z >> _LAST
+    return z
+
+
+def _uniforms(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Those words as doubles u = (w >> 11) 2^-53 in [0, 1)."""
+    return (_splitmix64(seeds, first, count) >> _FRACTION) * 2.0**-53
+
+
+def _draw_header(which: str, seeds: np.ndarray):
+    """n (T,), box (T,), pm1 (T,) and mu (T,) of the trials seeded at
+    `seeds`, from their words 0-3; mu is remapped for `which`."""
+    u = _uniforms(seeds, 0, _HEADER)
+    n = 1 + (MAX_PARTICLES * u[:, 0]).astype(np.intp)
+    lo, hi = BOX_RANGE
+    box = lo + (hi - lo) * u[:, 1]
+    pm1 = u[:, 2] < 0.5
+    mu = np.array(MUS, dtype=float)[(len(MUS) * u[:, 3]).astype(np.intp)]
+    if which == "baxter":
+        mu = np.zeros_like(mu)
+    elif which == "positivity":
+        mu = np.where(mu > 0, mu, 0.5)
+    return n, box, pm1, mu
+
+
+def _draw_body(seeds: np.ndarray, n: int, box: np.ndarray, pm1: np.ndarray):
+    """Positions (T, n, 3) uniform in [0, box)^3 and charges (T, n) of
+    trials with n particles, from their 5n words after the header: 3n
+    position coordinates, n signs (u < 1/2 gives -1) and n positive
+    magnitudes 1 + floor(3u), which a "pm1" trial replaces by 1."""
+    u = _uniforms(seeds, _HEADER, 5 * n)
+    pos = box[:, None, None] * u[:, :3 * n].reshape(-1, n, 3)
+    magnitude = np.where(pm1[:, None], 1.0, 1.0 + np.floor(3.0 * u[:, 4 * n:]))
+    return pos, np.where(u[:, 3 * n:4 * n] < 0.5, -1.0, magnitude)
+
+
+def _check_which(which: str) -> None:
+    if which not in CHECKERS:
+        raise PreconditionError(f"which must be one of {CHECKERS}")
+
+
+def replay_trial(which: str, trial_seed: int) -> tuple[ParticleConfiguration, float]:
+    """The configuration and mu of the `which` fuzz trial recorded with
+    `trial_seed`, drawn by the code `run_random_ensemble` draws with: the
+    public checker of `which` (mu as its argument; `baxter_check` takes
+    none) reproduces that trial's row, bit for bit."""
+    _check_which(which)
+    if not 0 <= trial_seed < 2**64:
+        raise PreconditionError(f"trial_seed must be a uint64 word, got {trial_seed}")
+    seeds = np.array([trial_seed], dtype=np.uint64)
+    n, box, pm1, mu = _draw_header(which, seeds)
+    pos, z = _draw_body(seeds, int(n[0]), box, pm1)
+    return ParticleConfiguration(positions=pos[0], charges=z[0]), float(mu[0])
+
 
 def run_random_ensemble(
     which: str, trials: int, seed: int
@@ -265,39 +317,29 @@ def run_random_ensemble(
     """Seeded fuzzing rows (trial_seed, n, mu, lhs, rhs, slack) for one
     checker; each trial is reproducible from its recorded 64-bit seed.
 
-    Each trial draws n, box, charge kind and mu (from MAX_PARTICLES,
-    BOX_RANGE and MUS), then its configuration as `random_configuration`
-    does, from its own `default_rng(trial_seed)`.
-    The trials of a block of `_BLOCK` consecutive trials are grouped by n,
-    and each group is one stack for the kernels the public checkers run on
-    a stack of one, so row k equals replaying trial seed k through
-    `random_configuration` and the public checker, bit for bit."""
-    if which not in CHECKERS:
-        raise PreconditionError(f"which must be one of {CHECKERS}")
+    Trial k's seed is word k of `seed_words(seed, trials)`, and its draws
+    are words of the SplitMix64 stream seeded there: words 0-3 give n, box,
+    charge kind (pm1 or mixed) and mu (from MAX_PARTICLES, BOX_RANGE and
+    MUS), the next 5n its positions and charges.  A block of `_BLOCK`
+    consecutive trials draws its headers at once, then the bodies of each
+    group with the same n at once; each group is one stack for the kernels
+    the public checkers run on a stack of one, so row k equals
+    `replay_trial(which, trial seed k)` through the public checker, bit
+    for bit."""
+    _check_which(which)
     if trials < 1:
         raise PreconditionError("trials must be positive")
     seeds = seed_words(seed, trials)
     rows = []
     for start in range(0, trials, _BLOCK):
         block = seeds[start:start + _BLOCK]
-        groups = {}  # n -> [(index in block, mu, positions, charges)]
-        for k, ts in enumerate(block):
-            rng = np.random.default_rng(ts)
-            n = int(rng.integers(1, MAX_PARTICLES + 1))
-            box = float(rng.uniform(*BOX_RANGE))
-            kind = "pm1" if rng.random() < 0.5 else "mixed"
-            mu = float(MUS[rng.integers(0, len(MUS))])
-            if which == "baxter":
-                mu = 0.0
-            elif which == "positivity":
-                mu = mu if mu > 0 else 0.5
-            groups.setdefault(n, []).append((k, mu, *_draw(rng, n, box, kind)))
-        out = [None] * len(block)
-        for n, members in groups.items():
-            ks, mu, pos, z = zip(*members)
-            r = _pair_distances(np.stack(pos))
-            lhs, rhs = _SUMS[which](np.stack(z), r, np.array(mu))
-            for k, m, a, b in zip(ks, mu, lhs, rhs):
-                out[k] = (block[k], n, m, a, b, a - b)
-        rows += out
+        words = np.array(block, dtype=np.uint64)
+        n, box, pm1, mu = _draw_header(which, words)
+        lhs, rhs = np.empty(len(block)), np.empty(len(block))
+        for m in sorted(set(n.tolist())):  # np.unique would load numpy.ma, about 1 MB
+            k = np.flatnonzero(n == m)
+            pos, z = _draw_body(words[k], m, box[k], pm1[k])
+            lhs[k], rhs[k] = _SUMS[which](z, _pair_distances(pos), mu[k])
+        rows += zip(block, n.tolist(), mu.tolist(), lhs.tolist(), rhs.tolist(),
+                    (lhs - rhs).tolist())
     return rows

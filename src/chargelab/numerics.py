@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, PreconditionError
+from .errors import BudgetExceededError, DomainError, PreconditionError, ResourceLimitError
 
 __all__ = [
     "QuadratureResult",
@@ -36,6 +36,7 @@ __all__ = [
     "tridiagonal_ldl",
     "tridiagonal_ldl_solve",
     "seed_words",
+    "SEED_WORDS_CAP",
     "BLOCK_BYTES",
     "trials_per_block",
 ]
@@ -446,14 +447,24 @@ def tridiagonal_ldl_solve(factor: tuple[list[float], list[float]], rhs) -> np.nd
     return np.array(x[::-1])
 
 
+# Most words seed_words derives at once, one per trial of an ensemble.  A
+# seeded run keeps about 1 KB per trial until its records are written (peak
+# RSS of check-inequalities, all three checkers, and of trialstate --check
+# berezin-lieb, between 2e4 and 1e5 trials), so the cap holds a run near 1 GB.
+SEED_WORDS_CAP = 1_000_000
+
+
 def seed_words(seed: int, count: int) -> list[int]:
     """The first `count` uint64 words of SeedSequence(seed).
 
     Every seeded run derives its per-trial or per-check seeds here, so word
-    i depends only on the seed and i.
+    i depends only on the seed and i.  A count above SEED_WORDS_CAP raises
+    ResourceLimitError before anything is allocated.
     """
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
+    if count > SEED_WORDS_CAP:
+        raise ResourceLimitError(f"{count} trials exceed cap {SEED_WORDS_CAP}")
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64).tolist()
 
 

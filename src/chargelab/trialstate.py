@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     SolverError,
 )
-from .foldy import foldy_j, simplified_energy_quadrature
+from .foldy import foldy_j
 from .numerics import integrate_1d, seed_words, trials_per_block
 from .variational import RadialProfile, functional_energy, rescale
 
@@ -57,8 +57,10 @@ FRAME_TOL = 1e-10  # tight-frame residual cap enforced by CoherentFrame
 NORM_FLOOR = 1e-8
 CONDITION_FLOOR = 1e-8
 REDRAW_RESIDUAL = FRAME_TOL
-# pointwise_pair_energy raises beyond this relative distance from -J rho^(5/4)
+# pointwise_pair_energy raises beyond this relative distance from -J rho^(5/4);
+# each half of its dimensionless integral (about -0.40) is taken to PAIR_QUAD_TOL
 PAIR_ENERGY_RTOL = 1e-8
+PAIR_QUAD_TOL = 5e-11
 FRAME_DIMENSION, FRAME_COUNT = 8, 24  # the frame shape of berezin_lieb_ensemble
 
 
@@ -94,19 +96,31 @@ def pointwise_pair_energy(rho: float) -> float:
     """(2 pi)^-3 4 pi int_0^inf p^2 [(p^2/2 + b) f - b sqrt(f (f+1))] dp
     with b = 4 pi rho / p^2 and f = occupation_f(rho, p).
 
-    f minimizes the bracket over occupations pointwise, collapsing the
-    integrand to the Bogolubov floor -((t+b) - sqrt(t^2+2tb))/2 at
-    t = p^2/2.  The bracket is not evaluated here: the value is the
-    floor's integral, `simplified_energy_quadrature(rho, 1)` (whose
-    integrand is `bogolubov.mode_floor`), cross-checked against the closed
-    form -J rho^(5/4) to PAIR_ENERGY_RTOL.  A route through f itself is
-    still open.
+    The bracket is t f - b sqrt(f) / (sqrt(f) + sqrt(f+1)) with t = p^2/2,
+    the same value without the cancellation of its two large terms at
+    small p.  In q = p / s, with s = (8 pi rho)^(1/4) the scale of f, t is
+    s^2 q^2 / 2 and b is s^2 / (2 q^2), so the energy is s^5 / (4 pi^2)
+    times int_0^inf [q^4 f - sqrt(f) / (sqrt(f) + sqrt(f+1))] dq, with f
+    still occupation_f(rho, s q).  That integral is taken over (0, 1)
+    with q = r^2 and over (1, inf), each to PAIR_QUAD_TOL, the same at
+    every density.  f minimizes the bracket pointwise, so the value is the
+    integral of the Bogolubov floor; it is checked against the closed form
+    -J rho^(5/4) to PAIR_ENERGY_RTOL.
     """
     if not rho >= 0:
         raise DomainError("rho must be >= 0")
     if rho == 0.0:
         return 0.0
-    value = simplified_energy_quadrature(rho, 1.0)
+    scale = (8.0 * math.pi * rho) ** 0.25
+
+    def bracket(q: float) -> float:
+        f = occupation_f(rho, scale * q)
+        root = math.sqrt(f)
+        return q**4 * f - root / (root + math.sqrt(f + 1.0))
+
+    head = integrate_1d(lambda r: 2.0 * r * bracket(r * r), 0.0, 1.0, tol=PAIR_QUAD_TOL)
+    tail = integrate_1d(bracket, 1.0, math.inf, tol=PAIR_QUAD_TOL)
+    value = scale**5 * (head.value + tail.value) / (4.0 * math.pi**2)
     expected = -foldy_j() * rho**1.25
     if abs(value - expected) > PAIR_ENERGY_RTOL * abs(expected):
         raise ConsistencyError(

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargelab import bogolubov, cli, foldy, matrixloc, trialstate
+from chargelab import bogolubov, cli, foldy, matrixloc, numerics, trialstate
 from chargelab.foldy import foldy_j
 
 
@@ -193,7 +193,7 @@ RECORD_PINS = (
         "bogolubov-fuzz-models.csv":
             "3bbf9ff96e55cd14f44c10850befd7293236f09ab1569342cf7fd15c1047db00"}),
     (("trialstate", "--check", "pair-energy"), {
-        "trialstate.jsonl": "f31f0d328238d5775449b5cc78caabae408073056ae6bcc107ca0607c2b19fba"}),
+        "trialstate.jsonl": "8a1997961cd623d50a40acdaab301f56c1e8cda905114f9ef237c61b81ae36aa"}),
     (("trialstate", "--check", "trace-scaling"), {
         "trialstate.jsonl": "0d8be5727a979a02c8a50dbe1019e6f587f7426962ee2f8a402957ca048efde5",
         "trialstate-traces.csv":
@@ -278,9 +278,9 @@ class TestMainPlumbing:
                          "--outdir", str(tmp_path)]) == 0
         pins = {
             "check-inequalities.jsonl":
-                "2f3ddf22a5f252a6125f6181c2a706c40b1213493b6ed23722c218ef9032a452",
+                "d1c6b45639bc68a033cce1a485168b1f45b383ad255050d10938861e0a031ff4",
             "check-inequalities-trials.csv":
-                "2dd4cdfa0a0957ad31fc657cb5fcdec835c5db1c8de226cf2ffff715a3be453b",
+                "82a1651d33995a5fe04c574a816ac7178013753c4435f202947812d98b5a22b0",
         }
         for name, pinned in pins.items():
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -508,6 +508,35 @@ class TestExitCodes:
         assert err == f"error: matrix size 1000000 exceeds cap {matrixloc.SIZE_CAP}\n"
         assert peak < 2**20
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["check-inequalities"],
+        ["bogolubov-fuzz"],
+        ["trialstate", "--check", "berezin-lieb"],
+        ["matrixloc-ensemble"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_trials_beyond_the_cap_are_exit_3_before_allocating(self, argv, tmp_path, capsys):
+        # 10^11 seed words alone would be 745 GiB
+        tracemalloc.start()
+        try:
+            code = cli.main([*argv, "--trials", "100000000000", "--outdir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: 100000000000 trials exceed cap {numerics.SEED_WORDS_CAP}\n"
+        assert peak < 2**20
+        assert not list(tmp_path.iterdir())
+
+    def test_inflated_occupation_fails_the_pair_identity(self, tmp_path, monkeypatch, capsys):
+        # the pair energy is integrated from occupation_f, which minimizes the
+        # bracket; 1.5 f in its place misses -J rho^(5/4)
+        occupation = trialstate.occupation_f
+        monkeypatch.setattr(trialstate, "occupation_f", lambda rho, p: 1.5 * occupation(rho, p))
+        code = cli.main(["trialstate", "--check", "pair-energy", "--outdir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("check failed: pair energy")
 
     def test_non_finite_floats_are_usage(self, tmp_path, capsys):
         for argv in (["bogolubov-sharpness", "--t", "nan"],
@@ -740,7 +769,7 @@ class TestArgumentFile:
 
 
 # sha256 of `verify --quick --seed 1905`'s verify.jsonl
-VERIFY_QUICK_SHA256 = "d069d12e3482f2665293f1209031e02a7d375456b240437c2b629467895e6469"
+VERIFY_QUICK_SHA256 = "488555f29357018d09ed3504201c7416ae9f9465e31f99328ac7cfbef8d3b068"
 
 
 class TestVerifySuite:
@@ -795,21 +824,22 @@ def _src_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-# Runs in a fresh interpreter and prints, as its last line, the scipy modules
-# loaded after import and after the subcommands in argv[1], run in turn.
+# Runs in a fresh interpreter and prints, as its last line, the modules of the
+# package argv[2] (scipy, numpy.random) loaded after import and after the
+# subcommands in argv[1], run in turn.
 _STARTUP_PROBE = textwrap.dedent("""
     import json, sys, tempfile
 
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    def loaded(package=sys.argv[2]):
+        return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
     stages = {}
     from chargelab import cli
-    stages["import"] = scipy_modules()
+    stages["import"] = loaded()
     with tempfile.TemporaryDirectory() as outdir:
         for argv in json.loads(sys.argv[1]):
             assert cli.main([*argv, "--outdir", outdir]) == 0, argv
-        stages["run"] = scipy_modules()
+        stages["run"] = loaded()
     print(json.dumps(stages))
 """)
 
@@ -832,8 +862,23 @@ _SCIPY_FREE = (
 )
 
 
-def _scipy_after(*argvs):
-    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs)],
+# the subcommands that draw nothing, so need no numpy.random
+_UNSEEDED = (
+    ["foldy-j"],
+    ["foldy-identity"],
+    ["trialstate", "--check", "pair-energy"],
+    ["trialstate", "--check", "trace-scaling"],
+    ["trialstate", "--check", "upper-bound"],
+    ["lt-study", "--depths", "20"],
+    ["dyson-minimize"],
+    ["bogolubov-sharpness", "--nmax-list", "2,4"],
+    ["sobolev-study", "--depths", "5"],
+    ["stability-bound"],
+)
+
+
+def _loaded_after(package, *argvs):
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs), package],
                           env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -888,10 +933,15 @@ class TestStartup:
         assert _thread_timeout_at_numpy_import(code, preset) == seen
 
     def test_subcommands_import_only_the_scipy_they_run(self):
-        assert _scipy_after(*_SCIPY_FREE) == {"import": [], "run": []}
+        assert _loaded_after("scipy", *_SCIPY_FREE) == {"import": [], "run": []}
 
     def test_verify_loads_no_scipy(self):
-        assert _scipy_after(["verify", "--quick"]) == {"import": [], "run": []}
+        assert _loaded_after("scipy", ["verify", "--quick"]) == {"import": [], "run": []}
+
+    def test_unseeded_subcommands_load_no_numpy_random(self):
+        # numpy.random (with OpenSSL) adds about 6 MB and 15-25 ms to start-up;
+        # only the seeded ensembles derive seeds through it
+        assert _loaded_after("numpy.random", *_UNSEEDED) == {"import": [], "run": []}
 
     def test_no_source_file_imports_scipy(self):
         package = Path(cli.__file__).resolve().parent

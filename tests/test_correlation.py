@@ -15,12 +15,20 @@ from chargelab.correlation import (
     nearest_opposite_distances,
     onsager_check,
     pair_energy,
-    random_configuration,
+    replay_trial,
     run_random_ensemble,
     yukawa_positivity_check,
 )
 from chargelab.errors import DomainError, PreconditionError
 from chargelab.numerics import seed_words
+
+
+def drawn(seed, n, box, kind):
+    """The configuration the fuzz draws for a trial seed whose header gives
+    n particles, box side `box` and charge kind "pm1" or "mixed"."""
+    pos, z = correlation._draw_body(
+        np.array([seed], dtype=np.uint64), n, np.array([box]), np.array([kind == "pm1"]))
+    return ParticleConfiguration(positions=pos[0], charges=z[0])
 
 
 def dipole(distance=1.0):
@@ -156,10 +164,8 @@ class TestOnsager:
         assert rep.lhs > 0 and rep.rhs == 0.0 and rep.holds
 
     def test_random_ensemble(self):
-        rng = np.random.default_rng(77)
-        for _ in range(50):
-            cfg = random_configuration(rng, 20, 1.0, "pm1")
-            assert onsager_check(cfg, 1.0).holds
+        for seed in seed_words(77, 50):
+            assert onsager_check(drawn(seed, 20, 1.0, "pm1"), 1.0).holds
 
     def test_far_apart_pair_is_finite(self):
         # exp(-mu D) is 0 long before (mu D)^2 overflows, so the bound is -0
@@ -239,7 +245,7 @@ class TestStoredGeometry:
 
     def test_against_pair_loop(self):
         for seed, n, box, kind in GEOMETRY_DRAWS:
-            cfg = random_configuration(np.random.default_rng(seed), n, box, kind)
+            cfg = drawn(seed, n, box, kind)
             pts = [tuple(float(x) for x in p) for p in cfg.positions]
             z = [float(q) for q in cfg.charges]
             pairs = [(i, j, math.dist(pts[i], pts[j]))
@@ -285,11 +291,14 @@ class TestStoredGeometry:
                 stored[0] = 1.0
 
     def test_draw_order_is_pinned(self):
-        # positions come first and in one draw, so a trial seed replays
+        # after the 4 header words: 3n coordinates, n signs, n magnitudes
         for seed, n, box, kind in GEOMETRY_DRAWS:
-            cfg = random_configuration(np.random.default_rng(seed), n, box, kind)
-            expected = np.random.default_rng(seed).uniform(0, box, (n, 3))
-            assert np.array_equal(cfg.positions, expected)
+            cfg = drawn(seed, n, box, kind)
+            u = [(splitmix64_reference(seed, j) >> 11) * 2.0**-53 for j in range(4, 4 + 5 * n)]
+            assert cfg.positions.ravel().tolist() == [box * x for x in u[:3 * n]]
+            charges = [-1.0 if s < 0.5 else 1.0 if kind == "pm1" else 1.0 + math.floor(3.0 * m)
+                       for s, m in zip(u[3 * n:4 * n], u[4 * n:])]
+            assert cfg.charges.tolist() == charges
 
 
 class TestEnsembles:
@@ -305,13 +314,15 @@ class TestEnsembles:
         assert a == b
 
     def test_charge_kinds(self):
-        rng = np.random.default_rng(3)
-        pm = random_configuration(rng, 30, 5.0, "pm1")
-        assert set(np.unique(pm.charges)) <= {-1.0, 1.0}
-        mixed = random_configuration(rng, 30, 5.0, "mixed")
-        assert np.all(mixed.charges[mixed.charges < 0] == -1.0)
+        pm = drawn(3, 30, 5.0, "pm1")
+        assert set(np.unique(pm.charges)) == {-1.0, 1.0}
+        mixed = drawn(3, 30, 5.0, "mixed")
+        assert set(np.unique(mixed.charges)) == {-1.0, 1.0, 2.0, 3.0}
         with pytest.raises(PreconditionError):
-            random_configuration(rng, 5, 1.0, "bogus")
+            replay_trial("bogus", 3)
+        for seed in (-1, 2**64):
+            with pytest.raises(PreconditionError):
+                replay_trial("onsager", seed)
 
     def test_validates_arguments(self):
         with pytest.raises(PreconditionError):
@@ -335,23 +346,17 @@ class TestEnsembles:
 
 
 def _replay(which, ts):
-    """(row, configuration) of one trial seed through random_configuration
-    and the public checker: the per-trial route the fuzz batches, from the
-    fuzz's distribution as it is set when called."""
-    rng = np.random.default_rng(ts)
-    n = int(rng.integers(1, correlation.MAX_PARTICLES + 1))
-    box = float(rng.uniform(*correlation.BOX_RANGE))
-    kind = "pm1" if rng.random() < 0.5 else "mixed"
-    mu = float(rng.choice(correlation.MUS))
-    cfg = random_configuration(rng, n, box, kind)
+    """(row, configuration) of one trial seed through replay_trial and the
+    public checker: the per-trial route the fuzz batches, from the fuzz's
+    distribution as it is set when called."""
+    cfg, mu = replay_trial(which, ts)
     if which == "onsager":
         rep = onsager_check(cfg, mu)
     elif which == "baxter":
-        mu, rep = 0.0, baxter_check(cfg)
+        rep = baxter_check(cfg)
     else:
-        mu = mu if mu > 0 else 0.5
         rep = yukawa_positivity_check(cfg, mu)
-    return (ts, n, mu, rep.lhs, rep.rhs, rep.slack), cfg
+    return (ts, cfg.n, mu, rep.lhs, rep.rhs, rep.slack), cfg
 
 
 class TestBatchedEnsemble:
@@ -391,3 +396,76 @@ class TestBatchedEnsemble:
         monkeypatch.setattr(correlation, "BOX_RANGE", (1e-14, 1e-14))
         with pytest.raises(PreconditionError, match="minimum separation"):
             run_random_ensemble(which, 5, 0)
+
+
+_MASK = 2**64 - 1
+
+
+def splitmix64_reference(seed, j):
+    """Word j of the SplitMix64 stream seeded at `seed`, in Python ints."""
+    z = (seed + (j + 1) * 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+class TestSplitMix64:
+    def test_known_answer(self):
+        # the first outputs of SplitMix64 seeded at 0
+        words = correlation._splitmix64(np.zeros(1, dtype=np.uint64), 0, 4)
+        assert words.tolist() == [[0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                   0x06C45D188009454F, 0xF88BB8A8724C81EC]]
+
+    def test_wraps_like_the_integer_reference(self):
+        # the state passes 2^64 for seeds near it; array arithmetic wraps
+        # without the overflow warning that numpy scalars give
+        seeds = [2**64 - 1, 2**64 - 2, 2**64 - 0x9E3779B97F4A7C15, 2**63, 1905]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = correlation._splitmix64(np.array(seeds, dtype=np.uint64), 3, 7)
+        assert words.tolist() == [[splitmix64_reference(s, j) for j in range(3, 10)]
+                                  for s in seeds]
+
+    def test_word_j_depends_on_the_seed_and_j_alone(self):
+        seeds = np.array(seed_words(5, 8), dtype=np.uint64)
+        whole = correlation._splitmix64(seeds, 0, 30)
+        assert np.array_equal(correlation._splitmix64(seeds[3:5], 12, 9), whole[3:5, 12:21])
+
+
+class TestDrawLayout:
+    """The header and body of each trial against the fuzz's distribution."""
+
+    SEEDS = np.array(seed_words(1905, 20_000), dtype=np.uint64)
+
+    @pytest.mark.parametrize("which", CHECKERS)
+    def test_headers_cover_the_distribution(self, which):
+        n, box, pm1, mu = correlation._draw_header(which, self.SEEDS)
+        assert sorted(set(n.tolist())) == list(range(1, correlation.MAX_PARTICLES + 1))
+        assert np.all((box >= 1.0) & (box < 10.0))
+        assert 0.45 < pm1.mean() < 0.55
+        expected = {"onsager": {0.0, 0.5, 1.0, 5.0}, "baxter": {0.0},
+                    "positivity": {0.5, 1.0, 5.0}}[which]
+        assert set(mu.tolist()) == expected
+
+    def test_bodies_by_charge_kind(self):
+        n, box, pm1, _ = correlation._draw_header("onsager", self.SEEDS[:2000])
+        for kind, allowed in ((True, {-1.0, 1.0}), (False, {-1.0, 1.0, 2.0, 3.0})):
+            k = np.flatnonzero((n == 40) & (pm1 == kind))
+            pos, z = correlation._draw_body(self.SEEDS[k], 40, box[k], pm1[k])
+            assert set(np.unique(z).tolist()) == allowed
+            assert np.all((pos >= 0) & (pos < box[k, None, None]))
+
+    def test_extreme_words_map_inside_the_ranges(self, monkeypatch):
+        for word in (0, 2**64 - 1):
+            monkeypatch.setattr(correlation, "_splitmix64", lambda seeds, first, count: np.full(
+                (len(seeds), count), word, dtype=np.uint64))
+            seeds = np.zeros(2, dtype=np.uint64)
+            n, box, pm1, mu = correlation._draw_header("onsager", seeds)
+            top = word > 0
+            assert n.tolist() == [50 if top else 1] * 2
+            assert np.all(box < 10.0) and np.all(box >= 1.0)
+            assert pm1.tolist() == [not top] * 2
+            assert mu.tolist() == [5.0 if top else 0.0] * 2
+            pos, z = correlation._draw_body(seeds, 3, box, np.array([False, True]))
+            assert np.all(pos < box[0]) and np.all(pos >= 0.0)
+            assert z.tolist() == ([[3.0] * 3, [1.0] * 3] if top else [[-1.0] * 3] * 2)

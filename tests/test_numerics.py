@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from chargelab import numerics
-from chargelab.errors import BudgetExceededError, DomainError, PreconditionError
+from chargelab.errors import BudgetExceededError, DomainError, PreconditionError, ResourceLimitError
 from chargelab.numerics import (
     QuadratureResult,
     RadialGrid,
@@ -215,3 +215,5 @@ def test_seed_words():
     assert seed_words(1905, 3) == words[:3]
     with pytest.raises(PreconditionError):
         seed_words(-1, 5)
+    with pytest.raises(ResourceLimitError, match="exceed cap"):
+        seed_words(1905, numerics.SEED_WORDS_CAP + 1)

@@ -99,7 +99,9 @@ class TestPointwisePairEnergy:
 
     def test_matches_closed_form_over_densities(self):
         j = foldy_j()
-        for rho in (1e-2, 1.0, 1e2, 1e4):
+        # the integral is taken in q = p / (8 pi rho)^(1/4), so nothing under-
+        # or overflows at extreme densities
+        for rho in (1e-200, 1e-100, 1e-2, 1.0, 1e2, 1e4, 1e100, 1e240):
             value = pointwise_pair_energy(rho)
             assert value == pytest.approx(-j * rho**1.25, rel=1e-6)
 
@@ -108,25 +110,29 @@ class TestPointwisePairEnergy:
         assert ratio == pytest.approx(32.0, rel=1e-9)
 
     def test_integrand_identity_with_occupation(self):
-        # the quadrature uses the collapsed Bogolubov-floor form; confirm
-        # it agrees with the literal f-based bracket where both are stable
+        # the quadrature integrates the bracket as t f - b sqrt(f) / (sqrt(f) +
+        # sqrt(f+1)); confirm it equals the literal bracket where both are
+        # stable, and the Bogolubov floor that f attains
         rho = 1.3
         for p in (0.5, 1.0, 2.0, 4.0):
             t = 0.5 * p * p
             b = 4.0 * math.pi * rho / (p * p)
             f = occupation_f(rho, p)
             bracket = (t + b) * f - b * math.sqrt(f * (f + 1.0))
+            stable = t * f - b * math.sqrt(f) / (math.sqrt(f) + math.sqrt(f + 1.0))
             floor = -0.5 * (t + b - math.sqrt(t * t + 2.0 * t * b))
+            assert stable == pytest.approx(bracket, rel=1e-12)
             assert bracket == pytest.approx(floor, rel=1e-12)
 
     def test_consistency_guard_fires(self, monkeypatch):
-        import chargelab.trialstate as ts
-
-        monkeypatch.setattr(
-            ts, "simplified_energy_quadrature", lambda nu, ell: -0.5
-        )
-        with pytest.raises(ConsistencyError):
-            ts.pointwise_pair_energy(1.0)
+        # the value is integrated from f itself, so a wrong occupation (which
+        # no longer minimizes the bracket) must miss the closed form
+        occupation = trialstate.occupation_f
+        monkeypatch.setattr(trialstate, "occupation_f",
+                            lambda rho, p: 1.5 * occupation(rho, p))
+        for rho in (1e-2, 1.0, 1e4):
+            with pytest.raises(ConsistencyError, match="pair energy"):
+                trialstate.pointwise_pair_energy(rho)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
