@@ -59,7 +59,7 @@ from .errors import (
     SolverError,
 )
 from .foldy import foldy_j, j_closed_form, j_from_integral, simplified_energy_quadrature
-from .numerics import seed_words, uniform_radial_grid
+from .numerics import seed_words, uniform_radial_grid, uniforms
 
 __all__ = [
     "run_j_check",
@@ -146,11 +146,18 @@ _ENV_VARS = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def _environment() -> dict:
-    """What a run's timings depend on: versions, CPU count and the thread
+    """What a run's timings and last bits depend on: versions, the BLAS
+    numpy was built with, the SIMD targets numpy found on this CPU (they
+    pick the kernels of exp, log, cos and sin), CPU count and the thread
     settings as this process sees them (null when unset)."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "simd": config.get("SIMD Extensions", {}).get("found"),
         "cpu_count": os.cpu_count(),
         **{name: os.environ.get(name) for name in _ENV_VARS},
     }
@@ -281,22 +288,30 @@ def run_bogolubov_ladder(t: float, g_plus: float, g_minus: float, n_max_list):
     return rows, {"final_gap_fraction": rows[-1]["gap_fraction"]}, {"ladder": table}
 
 
+def _draw_models(seeds: list[int], n_max_lo: int, n_max_hi: int):
+    """(t, g_plus, g_minus, n_max) of each Bogolubov fuzz trial seeded at
+    `seeds`, from words 0-3 of its SplitMix64 stream read as uniforms u:
+    t = 5u, g_plus = 3u, g_minus = 3u, n_max = n_max_lo + floor((n_max_hi -
+    n_max_lo + 1) u)."""
+    span = n_max_hi - n_max_lo + 1
+    u = uniforms(np.array(seeds, dtype=np.uint64), 0, 4).tolist()
+    return [(5.0 * t, 3.0 * g_plus, 3.0 * g_minus, n_max_lo + math.floor(span * n))
+            for t, g_plus, g_minus, n in u]
+
+
 def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int, n_max_hi: int):
     """Random couplings, random cutoff: ground energy must clear the bound by
-    the model's gap_tolerance, whose largest value is `max_allowance`."""
+    the model's gap_tolerance, whose largest value is `max_allowance`.
+    Trial k's seed is word k of `seed_words(seed, trials)`; its model is
+    `_draw_models` of that seed."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     if not 1 <= n_max_lo <= n_max_hi:
         raise PreconditionError("need 1 <= n_max_lo <= n_max_hi")
     samples, violations, min_gap, max_allowance = [], 0, math.inf, 0.0
-    for ts in seed_words(seed, trials):
-        rng = np.random.default_rng(ts)
-        model = bogolubov.BogolubovModel(
-            t=float(rng.uniform(0.0, 5.0)),
-            g_plus=float(rng.uniform(0.0, 3.0)),
-            g_minus=float(rng.uniform(0.0, 3.0)),
-        )
-        n_max = int(rng.integers(n_max_lo, n_max_hi + 1))
+    seeds = seed_words(seed, trials)
+    for ts, (t, g_plus, g_minus, n_max) in zip(seeds, _draw_models(seeds, n_max_lo, n_max_hi)):
+        model = bogolubov.BogolubovModel(t=t, g_plus=g_plus, g_minus=g_minus)
         energy = bogolubov.ground_energy(bogolubov.build_hamiltonian(model, n_max))
         gap = energy - bogolubov.closed_form_bound(model)
         if gap < -model.gap_tolerance:
@@ -504,7 +519,7 @@ def run_berezin(trials: int, seed: int):
 def run_matrixloc_ensemble(trials: int, seed: int, size: int, window: int):
     """Gaussian symmetric instances: the restriction construction must meet
     the band budget with constant <= ceiling on every draw.  The margin is
-    wide: in `verify --seed 1905` the worst c_required is 0.171."""
+    wide: in `verify --seed 1905` the worst c_required is 0.377."""
     ceiling = 50.0
     worst, samples = matrixloc.gaussian_ensemble(trials, seed, n=size, window=window)
     row = {

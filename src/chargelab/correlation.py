@@ -12,8 +12,9 @@ preconditions).  Each sum reduces one trial's row alone.  The public
 functions pass a stack of one; the seeded fuzz passes the trials of a
 block with the same n.
 
-A fuzz trial draws from the SplitMix64 stream seeded at its recorded trial
-seed, each word w read as u = (w >> 11) 2^-53 in [0, 1):
+A fuzz trial draws from the SplitMix64 stream (`numerics.splitmix64`)
+seeded at its recorded trial seed, each word w read as u = (w >> 11) 2^-53
+in [0, 1) (`numerics.uniforms`):
   word 0          n = 1 + floor(MAX_PARTICLES u)
   word 1          box side, uniform in BOX_RANGE
   word 2          charge kind: pm1 when u < 1/2, else mixed
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import seed_words
+from .numerics import seed_words, uniforms
 
 __all__ = [
     "ParticleConfiguration",
@@ -238,37 +239,13 @@ MUS = (0.0, 0.5, 1.0, 5.0)
 # about 26 trials per block and split the n-groups into ones and twos.
 _BLOCK = 1024
 
-# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): word j of the stream seeded
-# at s is the mix of s + (j + 1) GAMMA modulo 2^64, so any words of any seed
-# are drawn at once.  Only arrays are mixed: numpy array arithmetic wraps
-# silently, where a numpy scalar that overflows warns.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
-        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
-_LAST, _FRACTION = np.uint64(31), np.uint64(11)
 _HEADER = 4  # words 0-3 of a trial: n, box, charge kind, mu
-
-
-def _splitmix64(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
-    """Words first, ..., first + count - 1 (uint64, (T, count)) of the
-    SplitMix64 stream seeded at each of `seeds` (uint64, (T,))."""
-    z = np.arange(first + 1, first + count + 1, dtype=np.uint64) * _GAMMA + seeds[:, None]
-    for shift, multiplier in _MIX:
-        z ^= z >> shift
-        z *= multiplier
-    z ^= z >> _LAST
-    return z
-
-
-def _uniforms(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
-    """Those words as doubles u = (w >> 11) 2^-53 in [0, 1)."""
-    return (_splitmix64(seeds, first, count) >> _FRACTION) * 2.0**-53
 
 
 def _draw_header(which: str, seeds: np.ndarray):
     """n (T,), box (T,), pm1 (T,) and mu (T,) of the trials seeded at
     `seeds`, from their words 0-3; mu is remapped for `which`."""
-    u = _uniforms(seeds, 0, _HEADER)
+    u = uniforms(seeds, 0, _HEADER)
     n = 1 + (MAX_PARTICLES * u[:, 0]).astype(np.intp)
     lo, hi = BOX_RANGE
     box = lo + (hi - lo) * u[:, 1]
@@ -286,7 +263,7 @@ def _draw_body(seeds: np.ndarray, n: int, box: np.ndarray, pm1: np.ndarray):
     trials with n particles, from their 5n words after the header: 3n
     position coordinates, n signs (u < 1/2 gives -1) and n positive
     magnitudes 1 + floor(3u), which a "pm1" trial replaces by 1."""
-    u = _uniforms(seeds, _HEADER, 5 * n)
+    u = uniforms(seeds, _HEADER, 5 * n)
     pos = box[:, None, None] * u[:, :3 * n].reshape(-1, n, 3)
     magnitude = np.where(pm1[:, None], 1.0, 1.0 + np.floor(3.0 * u[:, 4 * n:]))
     return pos, np.where(u[:, 3 * n:4 * n] < 0.5, -1.0, magnitude)

@@ -12,6 +12,14 @@ The arithmetic runs on stacks of trials, shape (T, N, N) and (T, N):
 `gaussian_ensemble` passes a block of trials and `localize` a stack of one,
 to the same kernels.  Every product and sum is taken per trial, in the
 same order for any T, so a trial's values do not depend on its block.
+
+A `gaussian_ensemble` trial of size N draws normals (`numerics.normals`,
+Box-Muller pairs of words) from the SplitMix64 stream seeded at its
+recorded trial seed:
+  words 0 .. 2 ceil(N^2/2) - 1    the raw matrix, row by row; the trial's
+                                  matrix is (raw + raw^T) / 2
+  next 2 ceil(N/2) words          psi, divided by its norm
+`replay_trial(trial_seed, N)` draws one trial with the same code.
 """
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ import numpy as np
 
 from .correlation import InequalityReport
 from .errors import ConsistencyError, DomainError, PreconditionError, ResourceLimitError
-from .numerics import seed_words, trials_per_block
+from .numerics import normal_words, normals, seed_words, trials_per_block
 
 __all__ = [
     "LocalizationProblem",
@@ -33,6 +41,7 @@ __all__ = [
     "localize",
     "verify_budget",
     "gaussian_ensemble",
+    "replay_trial",
     "read_matrix",
     "read_vector",
     "write_matrix",
@@ -45,8 +54,8 @@ NORM_TOL = 1e-12
 SUM_RULE_TOL = 1e-10  # sum_k d_k must reproduce lambda this closely
 
 # Largest matrix size of the Gaussian ensemble, checked before anything is
-# drawn.  At the cap a block is one trial holding two 32 MB matrices (the
-# draw and its symmetrization).
+# drawn.  At the cap a block is one trial: its 32 MB matrix, drawn from 32 MB
+# of stream words, peaks at about 112 MB (tracemalloc).
 SIZE_CAP = 2048
 
 
@@ -276,6 +285,38 @@ def verify_budget(result: LocalizationResult, c: float) -> InequalityReport:
     return InequalityReport(lhs=result.budget(c), rhs=result.value)
 
 
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise PreconditionError("matrix size n must be >= 1")
+    if n > SIZE_CAP:
+        raise ResourceLimitError(f"matrix size {n} exceeds cap {SIZE_CAP}")
+
+
+def _draw_instances(seeds: np.ndarray, n: int):
+    """Matrices (T, n, n) and unit psi (T, n) of the trials seeded at
+    `seeds` (uint64, (T,)): the n^2 normals of the first words of each
+    stream fill the raw matrix row by row, symmetrized as (raw + raw^T) / 2,
+    and the n normals of the next words are psi, divided by its norm."""
+    raw = normals(seeds, 0, n * n).reshape(-1, n, n)
+    mats = raw + raw.transpose(0, 2, 1)
+    mats *= 0.5
+    psis = normals(seeds, normal_words(n * n), n)
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    return mats, psis
+
+
+def replay_trial(trial_seed: int, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix and psi of the `gaussian_ensemble` trial of size n recorded
+    with `trial_seed`, drawn by the code the ensemble draws with: through
+    `LocalizationProblem`, `localize` and `c_required` they give that
+    trial's row, bit for bit."""
+    if not 0 <= trial_seed < 2**64:
+        raise PreconditionError(f"trial_seed must be a uint64 word, got {trial_seed}")
+    _check_size(n)
+    mats, psis = _draw_instances(np.array([trial_seed], dtype=np.uint64), n)
+    return mats[0], psis[0]
+
+
 def gaussian_ensemble(
     trials: int,
     master_seed: int,
@@ -287,38 +328,27 @@ def gaussian_ensemble(
     Returns (max_c_required, rows); rows are (seed, lam, value, c_required)
     per trial, each reproducible from its recorded seed.
 
-    Each trial draws its matrix, then psi, from its own
-    `default_rng(trial_seed)`.  The arithmetic runs per block of
-    `trials_per_block(n, n)` consecutive trials, on the kernels `localize`
-    uses, with every product and sum taken per trial; the psi norms and
-    the band sum rule are checked for the whole block.  So row k equals
-    replaying trial seed k through `LocalizationProblem`, `localize` and
-    `c_required`, bit for bit.
+    Trial k's seed is word k of `seed_words(master_seed, trials)`; its
+    matrix, then its psi, are normals of the SplitMix64 stream seeded there
+    (`numerics.normals`; the word layout is `_draw_instances`).  A block of
+    `trials_per_block(n, n)` consecutive trials is drawn at once and runs
+    on the kernels `localize` uses, with every product and sum taken per
+    trial; the psi norms and the band sum rule are checked for the whole
+    block.  So row k equals `replay_trial(trial seed k, n)` through
+    `LocalizationProblem`, `localize` and `c_required`, bit for bit.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    if n < 1:
-        raise PreconditionError("matrix size n must be >= 1")
-    if n > SIZE_CAP:
-        raise ResourceLimitError(f"matrix size {n} exceeds cap {SIZE_CAP}")
+    _check_size(n)
     if not 1 <= window <= n:
         raise PreconditionError("window must lie in [1, N]")
     seeds = seed_words(master_seed, trials)
     block = trials_per_block(n, n)
-    raw = np.empty((n, n))  # one draw at a time; the block holds only its symmetrization
     rows = []
     worst = 0.0
     for start in range(0, trials, block):
         chunk = seeds[start : start + block]
-        mats = np.empty((len(chunk), n, n))
-        psis = np.empty((len(chunk), n))
-        for k, seed in enumerate(chunk):
-            rng = np.random.default_rng(seed)
-            rng.standard_normal(out=raw)
-            np.add(raw, raw.T, out=mats[k])
-            mats[k] *= 0.5
-            psi = rng.standard_normal(out=psis[k])
-            psi /= np.linalg.norm(psi)
+        mats, psis = _draw_instances(np.array(chunk, dtype=np.uint64), n)
         _check_unit_norm(psis)
         _, values, lams = _best_windows(mats, psis, window)
         d = _band_forms(mats, psis)

@@ -1,6 +1,7 @@
 """Shared numerical kernels: 1D adaptive quadrature, uniform radial grids
 for 3D radial integrals, symmetric tridiagonal eigenvalues and solves, seed
-derivation, and the block size of the batched ensembles.
+derivation, the draws of the seeded ensembles, and the block size of the
+batched ensembles.
 
 All downstream 1D integrals funnel through `integrate_1d`, a globally
 adaptive Gauss-Kronrod integrator: the 21-point Kronrod rule with its
@@ -14,6 +15,23 @@ Tridiagonal eigenvalues are bisected on inertia counts, which odd-even
 (cyclic) reduction computes for a whole stack of shifted matrices at once;
 tridiagonal positive definite systems are solved by the LDL^T recurrences
 of LAPACK's ?pttrf/?pttrs.  Both need numpy alone.
+
+Seeds and draws need numpy alone too.  `seed_words` is numpy's SeedSequence
+hash, ported bit for bit, and gives each trial of an ensemble its seed.
+Every ensemble draws from the SplitMix64 stream seeded there: `splitmix64`
+gives its words, `uniforms` reads one word as a double in [0, 1) and
+`normals` two words as a Box-Muller pair.  Word j depends on the seed and j
+alone, so each ensemble fixes which words each draw takes:
+  correlation fuzz     words 0-3 the header (n, box, charge kind, mu), the
+                       next 5n the positions and charges
+  Bogolubov fuzz       words 0-3 (cli.run_bogolubov_fuzz): t = 5u,
+                       g_plus = 3u, g_minus = 3u and
+                       n_max = lo + floor((hi - lo + 1) u)
+  Gaussian matrices    the N^2 normals of the matrix, then the N of psi
+  Berezin-Lieb         the d^2 normals of Y, the m uniforms of f, then
+                       frame attempt a at its own fixed words
+(each module's docstring has its layout in full).  A block of trials draws
+at once, and a one-trial replay calls the same code on a stack of one.
 """
 from __future__ import annotations
 
@@ -37,6 +55,10 @@ __all__ = [
     "tridiagonal_ldl_solve",
     "seed_words",
     "SEED_WORDS_CAP",
+    "splitmix64",
+    "uniforms",
+    "normals",
+    "normal_words",
     "BLOCK_BYTES",
     "trials_per_block",
 ]
@@ -454,18 +476,122 @@ def tridiagonal_ldl_solve(factor: tuple[list[float], list[float]], rhs) -> np.nd
 SEED_WORDS_CAP = 1_000_000
 
 
-def seed_words(seed: int, count: int) -> list[int]:
-    """The first `count` uint64 words of SeedSequence(seed).
+# The constants of SeedSequence's hash (O'Neill's seed_seq_fe): the pool of
+# 4 32-bit words is mixed with hashmix (INIT_A, MULT_A) and mix (MIX_MULT_L,
+# MIX_MULT_R); output word i is hashed with INIT_B MULT_B^i.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _XSHIFT = 0xFFFFFFFF, 16
 
-    Every seeded run derives its per-trial or per-check seeds here, so word
-    i depends only on the seed and i.  A count above SEED_WORDS_CAP raises
-    ResourceLimitError before anything is allocated.
+
+def _seed_pool(seed: int) -> list[int]:
+    """SeedSequence(seed)'s pool: the 32-bit words of `seed`, least
+    significant first, hashed into 4 words that each depend on every one."""
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def seed_words(seed: int, count: int) -> list[int]:
+    """The first `count` uint64 words of SeedSequence(seed), numpy's seed
+    hash: `generate_state(count, uint64)`, computed here bit for bit.
+
+    32-bit word i is ((pool[i % 4] ^ h_i) h_(i+1)) ^ (that >> 16), all
+    modulo 2^32, with h_i = INIT_B MULT_B^i; uint64 word k joins words 2k
+    (low half) and 2k + 1.  Every seeded run derives its per-trial or
+    per-check seeds here, so word k depends only on the seed and k.  A
+    count above SEED_WORDS_CAP raises ResourceLimitError before anything
+    is allocated.
     """
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
     if count > SEED_WORDS_CAP:
         raise ResourceLimitError(f"{count} trials exceed cap {SEED_WORDS_CAP}")
-    return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64).tolist()
+    hashes = np.full(2 * count + 1, _MULT_B, dtype=np.uint64)
+    hashes[0] = _INIT_B
+    # products wrap modulo 2^64, so their low 32 bits are those modulo 2^32
+    hashes = np.cumprod(hashes) & _MASK32
+    pool = np.resize(np.array(_seed_pool(seed), dtype=np.uint64), 2 * count)
+    state = (pool ^ hashes[:-1]) * hashes[1:] & _MASK32
+    state ^= state >> _XSHIFT
+    return (state[0::2] | state[1::2] << 32).tolist()
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), the draw stream of every
+# seeded ensemble: word j of the stream seeded at s is the mix of
+# s + (j + 1) GAMMA modulo 2^64, so any words of any seeds are drawn at once.
+# Only arrays are mixed: numpy array arithmetic wraps silently, where a numpy
+# scalar that overflows warns.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST, _FRACTION = np.uint64(31), np.uint64(11)
+
+
+def splitmix64(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Words first, ..., first + count - 1 (uint64, (T, count)) of the
+    SplitMix64 stream seeded at each of `seeds` (uint64, (T,))."""
+    z = np.arange(first + 1, first + count + 1, dtype=np.uint64) * _GAMMA + seeds[:, None]
+    for shift, multiplier in _MIX:
+        z ^= z >> shift
+        z *= multiplier
+    z ^= z >> _LAST
+    return z
+
+
+def uniforms(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Those words as doubles u = (w >> 11) 2^-53 in [0, 1), shape (T, count)."""
+    return (splitmix64(seeds, first, count) >> _FRACTION) * 2.0**-53
+
+
+def normal_words(count: int) -> int:
+    """Words of a stream that `count` normals take: 2 ceil(count / 2)."""
+    return count + count % 2
+
+
+def normals(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
+    """`count` standard normals (T, count) from words first, ...,
+    first + normal_words(count) - 1 of each stream, by Box-Muller (Box &
+    Muller, Ann. Math. Stat. 29 (1958) 610).
+
+    Normals 2k and 2k + 1 take words first + 2k and first + 2k + 1 as
+    u1 = ((w >> 11) + 1) 2^-53 in (0, 1], so log never sees 0, and
+    u2 = (w >> 11) 2^-53; they are r cos(2 pi u2) and r sin(2 pi u2) with
+    r = sqrt(-2 log u1).  An odd count drops the last sine.  Each value is
+    a function of its two words alone.
+    """
+    words = splitmix64(seeds, first, normal_words(count)) >> _FRACTION
+    radius = np.sqrt(-2.0 * np.log((words[:, 0::2] + 1) * 2.0**-53))
+    angle = (2.0 * math.pi * 2.0**-53) * words[:, 1::2]
+    out = np.empty(words.shape)
+    out[:, 0::2] = radius * np.cos(angle)
+    out[:, 1::2] = radius * np.sin(angle)
+    return out[:, :count]
 
 
 # Byte budget of one stacked float64 array in the batched ensembles, which

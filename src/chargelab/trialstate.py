@@ -14,6 +14,19 @@ passes a block of trials, and `random_tight_frame`, `CoherentFrame` and
 and sum is taken per instance, so an instance's values do not depend on
 its block.  The ensemble's frame shape is fixed: FRAME_COUNT vectors in
 dimension FRAME_DIMENSION.
+
+A Berezin-Lieb trial with m vectors in dimension d draws from the
+SplitMix64 stream seeded at its recorded trial seed, normals by Box-Muller
+pairs of words (`numerics.normals`) and uniforms u one word each:
+  words 0 .. 2 ceil(d^2/2) - 1     raw (d x d), row by row; Y = raw raw^T
+  next m words                      f = 5u
+  F + a S .. F + (a+1) S - 1        frame attempt a = 0, 1, ...: m x d
+                                    normals, row by row, with
+                                    F = 2 ceil(d^2/2) + m, S = 2 ceil(md/2)
+A frame attempt that is redrawn (a vector norm below NORM_FLOOR, an
+eigenvalue ratio below CONDITION_FLOOR, a residual above REDRAW_RESIDUAL)
+moves the trial to the next attempt; Y and f do not move.
+`replay_trial(trial_seed)` draws one trial with the same code.
 """
 from __future__ import annotations
 
@@ -31,7 +44,14 @@ from .errors import (
     SolverError,
 )
 from .foldy import foldy_j
-from .numerics import integrate_1d, seed_words, trials_per_block
+from .numerics import (
+    integrate_1d,
+    normal_words,
+    normals,
+    seed_words,
+    trials_per_block,
+    uniforms,
+)
 from .variational import RadialProfile, functional_energy, rescale
 
 __all__ = [
@@ -46,6 +66,7 @@ __all__ = [
     "berezin_lieb_check",
     "random_tight_frame",
     "berezin_lieb_ensemble",
+    "replay_trial",
 ]
 
 FRAME_TOL = 1e-10  # tight-frame residual cap enforced by CoherentFrame
@@ -57,6 +78,7 @@ FRAME_TOL = 1e-10  # tight-frame residual cap enforced by CoherentFrame
 NORM_FLOOR = 1e-8
 CONDITION_FLOOR = 1e-8
 REDRAW_RESIDUAL = FRAME_TOL
+FRAME_ATTEMPTS = 64  # frame draws per trial before SolverError
 # pointwise_pair_energy raises beyond this relative distance from -J rho^(5/4);
 # each half of its dimensionless integral (about -0.40) is taken to PAIR_QUAD_TOL
 PAIR_ENERGY_RTOL = 1e-8
@@ -105,13 +127,18 @@ def pointwise_pair_energy(rho: float) -> float:
     with q = r^2 and over (1, inf), each to PAIR_QUAD_TOL, the same at
     every density.  f minimizes the bracket pointwise, so the value is the
     integral of the Bogolubov floor; it is checked against the closed form
-    -J rho^(5/4) to PAIR_ENERGY_RTOL.
+    -J rho^(5/4) to PAIR_ENERGY_RTOL.  A rho that is not finite, or above
+    about 1e245, where s^5 is not a finite float, raises DomainError.
     """
-    if not rho >= 0:
-        raise DomainError("rho must be >= 0")
+    if not (rho >= 0 and math.isfinite(rho)):
+        raise DomainError(f"rho must be finite and >= 0, got {rho!r}")
     if rho == 0.0:
         return 0.0
     scale = (8.0 * math.pi * rho) ** 0.25
+    try:  # finite below rho of about 1e245; J rho^(5/4) is smaller
+        prefactor = scale**5
+    except OverflowError:
+        raise DomainError(f"(8 pi rho)^(5/4) overflows at rho = {rho!r}") from None
 
     def bracket(q: float) -> float:
         f = occupation_f(rho, scale * q)
@@ -120,7 +147,7 @@ def pointwise_pair_energy(rho: float) -> float:
 
     head = integrate_1d(lambda r: 2.0 * r * bracket(r * r), 0.0, 1.0, tol=PAIR_QUAD_TOL)
     tail = integrate_1d(bracket, 1.0, math.inf, tol=PAIR_QUAD_TOL)
-    value = scale**5 * (head.value + tail.value) / (4.0 * math.pi**2)
+    value = prefactor * (head.value + tail.value) / (4.0 * math.pi**2)
     expected = -foldy_j() * rho**1.25
     if abs(value - expected) > PAIR_ENERGY_RTOL * abs(expected):
         raise ConsistencyError(
@@ -305,22 +332,51 @@ def _tight_frames(draws: np.ndarray):
     return kept[tight], rows[tight], weights[tight]
 
 
-def random_tight_frame(
-    rng: np.random.Generator, dimension: int, count: int
-) -> CoherentFrame:
-    """Sample `count` unit vectors and symmetrize by the inverse square
-    root of their frame operator: rows S^(-1/2) theta_k with weights
-    |S^(-1/2) theta_k|^2 form a tight frame by construction."""
+def _frame_words(dimension: int, count: int) -> tuple[int, int]:
+    """First word of frame attempt 0 and the words of one attempt, in the
+    stream of a trial with `count` vectors in `dimension`."""
+    return normal_words(dimension * dimension) + count, normal_words(count * dimension)
+
+
+def _draw_frames(seeds: np.ndarray, dimension: int, count: int):
+    """Tight frames, vectors (T, count, dimension) and weights (T, count),
+    of the trials seeded at `seeds` (uint64, (T,)).
+
+    Attempt a draws count x dimension normals, row by row, at its fixed
+    words of each stream (`_frame_words`); a trial keeps its first attempt
+    that `_tight_frames` does not redraw, and the trials still without one
+    draw their next attempt together.  A trial with none in FRAME_ATTEMPTS
+    raises SolverError.
+    """
+    first, stride = _frame_words(dimension, count)
+    vectors = np.empty((len(seeds), count, dimension))
+    weights = np.empty((len(seeds), count))
+    todo = np.arange(len(seeds))
+    for attempt in range(FRAME_ATTEMPTS):
+        draws = normals(seeds[todo], first + attempt * stride, count * dimension)
+        kept, tight, tight_weights = _tight_frames(draws.reshape(-1, count, dimension))
+        vectors[todo[kept]] = tight
+        weights[todo[kept]] = tight_weights
+        todo = np.delete(todo, kept)
+        if not todo.size:
+            return vectors, weights
+    raise SolverError("failed to draw a well-conditioned frame")
+
+
+def random_tight_frame(trial_seed: int, dimension: int, count: int) -> CoherentFrame:
+    """The frame of the Berezin-Lieb trial seeded at `trial_seed`: `count`
+    unit vectors drawn from its SplitMix64 stream and symmetrized by the
+    inverse square root of their frame operator, so that rows
+    S^(-1/2) theta_k with weights |S^(-1/2) theta_k|^2 form a tight frame by
+    construction; a draw that `_tight_frames` rejects is redrawn."""
     if dimension < 2:
         raise DomainError("dimension must be >= 2")
     if count < dimension:
         raise DomainError("count must be >= dimension")
-    for _ in range(64):
-        draws = rng.standard_normal((count, dimension))
-        kept, vectors, weights = _tight_frames(draws[None])
-        if kept.size:
-            return CoherentFrame(dimension=dimension, vectors=vectors[0], weights=weights[0])
-    raise SolverError("failed to draw a well-conditioned frame")
+    if not 0 <= trial_seed < 2**64:
+        raise PreconditionError(f"trial_seed must be a uint64 word, got {trial_seed}")
+    vectors, weights = _draw_frames(np.array([trial_seed], dtype=np.uint64), dimension, count)
+    return CoherentFrame(dimension=dimension, vectors=vectors[0], weights=weights[0])
 
 
 # Operator-concave on [0, inf) with xi(0) >= 0; fixed whitelist because
@@ -382,15 +438,24 @@ def _berezin_lieb_sums(vectors, weights, f, y, func):
     return lhs, rhs
 
 
-def _berezin_lieb_trial(xi: str, seed: int, dimension: int, count: int) -> InequalityReport:
-    """One instance drawn from `default_rng(seed)` -- the frame, then Y,
-    then f -- through `random_tight_frame` and `berezin_lieb_check`."""
-    rng = np.random.default_rng(seed)
-    frame = random_tight_frame(rng, dimension, count)
-    raw = rng.standard_normal((dimension, dimension))
-    y_psd = raw @ raw.T
-    f_draw = rng.uniform(0.0, 5.0, size=count)
-    return berezin_lieb_check(frame, f_draw, y_psd, xi)
+def _draw_y_f(seeds: np.ndarray, dimension: int, count: int):
+    """Y (T, dimension, dimension) and f (T, count) of the trials seeded at
+    `seeds`: Y = raw raw^T for the dimension^2 normals of the first words,
+    row by row, and f = 5u for the next `count` words."""
+    raw = normals(seeds, 0, dimension * dimension).reshape(-1, dimension, dimension)
+    f = 5.0 * uniforms(seeds, normal_words(dimension * dimension), count)
+    return raw @ raw.transpose(0, 2, 1), f
+
+
+def replay_trial(trial_seed: int) -> tuple[CoherentFrame, np.ndarray, np.ndarray]:
+    """The frame, f and Y of the `berezin_lieb_ensemble` trial recorded with
+    `trial_seed`, drawn by the code the ensemble draws with:
+    `berezin_lieb_check(frame, f, Y, xi)` gives that trial's row, bit for
+    bit."""
+    dimension, count = FRAME_DIMENSION, FRAME_COUNT
+    frame = random_tight_frame(trial_seed, dimension, count)
+    y, f = _draw_y_f(np.array([trial_seed], dtype=np.uint64), dimension, count)
+    return frame, f[0], y[0]
 
 
 def berezin_lieb_ensemble(xi: str, trials: int, master_seed: int):
@@ -398,15 +463,14 @@ def berezin_lieb_ensemble(xi: str, trials: int, master_seed: int):
     (seed, lhs, rhs, slack), one per trial drawn from that seed, each frame
     FRAME_COUNT vectors in dimension FRAME_DIMENSION.
 
-    Each trial draws its frame, then Y, then f from its own
-    `default_rng(trial_seed)`.  The arithmetic runs per block of
-    `trials_per_block(count, dimension)` consecutive trials, on the kernels
-    of the per-trial route, with every product and sum taken per trial; the
-    frame and Y checks cover the whole block.  A trial whose first frame
-    draw is redrawn has drawn Y and f from the wrong place in its stream,
-    so it is recomputed from its seed through `random_tight_frame` and
-    `berezin_lieb_check`.  So row k equals replaying trial seed k through
-    that route, bit for bit.
+    Trial k's seed is word k of `seed_words(master_seed, trials)`; its Y,
+    f and frame are drawn from the SplitMix64 stream seeded there, at the
+    fixed words of the module docstring.  A block of
+    `trials_per_block(count, dimension)` consecutive trials is drawn at
+    once, redrawn frames included, and runs on the kernels of the per-trial
+    route, with every product and sum taken per trial; the frame and Y
+    checks cover the whole block.  So row k equals `replay_trial(trial
+    seed k)` through `berezin_lieb_check`, bit for bit.
     """
     if xi not in XI_FUNCTIONS:
         raise PreconditionError(f"xi must be one of {sorted(XI_FUNCTIONS)}")
@@ -418,26 +482,11 @@ def berezin_lieb_ensemble(xi: str, trials: int, master_seed: int):
     rows = []
     for start in range(0, trials, block):
         chunk = seeds[start : start + block]
-        draws = np.empty((len(chunk), count, dimension))
-        raw = np.empty((len(chunk), dimension, dimension))
-        f_draw = np.empty((len(chunk), count))
-        for k, seed in enumerate(chunk):
-            rng = np.random.default_rng(seed)
-            rng.standard_normal(out=draws[k])
-            rng.standard_normal(out=raw[k])
-            f_draw[k] = rng.uniform(0.0, 5.0, size=count)
-        kept, vectors, weights = _tight_frames(draws)
-        sums = {}
-        if kept.size:
-            _check_frames(vectors, weights)
-            raw = raw[kept]
-            y_psd = raw @ raw.transpose(0, 2, 1)
-            _check_psd(y_psd)
-            lhs, rhs = _berezin_lieb_sums(vectors, weights, f_draw[kept], y_psd, XI_FUNCTIONS[xi])
-            sums = dict(zip(kept.tolist(), zip(lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist())))
-        for k, seed in enumerate(chunk):
-            if k not in sums:
-                report = _berezin_lieb_trial(xi, seed, dimension, count)
-                sums[k] = (report.lhs, report.rhs, report.slack)
-            rows.append((seed, *sums[k]))
+        words = np.array(chunk, dtype=np.uint64)
+        vectors, weights = _draw_frames(words, dimension, count)
+        _check_frames(vectors, weights)
+        y_psd, f_draw = _draw_y_f(words, dimension, count)
+        _check_psd(y_psd)
+        lhs, rhs = _berezin_lieb_sums(vectors, weights, f_draw, y_psd, XI_FUNCTIONS[xi])
+        rows += zip(chunk, lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist())
     return rows

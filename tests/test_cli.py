@@ -80,6 +80,13 @@ class TestCheckFunctions:
             bogolubov.BogolubovModel(t, gp, gm).gap_tolerance
             for _seed, t, gp, gm, *_ in tables_a["models"][1])
 
+    def test_bogolubov_fuzz_rows_replay_their_trial_seeds(self):
+        _, _, tables = cli.run_bogolubov_fuzz(40, 1905, 2, 6)
+        samples = tables["models"][1]
+        assert [s[0] for s in samples] == numerics.seed_words(1905, 40)
+        for ts, t, g_plus, g_minus, n_max, _energy, _gap in samples:
+            assert cli._draw_models([ts], 2, 6) == [(t, g_plus, g_minus, n_max)]
+
     def test_inequality_fuzz_all(self):
         rows, summary, tables = cli.run_inequality_fuzz("all", 150, 5)
         assert [r["check"] for r in rows] == [
@@ -159,6 +166,31 @@ class TestCheckFunctions:
         )
 
 
+class TestBogolubovDrawLayout:
+    """Words 0-3 of each Bogolubov fuzz trial against its distribution."""
+
+    SEEDS = numerics.seed_words(1905, 4000)
+
+    @pytest.mark.parametrize("lo, hi", [(2, 6), (1, 1), (3, 20)])
+    def test_draws_cover_their_ranges(self, lo, hi):
+        t, g_plus, g_minus, n_max = map(np.array, zip(*cli._draw_models(self.SEEDS, lo, hi)))
+        assert sorted(set(n_max.tolist())) == list(range(lo, hi + 1))
+        assert np.all((t >= 0.0) & (t < 5.0)) and t.max() > 4.99
+        for g in (g_plus, g_minus):
+            assert np.all((g >= 0.0) & (g < 3.0)) and g.max() > 2.99
+
+    def test_extreme_words_map_inside_the_ranges(self, monkeypatch):
+        def constant_words(word):
+            monkeypatch.setattr(numerics, "splitmix64", lambda seeds, first, count: np.full(
+                (len(seeds), count), word, dtype=np.uint64))
+
+        constant_words(0)
+        assert cli._draw_models([0], 2, 6) == [(0.0, 0.0, 0.0, 2)]
+        constant_words(2**64 - 1)
+        (t, g_plus, g_minus, n_max), = cli._draw_models([0], 2, 6)
+        assert t < 5.0 and g_plus < 3.0 and g_minus < 3.0 and n_max == 6
+
+
 # sha256 of the .jsonl and of every CSV each argv writes
 RECORD_PINS = (
     (("foldy-j",), {
@@ -189,9 +221,9 @@ RECORD_PINS = (
             "0ad1a935f5341e57e4f742ec5ba9b71ae1449a3f413bc9843e36d7852182bfeb"}),
     (("bogolubov-fuzz", "--trials", "25", "--seed", "1905"), {
         "bogolubov-fuzz.jsonl":
-            "d1bc187bede2d18d5c9badb6e63a42770873411a85790e1f180d1a4cd7dc34af",
+            "fc52696f0e6ae25e32831c376aeae45136aee8aefc081f87366a43abf846e3a7",
         "bogolubov-fuzz-models.csv":
-            "3bbf9ff96e55cd14f44c10850befd7293236f09ab1569342cf7fd15c1047db00"}),
+            "dcb899f067fbf36efa7d19f8f5272ac9c5f3cd09c95ca6949a1149e2d467c516"}),
     (("trialstate", "--check", "pair-energy"), {
         "trialstate.jsonl": "8a1997961cd623d50a40acdaab301f56c1e8cda905114f9ef237c61b81ae36aa"}),
     (("trialstate", "--check", "trace-scaling"), {
@@ -201,14 +233,14 @@ RECORD_PINS = (
     (("trialstate", "--check", "upper-bound"), {
         "trialstate.jsonl": "8cdd67baedd8b34f4391339240c064af22f297a9782b3ecf5e616b2b8e585f71"}),
     (("trialstate", "--check", "berezin-lieb", "--trials", "20"), {
-        "trialstate.jsonl": "363c5e249d676b25ade957af445fc365f86281530bda0c70316c11c48c99f9d3",
+        "trialstate.jsonl": "0e6de10ce1c496f8a8d627734e572b130ef0d362b03a8a6b7b6ad203b1cb40e3",
         "trialstate-instances.csv":
-            "6cfcfa3c7f4ddeb0cad7dc17a7890f7b2639ec2825e94e7b04ccd2258ef2e6d8"}),
+            "babc27beb41d2b62aadb2bbecd88df4ce91ba5b5b114e1fab5186ff63d9d2497"}),
     (("matrixloc-ensemble", "--trials", "20"), {
         "matrixloc-ensemble.jsonl":
-            "f98ba5336af71a27b98b2c6978c3a14564f684d843058cee138a4730adb078c4",
+            "bf017c467ef926527f72084821d01ecd1aaaddb667bcd414d251881425e2e3e4",
         "matrixloc-ensemble-instances.csv":
-            "022a3f30cf6ec680c38d304918b61be3614aed5882852c4b2ce8d47a992b9aab"}),
+            "390f2624400e89cdc84f02e5db501752e9272c7a9131dbf646e80bc5cdbd8767"}),
     # the header records each input file by the sha256 of its bytes
     (("matrix-localize", "--matrix", "a.txt", "--psi", "psi.txt", "--window", "4",
       "--budget-c", "3.0"), {
@@ -234,9 +266,13 @@ class TestMainPlumbing:
         assert meta["schema"] == cli.SCHEMA_META
         assert meta["duration_s"] > 0
         assert "checks" not in meta
+        config = np.show_config(mode="dicts")
         assert meta["env"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": config["Build Dependencies"]["blas"]["name"],
+            "blas_version": config["Build Dependencies"]["blas"]["version"],
+            "simd": config["SIMD Extensions"]["found"],
             "cpu_count": os.cpu_count(),
             **{name: os.environ.get(name) for name in (
                 "OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
@@ -493,6 +529,11 @@ class TestExitCodes:
             )
             assert code == 3
             assert "cap" in capsys.readouterr().err
+        # a fuzz cutoff far beyond the cap, past int64 too, is drawn exactly
+        code = cli.main(["bogolubov-fuzz", "--trials", "3", "--nmax-hi", str(10**20),
+                         "--outdir", str(tmp_path)])
+        assert code == 3
+        assert "exceeds cap" in capsys.readouterr().err
 
     def test_oversized_matrix_is_exit_3_before_allocating(self, tmp_path, capsys):
         # 10^6 x 10^6 doubles would be 7.3 TiB
@@ -769,7 +810,7 @@ class TestArgumentFile:
 
 
 # sha256 of `verify --quick --seed 1905`'s verify.jsonl
-VERIFY_QUICK_SHA256 = "488555f29357018d09ed3504201c7416ae9f9465e31f99328ac7cfbef8d3b068"
+VERIFY_QUICK_SHA256 = "a1f84c9d16abc30254a583314f491cf52a8b19d9758cc273b0b4a5921d1fd149"
 
 
 class TestVerifySuite:
@@ -843,7 +884,7 @@ _STARTUP_PROBE = textwrap.dedent("""
     print(json.dumps(stages))
 """)
 
-# every subcommand: none needs scipy
+# every subcommand: none needs scipy or numpy.random
 _SCIPY_FREE = (
     ["foldy-j"],
     ["foldy-identity"],
@@ -859,21 +900,6 @@ _SCIPY_FREE = (
     ["dyson-minimize"],
     ["trialstate", "--check", "trace-scaling"],
     ["trialstate", "--check", "upper-bound"],
-)
-
-
-# the subcommands that draw nothing, so need no numpy.random
-_UNSEEDED = (
-    ["foldy-j"],
-    ["foldy-identity"],
-    ["trialstate", "--check", "pair-energy"],
-    ["trialstate", "--check", "trace-scaling"],
-    ["trialstate", "--check", "upper-bound"],
-    ["lt-study", "--depths", "20"],
-    ["dyson-minimize"],
-    ["bogolubov-sharpness", "--nmax-list", "2,4"],
-    ["sobolev-study", "--depths", "5"],
-    ["stability-bound"],
 )
 
 
@@ -938,10 +964,21 @@ class TestStartup:
     def test_verify_loads_no_scipy(self):
         assert _loaded_after("scipy", ["verify", "--quick"]) == {"import": [], "run": []}
 
-    def test_unseeded_subcommands_load_no_numpy_random(self):
-        # numpy.random (with OpenSSL) adds about 6 MB and 15-25 ms to start-up;
-        # only the seeded ensembles derive seeds through it
-        assert _loaded_after("numpy.random", *_UNSEEDED) == {"import": [], "run": []}
+    def test_no_run_loads_numpy_random(self):
+        # numpy.random (with OpenSSL) adds about 6 MB and 10 ms to start-up;
+        # the seeded ensembles draw from numerics' SplitMix64 streams instead
+        assert _loaded_after("numpy.random", *_SCIPY_FREE, ["verify", "--quick"]) == {
+            "import": [], "run": []}
+
+    def test_no_source_file_names_numpy_random(self):
+        package = Path(cli.__file__).resolve().parent
+        sources = sorted(package.rglob("*.py"))
+        assert len(sources) >= 10
+        named = [f"{path.name}:{number}"
+                 for path in sources
+                 for number, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"np\.random|numpy\.random|default_rng", line)]
+        assert named == []
 
     def test_no_source_file_imports_scipy(self):
         package = Path(cli.__file__).resolve().parent

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chargelab import correlation
+from chargelab import correlation, numerics
 from chargelab.correlation import (
     _BLOCK,
     CHECKERS,
@@ -20,7 +20,7 @@ from chargelab.correlation import (
     yukawa_positivity_check,
 )
 from chargelab.errors import DomainError, PreconditionError
-from chargelab.numerics import seed_words
+from chargelab.numerics import seed_words, splitmix64
 
 
 def drawn(seed, n, box, kind):
@@ -412,7 +412,7 @@ def splitmix64_reference(seed, j):
 class TestSplitMix64:
     def test_known_answer(self):
         # the first outputs of SplitMix64 seeded at 0
-        words = correlation._splitmix64(np.zeros(1, dtype=np.uint64), 0, 4)
+        words = splitmix64(np.zeros(1, dtype=np.uint64), 0, 4)
         assert words.tolist() == [[0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                                    0x06C45D188009454F, 0xF88BB8A8724C81EC]]
 
@@ -422,14 +422,14 @@ class TestSplitMix64:
         seeds = [2**64 - 1, 2**64 - 2, 2**64 - 0x9E3779B97F4A7C15, 2**63, 1905]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            words = correlation._splitmix64(np.array(seeds, dtype=np.uint64), 3, 7)
+            words = splitmix64(np.array(seeds, dtype=np.uint64), 3, 7)
         assert words.tolist() == [[splitmix64_reference(s, j) for j in range(3, 10)]
                                   for s in seeds]
 
     def test_word_j_depends_on_the_seed_and_j_alone(self):
         seeds = np.array(seed_words(5, 8), dtype=np.uint64)
-        whole = correlation._splitmix64(seeds, 0, 30)
-        assert np.array_equal(correlation._splitmix64(seeds[3:5], 12, 9), whole[3:5, 12:21])
+        whole = splitmix64(seeds, 0, 30)
+        assert np.array_equal(splitmix64(seeds[3:5], 12, 9), whole[3:5, 12:21])
 
 
 class TestDrawLayout:
@@ -457,7 +457,7 @@ class TestDrawLayout:
 
     def test_extreme_words_map_inside_the_ranges(self, monkeypatch):
         for word in (0, 2**64 - 1):
-            monkeypatch.setattr(correlation, "_splitmix64", lambda seeds, first, count: np.full(
+            monkeypatch.setattr(numerics, "splitmix64", lambda seeds, first, count: np.full(
                 (len(seeds), count), word, dtype=np.uint64))
             seeds = np.zeros(2, dtype=np.uint64)
             n, box, pm1, mu = correlation._draw_header("onsager", seeds)

@@ -269,11 +269,7 @@ class TestGaussianEnsemble:
 
 def _replay(seed, n, window):
     """One ensemble trial through the public route, from its trial seed."""
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n, n))
-    matrix = 0.5 * (raw + raw.T)
-    psi = rng.standard_normal(n)
-    psi /= np.linalg.norm(psi)
+    matrix, psi = matrixloc.replay_trial(seed, n)
     result = localize(LocalizationProblem(matrix=matrix, psi=psi, window=window))
     return seed, result.lam, result.value, result.c_required
 
@@ -328,6 +324,11 @@ class TestBatchedEnsembles:
                 gaussian_ensemble(1, 0, n=n, window=window)
         with pytest.raises(ResourceLimitError, match="cap"):
             gaussian_ensemble(1, 0, n=matrixloc.SIZE_CAP + 1)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            matrixloc.replay_trial(0, matrixloc.SIZE_CAP + 1)
+        for seed, n in ((-1, 4), (2**64, 4), (0, 0)):
+            with pytest.raises(PreconditionError):
+                matrixloc.replay_trial(seed, n)
 
 
 class TestFileFormat:

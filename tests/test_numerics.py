@@ -1,6 +1,7 @@
-"""Contracts of the quadrature kernels, radial grids and seeds."""
+"""Contracts of the quadrature kernels, radial grids, seeds and draws."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from chargelab.numerics import (
     QuadratureResult,
     RadialGrid,
     integrate_1d,
+    normals,
     seed_words,
+    splitmix64,
     uniform_radial_grid,
 )
 
@@ -217,3 +220,60 @@ def test_seed_words():
         seed_words(-1, 5)
     with pytest.raises(ResourceLimitError, match="exceed cap"):
         seed_words(1905, numerics.SEED_WORDS_CAP + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1905, 2**32 - 1, 2**32, 2**64 - 1, 2**200 + 7])
+def test_seed_words_match_seed_sequence(seed):
+    # numpy's SeedSequence is the oracle; the port's arithmetic wraps only
+    # in arrays and Python ints, so no scalar overflow warns
+    for count in (1, 2, 10, 3000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = seed_words(seed, count)
+        expected = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
+        assert words == expected.tolist(), (seed, count)
+
+
+def _box_muller_reference(seed, count):
+    """The first `count` normals of the stream seeded at `seed`, from
+    Python ints and the math module."""
+    words = [int(w) >> 11 for w in splitmix64(np.array([seed], dtype=np.uint64), 0,
+                                             count + count % 2)[0]]
+    out = []
+    for a, b in zip(words[0::2], words[1::2]):
+        radius = math.sqrt(-2.0 * math.log((a + 1) * 2.0**-53))
+        angle = 2.0 * math.pi * (b * 2.0**-53)
+        out += [radius * math.cos(angle), radius * math.sin(angle)]
+    return out[:count]
+
+
+class TestNormals:
+    def test_known_answer(self):
+        # the first normals of the stream seeded at 0; their last bits
+        # depend on the SIMD kernels of log, cos and sin
+        z = normals(np.zeros(1, dtype=np.uint64), 0, 5)[0]
+        assert z.tolist() == pytest.approx(
+            [-0.452757740217458, 0.20776603893419193, 2.650605812079669,
+             -0.4904228253986477, -0.9886041246243269], rel=1e-14, abs=1e-15)
+        assert z.tolist() == pytest.approx(_box_muller_reference(0, 5), rel=1e-14, abs=1e-15)
+
+    def test_odd_counts_drop_the_last_sine(self):
+        seeds = np.array(seed_words(7, 6), dtype=np.uint64)
+        whole = normals(seeds, 3, 12)
+        for count in (1, 5, 11):
+            assert np.array_equal(normals(seeds, 3, count), whole[:, :count])
+        # pair k takes words first + 2k, first + 2k + 1 alone
+        assert np.array_equal(normals(seeds, 7, 4), whole[:, 4:8])
+
+    def test_extreme_words_give_finite_normals(self, monkeypatch):
+        for word, first in ((0, math.sqrt(106.0 * math.log(2.0))), (2**64 - 1, 0.0)):
+            monkeypatch.setattr(numerics, "splitmix64", lambda seeds, first, count: np.full(
+                (len(seeds), count), word, dtype=np.uint64))
+            z = normals(np.zeros(3, dtype=np.uint64), 0, 7)
+            assert np.all(np.isfinite(z))
+            assert z[:, 0] == pytest.approx(first, rel=1e-15)
+            assert np.all(np.abs(z[:, 1::2]) <= 1e-15 * max(first, 1.0))
+
+    def test_moments(self):
+        z = normals(np.array(seed_words(1905, 200), dtype=np.uint64), 0, 500)
+        assert abs(z.mean()) < 0.01 and abs(z.var() - 1.0) < 0.01

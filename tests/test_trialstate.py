@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from chargelab import trialstate
 from chargelab.correlation import HOLDS_TOL
-from chargelab.errors import ConsistencyError, DomainError, PreconditionError
+from chargelab.errors import ConsistencyError, DomainError, PreconditionError, SolverError
 from chargelab.foldy import foldy_j
 from chargelab.trialstate import (
     XI_FUNCTIONS,
@@ -29,7 +29,7 @@ from chargelab.variational import (
     minimize,
     rescale,
 )
-from chargelab.numerics import seed_words, trials_per_block, uniform_radial_grid
+from chargelab.numerics import normals, seed_words, trials_per_block, uniform_radial_grid
 
 # direct evaluation of ((1+8pi)/sqrt(1+16pi) - 1)/2, checked in extended
 # precision before the build
@@ -137,6 +137,12 @@ class TestPointwisePairEnergy:
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             pointwise_pair_energy(-1.0)
+
+    @pytest.mark.parametrize("rho", [1e300, math.inf, math.nan])
+    def test_rejects_densities_without_a_finite_energy(self, rho):
+        # -J rho^(5/4) overflows at 1e300; rho**1.25 raised OverflowError there
+        with pytest.raises(DomainError, match="rho"):
+            pointwise_pair_energy(rho)
 
 
 class TestCondensateSpec:
@@ -258,24 +264,21 @@ class TestUpperBoundEnergy:
 
 class TestCoherentFrame:
     def test_random_frames_are_tight(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            frame = random_tight_frame(rng, 8, 24)
+        for seed in seed_words(11, 25):
+            frame = random_tight_frame(seed, 8, 24)
             assert frame.frame_residual() <= 1e-10
             # trace of the frame identity: weights sum to the dimension
             assert frame.weights.sum() == pytest.approx(8.0, rel=1e-12)
 
     def test_minimal_frame_is_orthonormal_basis(self):
         # m = d forces the rows into an orthonormal set with unit weights
-        rng = np.random.default_rng(5)
-        frame = random_tight_frame(rng, 4, 4)
+        frame = random_tight_frame(5, 4, 4)
         gram = frame.vectors @ frame.vectors.T
         assert np.allclose(gram, np.eye(4), atol=1e-10)
         assert np.allclose(frame.weights, 1.0, atol=1e-10)
 
     def test_rejects_invalid_frames(self):
-        rng = np.random.default_rng(3)
-        frame = random_tight_frame(rng, 6, 12)
+        frame = random_tight_frame(3, 6, 12)
         with pytest.raises(DomainError):
             CoherentFrame(6, frame.vectors, 2.0 * frame.weights)
         with pytest.raises(DomainError):
@@ -285,15 +288,18 @@ class TestCoherentFrame:
         with pytest.raises(DomainError):
             CoherentFrame(6, frame.vectors[:4], frame.weights[:4])
         with pytest.raises(DomainError, match="count"):
-            random_tight_frame(rng, 8, 5)
+            random_tight_frame(3, 8, 5)
         with pytest.raises(DomainError, match="dimension"):
-            random_tight_frame(rng, 1, 4)
+            random_tight_frame(3, 1, 4)
+        for seed in (-1, 2**64):
+            with pytest.raises(PreconditionError, match="trial_seed"):
+                random_tight_frame(seed, 8, 24)
 
 
 @pytest.fixture(scope="module")
 def setup():
+    frame = random_tight_frame(202, 8, 24)
     rng = np.random.default_rng(202)
-    frame = random_tight_frame(rng, 8, 24)
     raw = rng.standard_normal((8, 8))
     y_psd = raw @ raw.T
     f_vals = rng.uniform(0.0, 5.0, 24)
@@ -346,13 +352,9 @@ class TestBerezinLieb:
             berezin_lieb_check(frame, f_vals, rng.standard_normal((8, 8)), "sqrt")
 
 
-def _replay(xi, seed, dimension, count):
+def _replay(xi, seed):
     """One ensemble trial through the public route, from its trial seed."""
-    rng = np.random.default_rng(seed)
-    frame = trialstate.random_tight_frame(rng, dimension, count)
-    raw = rng.standard_normal((dimension, dimension))
-    y_psd = raw @ raw.T
-    f_draw = rng.uniform(0.0, 5.0, size=count)
+    frame, f_draw, y_psd = trialstate.replay_trial(seed)
     report = berezin_lieb_check(frame, f_draw, y_psd, xi)
     return seed, report.lhs, report.rhs, report.slack
 
@@ -366,9 +368,10 @@ def _frame_shape(monkeypatch, dimension, count):
 def _first_draws(seeds, dimension, count):
     """Per trial seed: the smallest vector norm of its first frame draw and
     that draw's eigenvalue ratio lambda_min / lambda_max."""
+    first, _ = trialstate._frame_words(dimension, count)
+    stack = normals(np.array(seeds, dtype=np.uint64), first, count * dimension)
     norms, ratios = [], []
-    for seed in seeds:
-        draws = np.random.default_rng(seed).standard_normal((count, dimension))
+    for draws in stack.reshape(-1, count, dimension):
         lengths = np.linalg.norm(draws, axis=1)
         units = draws / lengths[:, None]
         eigenvalues = np.linalg.eigvalsh(units.T @ units)
@@ -379,14 +382,13 @@ def _first_draws(seeds, dimension, count):
 
 class TestBatchedEnsembles:
     """Every ensemble row equals replaying its trial seed through
-    random_tight_frame and berezin_lieb_check, bit for bit."""
+    replay_trial and berezin_lieb_check, bit for bit."""
 
     @staticmethod
     def replayed(xi, trials, seed):
         rows = berezin_lieb_ensemble(xi, trials, seed)
         assert [r[0] for r in rows] == seed_words(seed, trials)
-        shape = trialstate.FRAME_DIMENSION, trialstate.FRAME_COUNT
-        expected = [_replay(xi, r[0], *shape) for r in rows]
+        expected = [_replay(xi, r[0]) for r in rows]
         assert rows == expected
         assert repr(rows) == repr(expected)  # signed zeros as well
 
@@ -427,7 +429,7 @@ class TestBatchedEnsembles:
         errors = []
         for seed in seed_words(161803, 30):
             try:
-                _replay("sqrt-pairing", seed, 8, 8)
+                _replay("sqrt-pairing", seed)
             except DomainError as exc:
                 errors.append(str(exc))
         assert str(batch.value) in errors
@@ -435,27 +437,41 @@ class TestBatchedEnsembles:
     @pytest.mark.parametrize("floor", ["NORM_FLOOR", "CONDITION_FLOOR"])
     def test_redrawn_frames_are_replayed(self, monkeypatch, floor):
         # raise the floor to just above one trial's first draw, so that
-        # trial alone redraws its frame and takes the per-trial route
+        # trial alone redraws its frame, inside the batch
         seeds = seed_words(1905, 60)
         first = _first_draws(seeds, 4, 6)[floor == "CONDITION_FLOOR"]
         low, second = np.sort(first)[:2]
-        monkeypatch.setattr(trialstate, floor, 0.5 * (low + second))
-        calls = []
-        public = trialstate.random_tight_frame
-
-        def counted(rng, dimension, count):
-            calls.append(dimension)
-            return public(rng, dimension, count)
-
-        monkeypatch.setattr(trialstate, "random_tight_frame", counted)
+        redrawn = seeds[int(np.argmin(first))]
         _frame_shape(monkeypatch, 4, 6)
-        self.replayed("sqrt", 60, 1905)
-        # one call from the ensemble's replay, then one per replayed row
-        assert len(calls) == 1 + 60
+        before = trialstate.replay_trial(redrawn)
+        monkeypatch.setattr(trialstate, floor, 0.5 * (low + second))
+        stacks = []
+        tight_frames = trialstate._tight_frames
+
+        def counted(draws):
+            stacks.append(len(draws))
+            return tight_frames(draws)
+
+        monkeypatch.setattr(trialstate, "_tight_frames", counted)
+        rows = berezin_lieb_ensemble("sqrt", 60, 1905)
+        # attempt 0 of the block, then attempt 1 of the one redrawn trial
+        assert stacks == [60, 1]
+        assert rows == [_replay("sqrt", seed) for seed in seeds]
+        # the redraw moves the frame alone: Y and f keep their words
+        after = trialstate.replay_trial(redrawn)
+        assert not np.array_equal(after[0].vectors, before[0].vectors)
+        assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])
+
+    def test_a_trial_without_a_frame_fails_both_routes(self, monkeypatch):
+        monkeypatch.setattr(trialstate, "NORM_FLOOR", math.inf)
+        with pytest.raises(SolverError, match="frame"):
+            berezin_lieb_ensemble("sqrt", 3, 1)
+        with pytest.raises(SolverError, match="frame"):
+            random_tight_frame(1, 8, 24)
 
     def test_block_path_checks_the_frames(self, monkeypatch):
-        def per_trial(rng, dimension, count):
-            raise AssertionError("no frame is redrawn, so no trial takes this route")
+        def per_trial(trial_seed, dimension, count):
+            raise AssertionError("the ensemble draws its frames as a block")
 
         monkeypatch.setattr(trialstate, "random_tight_frame", per_trial)
         berezin_lieb_ensemble("sqrt", 20, 3)
@@ -464,4 +480,4 @@ class TestBatchedEnsembles:
             berezin_lieb_ensemble("sqrt", 20, 3)
         monkeypatch.setattr(trialstate, "random_tight_frame", random_tight_frame)
         with pytest.raises(DomainError, match="tight-frame residual"):
-            random_tight_frame(np.random.default_rng(3), 8, 24)
+            random_tight_frame(3, 8, 24)
