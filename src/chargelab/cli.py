@@ -59,7 +59,7 @@ from .errors import (
     SolverError,
 )
 from .foldy import foldy_j, j_closed_form, j_from_integral, simplified_energy_quadrature
-from .numerics import seed_words, uniform_radial_grid, uniforms
+from .numerics import seed_words, trial_blocks, trials_per_block, uniform_radial_grid, uniforms
 
 __all__ = [
     "run_j_check",
@@ -203,9 +203,11 @@ def write_table(outdir: Path, base: str, name: str, columns, rows,
 # ---------------------------------------------------------------------------
 # Check implementations.  Each returns (rows, summary, tables): rows are
 # record dicts carrying a "holds" verdict where something is asserted;
-# tables map name -> (columns, tuples) for optional CSV emission.  A
-# check's pass bound is a constant of its function, and the row records
-# the same name its verdict reads; no caller sets it.
+# tables map name -> (columns, tuples), and `main` writes each one as
+# ``<base>-<name>.csv``.  A table holds what the rows do not: the trials of
+# an ensemble, the minimizing profile, the band forms and phi.  A check's
+# pass bound is a constant of its function, and the row records the same
+# name its verdict reads; no caller sets it.
 # ---------------------------------------------------------------------------
 
 
@@ -247,10 +249,7 @@ def run_identity_check():
                 "holds": rel <= tol,
             }
         )
-    table = (("nu", "ell", "quadrature", "closed_form", "rel_err"),
-             [(r["nu"], r["ell"], r["quadrature"], r["closed_form"], r["rel_err"])
-              for r in rows])
-    return rows, {"points": len(rows), "worst_rel_err": worst}, {"points": table}
+    return rows, {"points": len(rows), "worst_rel_err": worst}, {}
 
 
 def run_bogolubov_ladder(t: float, g_plus: float, g_minus: float, n_max_list):
@@ -282,19 +281,16 @@ def run_bogolubov_ladder(t: float, g_plus: float, g_minus: float, n_max_list):
     last["tolerance"] = fraction_tol
     last["holds"] = last["holds"] and (
         last["gap_fraction"] <= fraction_tol or abs(last["gap"]) <= tol)
-    table = (("n_max", "ground_energy", "gap", "gap_fraction"),
-             [(r["n_max"], r["ground_energy"], r["gap"], r["gap_fraction"])
-              for r in rows])
-    return rows, {"final_gap_fraction": rows[-1]["gap_fraction"]}, {"ladder": table}
+    return rows, {"final_gap_fraction": rows[-1]["gap_fraction"]}, {}
 
 
-def _draw_models(seeds: list[int], n_max_lo: int, n_max_hi: int):
+def _draw_models(seeds: np.ndarray, n_max_lo: int, n_max_hi: int):
     """(t, g_plus, g_minus, n_max) of each Bogolubov fuzz trial seeded at
-    `seeds`, from words 0-3 of its SplitMix64 stream read as uniforms u:
-    t = 5u, g_plus = 3u, g_minus = 3u, n_max = n_max_lo + floor((n_max_hi -
-    n_max_lo + 1) u)."""
+    `seeds` (uint64, (T,)), from words 0-3 of its SplitMix64 stream read as
+    uniforms u: t = 5u, g_plus = 3u, g_minus = 3u, n_max = n_max_lo +
+    floor((n_max_hi - n_max_lo + 1) u)."""
     span = n_max_hi - n_max_lo + 1
-    u = uniforms(np.array(seeds, dtype=np.uint64), 0, 4).tolist()
+    u = uniforms(seeds, 0, 4).tolist()
     return [(5.0 * t, 3.0 * g_plus, 3.0 * g_minus, n_max_lo + math.floor(span * n))
             for t, g_plus, g_minus, n in u]
 
@@ -302,25 +298,22 @@ def _draw_models(seeds: list[int], n_max_lo: int, n_max_hi: int):
 def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int, n_max_hi: int):
     """Random couplings, random cutoff: ground energy must clear the bound by
     the model's gap_tolerance, whose largest value is `max_allowance`.
-    Trial k's seed is word k of `seed_words(seed, trials)`; its model is
-    `_draw_models` of that seed."""
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
+    The trial seeds are those of `numerics.trial_blocks`; a trial's model
+    is `_draw_models` of its seed."""
     if not 1 <= n_max_lo <= n_max_hi:
         raise PreconditionError("need 1 <= n_max_lo <= n_max_hi")
     samples, violations, min_gap, max_allowance = [], 0, math.inf, 0.0
-    seeds = seed_words(seed, trials)
-    for ts, (t, g_plus, g_minus, n_max) in zip(seeds, _draw_models(seeds, n_max_lo, n_max_hi)):
-        model = bogolubov.BogolubovModel(t=t, g_plus=g_plus, g_minus=g_minus)
-        energy = bogolubov.ground_energy(bogolubov.build_hamiltonian(model, n_max))
-        gap = energy - bogolubov.closed_form_bound(model)
-        if gap < -model.gap_tolerance:
-            violations += 1
-        min_gap = min(min_gap, gap)
-        max_allowance = max(max_allowance, model.gap_tolerance)
-        samples.append(
-            (ts, model.t, model.g_plus, model.g_minus, n_max, energy, gap)
-        )
+    for chunk, words in trial_blocks(seed, trials, trials_per_block(4)):
+        models = _draw_models(words, n_max_lo, n_max_hi)
+        for ts, (t, g_plus, g_minus, n_max) in zip(chunk, models):
+            model = bogolubov.BogolubovModel(t=t, g_plus=g_plus, g_minus=g_minus)
+            energy = bogolubov.ground_energy(bogolubov.build_hamiltonian(model, n_max))
+            gap = energy - bogolubov.closed_form_bound(model)
+            if gap < -model.gap_tolerance:
+                violations += 1
+            min_gap = min(min_gap, gap)
+            max_allowance = max(max_allowance, model.gap_tolerance)
+            samples.append((ts, model.t, model.g_plus, model.g_minus, n_max, energy, gap))
     row = {
         "check": "bogolubov-fuzz",
         "trials": trials,
@@ -332,6 +325,14 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int, n_max_hi: int):
     }
     table = (("trial_seed", "t", "g_plus", "g_minus", "n_max", "energy", "gap"), samples)
     return [row], {"violations": violations, "min_gap": min_gap}, {"models": table}
+
+
+def _labelled(name: str, ensemble: list) -> list:
+    """`ensemble` with `name` in front of each row, as table rows: each row
+    is replaced in place, so a trial's row is held once."""
+    for i, row in enumerate(ensemble):
+        ensemble[i] = (name, *row)
+    return ensemble
 
 
 def _ensemble_row(check: str, trials: int, slacks: np.ndarray) -> dict:
@@ -354,9 +355,9 @@ def run_inequality_fuzz(which: str, trials: int, seed: int):
     rows, samples = [], []
     for name, sub in zip(names, seed_words(seed, len(names))):
         ensemble = correlation.run_random_ensemble(name, trials, sub)
-        slacks = np.array([r[5] for r in ensemble])
+        slacks = np.fromiter((r[5] for r in ensemble), float, len(ensemble))
         rows.append(_ensemble_row(f"inequality-{name}", trials, slacks))
-        samples.extend((name,) + r for r in ensemble)
+        samples += _labelled(name, ensemble)
     table = (("checker", "trial_seed", "n", "mu", "lhs", "rhs", "slack"), samples)
     summary = {"violations": sum(r["violations"] for r in rows),
                "min_slack": min(r["min_slack"] for r in rows)}
@@ -461,9 +462,7 @@ def run_trace_scaling():
             "holds": abs(slope - target) <= slope_tol,
         }
     )
-    table = (("n_particles", "trace_gamma"),
-             [(int(n), tr) for n, tr in zip(TRACE_LADDER, traces)])
-    return rows, {"slope": slope}, {"traces": table}
+    return rows, {"slope": slope}, {}
 
 
 def run_upper_bound():
@@ -503,7 +502,7 @@ def run_berezin(trials: int, seed: int):
     rows, samples = [], []
     for name, sub in zip(names, seed_words(seed, len(names))):
         ensemble = trialstate.berezin_lieb_ensemble(name, trials, sub)
-        slacks = np.array([r[3] for r in ensemble])
+        slacks = np.fromiter((r[3] for r in ensemble), float, len(ensemble))
         row = _ensemble_row(f"berezin-{name}", trials, slacks)
         if name == "identity":
             scale = np.array([max(1.0, abs(r[1])) for r in ensemble])
@@ -511,7 +510,7 @@ def run_berezin(trials: int, seed: int):
             row["max_rel_slack"] = exactness
             row["holds"] = row["holds"] and exactness <= identity_tol
         rows.append(row)
-        samples.extend((name,) + r for r in ensemble)
+        samples += _labelled(name, ensemble)
     table = (("xi", "trial_seed", "lhs", "rhs", "slack"), samples)
     return rows, {"violations": sum(r["violations"] for r in rows)}, {"instances": table}
 
@@ -635,11 +634,7 @@ def run_lt_study(depths):
     rows[-1]["tolerance"] = ratio_tol
     rows[-1]["holds"] = rows[-1]["rel_gap"] <= ratio_tol
     rows.extend(_scale_pair_rows())
-    table = (("depth", "neg_sum", "v_integral", "lt_ratio", "rel_gap"),
-             [(r["depth"], r["neg_sum"], r["v_integral"], r["lt_ratio"], r["rel_gap"])
-              for r in rows if r["check"] == "lt-ratio"])
-    summary = {"final_rel_gap": rows[len(depths) - 1]["rel_gap"]}
-    return rows, summary, {"ratios": table}
+    return rows, {"final_rel_gap": rows[len(depths) - 1]["rel_gap"]}, {}
 
 
 def run_sobolev_study(depths):
@@ -663,10 +658,7 @@ def run_sobolev_study(depths):
             }
         )
     rows.extend(_scale_pair_rows())
-    table = (("depth", "ground_energy", "v_integral", "ratio"),
-             [(r["depth"], r["ground_energy"], r["v_integral"], r["ratio"])
-              for r in rows if r["check"] == "sobolev-ratio"])
-    return rows, {"depths": len(depths)}, {"ratios": table}
+    return rows, {"depths": len(depths)}, {}
 
 
 def run_stability(charges, q: int, c_lt: float, n_electrons: int,

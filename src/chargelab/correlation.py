@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import seed_words, uniforms
+from .numerics import trial_blocks, trial_stack, uniforms
 
 __all__ = [
     "ParticleConfiguration",
@@ -280,9 +280,7 @@ def replay_trial(which: str, trial_seed: int) -> tuple[ParticleConfiguration, fl
     public checker of `which` (mu as its argument; `baxter_check` takes
     none) reproduces that trial's row, bit for bit."""
     _check_which(which)
-    if not 0 <= trial_seed < 2**64:
-        raise PreconditionError(f"trial_seed must be a uint64 word, got {trial_seed}")
-    seeds = np.array([trial_seed], dtype=np.uint64)
+    seeds = trial_stack(trial_seed)
     n, box, pm1, mu = _draw_header(which, seeds)
     pos, z = _draw_body(seeds, int(n[0]), box, pm1)
     return ParticleConfiguration(positions=pos[0], charges=z[0]), float(mu[0])
@@ -294,23 +292,18 @@ def run_random_ensemble(
     """Seeded fuzzing rows (trial_seed, n, mu, lhs, rhs, slack) for one
     checker; each trial is reproducible from its recorded 64-bit seed.
 
-    Trial k's seed is word k of `seed_words(seed, trials)`, and its draws
-    are words of the SplitMix64 stream seeded there: words 0-3 give n, box,
-    charge kind (pm1 or mixed) and mu (from MAX_PARTICLES, BOX_RANGE and
-    MUS), the next 5n its positions and charges.  A block of `_BLOCK`
-    consecutive trials draws its headers at once, then the bodies of each
-    group with the same n at once; each group is one stack for the kernels
-    the public checkers run on a stack of one, so row k equals
+    The trial seeds are those of `numerics.trial_blocks`, and a trial's
+    draws are words of the SplitMix64 stream seeded at its seed: words 0-3
+    give n, box, charge kind (pm1 or mixed) and mu (from MAX_PARTICLES,
+    BOX_RANGE and MUS), the next 5n its positions and charges.  A block of
+    `_BLOCK` consecutive trials draws its headers at once, then the bodies
+    of each group with the same n at once; each group is one stack for the
+    kernels the public checkers run on a stack of one, so row k equals
     `replay_trial(which, trial seed k)` through the public checker, bit
     for bit."""
     _check_which(which)
-    if trials < 1:
-        raise PreconditionError("trials must be positive")
-    seeds = seed_words(seed, trials)
     rows = []
-    for start in range(0, trials, _BLOCK):
-        block = seeds[start:start + _BLOCK]
-        words = np.array(block, dtype=np.uint64)
+    for block, words in trial_blocks(seed, trials, _BLOCK):
         n, box, pm1, mu = _draw_header(which, words)
         lhs, rhs = np.empty(len(block)), np.empty(len(block))
         for m in sorted(set(n.tolist())):  # np.unique would load numpy.ma, about 1 MB

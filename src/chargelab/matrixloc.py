@@ -31,7 +31,7 @@ import numpy as np
 
 from .correlation import InequalityReport
 from .errors import ConsistencyError, DomainError, PreconditionError, ResourceLimitError
-from .numerics import normal_words, normals, seed_words, trials_per_block
+from .numerics import normal_words, normals, trial_blocks, trial_stack, trials_per_block
 
 __all__ = [
     "LocalizationProblem",
@@ -310,10 +310,9 @@ def replay_trial(trial_seed: int, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
     with `trial_seed`, drawn by the code the ensemble draws with: through
     `LocalizationProblem`, `localize` and `c_required` they give that
     trial's row, bit for bit."""
-    if not 0 <= trial_seed < 2**64:
-        raise PreconditionError(f"trial_seed must be a uint64 word, got {trial_seed}")
+    seeds = trial_stack(trial_seed)
     _check_size(n)
-    mats, psis = _draw_instances(np.array([trial_seed], dtype=np.uint64), n)
+    mats, psis = _draw_instances(seeds, n)
     return mats[0], psis[0]
 
 
@@ -328,27 +327,22 @@ def gaussian_ensemble(
     Returns (max_c_required, rows); rows are (seed, lam, value, c_required)
     per trial, each reproducible from its recorded seed.
 
-    Trial k's seed is word k of `seed_words(master_seed, trials)`; its
-    matrix, then its psi, are normals of the SplitMix64 stream seeded there
-    (`numerics.normals`; the word layout is `_draw_instances`).  A block of
-    `trials_per_block(n, n)` consecutive trials is drawn at once and runs
-    on the kernels `localize` uses, with every product and sum taken per
-    trial; the psi norms and the band sum rule are checked for the whole
-    block.  So row k equals `replay_trial(trial seed k, n)` through
+    The trial seeds are those of `numerics.trial_blocks`; a trial's
+    matrix, then its psi, are normals of the SplitMix64 stream seeded at
+    its seed (`numerics.normals`; the word layout is `_draw_instances`).
+    A block of `trials_per_block(n, n)` consecutive trials is drawn at
+    once and runs on the kernels `localize` uses, with every product and
+    sum taken per trial; the psi norms and the band sum rule are checked
+    for the whole block.  So row k equals `replay_trial(trial seed k, n)` through
     `LocalizationProblem`, `localize` and `c_required`, bit for bit.
     """
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
     _check_size(n)
     if not 1 <= window <= n:
         raise PreconditionError("window must lie in [1, N]")
-    seeds = seed_words(master_seed, trials)
-    block = trials_per_block(n, n)
     rows = []
     worst = 0.0
-    for start in range(0, trials, block):
-        chunk = seeds[start : start + block]
-        mats, psis = _draw_instances(np.array(chunk, dtype=np.uint64), n)
+    for chunk, words in trial_blocks(master_seed, trials, trials_per_block(n, n)):
+        mats, psis = _draw_instances(words, n)
         _check_unit_norm(psis)
         _, values, lams = _best_windows(mats, psis, window)
         d = _band_forms(mats, psis)

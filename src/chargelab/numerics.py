@@ -17,21 +17,17 @@ tridiagonal positive definite systems are solved by the LDL^T recurrences
 of LAPACK's ?pttrf/?pttrs.  Both need numpy alone.
 
 Seeds and draws need numpy alone too.  `seed_words` is numpy's SeedSequence
-hash, ported bit for bit, and gives each trial of an ensemble its seed.
-Every ensemble draws from the SplitMix64 stream seeded there: `splitmix64`
-gives its words, `uniforms` reads one word as a double in [0, 1) and
-`normals` two words as a Box-Muller pair.  Word j depends on the seed and j
-alone, so each ensemble fixes which words each draw takes:
-  correlation fuzz     words 0-3 the header (n, box, charge kind, mu), the
-                       next 5n the positions and charges
-  Bogolubov fuzz       words 0-3 (cli.run_bogolubov_fuzz): t = 5u,
-                       g_plus = 3u, g_minus = 3u and
-                       n_max = lo + floor((hi - lo + 1) u)
-  Gaussian matrices    the N^2 normals of the matrix, then the N of psi
-  Berezin-Lieb         the d^2 normals of Y, the m uniforms of f, then
-                       frame attempt a at its own fixed words
-(each module's docstring has its layout in full).  A block of trials draws
-at once, and a one-trial replay calls the same code on a stack of one.
+hash, ported bit for bit.  The trial-seed rule of every seeded ensemble
+lives here: trial k's seed is word k of `seed_words(seed, trials)`, a trial
+seed is a uint64 word, and an ensemble draws its trials a block at a time
+(`trial_blocks`); a one-trial replay checks its seed and draws from a stack
+of one (`trial_stack`) with the same code.  Each trial draws from the
+SplitMix64 stream seeded at its trial seed: `splitmix64` gives its words,
+`uniforms` reads one word as a double in [0, 1) and `normals` two words as
+a Box-Muller pair.  Word j depends on the seed and j alone, so each
+ensemble fixes which words each draw takes; the layouts are in
+`correlation` (the inequality fuzz), `cli._draw_models` (the Bogolubov
+fuzz), `matrixloc` (Gaussian matrices) and `trialstate` (Berezin-Lieb).
 """
 from __future__ import annotations
 
@@ -49,12 +45,15 @@ __all__ = [
     "RadialGrid",
     "integrate_1d",
     "uniform_radial_grid",
+    "GRID_NODES_CAP",
     "tridiagonal_counts",
     "tridiagonal_eigenvalues",
     "tridiagonal_ldl",
     "tridiagonal_ldl_solve",
     "seed_words",
     "SEED_WORDS_CAP",
+    "trial_blocks",
+    "trial_stack",
     "splitmix64",
     "uniforms",
     "normals",
@@ -273,6 +272,12 @@ class RadialGrid:
         return self.nodes.size
 
 
+# Most nodes of a uniform radial grid, checked before anything is allocated.
+# At the cap `dyson-minimize --nodes 1000000` takes 44 s and peaks at 393 MB
+# RSS (in-process ru_maxrss, 2 shared CPUs); at 16000 nodes, 0.6 s and 37 MB.
+GRID_NODES_CAP = 1_000_000
+
+
 def uniform_radial_grid(n_nodes: int = 800, r_max: float = 40.0) -> RadialGrid:
     """Equally spaced grid h, 2h, ..., r_max with trapezoid weights 4*pi*r^2*h
     (half weight at r_max; the r=0 endpoint carries zero weight).
@@ -280,10 +285,13 @@ def uniform_radial_grid(n_nodes: int = 800, r_max: float = 40.0) -> RadialGrid:
     For smooth even profiles decayed at r_max the rule is spectrally
     accurate (all odd derivatives of r^2*f vanish at both endpoints), which
     suits gradient-based functionals far better than panel rules whose
-    clustered nodes inflate finite-difference error.
+    clustered nodes inflate finite-difference error.  More than
+    GRID_NODES_CAP nodes raise ResourceLimitError.
     """
     if n_nodes < 8:
         raise PreconditionError("need at least 8 nodes")
+    if n_nodes > GRID_NODES_CAP:
+        raise ResourceLimitError(f"{n_nodes} grid nodes exceed cap {GRID_NODES_CAP}")
     if not r_max > 0:
         raise DomainError("r_max must be positive")
     h = r_max / n_nodes
@@ -540,6 +548,28 @@ def seed_words(seed: int, count: int) -> list[int]:
     state = (pool ^ hashes[:-1]) * hashes[1:] & _MASK32
     state ^= state >> _XSHIFT
     return (state[0::2] | state[1::2] << 32).tolist()
+
+
+def trial_blocks(seed: int, trials: int, block: int):
+    """The trial seeds of a seeded ensemble, `block` consecutive trials at a
+    time: (chunk, words) per block, the seeds as Python ints (what a row
+    records) and as a uint64 array (what the draws take).  Trial k's seed
+    is word k of `seed_words(seed, trials)`.  A trial count below 1 raises
+    PreconditionError, one above SEED_WORDS_CAP ResourceLimitError, both
+    in this call, before anything is drawn."""
+    if trials < 1:
+        raise PreconditionError(f"trials must be >= 1, got {trials}")
+    seeds = seed_words(seed, trials)
+    chunks = (seeds[start:start + block] for start in range(0, trials, block))
+    return ((chunk, np.array(chunk, dtype=np.uint64)) for chunk in chunks)
+
+
+def trial_stack(trial_seed: int) -> np.ndarray:
+    """The uint64 stack (1,) of one trial seed, which a one-trial replay
+    draws from; a seed outside [0, 2^64) raises PreconditionError."""
+    if not 0 <= trial_seed < 2**64:
+        raise PreconditionError(f"trial_seed must be a uint64 word, got {trial_seed}")
+    return np.array([trial_seed], dtype=np.uint64)
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), the draw stream of every

@@ -360,8 +360,9 @@ def stability_bound(
     nuclei and the largest charge enter; positions are immaterial.  The
     screening radius defaults to 1 / (1 + 2 max z).  With charges=None the
     potential vanishes and only the -N_e strength / radius term remains
-    (an explicit strength is then required).  A total that overflows to
-    -inf, as at a vanishing radius, raises DomainError.
+    (an explicit strength is then required).  A q or n_electrons beyond
+    the float range, or a total that overflows to -inf, as at a vanishing
+    radius, raises DomainError.
     """
     if q < 1:
         raise DomainError("q must be >= 1")
@@ -369,6 +370,11 @@ def stability_bound(
         raise DomainError("c_lt must be > 0")
     if n_electrons < 1:
         raise DomainError("n_electrons must be >= 1")
+    for name, count in (("q", q), ("n_electrons", n_electrons)):
+        try:
+            float(count)
+        except OverflowError:
+            raise DomainError(f"{name} has no finite float") from None
     if charges is None:
         if strength is None or not strength > 0:
             raise DomainError("the vacuum case needs an explicit strength > 0")

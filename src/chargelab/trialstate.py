@@ -12,7 +12,7 @@ trace inequality run on stacks of instances: `berezin_lieb_ensemble`
 passes a block of trials, and `random_tight_frame`, `CoherentFrame` and
 `berezin_lieb_check` a stack of one, to the same kernels.  Every product
 and sum is taken per instance, so an instance's values do not depend on
-its block.  The ensemble's frame shape is fixed: FRAME_COUNT vectors in
+its block.  A drawn frame has the fixed shape FRAME_COUNT vectors in
 dimension FRAME_DIMENSION.
 
 A Berezin-Lieb trial with m vectors in dimension d draws from the
@@ -20,13 +20,11 @@ SplitMix64 stream seeded at its recorded trial seed, normals by Box-Muller
 pairs of words (`numerics.normals`) and uniforms u one word each:
   words 0 .. 2 ceil(d^2/2) - 1     raw (d x d), row by row; Y = raw raw^T
   next m words                      f = 5u
-  F + a S .. F + (a+1) S - 1        frame attempt a = 0, 1, ...: m x d
-                                    normals, row by row, with
-                                    F = 2 ceil(d^2/2) + m, S = 2 ceil(md/2)
-A frame attempt that is redrawn (a vector norm below NORM_FLOOR, an
-eigenvalue ratio below CONDITION_FLOOR, a residual above REDRAW_RESIDUAL)
-moves the trial to the next attempt; Y and f do not move.
-`replay_trial(trial_seed)` draws one trial with the same code.
+  next 2 ceil(md/2) words           the frame draw: m x d normals, row by row
+A frame draw with a vector norm below NORM_FLOOR, an eigenvalue ratio
+below CONDITION_FLOOR or a tight-frame residual above FRAME_TOL raises
+SolverError naming its trial seed.  `replay_trial(trial_seed)` draws one
+trial with the same code.
 """
 from __future__ import annotations
 
@@ -48,7 +46,8 @@ from .numerics import (
     integrate_1d,
     normal_words,
     normals,
-    seed_words,
+    trial_blocks,
+    trial_stack,
     trials_per_block,
     uniforms,
 )
@@ -69,16 +68,15 @@ __all__ = [
     "replay_trial",
 ]
 
-FRAME_TOL = 1e-10  # tight-frame residual cap enforced by CoherentFrame
-# A frame draw is redrawn when a vector's norm is below NORM_FLOOR, its
-# frame operator's eigenvalues span more than a factor 1 / CONDITION_FLOOR,
-# or its tight frame's residual is not at most REDRAW_RESIDUAL (NaN
-# included).  That equals FRAME_TOL, so every kept frame passes
-# CoherentFrame, which still checks it on its own.
+FRAME_TOL = 1e-10  # tight-frame residual cap, of drawn frames and in CoherentFrame
+# A frame draw fails when a vector's norm is below NORM_FLOOR, its frame
+# operator's eigenvalues span more than a factor 1 / CONDITION_FLOOR, or its
+# tight frame's residual is not at most FRAME_TOL (NaN included).  Over
+# 3e5 trials of 8 x 24 frames (master seeds 1905, 2718 and 31415) none
+# came close: the smallest norm was 0.29, the smallest eigenvalue ratio
+# 0.020 and the largest residual 1.7e-14.
 NORM_FLOOR = 1e-8
 CONDITION_FLOOR = 1e-8
-REDRAW_RESIDUAL = FRAME_TOL
-FRAME_ATTEMPTS = 64  # frame draws per trial before SolverError
 # pointwise_pair_energy raises beyond this relative distance from -J rho^(5/4);
 # each half of its dimensionless integral (about -0.40) is taken to PAIR_QUAD_TOL
 PAIR_ENERGY_RTOL = 1e-8
@@ -309,74 +307,50 @@ def _check_frames(vectors: np.ndarray, weights: np.ndarray) -> None:
         )
 
 
-def _tight_frames(draws: np.ndarray):
-    """Tight frames from a stack of draws (T, count, dimension).
+def _fail_draws(seeds: np.ndarray, failed: np.ndarray, what: str) -> None:
+    """SolverError naming the first of `seeds` whose frame draw `failed`."""
+    if np.any(failed):
+        seed = int(seeds[np.argmax(failed)])
+        raise SolverError(f"the frame draw of trial seed {seed} has {what}")
 
-    Returns (kept, vectors, weights): the indices of the draws that are not
-    redrawn (no norm below NORM_FLOOR, conditioning above CONDITION_FLOOR,
-    residual at most REDRAW_RESIDUAL), and for each of them the rows
-    S^(-1/2) theta_k, normalized, with weights |S^(-1/2) theta_k|^2.
+
+def _tight_frames(seeds: np.ndarray):
+    """Tight frames, vectors (T, FRAME_COUNT, FRAME_DIMENSION) and weights
+    (T, FRAME_COUNT), of the trials seeded at `seeds` (uint64, (T,)).
+
+    Each trial's frame draw (module docstring) gives unit vectors theta_k,
+    and the rows S^(-1/2) theta_k, normalized, with weights
+    |S^(-1/2) theta_k|^2 are a tight frame by construction.  A draw with a
+    vector norm below NORM_FLOOR, conditioning below CONDITION_FLOOR or a
+    residual not at most FRAME_TOL raises SolverError naming its seed.
     """
+    dimension, count = FRAME_DIMENSION, FRAME_COUNT
+    first = normal_words(dimension * dimension) + count
+    draws = normals(seeds, first, count * dimension).reshape(-1, count, dimension)
     norms = np.linalg.norm(draws, axis=2)
-    kept = np.flatnonzero(~np.any(norms < NORM_FLOOR, axis=1))
-    units = draws[kept]
-    units /= norms[kept][:, :, None]
+    _fail_draws(seeds, np.any(norms < NORM_FLOOR, axis=1),
+                f"a vector norm below {NORM_FLOOR:g}")
+    units = draws / norms[:, :, None]
     eigenvalues, basis = np.linalg.eigh(units.transpose(0, 2, 1) @ units)
-    well = ~(eigenvalues[:, 0] < CONDITION_FLOOR * eigenvalues[:, -1])
-    kept, units, eigenvalues, basis = kept[well], units[well], eigenvalues[well], basis[well]
+    _fail_draws(seeds, eigenvalues[:, 0] < CONDITION_FLOOR * eigenvalues[:, -1],
+                f"an eigenvalue ratio below {CONDITION_FLOOR:g}")
     inv_root = (basis / np.sqrt(eigenvalues)[:, None, :]) @ basis.transpose(0, 2, 1)
     rows = units @ inv_root
     weights = np.einsum("tkd,tkd->tk", rows, rows)
     rows /= np.sqrt(weights)[:, :, None]
-    tight = _frame_residuals(rows, weights) <= REDRAW_RESIDUAL
-    return kept[tight], rows[tight], weights[tight]
+    _fail_draws(seeds, ~(_frame_residuals(rows, weights) <= FRAME_TOL),
+                f"a tight-frame residual above {FRAME_TOL:g}")
+    return rows, weights
 
 
-def _frame_words(dimension: int, count: int) -> tuple[int, int]:
-    """First word of frame attempt 0 and the words of one attempt, in the
-    stream of a trial with `count` vectors in `dimension`."""
-    return normal_words(dimension * dimension) + count, normal_words(count * dimension)
-
-
-def _draw_frames(seeds: np.ndarray, dimension: int, count: int):
-    """Tight frames, vectors (T, count, dimension) and weights (T, count),
-    of the trials seeded at `seeds` (uint64, (T,)).
-
-    Attempt a draws count x dimension normals, row by row, at its fixed
-    words of each stream (`_frame_words`); a trial keeps its first attempt
-    that `_tight_frames` does not redraw, and the trials still without one
-    draw their next attempt together.  A trial with none in FRAME_ATTEMPTS
-    raises SolverError.
-    """
-    first, stride = _frame_words(dimension, count)
-    vectors = np.empty((len(seeds), count, dimension))
-    weights = np.empty((len(seeds), count))
-    todo = np.arange(len(seeds))
-    for attempt in range(FRAME_ATTEMPTS):
-        draws = normals(seeds[todo], first + attempt * stride, count * dimension)
-        kept, tight, tight_weights = _tight_frames(draws.reshape(-1, count, dimension))
-        vectors[todo[kept]] = tight
-        weights[todo[kept]] = tight_weights
-        todo = np.delete(todo, kept)
-        if not todo.size:
-            return vectors, weights
-    raise SolverError("failed to draw a well-conditioned frame")
-
-
-def random_tight_frame(trial_seed: int, dimension: int, count: int) -> CoherentFrame:
-    """The frame of the Berezin-Lieb trial seeded at `trial_seed`: `count`
-    unit vectors drawn from its SplitMix64 stream and symmetrized by the
-    inverse square root of their frame operator, so that rows
-    S^(-1/2) theta_k with weights |S^(-1/2) theta_k|^2 form a tight frame by
-    construction; a draw that `_tight_frames` rejects is redrawn."""
-    if dimension < 2:
-        raise DomainError("dimension must be >= 2")
-    if count < dimension:
-        raise DomainError("count must be >= dimension")
-    if not 0 <= trial_seed < 2**64:
-        raise PreconditionError(f"trial_seed must be a uint64 word, got {trial_seed}")
-    vectors, weights = _draw_frames(np.array([trial_seed], dtype=np.uint64), dimension, count)
-    return CoherentFrame(dimension=dimension, vectors=vectors[0], weights=weights[0])
+def random_tight_frame(trial_seed: int) -> CoherentFrame:
+    """The frame of the Berezin-Lieb trial seeded at `trial_seed`:
+    FRAME_COUNT unit vectors in dimension FRAME_DIMENSION drawn from its
+    SplitMix64 stream and symmetrized by the inverse square root of their
+    frame operator (`_tight_frames`, which raises SolverError for a draw
+    that fails its floors)."""
+    vectors, weights = _tight_frames(trial_stack(trial_seed))
+    return CoherentFrame(dimension=FRAME_DIMENSION, vectors=vectors[0], weights=weights[0])
 
 
 # Operator-concave on [0, inf) with xi(0) >= 0; fixed whitelist because
@@ -438,10 +412,11 @@ def _berezin_lieb_sums(vectors, weights, f, y, func):
     return lhs, rhs
 
 
-def _draw_y_f(seeds: np.ndarray, dimension: int, count: int):
-    """Y (T, dimension, dimension) and f (T, count) of the trials seeded at
-    `seeds`: Y = raw raw^T for the dimension^2 normals of the first words,
-    row by row, and f = 5u for the next `count` words."""
+def _draw_y_f(seeds: np.ndarray):
+    """Y (T, d, d) and f (T, m) of the trials seeded at `seeds`, with d =
+    FRAME_DIMENSION and m = FRAME_COUNT: Y = raw raw^T for the d^2 normals
+    of the first words, row by row, and f = 5u for the next m words."""
+    dimension, count = FRAME_DIMENSION, FRAME_COUNT
     raw = normals(seeds, 0, dimension * dimension).reshape(-1, dimension, dimension)
     f = 5.0 * uniforms(seeds, normal_words(dimension * dimension), count)
     return raw @ raw.transpose(0, 2, 1), f
@@ -452,9 +427,8 @@ def replay_trial(trial_seed: int) -> tuple[CoherentFrame, np.ndarray, np.ndarray
     `trial_seed`, drawn by the code the ensemble draws with:
     `berezin_lieb_check(frame, f, Y, xi)` gives that trial's row, bit for
     bit."""
-    dimension, count = FRAME_DIMENSION, FRAME_COUNT
-    frame = random_tight_frame(trial_seed, dimension, count)
-    y, f = _draw_y_f(np.array([trial_seed], dtype=np.uint64), dimension, count)
+    frame = random_tight_frame(trial_seed)
+    y, f = _draw_y_f(trial_stack(trial_seed))
     return frame, f[0], y[0]
 
 
@@ -463,29 +437,23 @@ def berezin_lieb_ensemble(xi: str, trials: int, master_seed: int):
     (seed, lhs, rhs, slack), one per trial drawn from that seed, each frame
     FRAME_COUNT vectors in dimension FRAME_DIMENSION.
 
-    Trial k's seed is word k of `seed_words(master_seed, trials)`; its Y,
-    f and frame are drawn from the SplitMix64 stream seeded there, at the
-    fixed words of the module docstring.  A block of
-    `trials_per_block(count, dimension)` consecutive trials is drawn at
-    once, redrawn frames included, and runs on the kernels of the per-trial
-    route, with every product and sum taken per trial; the frame and Y
-    checks cover the whole block.  So row k equals `replay_trial(trial
-    seed k)` through `berezin_lieb_check`, bit for bit.
+    The trial seeds are those of `numerics.trial_blocks`; a trial's Y, f
+    and frame are drawn from the SplitMix64 stream seeded at its seed, at
+    the fixed words of the module docstring.  A block of
+    `trials_per_block(FRAME_COUNT, FRAME_DIMENSION)` consecutive trials is
+    drawn at once and runs on the kernels of the per-trial route, with
+    every product and sum taken per trial; the frame and Y checks cover
+    the whole block.  So row k equals `replay_trial(trial seed k)` through
+    `berezin_lieb_check`, bit for bit.
     """
     if xi not in XI_FUNCTIONS:
         raise PreconditionError(f"xi must be one of {sorted(XI_FUNCTIONS)}")
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
-    dimension, count = FRAME_DIMENSION, FRAME_COUNT
-    seeds = seed_words(master_seed, trials)
-    block = trials_per_block(count, dimension)
     rows = []
-    for start in range(0, trials, block):
-        chunk = seeds[start : start + block]
-        words = np.array(chunk, dtype=np.uint64)
-        vectors, weights = _draw_frames(words, dimension, count)
+    block = trials_per_block(FRAME_COUNT, FRAME_DIMENSION)
+    for chunk, words in trial_blocks(master_seed, trials, block):
+        vectors, weights = _tight_frames(words)
         _check_frames(vectors, weights)
-        y_psd, f_draw = _draw_y_f(words, dimension, count)
+        y_psd, f_draw = _draw_y_f(words)
         _check_psd(y_psd)
         lhs, rhs = _berezin_lieb_sums(vectors, weights, f_draw, y_psd, XI_FUNCTIONS[xi])
         rows += zip(chunk, lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist())

@@ -1,7 +1,7 @@
 """NaN at the library boundary: every guarded public scalar argument
 rejects NaN, integrate_1d a NaN or infinite integrand value and
-stability_bound a NaN or infinite nuclear charge, with the exception its
-range check documents."""
+stability_bound a NaN or infinite nuclear charge, and a q or n_electrons
+with no finite float, with the exception its range check documents."""
 import math
 
 import numpy as np
@@ -42,6 +42,10 @@ CASES = {
                            DomainError),
     "stability-radius": (lambda: spectral.stability_bound((1.0,), 2, 0.04, 10, radius=NAN),
                          DomainError),
+    "stability-q-huge": (lambda: spectral.stability_bound((1.0,), 10**400, 0.04, 10),
+                         DomainError),
+    "stability-n_electrons-huge": (
+        lambda: spectral.stability_bound((1.0,), 2, 0.04, 10**400), DomainError),
     "occupation_f-rho": (lambda: trialstate.occupation_f(NAN, 1.0), DomainError),
     "pointwise-rho": (lambda: trialstate.pointwise_pair_energy(NAN), DomainError),
     "rescale-lam": (lambda: variational.rescale(variational.gaussian_profile(GRID), NAN),

@@ -85,7 +85,8 @@ class TestCheckFunctions:
         samples = tables["models"][1]
         assert [s[0] for s in samples] == numerics.seed_words(1905, 40)
         for ts, t, g_plus, g_minus, n_max, _energy, _gap in samples:
-            assert cli._draw_models([ts], 2, 6) == [(t, g_plus, g_minus, n_max)]
+            assert cli._draw_models(numerics.trial_stack(ts), 2, 6) == [
+                (t, g_plus, g_minus, n_max)]
 
     def test_inequality_fuzz_all(self):
         rows, summary, tables = cli.run_inequality_fuzz("all", 150, 5)
@@ -169,7 +170,7 @@ class TestCheckFunctions:
 class TestBogolubovDrawLayout:
     """Words 0-3 of each Bogolubov fuzz trial against its distribution."""
 
-    SEEDS = numerics.seed_words(1905, 4000)
+    (_, SEEDS), = numerics.trial_blocks(1905, 4000, 4000)
 
     @pytest.mark.parametrize("lo, hi", [(2, 6), (1, 1), (3, 20)])
     def test_draws_cover_their_ranges(self, lo, hi):
@@ -185,9 +186,9 @@ class TestBogolubovDrawLayout:
                 (len(seeds), count), word, dtype=np.uint64))
 
         constant_words(0)
-        assert cli._draw_models([0], 2, 6) == [(0.0, 0.0, 0.0, 2)]
+        assert cli._draw_models(numerics.trial_stack(0), 2, 6) == [(0.0, 0.0, 0.0, 2)]
         constant_words(2**64 - 1)
-        (t, g_plus, g_minus, n_max), = cli._draw_models([0], 2, 6)
+        (t, g_plus, g_minus, n_max), = cli._draw_models(numerics.trial_stack(0), 2, 6)
         assert t < 5.0 and g_plus < 3.0 and g_minus < 3.0 and n_max == 6
 
 
@@ -197,28 +198,20 @@ RECORD_PINS = (
         "foldy-j.jsonl": "9c7f7fbb11cc137ad63d425d3afe122ae13c90b3767cf3be555598e2412ef04d"}),
     (("foldy-identity",), {
         "foldy-identity.jsonl":
-            "777c92fbf1a7bedf634e5a32a866b3d65c613209a72e9718f69fa1aa300f4731",
-        "foldy-identity-points.csv":
-            "5657d5fa4edc4fd478004ab2e13f5547bcf83cac4a99688b2e38c0bb09517126"}),
+            "777c92fbf1a7bedf634e5a32a866b3d65c613209a72e9718f69fa1aa300f4731"}),
     (("bogolubov-sharpness",), {
         "bogolubov-sharpness.jsonl":
-            "071d3af70b4338296e5b15083f81103f969aed77896a810c0e214380af706bfd",
-        "bogolubov-sharpness-ladder.csv":
-            "cb5e5b166a9109dd5cd7a147e80686e1875cd03e1f0991298f9edc5706e84775"}),
+            "071d3af70b4338296e5b15083f81103f969aed77896a810c0e214380af706bfd"}),
     (("dyson-minimize",), {
         "dyson-minimize.jsonl":
             "0f555a07d13ec5e1f8212de4f85c230f84a366d684fb8a9e05f9507e603dface",
         "dyson-minimize-profile.csv":
             "ceec96cf7cd03f52c3220f4dd9eed5932ed6026c702c5c2d256c32ac07a669fe"}),
     (("lt-study",), {
-        "lt-study.jsonl": "96c6333931db6b9b2a23dd7af7299a95201f5341bd670069089886ea1038a0a5",
-        "lt-study-ratios.csv":
-            "7f3d2c57a2c3e013840b3209d3e8dc0493354c5a3d3d29234e8a1a5401fb2362"}),
+        "lt-study.jsonl": "96c6333931db6b9b2a23dd7af7299a95201f5341bd670069089886ea1038a0a5"}),
     (("sobolev-study",), {
         "sobolev-study.jsonl":
-            "fdb92c49680adb502d75fe13e39acb7169f9acb26bbe214740feb3b0fd6e8270",
-        "sobolev-study-ratios.csv":
-            "0ad1a935f5341e57e4f742ec5ba9b71ae1449a3f413bc9843e36d7852182bfeb"}),
+            "fdb92c49680adb502d75fe13e39acb7169f9acb26bbe214740feb3b0fd6e8270"}),
     (("bogolubov-fuzz", "--trials", "25", "--seed", "1905"), {
         "bogolubov-fuzz.jsonl":
             "fc52696f0e6ae25e32831c376aeae45136aee8aefc081f87366a43abf846e3a7",
@@ -227,9 +220,7 @@ RECORD_PINS = (
     (("trialstate", "--check", "pair-energy"), {
         "trialstate.jsonl": "8a1997961cd623d50a40acdaab301f56c1e8cda905114f9ef237c61b81ae36aa"}),
     (("trialstate", "--check", "trace-scaling"), {
-        "trialstate.jsonl": "0d8be5727a979a02c8a50dbe1019e6f587f7426962ee2f8a402957ca048efde5",
-        "trialstate-traces.csv":
-            "dd21e787b01685cdedbcce27a99e3478cfc8fe933ac6ec67c94ad4d38cd907ae"}),
+        "trialstate.jsonl": "0d8be5727a979a02c8a50dbe1019e6f587f7426962ee2f8a402957ca048efde5"}),
     (("trialstate", "--check", "upper-bound"), {
         "trialstate.jsonl": "8cdd67baedd8b34f4391339240c064af22f297a9782b3ecf5e616b2b8e585f71"}),
     (("trialstate", "--check", "berezin-lieb", "--trials", "20"), {
@@ -548,6 +539,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: matrix size 1000000 exceeds cap {matrixloc.SIZE_CAP}\n"
         assert peak < 2**20
+        assert not list(tmp_path.iterdir())
+
+    def test_oversized_grid_is_exit_3_before_allocating(self, tmp_path, capsys):
+        # 10^15 nodes and weights would be 14.6 PiB
+        tracemalloc.start()
+        try:
+            code = cli.main(["dyson-minimize", "--nodes", "1000000000000000",
+                             "--outdir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: 1000000000000000 grid nodes exceed cap "
+                       f"{numerics.GRID_NODES_CAP}\n")
+        assert peak < 2**20
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--q", "--n-electrons"])
+    def test_counts_beyond_the_float_range_are_usage(self, flag, tmp_path, capsys):
+        code = cli.main(["stability-bound", flag, str(10**400), "--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag[2:].replace('-', '_')} has no finite float\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

@@ -326,9 +326,8 @@ class TestBatchedEnsembles:
             gaussian_ensemble(1, 0, n=matrixloc.SIZE_CAP + 1)
         with pytest.raises(ResourceLimitError, match="cap"):
             matrixloc.replay_trial(0, matrixloc.SIZE_CAP + 1)
-        for seed, n in ((-1, 4), (2**64, 4), (0, 0)):
-            with pytest.raises(PreconditionError):
-                matrixloc.replay_trial(seed, n)
+        with pytest.raises(PreconditionError):
+            matrixloc.replay_trial(0, 0)
 
 
 class TestFileFormat:

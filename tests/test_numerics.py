@@ -1,13 +1,14 @@
 """Contracts of the quadrature kernels, radial grids, seeds and draws."""
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from chargelab import numerics
+from chargelab import correlation, matrixloc, numerics, trialstate
 from chargelab.errors import BudgetExceededError, DomainError, PreconditionError, ResourceLimitError
 from chargelab.numerics import (
     QuadratureResult,
@@ -232,6 +233,45 @@ def test_seed_words_match_seed_sequence(seed):
             words = seed_words(seed, count)
         expected = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
         assert words == expected.tolist(), (seed, count)
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_trial_blocks_slice_the_seed_words(block):
+    blocks = list(numerics.trial_blocks(1905, 40, block))
+    sizes = [min(block, 40 - start) for start in range(0, 40, block)]
+    assert [len(chunk) for chunk, _ in blocks] == sizes
+    assert [seed for chunk, _ in blocks for seed in chunk] == seed_words(1905, 40)
+    for chunk, words in blocks:
+        assert all(type(seed) is int for seed in chunk)
+        assert words.dtype == np.uint64 and words.tolist() == chunk
+
+
+def test_trial_blocks_check_the_count_before_drawing():
+    with pytest.raises(PreconditionError, match="trials"):
+        numerics.trial_blocks(1905, 0, 7)
+    # 10^11 seed words alone would be 745 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="exceed cap"):
+            numerics.trial_blocks(1905, 10**11, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("replay", [
+    lambda seed: correlation.replay_trial("onsager", seed),
+    lambda seed: matrixloc.replay_trial(seed, 4),
+    trialstate.replay_trial,
+], ids=["correlation", "matrixloc", "trialstate"])
+def test_replays_take_uint64_trial_seeds(replay):
+    assert numerics.trial_stack(2**64 - 1).tolist() == [2**64 - 1]
+    replay(0)
+    replay(2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(PreconditionError, match="trial_seed must be a uint64 word"):
+            replay(seed)
 
 
 def _box_muller_reference(seed, count):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from chargelab import trialstate
+from chargelab import cli, trialstate
 from chargelab.correlation import HOLDS_TOL
 from chargelab.errors import ConsistencyError, DomainError, PreconditionError, SolverError
 from chargelab.foldy import foldy_j
@@ -262,43 +262,44 @@ class TestUpperBoundEnergy:
             upper_bound_energy(4, unnormalized)
 
 
+def _frame_shape(monkeypatch, dimension, count):
+    """Sets the shape of the drawn frames for one test."""
+    monkeypatch.setattr(trialstate, "FRAME_DIMENSION", dimension)
+    monkeypatch.setattr(trialstate, "FRAME_COUNT", count)
+
+
 class TestCoherentFrame:
     def test_random_frames_are_tight(self):
         for seed in seed_words(11, 25):
-            frame = random_tight_frame(seed, 8, 24)
+            frame = random_tight_frame(seed)
+            assert (frame.dimension, frame.count) == (8, 24)
             assert frame.frame_residual() <= 1e-10
             # trace of the frame identity: weights sum to the dimension
             assert frame.weights.sum() == pytest.approx(8.0, rel=1e-12)
 
-    def test_minimal_frame_is_orthonormal_basis(self):
+    def test_minimal_frame_is_orthonormal_basis(self, monkeypatch):
         # m = d forces the rows into an orthonormal set with unit weights
-        frame = random_tight_frame(5, 4, 4)
+        _frame_shape(monkeypatch, 4, 4)
+        frame = random_tight_frame(5)
         gram = frame.vectors @ frame.vectors.T
         assert np.allclose(gram, np.eye(4), atol=1e-10)
         assert np.allclose(frame.weights, 1.0, atol=1e-10)
 
     def test_rejects_invalid_frames(self):
-        frame = random_tight_frame(3, 6, 12)
+        frame = random_tight_frame(3)
         with pytest.raises(DomainError):
-            CoherentFrame(6, frame.vectors, 2.0 * frame.weights)
+            CoherentFrame(8, frame.vectors, 2.0 * frame.weights)
         with pytest.raises(DomainError):
-            CoherentFrame(6, 1.1 * frame.vectors, frame.weights)
+            CoherentFrame(8, 1.1 * frame.vectors, frame.weights)
         with pytest.raises(DomainError):
             CoherentFrame(1, np.ones((2, 1)), np.ones(2))
         with pytest.raises(DomainError):
-            CoherentFrame(6, frame.vectors[:4], frame.weights[:4])
-        with pytest.raises(DomainError, match="count"):
-            random_tight_frame(3, 8, 5)
-        with pytest.raises(DomainError, match="dimension"):
-            random_tight_frame(3, 1, 4)
-        for seed in (-1, 2**64):
-            with pytest.raises(PreconditionError, match="trial_seed"):
-                random_tight_frame(seed, 8, 24)
+            CoherentFrame(8, frame.vectors[:4], frame.weights[:4])
 
 
 @pytest.fixture(scope="module")
 def setup():
-    frame = random_tight_frame(202, 8, 24)
+    frame = random_tight_frame(202)
     rng = np.random.default_rng(202)
     raw = rng.standard_normal((8, 8))
     y_psd = raw @ raw.T
@@ -359,19 +360,13 @@ def _replay(xi, seed):
     return seed, report.lhs, report.rhs, report.slack
 
 
-def _frame_shape(monkeypatch, dimension, count):
-    """Sets the ensemble's frame shape for one test."""
-    monkeypatch.setattr(trialstate, "FRAME_DIMENSION", dimension)
-    monkeypatch.setattr(trialstate, "FRAME_COUNT", count)
-
-
-def _first_draws(seeds, dimension, count):
-    """Per trial seed: the smallest vector norm of its first frame draw and
-    that draw's eigenvalue ratio lambda_min / lambda_max."""
-    first, _ = trialstate._frame_words(dimension, count)
-    stack = normals(np.array(seeds, dtype=np.uint64), first, count * dimension)
+def _frame_draws(seeds):
+    """Per trial seed of an 8 x 24 frame: the smallest vector norm of its
+    frame draw, which takes 8 * 24 normals from word 2 ceil(8^2 / 2) + 24
+    of its stream, and that draw's eigenvalue ratio lambda_min / lambda_max."""
+    stack = normals(np.array(seeds, dtype=np.uint64), 64 + 24, 24 * 8)
     norms, ratios = [], []
-    for draws in stack.reshape(-1, count, dimension):
+    for draws in stack.reshape(-1, 24, 8):
         lengths = np.linalg.norm(draws, axis=1)
         units = draws / lengths[:, None]
         eigenvalues = np.linalg.eigvalsh(units.T @ units)
@@ -410,74 +405,69 @@ class TestBatchedEnsembles:
         _frame_shape(monkeypatch, dimension, dimension)
         self.replayed("sqrt-pairing", 30, 161803)
 
-    @pytest.mark.parametrize("dimension", [3, 4, 6, 8])
-    def test_square_frames_are_redrawn_to_tolerance(self, dimension, monkeypatch):
-        # square frames can pass CONDITION_FLOOR and still miss FRAME_TOL;
-        # such a draw is redrawn, so every master seed runs and replays
-        _frame_shape(monkeypatch, dimension, dimension)
-        for seed in range(20):
-            self.replayed("sqrt", 30, seed)
-
     def test_a_frame_beyond_tolerance_fails_both_routes(self, monkeypatch):
-        # with FRAME_TOL below REDRAW_RESIDUAL, a kept square frame of
-        # dimension 8 can miss it; the block raises the error of its worst
-        # trial's replay
-        monkeypatch.setattr(trialstate, "FRAME_TOL", 1e-12)
-        _frame_shape(monkeypatch, 8, 8)
-        with pytest.raises(DomainError, match="tight-frame residual") as batch:
+        # with FRAME_TOL between two trials' residuals, the block raises the
+        # error of its first trial beyond it, which that trial's replay raises
+        seeds = seed_words(161803, 30)
+        residuals = [random_tight_frame(seed).frame_residual() for seed in seeds]
+        monkeypatch.setattr(trialstate, "FRAME_TOL", float(np.median(residuals)))
+        with pytest.raises(SolverError, match="tight-frame residual") as batch:
             berezin_lieb_ensemble("sqrt-pairing", 30, 161803)
-        errors = []
-        for seed in seed_words(161803, 30):
-            try:
-                _replay("sqrt-pairing", seed)
-            except DomainError as exc:
-                errors.append(str(exc))
-        assert str(batch.value) in errors
+        failing = seeds[int(np.argmax(np.array(residuals) > trialstate.FRAME_TOL))]
+        assert f"trial seed {failing} " in str(batch.value)
+        with pytest.raises(SolverError) as replay:
+            _replay("sqrt-pairing", failing)
+        assert str(replay.value) == str(batch.value)
 
     @pytest.mark.parametrize("floor", ["NORM_FLOOR", "CONDITION_FLOOR"])
-    def test_redrawn_frames_are_replayed(self, monkeypatch, floor):
-        # raise the floor to just above one trial's first draw, so that
-        # trial alone redraws its frame, inside the batch
-        seeds = seed_words(1905, 60)
-        first = _first_draws(seeds, 4, 6)[floor == "CONDITION_FLOOR"]
-        low, second = np.sort(first)[:2]
-        redrawn = seeds[int(np.argmin(first))]
-        _frame_shape(monkeypatch, 4, 6)
-        before = trialstate.replay_trial(redrawn)
+    def test_a_draw_below_a_floor_fails_naming_its_seed(self, monkeypatch, floor, tmp_path,
+                                                         capsys):
+        # raise the floor to just above one trial's draw, so that trial alone
+        # fails, in the batch, in its replay and in the CLI; the CLI's first
+        # ensemble (xi = identity) draws from word 0 of seed_words(1905, 4)
+        master = seed_words(1905, 4)[0]
+        seeds = seed_words(master, 60)
+        draws = _frame_draws(seeds)[floor == "CONDITION_FLOOR"]
+        low, second = np.sort(draws)[:2]
+        failing = seeds[int(np.argmin(draws))]
         monkeypatch.setattr(trialstate, floor, 0.5 * (low + second))
-        stacks = []
-        tight_frames = trialstate._tight_frames
-
-        def counted(draws):
-            stacks.append(len(draws))
-            return tight_frames(draws)
-
-        monkeypatch.setattr(trialstate, "_tight_frames", counted)
-        rows = berezin_lieb_ensemble("sqrt", 60, 1905)
-        # attempt 0 of the block, then attempt 1 of the one redrawn trial
-        assert stacks == [60, 1]
-        assert rows == [_replay("sqrt", seed) for seed in seeds]
-        # the redraw moves the frame alone: Y and f keep their words
-        after = trialstate.replay_trial(redrawn)
-        assert not np.array_equal(after[0].vectors, before[0].vectors)
-        assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])
+        message = f"the frame draw of trial seed {failing} has"
+        with pytest.raises(SolverError, match=message):
+            berezin_lieb_ensemble("identity", 60, master)
+        with pytest.raises(SolverError, match=message):
+            random_tight_frame(failing)
+        for seed in seeds:
+            if seed != failing:
+                random_tight_frame(seed)
+        argv = ["trialstate", "--check", "berezin-lieb", "--trials", "60", "--seed", "1905"]
+        assert cli.main([*argv, "--outdir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_a_trial_without_a_frame_fails_both_routes(self, monkeypatch):
         monkeypatch.setattr(trialstate, "NORM_FLOOR", math.inf)
         with pytest.raises(SolverError, match="frame"):
             berezin_lieb_ensemble("sqrt", 3, 1)
         with pytest.raises(SolverError, match="frame"):
-            random_tight_frame(1, 8, 24)
+            random_tight_frame(1)
 
     def test_block_path_checks_the_frames(self, monkeypatch):
-        def per_trial(trial_seed, dimension, count):
+        def per_trial(trial_seed):
             raise AssertionError("the ensemble draws its frames as a block")
 
         monkeypatch.setattr(trialstate, "random_tight_frame", per_trial)
         berezin_lieb_ensemble("sqrt", 20, 3)
-        monkeypatch.setattr(trialstate, "FRAME_TOL", 0.0)
+        # frames that are not tight reach CoherentFrame's checks in both routes
+        tight_frames = trialstate._tight_frames
+
+        def loose_frames(seeds):
+            vectors, weights = tight_frames(seeds)
+            return vectors, 2.0 * weights
+
+        monkeypatch.setattr(trialstate, "_tight_frames", loose_frames)
         with pytest.raises(DomainError, match="tight-frame residual"):
             berezin_lieb_ensemble("sqrt", 20, 3)
         monkeypatch.setattr(trialstate, "random_tight_frame", random_tight_frame)
         with pytest.raises(DomainError, match="tight-frame residual"):
-            random_tight_frame(3, 8, 24)
+            random_tight_frame(3)
