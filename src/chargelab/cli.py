@@ -370,7 +370,7 @@ def run_dyson(nodes: int, r_max: float):
     ceiling, agreement_tol = -0.05, 1e-4
     if nodes < 100:
         raise PreconditionError("nodes must be >= 100")
-    result = variational.minimize(variational.default_init(nodes, r_max))
+    result = variational.default_minimum(nodes, r_max)
     coarse = variational.minimize(variational.default_init(nodes // 2, r_max))
     rel_change = abs(result.energy - coarse.energy) / abs(result.energy)
     virial_cap = 1e-5 * result.potential
@@ -437,7 +437,8 @@ def run_trace_scaling():
     """Tr Gamma over the particle-number ladder TRACE_LADDER; the log-log
     slope must be 3/5 within slope_tol."""
     target, slope_tol = 0.6, 0.01
-    minimizer = variational.minimize()
+    minimizer = variational.default_minimum(variational.DEFAULT_NODES,
+                                            variational.DEFAULT_R_MAX)
     rows, traces = [], []
     for n in TRACE_LADDER:
         spec = trialstate.condensate_from_minimizer(int(n), minimizer.profile)
@@ -473,7 +474,8 @@ def run_upper_bound():
     the same two values at the same 1e-8 and raises ConsistencyError (exit
     1) beyond it, so a row that reaches the record holds."""
     tol = 1e-8
-    minimizer = variational.minimize()
+    minimizer = variational.default_minimum(variational.DEFAULT_NODES,
+                                            variational.DEFAULT_R_MAX)
     rows, worst = [], 0.0
     for n in UPPER_BOUND_LADDER:
         value = trialstate.upper_bound_energy(int(n), minimizer.profile)
@@ -581,11 +583,9 @@ def _scale_pair_rows():
     scaled_grid = uniform_radial_grid(1600, 5.0)
     base_spec = spectral.gaussian_well(12.0)
     scaled_spec = spectral.gaussian_well(48.0, 0.5)
-    base = spectral.negative_sum(base_spec, base_grid)
-    scaled = spectral.negative_sum(scaled_spec, scaled_grid)
+    base, e_base = spectral.spectrum_and_ground_state(base_spec, base_grid)
+    scaled, e_scaled = spectral.spectrum_and_ground_state(scaled_spec, scaled_grid)
     lt_drift = abs(scaled.lt_ratio / base.lt_ratio - 1.0)
-    e_base = spectral.ground_state_energy(base_spec, base_grid)
-    e_scaled = spectral.ground_state_energy(scaled_spec, scaled_grid)
     sob_base = e_base / base.v_integral
     sob_scaled = e_scaled / scaled.v_integral
     sob_drift = abs(sob_scaled / sob_base - 1.0)
@@ -824,8 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dyson-minimize", parents=[common],
                        help="variational minimum, virial, grid agreement")
-    p.add_argument("--nodes", type=int, default=800)
-    p.add_argument("--rmax", type=_finite_float, default=25.0)
+    p.add_argument("--nodes", type=int, default=variational.DEFAULT_NODES)
+    p.add_argument("--rmax", type=_finite_float, default=variational.DEFAULT_R_MAX)
     p.set_defaults(run=lambda a: run_dyson(a.nodes, a.rmax))
 
     p = sub.add_parser("trialstate", parents=[seeded],

@@ -6,11 +6,13 @@ upstream, which the property suites are designed to surface.
 
 Each quantity has one kernel over a stack of T configurations of n
 particles: `_pair_distances` (positions (T, n, 3), with the position
-checks), then `_energies`, `_nearest_opposite` and the `_SUMS` of each
-checker (charges (T, n), those distances, mu (T,), with the checker's
-preconditions).  Each sum reduces one trial's row alone.  The public
-functions pass a stack of one; the seeded fuzz passes the trials of a
-block with the same n.
+checks), then the `_SUMS` of each checker (charges (T, n), those
+distances, mu (T,), with the checker's preconditions).  A checker computes
+the pair charges z_i z_j once for the stack and hands them to `_energies`
+and `_nearest_opposite`; `_row_sums` sums every row kept whole in one
+axis-1 reduction, and a masked row alone.  Each sum equals the 1D
+reduction of one trial's row, bit for bit.  The public functions pass a
+stack of one; the seeded fuzz passes the trials of a block with the same n.
 
 A fuzz trial draws from the SplitMix64 stream (`numerics.splitmix64`)
 seeded at its recorded trial seed, each word w read as u = (w >> 11) 2^-53
@@ -71,9 +73,16 @@ def _pair_distances(pos: np.ndarray) -> np.ndarray:
     if not np.isfinite(pos).all():
         raise PreconditionError("positions must be finite")
     i, j = _pairs(pos.shape[1])
+    # summed in place, one coordinate at a time; np.take keeps the pair axis
+    # C-contiguous, as `_row_sums` needs
+    r = np.zeros((pos.shape[0], i.size))
     with np.errstate(over="ignore"):
-        sq = [(pos[:, i, a] - pos[:, j, a]) ** 2 for a in range(3)]
-        r = np.sqrt(sq[0] + sq[1] + sq[2])
+        for a in range(3):
+            d = np.take(pos[..., a], i, axis=1)
+            d -= np.take(pos[..., a], j, axis=1)
+            d *= d
+            r += d
+    np.sqrt(r, out=r)
     if not np.isfinite(r).all():
         raise PreconditionError("pair distances overflow: positions too far apart")
     if r.size and r.min() <= MIN_SEPARATION:
@@ -131,56 +140,87 @@ class InequalityReport:
         return bool(self.slack >= -HOLDS_TOL)
 
 
-def _row_sums(rows) -> list[float]:
-    """Per-trial sums, each a 1D reduction over one trial's row alone."""
-    return [float(np.add.reduce(row)) for row in rows]
+def _row_sums(values: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Per-trial sums of the rows of `values` (T, m), over the entries that
+    `keep` marks (all when None).  A row kept whole is summed with the
+    others in one axis-1 reduction, which on C-contiguous rows equals the
+    1D reduction of that row alone bit for bit; a masked row is summed on
+    its own, as its kept entries."""
+    values = np.ascontiguousarray(values)
+    sums = np.add.reduce(values, axis=1)
+    if keep is not None:
+        for t in np.flatnonzero(~keep.all(axis=1)).tolist():
+            sums[t] = np.add.reduce(values[t][keep[t]])
+    return sums
 
 
-def _energies(z: np.ndarray, r: np.ndarray, mu: np.ndarray) -> list[float]:
-    """Per-trial sum_{i<j} z_i z_j exp(-mu r_ij)/r_ij."""
+def _pair_charges(z: np.ndarray) -> np.ndarray:
+    """z_i z_j (T, n(n-1)/2) of charges (T, n), in `_pairs` order."""
+    i, j = _pairs(z.shape[1])
+    return np.take(z, i, axis=1) * np.take(z, j, axis=1)
+
+
+def _energies(zz: np.ndarray, r: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Per-trial sum_{i<j} z_i z_j exp(-mu r_ij)/r_ij, from the pair charges."""
     if not np.all(mu >= 0):
         raise DomainError("mu must be nonnegative")
-    i, j = _pairs(z.shape[1])
-    return _row_sums(z[:, i] * z[:, j] * np.exp(-mu[:, None] * r) / r)
+    return _row_sums(zz * np.exp(-mu[:, None] * r) / r)
 
 
-def _nearest_opposite(z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """D (T, n): distance from each particle to its nearest opposite charge,
-    +inf when it has none.  A minimum is exact, so one pass serves the stack."""
-    t, n = z.shape
+def _segments(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment starts of the pairs (i, j) of particles i = 0..n-2 in `_pairs`
+    order, the permutation of `_pairs` order sorted by j, and the segment
+    starts of particles j = 1..n-1 in that order.  Not cached: for every n
+    of the fuzz the arrays would hold 0.2 MB for the life of the process,
+    and computing them once per group costs the fuzz no measurable time."""
     i, j = _pairs(n)
-    opposite = np.full((t, n, n), np.inf)
-    opposite[:, i, j] = opposite[:, j, i] = np.where(z[:, i] * z[:, j] < 0, r, np.inf)
-    return opposite.min(axis=2)
+    by_j = np.argsort(j, kind="stable")
+    return np.searchsorted(i, np.arange(n - 1)), by_j, np.searchsorted(j[by_j], np.arange(1, n))
+
+
+def _nearest_opposite(zz: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
+    """D (T, n): distance from each particle to its nearest opposite charge,
+    +inf when it has none, from the pair charges and distances of n
+    particles.  Particle p's pairs are its segment in `_pairs` order (with
+    the later particles) and in the order sorted by j (with the earlier
+    ones); a minimum is exact, so one pass serves the stack."""
+    d = np.full((r.shape[0], n), np.inf)
+    if n > 1:
+        rows, by_j, cols = _segments(n)
+        opposite = np.where(zz < 0, r, np.inf)
+        d[:, :-1] = np.minimum.reduceat(opposite, rows, axis=1)
+        np.minimum(d[:, 1:], np.minimum.reduceat(opposite[:, by_j], cols, axis=1),
+                   out=d[:, 1:])
+    return d
 
 
 def _onsager_sums(z: np.ndarray, r: np.ndarray, mu: np.ndarray):
-    lhs = _energies(z, r, mu)
-    d = _nearest_opposite(z, r)
+    zz = _pair_charges(z)
+    lhs = _energies(zz, r, mu)
+    d = _nearest_opposite(zz, r, z.shape[1])
     finite = np.isfinite(d)
     d = np.where(finite, d, 1.0)  # inf would give inf * 0; the mask drops it
     # exp(-dm) is exactly 0 beyond dm ~ 745, so the cap changes no term and
     # keeps dm**2 finite for distances near the overflow limit and mu = inf
     dm = np.minimum(d * mu[:, None], 1e3)
     terms = z**2 * (dm**2 / 12 + dm / 2 + 1) * np.exp(-dm) / d
-    return lhs, [-s for s in _row_sums(row[k] for row, k in zip(terms, finite))]
+    return lhs, -_row_sums(terms, finite)
 
 
 def _baxter_sums(z: np.ndarray, r: np.ndarray, mu: np.ndarray):
     if np.any(z[z < 0] != -1.0):
         raise PreconditionError("all negative charges must equal -1")
-    lhs = _energies(z, r, mu)
-    d = _nearest_opposite(z, r)
-    sums = _row_sums(row[k] for row, k in zip(1.0 / d, (z < 0) & np.isfinite(d)))
-    return lhs, [-(1.0 + 2.0 * zmax) * s for zmax, s in zip(z.max(axis=1).tolist(), sums)]
+    zz = _pair_charges(z)
+    lhs = _energies(zz, r, mu)
+    d = _nearest_opposite(zz, r, z.shape[1])
+    return lhs, -(1.0 + 2.0 * z.max(axis=1)) * _row_sums(1.0 / d, (z < 0) & np.isfinite(d))
 
 
 def _positivity_sums(z: np.ndarray, r: np.ndarray, mu: np.ndarray):
     if not np.all(mu > 0):
         raise DomainError("mu must be positive")
-    i, j = _pairs(z.shape[1])
-    lhs = _row_sums(z[:, i] * z[:, j] * (-np.expm1(-mu[:, None] * r)) / r)
-    return lhs, [-0.5 * m * s for m, s in zip(mu.tolist(), _row_sums(z**2))]
+    lhs = _row_sums(_pair_charges(z) * (-np.expm1(-mu[:, None] * r)) / r)
+    return lhs, -0.5 * mu * _row_sums(z**2)
 
 
 # (lhs, rhs) lists of each checker by name, for charges (T, n), distances, mu (T,)
@@ -195,18 +235,20 @@ def _stack(config: ParticleConfiguration) -> tuple[np.ndarray, np.ndarray]:
 
 def _report(sums, config: ParticleConfiguration, mu: float) -> InequalityReport:
     (lhs,), (rhs,) = sums(*_stack(config), np.array([mu], dtype=float))
-    return InequalityReport(lhs=lhs, rhs=rhs)
+    return InequalityReport(lhs=float(lhs), rhs=float(rhs))
 
 
 def pair_energy(config: ParticleConfiguration, mu: float) -> float:
     """Total interaction sum_{i<j} z_i z_j exp(-mu r_ij)/r_ij."""
-    return _energies(*_stack(config), np.array([mu], dtype=float))[0]
+    z, r = _stack(config)
+    return float(_energies(_pair_charges(z), r, np.array([mu], dtype=float))[0])
 
 
 def nearest_opposite_distances(config: ParticleConfiguration) -> np.ndarray:
     """D_i = distance from particle i to the nearest opposite charge,
     +inf when no oppositely charged particle exists."""
-    return _nearest_opposite(*_stack(config))[0]
+    z, r = _stack(config)
+    return _nearest_opposite(_pair_charges(z), r, config.n)[0]
 
 
 def onsager_check(config: ParticleConfiguration, mu: float) -> InequalityReport:
@@ -234,9 +276,9 @@ BOX_RANGE = (1.0, 10.0)
 MUS = (0.0, 0.5, 1.0, 5.0)
 
 # Trials per block of the fuzz; bounds its arrays at any trial count.  Fixed
-# rather than sized by bytes (numerics.trials_per_block): the (n, n)
-# nearest-opposite pass of a 50-particle trial is 20 KB, which would leave
-# about 26 trials per block and split the n-groups into ones and twos.
+# rather than sized by bytes (numerics.trials_per_block): the pair arrays of a
+# 50-particle trial are 10 KB each, which would leave about 50 trials per
+# block and split the n-groups into ones and twos.
 _BLOCK = 1024
 
 _HEADER = 4  # words 0-3 of a trial: n, box, charge kind, mu

@@ -5,7 +5,11 @@ u = r R(r) turns each angular-momentum channel into a Dirichlet
 tridiagonal eigenproblem on a uniform grid, with the (2 ell + 1)
 degeneracy summed adaptively.  The eigenvalues are bisected on inertia
 counts (`numerics.tridiagonal_eigenvalues`), every negative eigenvalue of
-CHANNEL_CHUNK channels as one lane of a stack, with numpy alone.
+CHANNEL_CHUNK channels as one lane of a stack, with numpy alone.  The
+channels are counted before any is bisected, so ELL_CAP and LANE_CAP bound
+the work up front.  Each eigenvalue is bisected once per spectrum:
+`spectrum_and_ground_state` takes the ground state's coarse eigenvalue
+from the spectrum's channel-0 lane instead of bisecting it again.
 Measured ratios E0 / int|V|_-^(5/2) and neg_sum / int|V|_-^(5/2) bracket
 the Sobolev and Lieb-Thirring constants empirically; no universal constant
 is hardcoded.
@@ -27,6 +31,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     PreconditionError,
+    ResourceLimitError,
 )
 from .numerics import (
     RadialGrid,
@@ -48,6 +53,7 @@ __all__ = [
     "default_eigen_grid",
     "ground_state_energy",
     "negative_sum",
+    "spectrum_and_ground_state",
     "stability_bound",
 ]
 
@@ -60,6 +66,11 @@ POTENTIAL_KINDS = ("gaussian-well", "square-well", "screened-nucleus")
 ELL_CONVERGED = 1e-6  # stop adding channels below this relative contribution
 ELL_CAP = 300
 CHANNEL_CHUNK = 16  # channels bisected together
+# Most negative eigenvalues one spectrum bisects, counted before the first
+# bisection.  At the cap a spectrum takes about 1.5 s on the default
+# 2000-node grid (lt-study --depths 4080: 1023 eigenvalues, 1.46 s on 2
+# shared CPUs); --depths 10000 holds 2515, which took 7.6 s.
+LANE_CAP = 1024
 REFINE_TOL = 1e-4  # two-grid disagreement beyond this aborts
 V_QUAD_TOL = 1e-10  # quadrature tolerance of v_integral_quadrature
 
@@ -243,30 +254,45 @@ def _stencil(spec: PotentialSpec, grid: RadialGrid):
     return r, 1.0 / h**2 + v, np.full(r.size - 1, -0.5 / h**2)
 
 
-def _channel_negatives(r: np.ndarray, base: np.ndarray, off: np.ndarray):
-    """(ell, negative eigenvalues of channel ell, ascending) for ell = 0, 1,
-    ..., ELL_CAP, up to and including the first empty channel, where channel
-    ell adds ell (ell + 1) / (2 r^2) to the s-wave diagonal `base`.
+def _channel_chunks(r: np.ndarray, base: np.ndarray, off: np.ndarray):
+    """(ells, diagonals, counts) of the channels ell = 0, 1, ..., up to and
+    including the first empty one, CHANNEL_CHUNK at a time, where channel
+    ell adds ell (ell + 1) / (2 r^2) to the s-wave diagonal `base` and its
+    count is the number of its eigenvalues below 0 (one inertia count).
 
-    Channels are solved CHANNEL_CHUNK at a time: one inertia count at 0 per
-    channel finds how many eigenvalues each holds, and every one of them
-    below the chunk's first empty channel is bisected as a lane of one stack.
+    Nothing is bisected here, so the bisection's work is bounded first:
+    AccuracyError when channel ELL_CAP still binds, ResourceLimitError when
+    the channels hold more than LANE_CAP negative eigenvalues.
     """
+    chunks, lanes = [], 0
     for first in range(0, ELL_CAP + 1, CHANNEL_CHUNK):
         ells = np.arange(first, min(first + CHANNEL_CHUNK, ELL_CAP + 1))
         diag = base + (0.5 * ells * (ells + 1))[:, None] / r**2
         counts = tridiagonal_counts(diag, off, np.zeros(ells.size))
         empty = np.flatnonzero(counts == 0)
-        solved = int(empty[0]) if empty.size else ells.size
-        counts = counts[:solved]
+        solved = int(empty[0]) + 1 if empty.size else ells.size
+        chunks.append((ells[:solved], diag, counts[:solved]))
+        lanes += int(counts[:solved].sum())
+        if empty.size:
+            break
+    else:
+        raise AccuracyError(f"channel sum not converged by ell = {ELL_CAP}: "
+                            f"channel {ELL_CAP} still binds")
+    if lanes > LANE_CAP:
+        raise ResourceLimitError(f"{lanes} negative eigenvalues exceed cap {LANE_CAP}")
+    return chunks
+
+
+def _channel_negatives(chunks, off: np.ndarray):
+    """(ell, negative eigenvalues of channel ell, ascending) of each channel
+    of `_channel_chunks`, the last one empty.  The eigenvalues of a chunk
+    are bisected as the lanes of one stack, when the chunk is reached."""
+    for ells, diag, counts in chunks:
         ends = np.cumsum(counts)
-        rows = np.repeat(np.arange(solved), counts)
+        rows = np.repeat(np.arange(counts.size), counts)
         index = np.arange(rows.size) - np.repeat(ends - counts, counts)
         values = tridiagonal_eigenvalues(diag, off, rows, index, np.zeros(rows.size))
-        yield from zip(ells[:solved].tolist(), np.split(values, ends[:-1]))
-        if solved < ells.size:
-            yield int(ells[solved]), np.empty(0)
-            return
+        yield from zip(ells.tolist(), np.split(values, ends[:-1]))
 
 
 def _lowest_eigenvalue(spec: PotentialSpec, grid: RadialGrid) -> float:
@@ -276,6 +302,20 @@ def _lowest_eigenvalue(spec: PotentialSpec, grid: RadialGrid) -> float:
     _, diag, off = _stencil(spec, grid)
     upper = 0.0 if tridiagonal_counts(diag, off, [0.0])[0] else diag.min()
     return float(tridiagonal_eigenvalues(diag, off, [0], [0], [upper])[0])
+
+
+def _refined_ground_state(spec: PotentialSpec, grid: RadialGrid, coarse: float) -> float:
+    """The h^2 Richardson combination of the lowest eigenvalue `coarse` on
+    `grid` and the one on the doubled grid, clamped at 0; see
+    `ground_state_energy`."""
+    fine_grid = uniform_radial_grid(2 * grid.n_nodes, grid.r_max)
+    fine = _lowest_eigenvalue(spec, fine_grid)
+    if abs(fine - coarse) > REFINE_TOL * max(1.0, abs(fine)):
+        raise AccuracyError(
+            f"grid refinement moved E0 from {coarse!r} to {fine!r}; "
+            "discretization too coarse"
+        )
+    return min(0.0, fine + (fine - coarse) / 3.0)
 
 
 def ground_state_energy(spec: PotentialSpec, grid: RadialGrid | None = None) -> float:
@@ -289,26 +329,16 @@ def ground_state_energy(spec: PotentialSpec, grid: RadialGrid | None = None) -> 
     """
     if grid is None:
         grid = default_eigen_grid(spec)
-    coarse = _lowest_eigenvalue(spec, grid)
-    fine_grid = uniform_radial_grid(2 * grid.n_nodes, grid.r_max)
-    fine = _lowest_eigenvalue(spec, fine_grid)
-    if abs(fine - coarse) > REFINE_TOL * max(1.0, abs(fine)):
-        raise AccuracyError(
-            f"grid refinement moved E0 from {coarse!r} to {fine!r}; "
-            "discretization too coarse"
-        )
-    return min(0.0, fine + (fine - coarse) / 3.0)
+    return _refined_ground_state(spec, grid, _lowest_eigenvalue(spec, grid))
 
 
-def negative_sum(spec: PotentialSpec, grid: RadialGrid | None = None) -> SpectrumResult:
-    """All negative eigenvalues of -1/2 Laplacian + V with their
-    (2 ell + 1) angular degeneracies, summed over channels until a channel
-    is empty or contributes < ELL_CONVERGED relatively."""
-    if grid is None:
-        grid = default_eigen_grid(spec)
+def _spectrum(spec: PotentialSpec, grid: RadialGrid):
+    """`negative_sum` on `grid`, and the lowest eigenvalue of its channel 0
+    (None when channel 0 is empty)."""
+    r, base, off = _stencil(spec, grid)
     channels = []
     total = 0.0
-    for ell, vals in _channel_negatives(*_stencil(spec, grid)):
+    for ell, vals in _channel_negatives(_channel_chunks(r, base, off), off):
         if vals.size == 0:
             break
         contribution = (2 * ell + 1) * float(vals.sum())
@@ -316,16 +346,39 @@ def negative_sum(spec: PotentialSpec, grid: RadialGrid | None = None) -> Spectru
         total += contribution
         if abs(contribution) < ELL_CONVERGED * abs(total):
             break
-        if ell == ELL_CAP:
-            raise AccuracyError(
-                f"channel sum not converged by ell = {ELL_CAP}; last "
-                f"contribution {contribution!r} against total {total!r}"
-            )
     if channels:
         eigenvalues = np.sort(np.concatenate(channels))
     else:
         eigenvalues = np.empty(0)
-    return SpectrumResult(eigenvalues=eigenvalues, v_integral=spec.v_integral(), ell_max=ell)
+    result = SpectrumResult(eigenvalues=eigenvalues, v_integral=spec.v_integral(), ell_max=ell)
+    # channels[0] is channel 0 whenever any channel binds
+    return result, float(channels[0][0]) if channels else None
+
+
+def negative_sum(spec: PotentialSpec, grid: RadialGrid | None = None) -> SpectrumResult:
+    """All negative eigenvalues of -1/2 Laplacian + V with their
+    (2 ell + 1) angular degeneracies, summed over channels until a channel
+    is empty or contributes < ELL_CONVERGED relatively.  Raises
+    AccuracyError when channel ELL_CAP still binds and ResourceLimitError
+    beyond LANE_CAP negative eigenvalues, both before any is bisected."""
+    if grid is None:
+        grid = default_eigen_grid(spec)
+    return _spectrum(spec, grid)[0]
+
+
+def spectrum_and_ground_state(spec: PotentialSpec, grid: RadialGrid | None = None):
+    """(`negative_sum(spec, grid)`, `ground_state_energy(spec, grid)`), with
+    the ground state's coarse eigenvalue taken from the spectrum: channel
+    0's lowest lane bisects the same stencil row from the same Gershgorin
+    bound below the same upper end 0 to the same tolerance as
+    `_lowest_eigenvalue`, so it has the same bits.  When nothing binds, the
+    coarse eigenvalue is bisected on its own, below the smallest diagonal
+    entry."""
+    if grid is None:
+        grid = default_eigen_grid(spec)
+    result, lowest = _spectrum(spec, grid)
+    coarse = _lowest_eigenvalue(spec, grid) if lowest is None else lowest
+    return result, _refined_ground_state(spec, grid, coarse)
 
 
 @dataclass(frozen=True)

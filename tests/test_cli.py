@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargelab import bogolubov, cli, foldy, matrixloc, numerics, trialstate
+from chargelab import bogolubov, cli, foldy, matrixloc, numerics, spectral, trialstate, variational
 from chargelab.foldy import foldy_j
 
 
@@ -37,6 +37,29 @@ SUBCOMMANDS = (
 
 def _reject_constant(token):
     raise ValueError(f"non-JSON token {token}")
+
+
+def count_calls(monkeypatch, module, name):
+    """The list of argument tuples of every call to `module.name`, which
+    still runs."""
+    calls, function = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def fresh_minimum():
+    """An empty `variational.default_minimum` cache, emptied again after the
+    test, so a defect injected upstream of the descent neither reads a
+    minimizer solved before it nor leaves one behind."""
+    variational.default_minimum.cache_clear()
+    yield
+    variational.default_minimum.cache_clear()
 
 
 def read_record(path):
@@ -585,6 +608,22 @@ class TestExitCodes:
         assert peak < 2**20
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("depth, err", [
+        ("1e4", f"error: 2515 negative eigenvalues exceed cap {spectral.LANE_CAP}\n"),
+        ("1e6", f"error: channel sum not converged by ell = {spectral.ELL_CAP}: "
+                f"channel {spectral.ELL_CAP} still binds\n"),
+    ], ids=["lanes", "channels"])
+    def test_deep_wells_are_exit_3_before_bisecting(self, depth, err, tmp_path, monkeypatch,
+                                                    capsys):
+        # the channel counts bound the work: 2515 eigenvalues took 7.6 s to
+        # bisect, 123293 over 300 channels did not finish in 60 s
+        calls = count_calls(monkeypatch, spectral, "tridiagonal_eigenvalues")
+        code = cli.main(["lt-study", "--depths", f"50,{depth}", "--outdir", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == err
+        assert len(calls) == 1  # depth 50's one chunk, and nothing of the deep well
+        assert not list(tmp_path.iterdir())
+
     def test_inflated_occupation_fails_the_pair_identity(self, tmp_path, monkeypatch, capsys):
         # the pair energy is integrated from occupation_f, which minimizes the
         # bracket; 1.5 f in its place misses -J rho^(5/4)
@@ -758,6 +797,14 @@ class TestExitCodes:
         assert not any(r["holds"] for r in rows)
         capsys.readouterr()
 
+    def test_a_descent_cut_short_fails_dyson_minimize(self, tmp_path, monkeypatch, capsys,
+                                                      fresh_minimum):
+        monkeypatch.setattr(variational, "DESCENT_MAX_ITER", 3)
+        assert cli.main(["dyson-minimize", "--outdir", str(tmp_path)]) == 1
+        _, rows, _ = read_record(tmp_path / "dyson-minimize.jsonl")
+        assert rows[0]["iterations"] == 3 and not rows[0]["holds"]
+        capsys.readouterr()
+
     def test_low_mode_floor_fails_the_identity_and_the_ladder(self, tmp_path, monkeypatch,
                                                               capsys):
         # the local-energy identity and the Bogolubov bound share one floor, so
@@ -838,6 +885,18 @@ class TestVerifySuite:
             f"that alters the records on purpose updates the pin and names the changed "
             f"fields in CHANGES.md")
         capsys.readouterr()
+
+    def test_quick_suite_repeats_no_solve(self, monkeypatch, fresh_minimum):
+        # one descent per grid (dyson-minimize's 800 and 400 nodes; the
+        # trial-state check reuses the 800), and one bisection per chunk and
+        # grid: lt-study's three depths, its two scale-pair spectra and
+        # their two doubled grids, the coarse ground states taken from the
+        # spectra.  lt-study is the suite's only spectral check.
+        solves = count_calls(monkeypatch, variational, "minimize")
+        bisections = count_calls(monkeypatch, spectral, "tridiagonal_eigenvalues")
+        cli.run_verification_suite(1905, quick=True)
+        assert [init.grid.n_nodes for (init,) in solves] == [800, 400]
+        assert len(bisections) == 7
 
     def test_quick_suite_passes_and_is_deterministic(self, tmp_path, capsys):
         base = ["verify", "--quick", "--seed", "77", "--outdir", str(tmp_path)]

@@ -20,7 +20,7 @@ from chargelab.correlation import (
     yukawa_positivity_check,
 )
 from chargelab.errors import DomainError, PreconditionError
-from chargelab.numerics import seed_words, splitmix64
+from chargelab.numerics import seed_words, splitmix64, uniforms
 
 
 def drawn(seed, n, box, kind):
@@ -354,6 +354,46 @@ def _replay(which, ts):
     else:
         rep = yukawa_positivity_check(cfg, mu)
     return (ts, cfg.n, mu, rep.lhs, rep.rhs, rep.slack), cfg
+
+
+class TestKernels:
+    def test_axis_1_sums_equal_one_row_sums(self):
+        # `_row_sums` adds every unmasked row of a stack in one reduction; the
+        # rows stay bit for bit the 1D sums of one trial only while numpy
+        # reduces each C-contiguous row of an axis-1 sum on its own
+        for length in range(1, 1226):
+            for trials in (1, 3, 20):
+                words = np.array(seed_words(1000 * length + trials, trials), dtype=np.uint64)
+                u = uniforms(words, 0, 2 * length)
+                rows = (2.0 * u[:, :length] - 1.0) * np.exp(30.0 * u[:, length:])
+                expected = [np.add.reduce(row.copy()) for row in rows]
+                assert correlation._row_sums(rows).tolist() == expected, (length, trials)
+
+    def test_segment_minima_equal_the_dense_pass(self):
+        for seed in range(40):
+            words = np.array(seed_words(seed, 6), dtype=np.uint64)
+            n = 1 + seed % 12
+            pos, z = correlation._draw_body(words, n, np.full(6, 3.0), np.zeros(6, bool))
+            r = correlation._pair_distances(pos)
+            i, j = correlation._pairs(n)
+            dense = np.full((6, n, n), np.inf)
+            dense[:, i, j] = dense[:, j, i] = np.where(z[:, i] * z[:, j] < 0, r, np.inf)
+            got = correlation._nearest_opposite(correlation._pair_charges(z), r, n)
+            assert np.array_equal(got, dense.min(axis=2))
+
+    @pytest.mark.parametrize("zero, mu, lhs, rhs", [
+        (0, 0.0, "-0x1.808ccad120142p+4", "-0x1.e399d32354744p+6"),
+        (2, 0.5, "0x1.470e89944c4f8p+2", "-0x1.4e3f1df9226ccp+6"),
+    ])
+    def test_a_zero_charge_keeps_its_row_sum(self, zero, mu, lhs, rhs):
+        # a zero charge has no opposite charge, so its term is masked out and
+        # the row is summed alone; summing the row whole, with that term as
+        # 0, would move the last bit of both pins
+        pos = 5.0 * uniforms(np.array([1905], dtype=np.uint64), 0, 90)[0].reshape(30, 3)
+        z = np.where(np.arange(30) % 2 == 0, 1.0, -1.0) * (1 + np.arange(30) % 3)
+        z[zero] = 0.0
+        rep = onsager_check(ParticleConfiguration(positions=pos, charges=z), mu)
+        assert (rep.lhs.hex(), rep.rhs.hex()) == (lhs, rhs)
 
 
 class TestBatchedEnsemble:

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from chargelab import numerics, spectral
 from chargelab.errors import (
     AccuracyError,
     ConsistencyError,
     DomainError,
     PreconditionError,
+    ResourceLimitError,
 )
 from chargelab.numerics import RadialGrid, uniform_radial_grid
 from chargelab.spectral import (
@@ -21,6 +23,7 @@ from chargelab.spectral import (
     ground_state_energy,
     negative_sum,
     nucleus_potential,
+    spectrum_and_ground_state,
     square_well,
     stability_bound,
 )
@@ -196,6 +199,67 @@ class TestNegativeSum:
         b = negative_sum(gaussian_well(48.0, 0.5), uniform_radial_grid(1600, 5.0))
         assert b.lt_ratio == pytest.approx(a.lt_ratio, rel=1e-13)
         assert b.neg_sum == pytest.approx(4.0 * a.neg_sum, rel=1e-13)
+
+    @pytest.fixture
+    def bisections(self, monkeypatch):
+        """The number of `tridiagonal_eigenvalues` calls spectral makes."""
+        calls = []
+        bisect = numerics.tridiagonal_eigenvalues
+
+        def counted(*args):
+            calls.append(1)
+            return bisect(*args)
+
+        monkeypatch.setattr(spectral, "tridiagonal_eigenvalues", counted)
+        return calls
+
+    @pytest.mark.parametrize("cap, raises", [(11, True), (12, False)])
+    def test_lane_cap_is_checked_before_bisecting(self, cap, raises, monkeypatch,
+                                                  bisections):
+        # depth 50 holds 12 negative eigenvalues over channels 0-4
+        monkeypatch.setattr(spectral, "LANE_CAP", cap)
+        if raises:
+            with pytest.raises(ResourceLimitError, match="12 negative eigenvalues exceed cap 11"):
+                negative_sum(gaussian_well(50.0))
+            assert not bisections
+        else:
+            assert negative_sum(gaussian_well(50.0)).ell_max == 5
+            assert bisections
+
+    @pytest.mark.parametrize("cap, raises", [(4, True), (5, False)])
+    def test_a_binding_last_channel_is_checked_before_bisecting(self, cap, raises,
+                                                                monkeypatch, bisections):
+        # depth 50 binds channels 0-4; channel 5 is the first empty one
+        monkeypatch.setattr(spectral, "ELL_CAP", cap)
+        monkeypatch.setattr(spectral, "CHANNEL_CHUNK", 2)
+        if raises:
+            with pytest.raises(AccuracyError, match="channel 4 still binds"):
+                negative_sum(gaussian_well(50.0))
+            assert not bisections
+        else:
+            assert negative_sum(gaussian_well(50.0)).ell_max == 5
+            assert len(bisections) == 3  # chunks {0, 1}, {2, 3}, {4, 5}
+
+    @pytest.mark.parametrize("depth, width, rmax", [(12.0, 1.0, 10.0), (48.0, 0.5, 5.0)],
+                             ids=["base", "scaled"])
+    def test_coarse_ground_state_reuses_the_channel_0_lane(self, depth, width, rmax,
+                                                           bisections):
+        spec, grid = gaussian_well(depth, width), uniform_radial_grid(1600, rmax)
+        _, lowest = spectral._spectrum(spec, grid)
+        assert repr(lowest) == repr(spectral._lowest_eigenvalue(spec, grid))
+        del bisections[:]
+        result, energy = spectrum_and_ground_state(spec, grid)
+        assert len(bisections) == 2  # the spectrum's chunk and the doubled grid
+        assert repr(energy) == repr(ground_state_energy(spec, grid))
+        assert repr(result.eigenvalues.tolist()) == repr(
+            negative_sum(spec, grid).eigenvalues.tolist())
+
+    def test_unbound_ground_state_is_bisected_on_its_own(self):
+        # nothing binds: the coarse eigenvalue is bisected below the diagonal
+        spec, grid = square_well(1.0), uniform_radial_grid(3000, 60.0)
+        result, energy = spectrum_and_ground_state(spec, grid)
+        assert result.eigenvalues.size == 0
+        assert repr(energy) == repr(ground_state_energy(spec, grid)) == "0.0"
 
     def test_result_guards(self):
         with pytest.raises(ConsistencyError):

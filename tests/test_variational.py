@@ -10,6 +10,7 @@ from chargelab.variational import (
     MinimizationResult,
     RadialProfile,
     default_init,
+    default_minimum,
     functional_energy,
     gaussian_profile,
     minimize,
@@ -154,6 +155,20 @@ class TestMinimize:
         res = minimize(rescale(gaussian_profile(grid800), GAUSSIAN_OPTIMAL_SCALE))
         assert not res.converged
         assert res.iterations == 3
+
+
+class TestDefaultMinimum:
+    def test_solves_once_per_grid_with_the_bits_of_a_fresh_descent(self, converged):
+        cached = default_minimum(800, 25.0)
+        assert default_minimum(800, 25.0) is cached
+        assert repr(cached.profile.values.tolist()) == repr(converged.profile.values.tolist())
+        assert (cached.energy, cached.iterations) == (converged.energy, converged.iterations)
+
+    def test_arrays_are_read_only(self):
+        profile = default_minimum(800, 25.0).profile
+        for values in (profile.values, profile.grid.nodes, profile.grid.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
 
 
 class TestMinimizationResult:
