@@ -148,8 +148,9 @@ _ENV_VARS = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS
 def _environment() -> dict:
     """What a run's timings and last bits depend on: versions, the BLAS
     numpy was built with, the SIMD targets numpy found on this CPU (they
-    pick the kernels of exp, log, cos and sin), CPU count and the thread
-    settings as this process sees them (null when unset)."""
+    pick the kernels of exp, log, cos and sin; [] when it found none), CPU
+    count and the thread settings as this process sees them (null when
+    unset)."""
     config = np.show_config(mode="dicts")
     blas = config.get("Build Dependencies", {}).get("blas", {})
     return {
@@ -157,7 +158,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
-        "simd": config.get("SIMD Extensions", {}).get("found"),
+        "simd": config.get("SIMD Extensions", {}).get("found") or [],
         "cpu_count": os.cpu_count(),
         **{name: os.environ.get(name) for name in _ENV_VARS},
     }

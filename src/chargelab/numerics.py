@@ -11,10 +11,16 @@ grid's weights with node values.  Semi-infinite ranges use one declared
 substitution, x = a + scale*t/(1-t), and only interior nodes are evaluated,
 so results are reproducible bit-for-bit for identical inputs.
 
-Tridiagonal eigenvalues are bisected on inertia counts, which odd-even
-(cyclic) reduction computes for a whole stack of shifted matrices at once;
-tridiagonal positive definite systems are solved by the LDL^T recurrences
-of LAPACK's ?pttrf/?pttrs.  Both need numpy alone.
+Tridiagonal eigenvalues are settled by inertia counts, which odd-even
+(cyclic) reduction computes for a whole stack of shifted matrices at once.
+Each eigenvalue's bracket is a pair of points on a dyadic grid of step
+q <= eps * tnorm, each certified by its count, and the eigenvalue is the
+midpoint of the one cell the counts leave; the reduction's derivative
+recurrences also give the slope d/dx log|det(T - x)|, from which a
+Newton-type estimate picks where to count next, so an eigenvalue takes
+about 10 counts where bisection took 42.  Tridiagonal positive definite
+systems are solved by the LDL^T recurrences of LAPACK's ?pttrf/?pttrs.
+Both need numpy alone.
 
 Seeds and draws need numpy alone too.  `seed_words` is numpy's SeedSequence
 hash, ported bit for bit.  The trial-seed rule of every seeded ensemble
@@ -306,8 +312,8 @@ def uniform_radial_grid(n_nodes: int = 800, r_max: float = 40.0) -> RadialGrid:
 # leave rounding of order eps * tnorm^2 / pivot in the pivots after it: such
 # a lane is recounted by the sequential Sturm recurrence.  A pivot smaller
 # than _PIVMIN * tnorm counts as -_PIVMIN * tnorm, a change of the matrix far
-# below the bisection tolerance.  Both floors scale with the matrix, so the
-# counts, and the bisected eigenvalues, of 2^k T are those of T times 2^k
+# below the eigenvalues' grid step.  Both floors scale with the matrix, so the
+# counts, and the eigenvalues they settle, of 2^k T are those of T times 2^k
 # exactly.
 _GUARD = 2.0**-20
 _PIVMIN = _EPS * _EPS
@@ -327,7 +333,8 @@ def _sturm_count(shifted: list[float], off_sq: list[float], pivmin: float) -> in
     return count
 
 
-def _inertia(shifted: np.ndarray, off_sq: np.ndarray, tnorm: np.ndarray) -> np.ndarray:
+def _inertia(shifted: np.ndarray, off_sq: np.ndarray, tnorm: np.ndarray,
+             slope: bool = False):
     """Number of negative eigenvalues of each symmetric tridiagonal matrix
     whose diagonal is a column of `shifted` (n x lanes) and whose squared
     off-diagonal is `off_sq` (n - 1, shared).
@@ -336,45 +343,80 @@ def _inertia(shifted: np.ndarray, off_sq: np.ndarray, tnorm: np.ndarray) -> np.n
     another, so eliminating them leaves them as pivots and a tridiagonal
     Schur complement on 1, 3, 5, ...; by Sylvester's law of inertia the
     negative pivots of all about log2(n) levels add up to the count.
+
+    With `slope`, (count, S) instead: the determinant is the product of
+    those pivots, so S = d/dx log|det(A - x)| is the sum of p'/p over them,
+    p' the derivative of pivot p in the shift x of the lane's matrix A - x.
+    The reduction carries d' and c'/c of its diagonal d and squared
+    off-diagonal c; each lane's terms are summed in order.  A recounted
+    lane's S is NaN.
     """
     guard, floor = _GUARD * tnorm, _PIVMIN * tnorm
     limit, largest_floor = 1.0 / guard.max(), floor.max()
-    # a matrix product sums a column far faster than a reduction over axis 0
-    ones = np.ones((shifted.shape[0] + 1) // 2)
-    negatives = np.zeros(shifted.shape[1])
+    # every level's reciprocal pivots, and from the second level on p'/p,
+    # one block of rows per level, so each lane's terms add up at the end
+    inverses = np.empty(shifted.shape)
+    rates = np.empty(shifted.shape) if slope else None
     recount = np.zeros(shifted.shape[1], dtype=bool)
     d, c = shifted, off_sq[:, None]
+    # d' and c'/c, None on the first level, where d' = -1 and c' = 0
+    d_rate = c_rate = None
+    row = 0
     # A small pivot shows as a large reciprocal.  The lanes to be recounted
     # may overflow, and fmax/fmin skip the NaN they may leave.
     with np.errstate(all="ignore"):
         while True:
             pivot = d[::2]
             kept, right_count = d.shape[0] // 2, (d.shape[0] - 1) // 2
-            inverse = 1.0 / pivot
+            inverse = np.divide(1.0, pivot, out=inverses[row:row + pivot.shape[0]])
             if np.fmax.reduce(inverse, axis=None) > limit or (
                     np.fmin.reduce(inverse, axis=None) < -limit):
                 size = np.abs(pivot)
                 # a pivot at an end has one neighbour, which no other
                 # rounding then cancels against
                 interior = (size < guard)[1:kept]
-                recount |= ones[:interior.shape[0]] @ interior > 0
+                recount |= interior.any(axis=0)
                 if np.fmin.reduce(size, axis=None) < largest_floor:
-                    inverse = 1.0 / np.where(size < floor, -floor, pivot)
-            negatives += ones[:pivot.shape[0]] @ np.signbit(inverse)
+                    np.divide(1.0, np.where(size < floor, -floor, pivot), out=inverse)
+            if slope:
+                # p'/p of each pivot; c/p, and so the coupling to it, has
+                # the log-derivative c'/c - p'/p
+                if d_rate is None:
+                    left_rate, right_rate = inverse[:kept], inverse[1:right_count + 1]
+                else:
+                    rate = np.multiply(d_rate[::2], inverse, out=rates[row:row + pivot.shape[0]])
+                    left_rate = c_rate[0:2 * kept:2] - rate[:kept]
+                    right_rate = c_rate[1::2] - rate[1:right_count + 1]
+            row += pivot.shape[0]
             if kept == 0:
                 break
             # kept entry 2j+1 couples to the pivots 2j (left) and 2j+2 (right)
             left = c[0:2 * kept:2] * inverse[:kept]
             right = c[1::2] * inverse[1:right_count + 1]
-            d = d[1::2] - left
-            d[:right_count] -= right
             # (b_{2j+1} b_{2j+2} / p_{2j+2})^2 couples kept 2j+1 and 2j+3
             c = right[:kept - 1] * left[1:]
-    count = negatives.astype(np.int64)
+            if slope:
+                change = left * left_rate
+                d_rate = np.subtract(-1.0 if d_rate is None else d_rate[1::2], change,
+                                     out=change)
+                c_rate = right_rate[:kept - 1] + left_rate[1:]
+            d = np.subtract(d[1::2], left, out=left)
+            d[:right_count] -= right
+            if slope:
+                right *= right_rate
+                d_rate[:right_count] -= right
+            del right
+    # a matrix product sums a column far faster than a reduction over axis 0
+    count = (np.ones(row) @ np.signbit(inverses)).astype(np.int64)
     for lane in np.flatnonzero(recount):
         count[lane] = _sturm_count(shifted[:, lane].tolist(), off_sq.tolist(),
                                    _PIVMIN * float(tnorm[lane]))
-    return count
+    if not slope:
+        return count
+    first = (shifted.shape[0] + 1) // 2
+    total = np.einsum("ij->j", rates[first:row]) - np.einsum("ij->j", inverses[:first])
+    total[recount] = np.nan
+    return count, total
 
 
 def _tridiagonal(diag, off):
@@ -403,43 +445,140 @@ def tridiagonal_counts(diag, off, shifts) -> np.ndarray:
     return _inertia(np.ascontiguousarray(shifted), off * off, _tnorm(lower, upper))
 
 
-def tridiagonal_eigenvalues(diag, off, rows, index, upper) -> np.ndarray:
+def _estimate(points, slopes, above):
+    """Where the last two counts of each lane put its eigenvalue.
+
+    `points` (2 x lanes, the later second) are where they were taken,
+    `slopes` S there and `above` whether each count was above the lane's
+    index.  The estimate is the pole lam of the model S(x) = 1/(x - lam) + B
+    through both slopes, B standing for the other eigenvalues: on the far
+    side of both points when their counts agree, else the root between them
+    nearer Newton's estimate x - 1/S(x) from the later point, which is the
+    estimate where the model has no real pole.
+    """
+    (first, last), (first_slope, last_slope) = points, slopes
+    with np.errstate(all="ignore"):
+        newton = last - 1.0 / last_slope
+        # (first - lam)(last - lam) = (last - first) / (first_slope - last_slope)
+        centre, half = 0.5 * (first + last), 0.5 * (last - first)
+        radius = np.sqrt((last - first) / (first_slope - last_slope) + half * half)
+        nearer = np.abs(centre + radius - newton) <= np.abs(centre - radius - newton)
+    beyond = np.where(above[1], -radius, radius)
+    between = np.where(nearer, radius, -radius)
+    pole = centre + np.where(above[0] == above[1], beyond, between)
+    return np.where(np.isfinite(pole), pole, newton)
+
+
+def _split(lo, hi, newton, estimate, step):
+    """Grid index of each lane's next count, strictly inside its bracket
+    (lo, hi) of grid indices: where `newton`, the one nearest `estimate`,
+    nudged off the ends, if the estimate lies in the bracket; else the
+    integer midpoint."""
+    with np.errstate(invalid="ignore"):
+        guess = estimate / step
+        newton = newton & (guess >= lo) & (guess <= hi)
+    nearest = np.rint(np.where(newton, guess, 0.0)).astype(np.int64)
+    return np.where(newton, np.clip(nearest, lo + 1, hi - 1), (lo + hi) // 2)
+
+
+# A lane whose bracket has not halved in this many counts splits at the
+# midpoint, so whatever the slopes, a bracket halves at least once in every
+# _STALL + 1 counts.  No lane of lt-study or sobolev-study stalls for 6.
+_STALL = 8
+
+
+def tridiagonal_eigenvalues(diag, off, rows, index, upper, splits=None) -> np.ndarray:
     """Eigenvalue number index[k] (0 the lowest) of the symmetric tridiagonal
     matrix with diagonal diag[rows[k]] and the shared off-diagonal `off`, for
     each lane k; the caller knows it to lie at or below upper[k].
 
-    Every lane is bisected from its matrix's Gershgorin lower bound, a block
-    of lanes per inertia count, until its bracket [lo, hi] is no wider than
-    max(eps * tnorm, 2 eps max(|lo|, |hi|)), the default tolerance of
-    LAPACK's ?stebz (tnorm: the larger Gershgorin bound in size); the
-    eigenvalue is the bracket's midpoint.  The count itself carries rounding:
-    odd-even reduction is not backward stable for every matrix, and against
-    ?stebz the eigenvalues of the radial stencils of `spectral` agreed within
-    0.8 eps * tnorm, those of random indefinite matrices within 450.
+    Each lane keeps its bracket as integer multiples [lo, hi] of a grid
+    step q, the largest power of two at or below eps * tnorm (tnorm: the
+    larger Gershgorin bound in size; eps * tnorm is the default tolerance
+    of LAPACK's ?stebz).  It starts at the grid points just outside the
+    Gershgorin lower bound and upper[k], and an inertia count at a grid
+    point inside moves one end there, until hi - lo = 1: the eigenvalue is
+    (lo + 1/2) q.  Until the counts at both ends show the bracket holds
+    eigenvalue index[k] alone, the count is at the integer midpoint; then at
+    the grid point nearest the estimate of `_estimate` from the lane's last
+    two counts and the slopes S = d/dx log|det(T - x)| there (`_inertia`),
+    a Newton step corrected for the other eigenvalues.  As in Numerical
+    Recipes' rtsafe, the midpoint stands in when the estimate leaves the
+    bracket or does not converge: when the bracket has not halved in
+    _STALL counts.
+
+    Each end is thus a grid point settled by its count, so with monotone
+    counts the eigenvalue depends on the counts alone, not on where they
+    were taken: it is the one bisection on the same grid finds, and 2^k T
+    has the eigenvalues of T times 2^k exactly.  `splits` (lanes x j), if
+    given, are each lane's first j split points, taken at the nearest grid
+    points in one count; those outside the bracket are ignored.
+
+    The count itself carries rounding: odd-even reduction is not backward
+    stable for every matrix.  Against ?stebz the eigenvalues of the radial
+    stencils of `spectral` agreed within 0.7 eps * tnorm, those of 200
+    random indefinite matrices within 1250 (median 11): where the counts
+    are not monotone, within a few hundred grid steps of an eigenvalue,
+    other split points may settle another cell of that band.
     """
     diag, off, lower, top = _tridiagonal(diag, off)
     rows = np.asarray(rows, dtype=np.intp)
     index = np.asarray(index, dtype=np.int64)
     tnorm = _tnorm(lower, top)[rows]
-    lo = lower[rows]
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), rows.shape).copy()
-    tol = _EPS * tnorm
-    off_sq = off * off
-    block = trials_per_block(diag.shape[1])
-    for start in range(0, rows.size, block):
-        lanes = slice(start, start + block)
-        stack = np.ascontiguousarray(diag[rows[lanes]].T)
-        bottom, ceiling = lo[lanes], hi[lanes]  # views: the updates land in lo, hi
-        while True:
-            mid = 0.5 * (bottom + ceiling)
-            active = ceiling - bottom > np.maximum(
-                tol[lanes], 2.0 * _EPS * np.maximum(np.abs(bottom), np.abs(ceiling)))
-            if not active.any():
-                break
-            above = _inertia(stack - mid, off_sq, tnorm[lanes]) > index[lanes]
-            np.copyto(ceiling, mid, where=active & above)
-            np.copyto(bottom, mid, where=active & ~above)
-    return 0.5 * (lo + hi)
+    # a zero matrix takes step 1, which its empty bracket [0, 0] never uses
+    step = np.where(tnorm > 0, np.ldexp(0.5, np.frexp(_EPS * tnorm)[1]), 1.0)
+    lo = np.floor(lower[rows] / step).astype(np.int64)
+    hi = np.ceil(np.minimum(upper, top[rows]) / step).astype(np.int64)
+    # the counts at lo (none below the Gershgorin bound) and hi (at most
+    # all, until hi is counted)
+    below, above = np.zeros(rows.size, np.int64), np.full(rows.size, diag.shape[1])
+    # the last two counts of each lane, the later second: their points,
+    # slopes and sides
+    points, slopes = np.full((2, rows.size), np.nan), np.full((2, rows.size), np.nan)
+    sides = np.zeros((2, rows.size), bool)
+    # the width the bracket is to halve to, and the counts since it last did
+    target, stalled = (hi - lo) // 2, np.zeros(rows.size, np.int64)
+    columns, off_sq = np.ascontiguousarray(diag.T), off * off
+
+    def count(lanes, split):
+        """Counts and slopes of lanes[i] at grid index split[i]."""
+        shifted = columns[:, rows[lanes]]
+        shifted -= split * step[lanes]
+        return _inertia(shifted, off_sq, tnorm[lanes], slope=True)
+
+    def settle(lanes, split, counts, slope):
+        """Move the brackets of `lanes` (each once) to the counts inside."""
+        inside = (lo[lanes] < split) & (split < hi[lanes])
+        lanes, split, counts, slope = lanes[inside], split[inside], counts[inside], slope[inside]
+        x, up = split * step[lanes], counts > index[lanes]
+        hi[lanes[up]], above[lanes[up]] = split[up], counts[up]
+        lo[lanes[~up]], below[lanes[~up]] = split[~up], counts[~up]
+        points[:, lanes], slopes[:, lanes], sides[:, lanes] = (
+            (points[1, lanes], x), (slopes[1, lanes], slope), (sides[1, lanes], up))
+        width = hi[lanes] - lo[lanes]
+        halved = width <= target[lanes]
+        stalled[lanes] = np.where(halved, 0, stalled[lanes] + 1)
+        target[lanes] = np.where(halved, width // 2, target[lanes])
+
+    if splits is not None:
+        grid = np.rint(np.asarray(splits, dtype=float) / step[:, None]).astype(np.int64)
+        lanes, width = np.arange(rows.size), grid.shape[1]
+        counts, slope = count(np.repeat(lanes, width), grid.ravel())
+        for j in range(width):
+            settle(lanes, grid[:, j], counts[j::width], slope[j::width])
+    block = trials_per_block(2, diag.shape[1])
+    while True:
+        live = np.flatnonzero(hi - lo > 1)
+        if live.size == 0:
+            break
+        for start in range(0, live.size, block):
+            lanes = live[start:start + block]
+            isolated = ((below[lanes] == index[lanes]) & (above[lanes] == index[lanes] + 1)
+                        & (stalled[lanes] < _STALL))
+            estimate = _estimate(points[:, lanes], slopes[:, lanes], sides[:, lanes])
+            split = _split(lo[lanes], hi[lanes], isolated, estimate, step[lanes])
+            settle(lanes, split, *count(lanes, split))
+    return np.where(tnorm > 0, (lo + 0.5) * step, 0.0)
 
 
 def tridiagonal_ldl(diag, off) -> tuple[list[float], list[float]]:
@@ -628,9 +767,11 @@ def normals(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
 # bounds their memory at any trial count: a 64 x 64 matrix per trial gives
 # blocks of 16 trials.  Blocks of 32 ran `matrixloc-ensemble` about 20%
 # faster in-process but raised the peak RSS of `verify --quick` by 3%, not 2%.
-# The bisection lanes of `tridiagonal_eigenvalues` take blocks of this size
-# too: 32 lanes of the 2000-node channel stencils ran the depth-200
-# `negative_sum` in 0.11 s, against 0.14-0.15 s for 16 or 131 lanes.
+# The lanes of `tridiagonal_eigenvalues` count with slopes, which keep two
+# arrays of this shape per lane, so they take half blocks: 16 lanes of the
+# 2000-node channel stencils.  Blocks of 32 raised the peak RSS of `verify
+# --quick` from 36.5 to 37.6 MB, above the 36.9 MB that counts alone took in
+# blocks of 32.
 BLOCK_BYTES = 1 << 19
 
 

@@ -3,13 +3,14 @@
 Negative spectra of -1/2 Laplacian + V are computed by radial reduction:
 u = r R(r) turns each angular-momentum channel into a Dirichlet
 tridiagonal eigenproblem on a uniform grid, with the (2 ell + 1)
-degeneracy summed adaptively.  The eigenvalues are bisected on inertia
-counts (`numerics.tridiagonal_eigenvalues`), every negative eigenvalue of
-CHANNEL_CHUNK channels as one lane of a stack, with numpy alone.  The
-channels are counted before any is bisected, so ELL_CAP and LANE_CAP bound
-the work up front.  Each eigenvalue is bisected once per spectrum:
-`spectrum_and_ground_state` takes the ground state's coarse eigenvalue
-from the spectrum's channel-0 lane instead of bisecting it again.
+degeneracy summed adaptively.  The eigenvalues are settled by inertia
+counts on a dyadic grid (`numerics.tridiagonal_eigenvalues`), every
+negative eigenvalue of CHANNEL_CHUNK channels as one lane of a stack, with
+numpy alone.  The channels are counted before any eigenvalue is solved, so
+ELL_CAP and LANE_CAP bound the work up front.  Each eigenvalue is solved
+once per spectrum: `spectrum_and_ground_state` takes the ground state's
+coarse eigenvalue from the spectrum's channel-0 lane instead of solving it
+again, and the doubled grid's eigenvalue starts from a window around it.
 Measured ratios E0 / int|V|_-^(5/2) and neg_sum / int|V|_-^(5/2) bracket
 the Sobolev and Lieb-Thirring constants empirically; no universal constant
 is hardcoded.
@@ -65,11 +66,11 @@ POTENTIAL_KINDS = ("gaussian-well", "square-well", "screened-nucleus")
 
 ELL_CONVERGED = 1e-6  # stop adding channels below this relative contribution
 ELL_CAP = 300
-CHANNEL_CHUNK = 16  # channels bisected together
-# Most negative eigenvalues one spectrum bisects, counted before the first
-# bisection.  At the cap a spectrum takes about 1.5 s on the default
-# 2000-node grid (lt-study --depths 4080: 1023 eigenvalues, 1.46 s on 2
-# shared CPUs); --depths 10000 holds 2515, which took 7.6 s.
+CHANNEL_CHUNK = 16  # channels solved together
+# Most negative eigenvalues one spectrum solves, counted before the first is
+# solved.  At the cap a spectrum takes about 1 s on the default 2000-node
+# grid (lt-study --depths 4080: 1023 eigenvalues, 0.97 s on 2 shared CPUs);
+# --depths 10000 holds 2515, which took 4.2 s.
 LANE_CAP = 1024
 REFINE_TOL = 1e-4  # two-grid disagreement beyond this aborts
 V_QUAD_TOL = 1e-10  # quadrature tolerance of v_integral_quadrature
@@ -260,7 +261,7 @@ def _channel_chunks(r: np.ndarray, base: np.ndarray, off: np.ndarray):
     ell adds ell (ell + 1) / (2 r^2) to the s-wave diagonal `base` and its
     count is the number of its eigenvalues below 0 (one inertia count).
 
-    Nothing is bisected here, so the bisection's work is bounded first:
+    Nothing is solved here, so the solver's work is bounded first:
     AccuracyError when channel ELL_CAP still binds, ResourceLimitError when
     the channels hold more than LANE_CAP negative eigenvalues.
     """
@@ -286,7 +287,7 @@ def _channel_chunks(r: np.ndarray, base: np.ndarray, off: np.ndarray):
 def _channel_negatives(chunks, off: np.ndarray):
     """(ell, negative eigenvalues of channel ell, ascending) of each channel
     of `_channel_chunks`, the last one empty.  The eigenvalues of a chunk
-    are bisected as the lanes of one stack, when the chunk is reached."""
+    are solved as the lanes of one stack, when the chunk is reached."""
     for ells, diag, counts in chunks:
         ends = np.cumsum(counts)
         rows = np.repeat(np.arange(counts.size), counts)
@@ -296,7 +297,7 @@ def _channel_negatives(chunks, off: np.ndarray):
 
 
 def _lowest_eigenvalue(spec: PotentialSpec, grid: RadialGrid) -> float:
-    """The lowest eigenvalue of the s-wave stencil, bisected below 0 when the
+    """The lowest eigenvalue of the s-wave stencil, solved below 0 when the
     stencil binds, else below its smallest diagonal entry (the Rayleigh
     quotient of a unit vector)."""
     _, diag, off = _stencil(spec, grid)
@@ -308,8 +309,14 @@ def _refined_ground_state(spec: PotentialSpec, grid: RadialGrid, coarse: float) 
     """The h^2 Richardson combination of the lowest eigenvalue `coarse` on
     `grid` and the one on the doubled grid, clamped at 0; see
     `ground_state_energy`."""
-    fine_grid = uniform_radial_grid(2 * grid.n_nodes, grid.r_max)
-    fine = _lowest_eigenvalue(spec, fine_grid)
+    _, diag, off = _stencil(spec, uniform_radial_grid(2 * grid.n_nodes, grid.r_max))
+    # the gate below expects the fine eigenvalue within `window` of coarse,
+    # so the window's ends are the lane's first two split points; the lane
+    # starts below the smallest diagonal entry, which bounds the lowest
+    # eigenvalue whether or not the stencil binds
+    window = REFINE_TOL * max(1.0, abs(coarse))
+    fine = float(tridiagonal_eigenvalues(diag, off, [0], [0], [diag.min()],
+                                         [[coarse - window, coarse + window]])[0])
     if abs(fine - coarse) > REFINE_TOL * max(1.0, abs(fine)):
         raise AccuracyError(
             f"grid refinement moved E0 from {coarse!r} to {fine!r}; "
@@ -360,7 +367,7 @@ def negative_sum(spec: PotentialSpec, grid: RadialGrid | None = None) -> Spectru
     (2 ell + 1) angular degeneracies, summed over channels until a channel
     is empty or contributes < ELL_CONVERGED relatively.  Raises
     AccuracyError when channel ELL_CAP still binds and ResourceLimitError
-    beyond LANE_CAP negative eigenvalues, both before any is bisected."""
+    beyond LANE_CAP negative eigenvalues, both before any is solved."""
     if grid is None:
         grid = default_eigen_grid(spec)
     return _spectrum(spec, grid)[0]
@@ -369,11 +376,10 @@ def negative_sum(spec: PotentialSpec, grid: RadialGrid | None = None) -> Spectru
 def spectrum_and_ground_state(spec: PotentialSpec, grid: RadialGrid | None = None):
     """(`negative_sum(spec, grid)`, `ground_state_energy(spec, grid)`), with
     the ground state's coarse eigenvalue taken from the spectrum: channel
-    0's lowest lane bisects the same stencil row from the same Gershgorin
-    bound below the same upper end 0 to the same tolerance as
-    `_lowest_eigenvalue`, so it has the same bits.  When nothing binds, the
-    coarse eigenvalue is bisected on its own, below the smallest diagonal
-    entry."""
+    0's lowest lane is settled by counts on the same grid of the same
+    stencil row as `_lowest_eigenvalue`, so with monotone counts it has the
+    same bits.  When nothing binds, the coarse eigenvalue is solved on its
+    own, below the smallest diagonal entry."""
     if grid is None:
         grid = default_eigen_grid(spec)
     result, lowest = _spectrum(spec, grid)

@@ -231,10 +231,10 @@ RECORD_PINS = (
         "dyson-minimize-profile.csv":
             "ceec96cf7cd03f52c3220f4dd9eed5932ed6026c702c5c2d256c32ac07a669fe"}),
     (("lt-study",), {
-        "lt-study.jsonl": "96c6333931db6b9b2a23dd7af7299a95201f5341bd670069089886ea1038a0a5"}),
+        "lt-study.jsonl": "4f2e51864b8aa6a44ade47090860549d8ab2e5ddb52366864c96d43fdeab1507"}),
     (("sobolev-study",), {
         "sobolev-study.jsonl":
-            "fdb92c49680adb502d75fe13e39acb7169f9acb26bbe214740feb3b0fd6e8270"}),
+            "963085591a155b9ca390b3e154e33759e5732b2072dca3915601c3316b574341"}),
     (("bogolubov-fuzz", "--trials", "25", "--seed", "1905"), {
         "bogolubov-fuzz.jsonl":
             "fc52696f0e6ae25e32831c376aeae45136aee8aefc081f87366a43abf846e3a7",
@@ -286,11 +286,20 @@ class TestMainPlumbing:
             "numpy": np.__version__,
             "blas": config["Build Dependencies"]["blas"]["name"],
             "blas_version": config["Build Dependencies"]["blas"]["version"],
-            "simd": config["SIMD Extensions"]["found"],
+            "simd": config["SIMD Extensions"]["found"] or [],
             "cpu_count": os.cpu_count(),
             **{name: os.environ.get(name) for name in (
                 "OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         }
+
+    @pytest.mark.parametrize("config", [
+        {"SIMD Extensions": {"baseline": [], "found": None, "not found": ["AVX2"]}},
+        {"Build Dependencies": {}},
+    ], ids=["none-found", "no-section"])
+    def test_env_simd_is_a_list_when_numpy_dispatches_none(self, config, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda mode=None: config)
+        env = cli._environment()
+        assert env["simd"] == [] and env["blas"] is None
 
     def test_verify_sidecar_times_each_check(self, tmp_path):
         assert cli.main(["verify", "--quick", "--outdir", str(tmp_path)]) == 0
@@ -872,7 +881,7 @@ class TestArgumentFile:
 
 
 # sha256 of `verify --quick --seed 1905`'s verify.jsonl
-VERIFY_QUICK_SHA256 = "a1f84c9d16abc30254a583314f491cf52a8b19d9758cc273b0b4a5921d1fd149"
+VERIFY_QUICK_SHA256 = "5698001f1ba098be386612a204c29e9e4e5c803e969f5c9483d6308628843550"
 
 
 class TestVerifySuite:
@@ -1079,6 +1088,41 @@ class TestStartup:
             assert proc.returncode == 0, proc.stderr
         _, rows, _ = read_record(tmp_path / "bogolubov-sharpness.jsonl")
         assert [r["n_max"] for r in rows] == [2, 4]
+
+
+# Each variable switches the kernels of one process as on another class of
+# x86-64 CPU: numpy's dispatch down to AVX2 (X86_V3), or OpenBLAS's AVX2
+# kernels in place of its AVX-512 ones.
+DISPATCH_VARIABLES = {
+    "numpy-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+
+
+class TestPortableRecords:
+    @pytest.mark.parametrize("variant", DISPATCH_VARIABLES)
+    def test_spectral_records_hold_under_another_dispatch(self, variant, tmp_path):
+        # the spectra rest on inertia counts, whose + - * / round alike on
+        # every SIMD tier, and on slopes that only pick where to count
+        simd = cli._environment()["simd"]
+        if variant == "openblas-haswell" and not {"X86_V4", "AVX512F"} & set(simd):
+            pytest.skip(f"numpy finds no AVX-512 here ({simd}): OpenBLAS runs Haswell-class "
+                        "kernels or older already")
+        env = {**_src_env(), **DISPATCH_VARIABLES[variant]}
+        for argv, pins in RECORD_PINS:
+            if argv[0] not in ("lt-study", "sobolev-study"):
+                continue
+            out = tmp_path / argv[0]
+            proc = subprocess.run([sys.executable, "-m", "chargelab", *argv, "--outdir", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            seen = json.loads((out / f"{argv[0]}.meta.json").read_text())["env"]["simd"]
+            if variant == "numpy-avx2" and seen == simd:
+                pytest.skip(f"numpy dispatches {simd} here with or without "
+                            f"{DISPATCH_VARIABLES[variant]}")
+            digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in out.iterdir() if p.suffix in (".jsonl", ".csv")}
+            assert digests == pins, f"{' '.join(argv)} under {DISPATCH_VARIABLES[variant]}"
 
 
 def _unnumbered(row):

@@ -113,11 +113,11 @@ class TestGroundState:
         grid = uniform_radial_grid(3000, 60.0)
         assert ground_state_energy(square_well(1.2), grid) == 0.0
         e = ground_state_energy(square_well(1.3), grid)
-        # the bisection's own value: its fine-grid eigenvalue lies 1.4e-12
+        # the solver's own value: its fine-grid eigenvalue lies 5.0e-13
         # from the exact one of the float64 stencil (a long-double Sturm
         # bisection), inside eps * tnorm = 4.4e-12; scipy's ?stebz gave
-        # -0.002110991013816751, 1.8e-9 away after the Richardson step
-        assert e == pytest.approx(-0.0021109910175920576, rel=1e-9)
+        # -0.002110991013816751, 7e-10 away after the Richardson step
+        assert e == pytest.approx(-0.0021109910153427336, rel=1e-9)
         assert e == pytest.approx(SQUARE_13_CONTINUUM, abs=1e-5)
 
     def test_gaussian_frozen_value(self):
@@ -260,6 +260,42 @@ class TestNegativeSum:
         result, energy = spectrum_and_ground_state(spec, grid)
         assert result.eigenvalues.size == 0
         assert repr(energy) == repr(ground_state_energy(spec, grid)) == "0.0"
+
+    @pytest.mark.parametrize("depth", [5.0, 50.0, 200.0])
+    def test_the_fine_window_moves_no_bit(self, depth, monkeypatch):
+        # the doubled grid's lane starts with two counts in one call, at the
+        # ends of the window around coarse, and settles the eigenvalue that
+        # `_lowest_eigenvalue` finds without it, in fewer calls
+        spec = gaussian_well(depth)
+        grid = default_eigen_grid(spec)
+        coarse = spectral._lowest_eigenvalue(spec, grid)
+        columns, inertia = [], numerics._inertia
+
+        def counted(shifted, off_sq, tnorm, slope=False):
+            columns.append(shifted.shape[1])
+            return inertia(shifted, off_sq, tnorm, slope)
+
+        monkeypatch.setattr(numerics, "_inertia", counted)
+        fine = spectral._lowest_eigenvalue(spec, uniform_radial_grid(2 * grid.n_nodes,
+                                                                     grid.r_max))
+        alone = len(columns)
+        del columns[:]
+        refined = spectral._refined_ground_state(spec, grid, coarse)
+        assert repr(refined) == repr(min(0.0, fine + (fine - coarse) / 3.0))
+        assert columns[0] == 2 and len(columns) < alone
+
+    def test_a_fine_eigenvalue_outside_the_window_still_fails_the_gate(self):
+        spec = gaussian_well(50.0)
+        grid = default_eigen_grid(spec)
+        fine = spectral._lowest_eigenvalue(spec, uniform_radial_grid(2 * grid.n_nodes,
+                                                                     grid.r_max))
+        # the window of coarse - 0.1 is 0.0036 wide at E0 = -36: fine is past it
+        coarse = spectral._lowest_eigenvalue(spec, grid) - 0.1
+        message = (f"grid refinement moved E0 from {coarse!r} to {fine!r}; "
+                   "discretization too coarse")
+        with pytest.raises(AccuracyError) as raised:
+            spectral._refined_ground_state(spec, grid, coarse)
+        assert str(raised.value) == message
 
     def test_result_guards(self):
         with pytest.raises(ConsistencyError):

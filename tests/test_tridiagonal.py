@@ -1,15 +1,25 @@
 """The numpy tridiagonal kernels against scipy.linalg, which only the tests use.
 
 Eigenvalue counts must agree exactly.  Eigenvalues are compared in units
-of eps * tnorm, tnorm being the larger Gershgorin bound in size, where each
-solver stops bisecting (LAPACK ?stebz's default tolerance).  The bounds are
-set from measurement:
+of eps * tnorm, tnorm being the larger Gershgorin bound in size: LAPACK
+?stebz's default tolerance, and at most twice the step of the dyadic grid
+whose cells settle ours.  The bounds are set from measurement:
 - on the radial stencils of the studies the largest difference was
-  0.79 eps * tnorm; the bound is 2;
-- on 200 random indefinite matrices (n < 300, entries of mixed scales) it
-  was 446 (median 10.6; W21+ 13.5), since odd-even reduction is not
-  backward stable in general; the bound is 1000;
-- channel sums agreed within 2.4e-12 relative; the bound is 5e-12.
+  0.68 eps * tnorm (0.43 on the sobolev grids); the bound is 2;
+- on the 12 random indefinite matrices tested (n < 300, entries of mixed
+  scales) it was 36, and 9.1 on W21+; on 200 such matrices 1242 (median
+  10.7), since odd-even reduction is not backward stable in general:
+  matrix 73's counts flip within 2000 grid steps of one eigenvalue, and
+  bisection on the same grid settles a cell 1427 away; the bound, 1000,
+  dates from bisection on the brackets' float midpoints, which reached 446
+  on the 200;
+- channel sums agreed within 1.7e-12 relative; the bound is 5e-12;
+- the slope S(x) of `_inertia` agreed with scipy's sum 1/(x - lambda_i)
+  within 1.4e-8 of the sum of the terms' sizes (matrix 8); the bound is
+  1e-7;
+- the depth-200 spectrum took 501 lane-evaluations (counts of one matrix
+  with its slope) for its 51 eigenvalues, bisection on the same grid 2069;
+  the budget is 650.
 """
 import inspect
 import textwrap
@@ -32,6 +42,8 @@ EPS = np.finfo(float).eps
 VALUE_BOUND = 2.0  # in units of eps * tnorm
 RANDOM_BOUND = 1000.0
 NEG_SUM_RTOL = 5e-12
+SLOPE_BOUND = 1e-7  # relative to the sum of the terms' sizes
+LANE_BUDGET = 650  # lane-evaluations of the depth-200 spectrum
 
 # (potential, grid or None for the default): the grids of lt-study and the
 # matched scale pair that lt-study and sobolev-study share
@@ -97,6 +109,82 @@ def _s_wave(spec, grid):
     return diag, off
 
 
+def _random_matrix(seed):
+    """The indefinite matrix of `seed`: n < 300, entries of mixed scales."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    diag = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+    off = rng.normal(size=n - 1) * 10.0 ** rng.integers(-3, 4)
+    return diag, off
+
+
+def _wilkinson():
+    """W21+: its two largest eigenvalues agree to about 14 digits."""
+    return np.abs(np.arange(21.0) - 10.0), np.ones(20)
+
+
+def _solved_eigenvalues():
+    """Every eigenvalue of the records' grids: the spectra of STUDY_GRIDS;
+    for each SOBOLEV_DEPTHS well, the s-wave ground state on its grid and
+    the doubled one, and the refined energy, whose doubled-grid lane starts
+    from the window around the coarse one."""
+    values = [spectral.negative_sum(spec, grid).eigenvalues.tolist()
+              for spec, grid in STUDY_GRIDS]
+    for depth in SOBOLEV_DEPTHS:
+        spec = spectral.gaussian_well(depth)
+        coarse = spectral.default_eigen_grid(spec)
+        fine = uniform_radial_grid(2 * coarse.n_nodes, coarse.r_max)
+        values.append([spectral._lowest_eigenvalue(spec, coarse),
+                       spectral._lowest_eigenvalue(spec, fine),
+                       spectral.ground_state_energy(spec)])
+    return repr(values)
+
+
+def _within_bounds(diag, off, every=1):
+    """Whether eigenvalues 0, every, 2 every, ... and the last are within
+    RANDOM_BOUND of scipy's."""
+    index = np.unique(np.append(np.arange(0, diag.size, every), diag.size - 1))
+    ours = tridiagonal_eigenvalues(diag, off, np.zeros(index.size, int), index,
+                                   np.full(index.size, _tnorm(diag, off)))
+    return bool(np.all(np.abs(ours - eigvalsh_tridiagonal(diag, off)[index])
+                       <= RANDOM_BOUND * EPS * _tnorm(diag, off)))
+
+
+def _slope_errors(seed, monkeypatch):
+    """The errors of the slope S(x) of `_inertia` against scipy's
+    sum 1/(x - lambda_i) on random matrix `seed`, relative to the sum of
+    the terms' sizes, at shifts between its eigenvalues and beyond them,
+    and the number of lanes the Sturm recurrence recounted."""
+    diag, off = _random_matrix(seed)
+    ref = eigvalsh_tridiagonal(diag, off)
+    tnorm = _tnorm(diag, off)
+    gaps = np.diff(ref)
+    shifts = np.concatenate([[ref[0] - 1.0], (ref[:-1] + gaps / 2)[gaps > 1e-6 * tnorm],
+                             [ref[-1] + 1.0]])
+    recounts, sturm = [], numerics._sturm_count
+    monkeypatch.setattr(numerics, "_sturm_count", lambda *a: recounts.append(1) or sturm(*a))
+    count, slope = numerics._inertia(np.ascontiguousarray(diag[:, None] - shifts),
+                                     off * off, np.full(shifts.size, tnorm), slope=True)
+    assert count.tolist() == np.searchsorted(ref, shifts).tolist()
+    terms = 1.0 / (shifts[:, None] - ref)
+    return np.abs(slope - terms.sum(axis=1)) / np.abs(terms).sum(axis=1), len(recounts)
+
+
+def _lane_evaluations(monkeypatch, run):
+    """The matrices `_inertia` counts with slopes (the eigenvalue solver's
+    lane-evaluations) while `run()` runs."""
+    lanes, inertia = [], numerics._inertia
+
+    def counted(shifted, off_sq, tnorm, slope=False):
+        if slope:
+            lanes.append(shifted.shape[1])
+        return inertia(shifted, off_sq, tnorm, slope)
+
+    monkeypatch.setattr(numerics, "_inertia", counted)
+    run()
+    return sum(lanes)
+
+
 class TestStudyGrids:
     @pytest.mark.parametrize("spec, grid", STUDY_GRIDS,
                              ids=["depth-50", "depth-100", "depth-200", "pair-base", "pair-scaled"])
@@ -131,10 +219,8 @@ class TestStudyGrids:
 class TestRandomMatrices:
     @pytest.mark.parametrize("seed", range(12))
     def test_indefinite_matrices(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 300))
-        diag = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-        off = rng.normal(size=n - 1) * 10.0 ** rng.integers(-3, 4)
+        diag, off = _random_matrix(seed)
+        n = diag.size
         ref = eigvalsh_tridiagonal(diag, off)
         ours = _all_eigenvalues(diag, off)
         assert np.all(np.abs(ours - ref) <= RANDOM_BOUND * EPS * _tnorm(diag, off))
@@ -154,9 +240,7 @@ class TestRandomMatrices:
         assert tridiagonal_counts(stack, off, shifts).tolist() == alone
 
     def test_wilkinson_close_pair(self):
-        # W21+: the two largest eigenvalues agree to about 14 digits
-        diag = np.abs(np.arange(21.0) - 10.0)
-        off = np.ones(20)
+        diag, off = _wilkinson()
         ref = eigvalsh_tridiagonal(diag, off)
         ours = _all_eigenvalues(diag, off)
         assert np.all(np.abs(ours - ref) <= RANDOM_BOUND * EPS * _tnorm(diag, off))
@@ -191,6 +275,66 @@ class TestRandomMatrices:
                               scale * _all_eigenvalues(diag, off))
 
 
+def _midpoint(monkeypatch):
+    monkeypatch.setattr(numerics, "_split", lambda lo, hi, *rest: (lo + hi) // 2)
+
+
+def _wrong_slope(factor):
+    def perturb(monkeypatch):
+        inertia = numerics._inertia
+
+        def wrong(shifted, off_sq, tnorm, slope=False):
+            if not slope:
+                return inertia(shifted, off_sq, tnorm)
+            count, rate = inertia(shifted, off_sq, tnorm, slope=True)
+            return count, factor * rate
+
+        monkeypatch.setattr(numerics, "_inertia", wrong)
+    return perturb
+
+
+# the split rules the solver's answer must not depend on
+SPLIT_RULES = {"midpoint": _midpoint, "sign-flipped-slope": _wrong_slope(-1.0),
+               "zeroed-slope": _wrong_slope(0.0)}
+
+
+class TestSplitPoints:
+    """Each end of a bracket is a grid point settled by its count, so the
+    split points, and the slopes that pick them, cannot make an answer
+    wrong; where the counts are monotone they move no bit of it."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return _solved_eigenvalues()
+
+    @pytest.mark.parametrize("rule", SPLIT_RULES)
+    def test_the_records_grids_keep_every_bit(self, rule, solved, monkeypatch):
+        SPLIT_RULES[rule](monkeypatch)
+        assert _solved_eigenvalues() == solved
+
+    @pytest.mark.parametrize("rule", SPLIT_RULES)
+    def test_random_matrices_stay_within_their_bound(self, rule, monkeypatch):
+        # counts that are not monotone within a few grid steps of an
+        # eigenvalue (W21+ and matrix 8) let other split points settle a
+        # neighbouring cell, inside the same bound; every 8th eigenvalue of
+        # each random matrix, as these rules take about 50 counts apiece
+        SPLIT_RULES[rule](monkeypatch)
+        assert all(_within_bounds(*_random_matrix(seed), every=8) for seed in range(12))
+        assert _within_bounds(*_wilkinson())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_slope_matches_scipy(self, seed, monkeypatch):
+        # a recounted lane's reduction is not trusted: its slope is NaN
+        errors, recounted = _slope_errors(seed, monkeypatch)
+        assert np.count_nonzero(np.isnan(errors)) == recounted
+        assert np.nanmax(errors) <= SLOPE_BOUND
+
+    def test_depth_200_spectrum_stays_within_its_count_budget(self, monkeypatch):
+        spec = spectral.gaussian_well(200.0)
+        assert _lane_evaluations(monkeypatch, lambda: spectral.negative_sum(spec)) <= (
+            LANE_BUDGET)
+
+
 class TestDefectsFail:
     def test_dropped_right_neighbour_update_fails_the_counts(self, monkeypatch):
         source = textwrap.dedent(inspect.getsource(numerics._inertia))
@@ -214,6 +358,35 @@ class TestDefectsFail:
         exec(source.replace(recount, ""), scope)
         monkeypatch.setattr(numerics, "_inertia", scope["_inertia"])
         assert _diagonal_entry_shift_mismatches() > 0
+
+
+    def test_an_answer_taken_from_the_last_split_fails_the_bits(self, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(numerics.tridiagonal_eigenvalues))
+        line = "    return np.where(tnorm > 0, (lo + 0.5) * step, 0.0)\n"
+        assert line in source
+        scope = dict(vars(numerics))
+        exec(source.replace(line, "    return points[1]\n"), scope)
+        monkeypatch.setattr(spectral, "tridiagonal_eigenvalues", scope["tridiagonal_eigenvalues"])
+        spec, grid = STUDY_GRIDS[0]
+        newton = spectral.negative_sum(spec, grid).eigenvalues
+        monkeypatch.setitem(scope, "_split", lambda lo, hi, *rest: (lo + hi) // 2)
+        assert not np.array_equal(spectral.negative_sum(spec, grid).eigenvalues, newton)
+
+    def test_a_slope_without_the_left_coupling_fails_scipy(self, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(numerics._inertia))
+        term = " + left_rate[1:]"
+        assert term in source
+        scope = dict(vars(numerics))
+        exec(source.replace(term, ""), scope)
+        monkeypatch.setattr(numerics, "_inertia", scope["_inertia"])
+        assert max(np.nanmax(_slope_errors(seed, monkeypatch)[0]) for seed in range(12)) > (
+            SLOPE_BOUND)
+
+    def test_bisection_exceeds_the_count_budget(self, monkeypatch):
+        _midpoint(monkeypatch)
+        spec = spectral.gaussian_well(200.0)
+        assert _lane_evaluations(monkeypatch, lambda: spectral.negative_sum(spec)) > (
+            LANE_BUDGET)
 
 
 class TestLDL:
