@@ -7,10 +7,10 @@ floats, so two runs with the same configuration produce byte-identical
 files.  `write_record` writes one from those parts; `main` passes it the
 parsed flags, less the plumbing ones, as the parameters.  Records are
 strict JSON: a non-finite float is written as the string "inf", "-inf"
-or "nan", the spelling the CSV tables use.  The wall-clock duration
-(and, for `verify`, each check's duration) and the environment are
-written to a sidecar ``<name>.meta.json`` to keep them out of the
-deterministic surface.
+or "nan", the spelling the CSV tables use.  The wall-clock duration,
+the peak resident memory (and, for `verify`, each check's duration and
+the peak after it) and the environment are written to a sidecar
+``<name>.meta.json`` to keep them out of the deterministic surface.
 Plot-ready tables are CSV with a schema tag comment on the first line;
 rendering is out of scope.
 
@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -164,11 +166,18 @@ def _environment() -> dict:
     }
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident memory so far, in MB (ru_maxrss counts
+    KB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def write_record(outdir: Path, base: str, header: dict, rows, summary: dict,
                  meta: dict, staged: list) -> Path:
     """Write ``<base>.jsonl`` -- the header fields after the schema tag and
     version, one line per row, the summary -- and the ``<base>.meta.json``
-    sidecar: the `meta` fields, the time of writing and the environment.
+    sidecar: the `meta` fields, the time of writing, the peak resident
+    memory then (`peak_rss_mb`) and the environment.
     Both files are staged in `staged`, the list of an enclosing `_staging`,
     which replaces the old ones with the rest of its files."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -177,7 +186,7 @@ def write_record(outdir: Path, base: str, header: dict, rows, summary: dict,
              {"summary": summary}]
     path = outdir / f"{base}.jsonl"
     meta = {"schema": SCHEMA_META, "written_at": datetime.now(timezone.utc).isoformat(),
-            "env": _environment(), **meta}
+            "env": _environment(), "peak_rss_mb": _peak_rss_mb(), **meta}
     with _open_staged(staged, path) as fh:
         for line in lines:
             fh.write(json.dumps(_py(line), sort_keys=True, allow_nan=False) + "\n")
@@ -704,12 +713,15 @@ BATTERY = (
 )
 
 
-def run_verification_suite(master_seed: int, quick: bool = False,
-                           durations: dict | None = None):
+def run_verification_suite(master_seed: int, quick: bool = False, meta: dict | None = None):
     """The canonical battery, run serially as subcommand invocations; check
-    i takes word i of seed_words(master_seed, len(BATTERY)).  Each check's
-    wall time in seconds is stored under its name in `durations`, if given."""
+    i takes word i of seed_words(master_seed, len(BATTERY)).  If `meta` is
+    given, each check's wall time in seconds is stored under its name in
+    meta["checks"], and the process's peak resident memory in MB after it
+    in meta["checks_peak_rss_mb"]."""
     parser = build_parser()
+    meta = {} if meta is None else meta
+    durations, peaks = meta.setdefault("checks", {}), meta.setdefault("checks_peak_rss_mb", {})
     rows, failed = [], []
     for (name, argv, trials), seed in zip(BATTERY, seed_words(master_seed, len(BATTERY))):
         if trials is not None:
@@ -717,8 +729,7 @@ def run_verification_suite(master_seed: int, quick: bool = False,
         args = parser.parse_args(argv)
         started = time.perf_counter()
         check_rows, summary, _tables = args.run(args)
-        if durations is not None:
-            durations[name] = time.perf_counter() - started
+        durations[name], peaks[name] = time.perf_counter() - started, _peak_rss_mb()
         ok = all(r.get("holds", True) for r in check_rows)
         rows.extend(check_rows)
         rows.append({"check": f"{name}-result", "passed": ok, **summary})
@@ -775,10 +786,12 @@ _TRIALSTATE_CHECKS = {
 _UNSEEDED_CHECKS = ("pair-energy", "trace-scaling", "upper-bound")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The subcommand table: each subparser's flags, and in `run` the check
     it calls with the parsed arguments.  An argument ``@FILE`` stands for
-    the lines of FILE, one argument per line."""
+    the lines of FILE, one argument per line.  It is built once, and `main`
+    and the verification suite parse with the same one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", default=None,
                         help=f"output directory (default ${OUTDIR_ENV} or '.')")
@@ -876,8 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the full verification battery")
     p.add_argument("--quick", action="store_true", default=False,
                    help="reduced trial counts, same checks")
-    p.set_defaults(run=lambda a: run_verification_suite(
-        a.seed, quick=a.quick, durations=a.meta.setdefault("checks", {})))
+    p.set_defaults(run=lambda a: run_verification_suite(a.seed, quick=a.quick, meta=a.meta))
 
     return parser
 

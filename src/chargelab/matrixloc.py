@@ -351,6 +351,7 @@ def gaussian_ensemble(
         for row in zip(chunk, lams.tolist(), values.tolist(), c_req.tolist()):
             worst = max(worst, row[3])
             rows.append(row)
+        del mats  # so that the next block's draw does not stack on these matrices
     return worst, rows
 
 

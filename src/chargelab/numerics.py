@@ -350,22 +350,34 @@ def _inertia(shifted: np.ndarray, off_sq: np.ndarray, tnorm: np.ndarray,
     The reduction carries d' and c'/c of its diagonal d and squared
     off-diagonal c; each lane's terms are summed in order.  A recounted
     lane's S is NaN.
+
+    Besides the counts it allocates the reciprocal pivots (n x lanes), with
+    `slope` the p'/p past the first level (n/2 x lanes), and scratch for
+    the first level: three (n/2 x lanes) planes, four with `slope`.  The
+    second level computes in place in that scratch, and each later one,
+    n/8 rows or fewer, allocates about five arrays of its size.
     """
     guard, floor = _GUARD * tnorm, _PIVMIN * tnorm
     limit, largest_floor = 1.0 / guard.max(), floor.max()
     # every level's reciprocal pivots, and from the second level on p'/p,
-    # one block of rows per level, so each lane's terms add up at the end
+    # one block of rows per level, so each lane's terms add up at the end;
+    # the first level has `first` pivots
+    first = (shifted.shape[0] + 1) // 2
     inverses = np.empty(shifted.shape)
-    rates = np.empty(shifted.shape) if slope else None
+    rates = np.empty((shifted.shape[0] - first, shifted.shape[1])) if slope else None
     recount = np.zeros(shifted.shape[1], dtype=bool)
+    # the first level's left (then d), right (then c'/c), c and change
+    # (then d')
+    work = np.empty((4 if slope else 3, shifted.shape[0] // 2, shifted.shape[1]))
     d, c = shifted, off_sq[:, None]
     # d' and c'/c, None on the first level, where d' = -1 and c' = 0
     d_rate = c_rate = None
-    row = 0
+    row = level = 0
     # A small pivot shows as a large reciprocal.  The lanes to be recounted
     # may overflow, and fmax/fmin skip the NaN they may leave.
     with np.errstate(all="ignore"):
         while True:
+            level += 1
             pivot = d[::2]
             kept, right_count = d.shape[0] // 2, (d.shape[0] - 1) // 2
             inverse = np.divide(1.0, pivot, out=inverses[row:row + pivot.shape[0]])
@@ -384,37 +396,53 @@ def _inertia(shifted: np.ndarray, off_sq: np.ndarray, tnorm: np.ndarray,
                 if d_rate is None:
                     left_rate, right_rate = inverse[:kept], inverse[1:right_count + 1]
                 else:
-                    rate = np.multiply(d_rate[::2], inverse, out=rates[row:row + pivot.shape[0]])
-                    left_rate = c_rate[0:2 * kept:2] - rate[:kept]
-                    right_rate = c_rate[1::2] - rate[1:right_count + 1]
+                    rate = np.multiply(d_rate[::2], inverse,
+                                       out=rates[row - first:row - first + pivot.shape[0]])
+                    left_rate = np.subtract(c_rate[0:2 * kept:2], rate[:kept],
+                                            out=c_rate[0:2 * kept:2] if level == 2 else None)
+                    right_rate = np.subtract(c_rate[1::2], rate[1:right_count + 1],
+                                             out=c_rate[1::2] if level == 2 else None)
             row += pivot.shape[0]
             if kept == 0:
                 break
+            # where left, right, the next c and change go: the first level's
+            # into `work`; the second's in place, over the c they come from
+            # and the rows of d and d' whose pivots were just inverted, as
+            # are its rates of the couplings; a later level's, n/8 rows or
+            # fewer, into new arrays, since numpy copies strided rows
+            # through a buffer
+            if level == 1:
+                into = work[0], work[1, :right_count], work[2, :kept - 1], work[-1]
+            elif level == 2:
+                into = (c[0:2 * kept:2], c[1::2], d[0:2 * kept - 2:2],
+                        d_rate[0:2 * kept:2] if slope else None)
+            else:
+                into = None, None, None, None
             # kept entry 2j+1 couples to the pivots 2j (left) and 2j+2 (right)
-            left = c[0:2 * kept:2] * inverse[:kept]
-            right = c[1::2] * inverse[1:right_count + 1]
+            left = np.multiply(c[0:2 * kept:2], inverse[:kept], out=into[0])
+            right = np.multiply(c[1::2], inverse[1:right_count + 1], out=into[1])
             # (b_{2j+1} b_{2j+2} / p_{2j+2})^2 couples kept 2j+1 and 2j+3
-            c = right[:kept - 1] * left[1:]
+            c = np.multiply(right[:kept - 1], left[1:], out=into[2])
             if slope:
-                change = left * left_rate
+                change = np.multiply(left, left_rate, out=into[3])
                 d_rate = np.subtract(-1.0 if d_rate is None else d_rate[1::2], change,
                                      out=change)
-                c_rate = right_rate[:kept - 1] + left_rate[1:]
             d = np.subtract(d[1::2], left, out=left)
             d[:right_count] -= right
             if slope:
                 right *= right_rate
                 d_rate[:right_count] -= right
-            del right
-    # a matrix product sums a column far faster than a reduction over axis 0
-    count = (np.ones(row) @ np.signbit(inverses)).astype(np.int64)
+                c_rate = np.add(right_rate[:kept - 1], left_rate[1:], out=right[:kept - 1])
+    # einsum sums each column in one pass over the rows, faster than a
+    # reduction over axis 0; a matrix product, faster still, would convert
+    # the signs to a float copy of `inverses` while the scratch is held
+    count = np.einsum("ij->j", np.signbit(inverses), dtype=np.int64)
     for lane in np.flatnonzero(recount):
         count[lane] = _sturm_count(shifted[:, lane].tolist(), off_sq.tolist(),
                                    _PIVMIN * float(tnorm[lane]))
     if not slope:
         return count
-    first = (shifted.shape[0] + 1) // 2
-    total = np.einsum("ij->j", rates[first:row]) - np.einsum("ij->j", inverses[:first])
+    total = np.einsum("ij->j", rates) - np.einsum("ij->j", inverses[:first])
     total[recount] = np.nan
     return count, total
 
@@ -441,8 +469,9 @@ def tridiagonal_counts(diag, off, shifts) -> np.ndarray:
     matrix with diagonal diag[i] and off-diagonal `off`, which every matrix
     of the stack shares."""
     diag, off, lower, upper = _tridiagonal(diag, off)
-    shifted = (diag - np.asarray(shifts, dtype=float)[:, None]).T
-    return _inertia(np.ascontiguousarray(shifted), off * off, _tnorm(lower, upper))
+    stack, shifts = np.broadcast_arrays(diag, np.asarray(shifts, dtype=float)[:, None])
+    shifted = np.subtract(stack.T, shifts.T, out=np.empty(stack.shape[::-1]))
+    return _inertia(shifted, off * off, _tnorm(lower, upper))
 
 
 def _estimate(points, slopes, above):
@@ -538,13 +567,26 @@ def tridiagonal_eigenvalues(diag, off, rows, index, upper, splits=None) -> np.nd
     sides = np.zeros((2, rows.size), bool)
     # the width the bracket is to halve to, and the counts since it last did
     target, stalled = (hi - lo) // 2, np.zeros(rows.size, np.int64)
-    columns, off_sq = np.ascontiguousarray(diag.T), off * off
+    off_sq = off * off
 
     def count(lanes, split):
-        """Counts and slopes of lanes[i] at grid index split[i]."""
-        shifted = columns[:, rows[lanes]]
-        shifted -= split * step[lanes]
-        return _inertia(shifted, off_sq, tnorm[lanes], slope=True)
+        """Counts and slopes of lanes[i] at grid index split[i], each
+        distinct (row, grid index) counted once: sibling lanes share a
+        bracket, and so a split point, until a count parts them."""
+        pairs = list(zip(rows[lanes].tolist(), split.tolist()))
+        first = {}
+        for lane, pair in enumerate(pairs):
+            first.setdefault(pair, lane)
+        once = np.fromiter(first.values(), np.intp)
+        where = np.searchsorted(once, [first[pair] for pair in pairs])
+        if once.size == 1 < lanes.size:
+            # einsum sums a lone column in another order than a stack of them
+            once = np.repeat(once, 2)
+        lanes, split = lanes[once], split[once]
+        shifted = np.subtract(diag[rows[lanes]].T, split * step[lanes],
+                              out=np.empty((diag.shape[1], lanes.size)))
+        counts, slope = _inertia(shifted, off_sq, tnorm[lanes], slope=True)
+        return counts[where], slope[where]
 
     def settle(lanes, split, counts, slope):
         """Move the brackets of `lanes` (each once) to the counts inside."""
@@ -722,20 +764,35 @@ _MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
 _LAST, _FRACTION = np.uint64(31), np.uint64(11)
 
 
+def _splitmix64_into(words: np.ndarray, seeds: np.ndarray, first: int, stride: int,
+                     scratch: np.ndarray) -> None:
+    """Words first, first + stride, first + 2 stride, ... of each stream,
+    written into `words` (uint64, (T, k)); `scratch`, of the same shape,
+    holds the shifted copies the mix xors in."""
+    # s + (j + 1) GAMMA, broadcast by copies: numpy buffers a broadcast operand
+    steps = np.arange(first + 1, first + stride * words.shape[1] + 1, stride, dtype=np.uint64)
+    np.copyto(words, seeds[:, None])
+    np.copyto(scratch, steps * _GAMMA)
+    words += scratch
+    for shift, multiplier in _MIX:
+        words ^= np.right_shift(words, shift, out=scratch)
+        words *= multiplier
+    words ^= np.right_shift(words, _LAST, out=scratch)
+
+
 def splitmix64(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
     """Words first, ..., first + count - 1 (uint64, (T, count)) of the
     SplitMix64 stream seeded at each of `seeds` (uint64, (T,))."""
-    z = np.arange(first + 1, first + count + 1, dtype=np.uint64) * _GAMMA + seeds[:, None]
-    for shift, multiplier in _MIX:
-        z ^= z >> shift
-        z *= multiplier
-    z ^= z >> _LAST
-    return z
+    words = np.empty((seeds.size, count), dtype=np.uint64)
+    _splitmix64_into(words, seeds, first, 1, np.empty_like(words))
+    return words
 
 
 def uniforms(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
     """Those words as doubles u = (w >> 11) 2^-53 in [0, 1), shape (T, count)."""
-    return (splitmix64(seeds, first, count) >> _FRACTION) * 2.0**-53
+    words = splitmix64(seeds, first, count)
+    words >>= _FRACTION
+    return words * 2.0**-53
 
 
 def normal_words(count: int) -> int:
@@ -753,25 +810,47 @@ def normals(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
     u2 = (w >> 11) 2^-53; they are r cos(2 pi u2) and r sin(2 pi u2) with
     r = sqrt(-2 log u1).  An odd count drops the last sine.  Each value is
     a function of its two words alone.
+
+    It allocates the output (T, normal_words(count)) and one buffer of
+    half its size, and computes in them: the even words in the buffer,
+    then r in the even half of the output; the odd words in the buffer,
+    then 2 pi u2 in the odd half, its sine in the buffer and its cosine
+    in place, each scaled by r.  The mix of each half's words uses the
+    odd half of the output as scratch.
     """
-    words = splitmix64(seeds, first, normal_words(count)) >> _FRACTION
-    radius = np.sqrt(-2.0 * np.log((words[:, 0::2] + 1) * 2.0**-53))
-    angle = (2.0 * math.pi * 2.0**-53) * words[:, 1::2]
-    out = np.empty(words.shape)
-    out[:, 0::2] = radius * np.cos(angle)
-    out[:, 1::2] = radius * np.sin(angle)
+    out = np.empty((seeds.size, normal_words(count)))
+    half = np.empty((seeds.size, out.shape[1] // 2))
+    words, radius, angle = half.view(np.uint64), out[:, 0::2], out[:, 1::2]
+    scratch = angle.view(np.uint64)
+    _splitmix64_into(words, seeds, first, 2, scratch)
+    words >>= _FRACTION
+    words += 1
+    np.copyto(radius, words, casting="unsafe")
+    radius *= 2.0**-53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    _splitmix64_into(words, seeds, first + 1, 2, scratch)
+    words >>= _FRACTION
+    np.copyto(angle, words, casting="unsafe")
+    angle *= 2.0 * math.pi * 2.0**-53
+    sine = np.sin(angle, out=half)
+    np.cos(angle, out=angle)
+    sine *= radius
+    radius *= angle
+    np.copyto(angle, sine)
     return out[:, :count]
 
 
 # Byte budget of one stacked float64 array in the batched ensembles, which
 # bounds their memory at any trial count: a 64 x 64 matrix per trial gives
-# blocks of 16 trials.  Blocks of 32 ran `matrixloc-ensemble` about 20%
-# faster in-process but raised the peak RSS of `verify --quick` by 3%, not 2%.
-# The lanes of `tridiagonal_eigenvalues` count with slopes, which keep two
-# arrays of this shape per lane, so they take half blocks: 16 lanes of the
-# 2000-node channel stencils.  Blocks of 32 raised the peak RSS of `verify
-# --quick` from 36.5 to 37.6 MB, above the 36.9 MB that counts alone took in
-# blocks of 32.
+# blocks of 16 trials.  Blocks of 32 ran `matrixloc-ensemble` 0-10% faster
+# in-process but raised the peak RSS of `verify --quick --seed 1905` from
+# 35.3 to 36.6 MB.  The lanes of `tridiagonal_eigenvalues` take half blocks,
+# 16 lanes of the 2000-node channel stencils: a count with slopes keeps
+# about 4.5 columns of n doubles per lane (its diagonal, reciprocal pivots,
+# half a column of slopes and two of scratch).  Lanes of 32 raised that
+# peak from 35.3 to 37.2 MB.
 BLOCK_BYTES = 1 << 19
 
 

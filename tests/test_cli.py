@@ -279,7 +279,8 @@ class TestMainPlumbing:
         meta = json.loads((tmp_path / "foldy-j.meta.json").read_text())
         assert meta["schema"] == cli.SCHEMA_META
         assert meta["duration_s"] > 0
-        assert "checks" not in meta
+        assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb"}
+        assert type(meta["peak_rss_mb"]) is float and meta["peak_rss_mb"] > 0
         config = np.show_config(mode="dicts")
         assert meta["env"] == {
             "python": platform.python_version(),
@@ -304,11 +305,16 @@ class TestMainPlumbing:
     def test_verify_sidecar_times_each_check(self, tmp_path):
         assert cli.main(["verify", "--quick", "--outdir", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "verify.meta.json").read_text())
-        assert set(meta) == {"schema", "duration_s", "written_at", "env", "checks"}
+        assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
+                             "checks", "checks_peak_rss_mb"}
         checks = meta["checks"]
         assert sorted(checks) == sorted(name for name, _argv, _trials in cli.BATTERY)
         for seconds in checks.values():
             assert type(seconds) is float and math.isfinite(seconds) and seconds >= 0
+        # high-water marks: they never fall, and the record's is the last
+        peaks = [meta["checks_peak_rss_mb"][name] for name, _argv, _trials in cli.BATTERY]
+        assert all(type(mb) is float and mb > 0 for mb in peaks)
+        assert peaks == sorted(peaks) and peaks[-1] <= meta["peak_rss_mb"]
 
     def test_output_name_override(self, tmp_path):
         assert cli.main(
@@ -393,7 +399,7 @@ class TestMainPlumbing:
             f"alters the records on purpose updates the pin and names the changed "
             f"fields in CHANGES.md")
         meta = json.loads((out / f"{argv[0]}.meta.json").read_text())
-        assert set(meta) == {"schema", "duration_s", "written_at", "env"}
+        assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb"}
 
     def test_unseeded_trialstate_records_ignore_seed_and_trials(self, tmp_path):
         runs = (["trialstate", "--check", "pair-energy"],
@@ -893,6 +899,15 @@ class TestVerifySuite:
             f"verify --quick: sha256 {digest} != pinned {VERIFY_QUICK_SHA256}; a change "
             f"that alters the records on purpose updates the pin and names the changed "
             f"fields in CHANGES.md")
+        capsys.readouterr()
+
+    def test_suite_parses_with_the_parser_main_built(self, tmp_path, monkeypatch, capsys):
+        parsers, parse = [], argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda self, *args: parsers.append(self) or parse(self, *args))
+        assert cli.main(["verify", "--quick", "--outdir", str(tmp_path)]) == 0
+        assert len(parsers) == 1 + len(cli.BATTERY)
+        assert all(parser is parsers[0] for parser in parsers)
         capsys.readouterr()
 
     def test_quick_suite_repeats_no_solve(self, monkeypatch, fresh_minimum):

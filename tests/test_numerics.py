@@ -287,7 +287,44 @@ def _box_muller_reference(seed, count):
     return out[:count]
 
 
+def _box_muller_arrays(seeds, first, count):
+    """`normals` as it was computed with whole-array temporaries, which
+    the buffers it computes in now must reproduce bit for bit."""
+    words = splitmix64(seeds, first, numerics.normal_words(count)) >> np.uint64(11)
+    radius = np.sqrt(-2.0 * np.log((words[:, 0::2] + 1) * 2.0**-53))
+    angle = (2.0 * math.pi * 2.0**-53) * words[:, 1::2]
+    out = np.empty(words.shape)
+    out[:, 0::2] = radius * np.cos(angle)
+    out[:, 1::2] = radius * np.sin(angle)
+    return out[:, :count]
+
+
+def _traced_peak(run):
+    """The peak of the memory traced while `run()` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestNormals:
+    @pytest.mark.parametrize("first, count", [(0, 4096), (3, 63), (0, 64), (5, 7), (1, 1),
+                                              (0, 2), (11, 4097)])
+    def test_equal_to_the_whole_array_expression(self, first, count):
+        seeds = np.array(seed_words(1905, 16), dtype=np.uint64)
+        assert np.array_equal(normals(seeds, first, count),
+                              _box_muller_arrays(seeds, first, count))
+
+    def test_memory_is_the_output_and_half_of_it(self):
+        # the output and its half-size buffer are 1.5 times the output; the
+        # whole-array expression peaked at 3.5 times
+        seeds = np.array(seed_words(1905, 16), dtype=np.uint64)
+        output = normals(seeds, 0, 4096).nbytes
+        assert _traced_peak(lambda: normals(seeds, 0, 4096)) <= 1.6 * output
+        assert _traced_peak(lambda: _box_muller_arrays(seeds, 0, 4096)) > 3 * output
+
     def test_known_answer(self):
         # the first normals of the stream seeded at 0; their last bits
         # depend on the SIMD kernels of log, cos and sin
@@ -307,8 +344,8 @@ class TestNormals:
 
     def test_extreme_words_give_finite_normals(self, monkeypatch):
         for word, first in ((0, math.sqrt(106.0 * math.log(2.0))), (2**64 - 1, 0.0)):
-            monkeypatch.setattr(numerics, "splitmix64", lambda seeds, first, count: np.full(
-                (len(seeds), count), word, dtype=np.uint64))
+            monkeypatch.setattr(numerics, "_splitmix64_into",
+                                lambda words, *rest, word=word: words.fill(word))
             z = normals(np.zeros(3, dtype=np.uint64), 0, 7)
             assert np.all(np.isfinite(z))
             assert z[:, 0] == pytest.approx(first, rel=1e-15)

@@ -17,18 +17,24 @@ whose cells settle ours.  The bounds are set from measurement:
 - the slope S(x) of `_inertia` agreed with scipy's sum 1/(x - lambda_i)
   within 1.4e-8 of the sum of the terms' sizes (matrix 8); the bound is
   1e-7;
-- the depth-200 spectrum took 501 lane-evaluations (counts of one matrix
-  with its slope) for its 51 eigenvalues, bisection on the same grid 2069;
-  the budget is 650.
+- the depth-200 spectrum took 403 lane-evaluations (counts of one matrix
+  with its slope) for its 51 eigenvalues, 489 while sibling lanes that
+  shared a split point were counted once each, bisection on the same grid
+  2069; the budget is 650.  lt-study's spectra took 745, 875 before; the
+  budget is 750;
+- the depth-200 spectrum peaked at 1.71 MB of traced memory, 2.21 MB while
+  each level of the reduction allocated its own arrays and the solver held
+  a transposed copy of the diagonals; the bound is 1.95 MB.
 """
 import inspect
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal, solveh_banded
 
-from chargelab import numerics, spectral, variational
+from chargelab import cli, numerics, spectral, variational
 from chargelab.errors import DomainError
 from chargelab.numerics import (
     tridiagonal_counts,
@@ -44,6 +50,8 @@ RANDOM_BOUND = 1000.0
 NEG_SUM_RTOL = 5e-12
 SLOPE_BOUND = 1e-7  # relative to the sum of the terms' sizes
 LANE_BUDGET = 650  # lane-evaluations of the depth-200 spectrum
+LT_STUDY_LANE_BUDGET = 750  # and of lt-study's
+NEG_SUM_PEAK = 1_950_000  # bytes of traced memory of the depth-200 spectrum
 
 # (potential, grid or None for the default): the grids of lt-study and the
 # matched scale pair that lt-study and sobolev-study share
@@ -334,6 +342,53 @@ class TestSplitPoints:
         assert _lane_evaluations(monkeypatch, lambda: spectral.negative_sum(spec)) <= (
             LANE_BUDGET)
 
+    def test_counting_each_split_point_once_moves_no_bit(self, monkeypatch):
+        # the lanes of one channel share their brackets, and so their split
+        # points, until counts part them; the slopes those counts give, and
+        # so every later split point, are those of a count per lane
+        source = textwrap.dedent(inspect.getsource(numerics.tridiagonal_eigenvalues))
+        distinct = source[source.index("        pairs = "):source.index("        lanes, split = ")]
+        scope = dict(vars(numerics))
+        exec(source.replace(distinct, "        once = where = np.arange(lanes.size)\n"), scope)
+        _, diag, off = next(_channels(*STUDY_GRIDS[2]))
+        lanes = _scipy_below(diag, off, 0.0).size
+
+        def traced(solver):
+            """The solver's eigenvalues, and the last two points, slopes and
+            sides of every lane each time it estimated."""
+            seen, estimate = [], numerics._estimate
+
+            def recorded(*args):
+                seen.append(np.concatenate(args))
+                return estimate(*args)
+
+            monkeypatch.setattr(numerics, "_estimate", recorded)
+            monkeypatch.setitem(scope, "_estimate", recorded)
+            values = solver(diag, off, np.zeros(lanes, int), np.arange(lanes), np.zeros(lanes))
+            return values, np.concatenate(seen, axis=1)
+
+        once = traced(numerics.tridiagonal_eigenvalues)
+        each = traced(scope["tridiagonal_eigenvalues"])
+        assert np.array_equal(once[0], each[0])
+        assert np.array_equal(once[1], each[1], equal_nan=True)
+
+    def test_lt_study_counts_each_split_point_once(self, monkeypatch):
+        # sibling lanes of a channel share their bracket, and so their
+        # split point, until a count parts them
+        assert _lane_evaluations(monkeypatch, lambda: cli.run_lt_study((50.0, 100.0, 200.0))) <= (
+            LT_STUDY_LANE_BUDGET)
+
+    def test_depth_200_spectrum_stays_within_its_memory_bound(self):
+        spec = spectral.gaussian_well(200.0)
+        spectral.negative_sum(spec)
+        tracemalloc.start()
+        try:
+            spectral.negative_sum(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= NEG_SUM_PEAK
+
 
 class TestDefectsFail:
     def test_dropped_right_neighbour_update_fails_the_counts(self, monkeypatch):
@@ -374,10 +429,10 @@ class TestDefectsFail:
 
     def test_a_slope_without_the_left_coupling_fails_scipy(self, monkeypatch):
         source = textwrap.dedent(inspect.getsource(numerics._inertia))
-        term = " + left_rate[1:]"
+        term = "np.add(right_rate[:kept - 1], left_rate[1:],"
         assert term in source
         scope = dict(vars(numerics))
-        exec(source.replace(term, ""), scope)
+        exec(source.replace(term, "np.add(right_rate[:kept - 1], 0.0,"), scope)
         monkeypatch.setattr(numerics, "_inertia", scope["_inertia"])
         assert max(np.nanmax(_slope_errors(seed, monkeypatch)[0]) for seed in range(12)) > (
             SLOPE_BOUND)
