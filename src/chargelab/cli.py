@@ -83,6 +83,7 @@ __all__ = [
     "BATTERY",
     "write_record",
     "write_table",
+    "Columns",
     "build_parser",
     "main",
 ]
@@ -195,11 +196,33 @@ def write_record(outdir: Path, base: str, header: dict, rows, summary: dict,
     return path
 
 
-def write_table(outdir: Path, base: str, name: str, columns, rows,
+# Rows of a table that `Columns` turns into Python objects at a time.
+WRITE_ROWS = 1024
+
+
+class Columns:
+    """The rows of a table held as its columns, 1-D arrays of equal length
+    in the table's column order.  len() is the row count.  Iterating gives
+    the rows as tuples, WRITE_ROWS rows at a time through each column's
+    `.tolist()`, which gives Python ints, floats and strings, so the table
+    is never held as Python objects whole."""
+
+    def __init__(self, *arrays: np.ndarray):
+        self.arrays = arrays
+
+    def __len__(self) -> int:
+        return len(self.arrays[0])
+
+    def __iter__(self):
+        for start in range(0, len(self), WRITE_ROWS):
+            yield from zip(*(a[start:start + WRITE_ROWS].tolist() for a in self.arrays))
+
+
+def write_table(outdir: Path, base: str, name: str, columns, rows: Columns,
                 staged: list) -> Path:
-    """Write the table ``<base>-<name>.csv``, staged as in `write_record`.
-    csv writes a value as its str(), which spells numpy and Python numbers
-    alike and a non-finite float as "inf", "-inf" or "nan"."""
+    """Write the table ``<base>-<name>.csv`` -- the header `columns`, then
+    `rows` -- staged as in `write_record`.  csv writes a value as its
+    str(), which spells a non-finite float "inf", "-inf" or "nan"."""
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{base}-{name}.csv"
     with _open_staged(staged, path) as fh:
@@ -213,11 +236,11 @@ def write_table(outdir: Path, base: str, name: str, columns, rows,
 # ---------------------------------------------------------------------------
 # Check implementations.  Each returns (rows, summary, tables): rows are
 # record dicts carrying a "holds" verdict where something is asserted;
-# tables map name -> (columns, tuples), and `main` writes each one as
-# ``<base>-<name>.csv``.  A table holds what the rows do not: the trials of
-# an ensemble, the minimizing profile, the band forms and phi.  A check's
-# pass bound is a constant of its function, and the row records the same
-# name its verdict reads; no caller sets it.
+# tables map name -> {column: 1-D array}, the columns in table order, and
+# `main` writes each one as ``<base>-<name>.csv``.  A table holds what the
+# rows do not: the trials of an ensemble, the minimizing profile, the band
+# forms and phi.  A check's pass bound is a constant of its function, and
+# the row records the same name its verdict reads; no caller sets it.
 # ---------------------------------------------------------------------------
 
 
@@ -312,37 +335,43 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int, n_max_hi: int):
     is `_draw_models` of its seed."""
     if not 1 <= n_max_lo <= n_max_hi:
         raise PreconditionError("need 1 <= n_max_lo <= n_max_hi")
-    samples, violations, min_gap, max_allowance = [], 0, math.inf, 0.0
-    for chunk, words in trial_blocks(seed, trials, trials_per_block(4)):
-        models = _draw_models(words, n_max_lo, n_max_hi)
-        for ts, (t, g_plus, g_minus, n_max) in zip(chunk, models):
-            model = bogolubov.BogolubovModel(t=t, g_plus=g_plus, g_minus=g_minus)
-            energy = bogolubov.ground_energy(bogolubov.build_hamiltonian(model, n_max))
-            gap = energy - bogolubov.closed_form_bound(model)
-            if gap < -model.gap_tolerance:
-                violations += 1
-            min_gap = min(min_gap, gap)
-            max_allowance = max(max_allowance, model.gap_tolerance)
-            samples.append((ts, model.t, model.g_plus, model.g_minus, n_max, energy, gap))
+    seeds, blocks = trial_blocks(seed, trials, trials_per_block(4))
+    t, g_plus, g_minus, energy, gap, allowance = (np.empty(trials) for _ in range(6))
+    n_max = np.empty(trials, dtype=np.int64)
+    for rows in blocks:
+        models = _draw_models(seeds[rows], n_max_lo, n_max_hi)
+        for i, (t_draw, g_plus_draw, g_minus_draw, cutoff) in enumerate(models, rows.start):
+            model = bogolubov.BogolubovModel(t=t_draw, g_plus=g_plus_draw, g_minus=g_minus_draw)
+            energy[i] = bogolubov.ground_energy(bogolubov.build_hamiltonian(model, cutoff))
+            gap[i] = energy[i] - bogolubov.closed_form_bound(model)
+            t[i], g_plus[i], g_minus[i], n_max[i] = model.t, model.g_plus, model.g_minus, cutoff
+            allowance[i] = model.gap_tolerance
+    violations = int(np.sum(gap < -allowance))
+    min_gap = float(gap.min())
     row = {
         "check": "bogolubov-fuzz",
         "trials": trials,
         "violations": violations,
         "min_gap": min_gap,
         "tolerance": bogolubov.GAP_RTOL,
-        "max_allowance": max_allowance,
+        "max_allowance": float(allowance.max()),
         "holds": violations == 0,
     }
-    table = (("trial_seed", "t", "g_plus", "g_minus", "n_max", "energy", "gap"), samples)
+    table = {"trial_seed": seeds, "t": t, "g_plus": g_plus, "g_minus": g_minus,
+             "n_max": n_max, "energy": energy, "gap": gap}
     return [row], {"violations": violations, "min_gap": min_gap}, {"models": table}
 
 
-def _labelled(name: str, ensemble: list) -> list:
-    """`ensemble` with `name` in front of each row, as table rows: each row
-    is replaced in place, so a trial's row is held once."""
-    for i, row in enumerate(ensemble):
-        ensemble[i] = (name, *row)
-    return ensemble
+def _stacked(label: str, ensembles: dict) -> dict:
+    """One table of the columns of several ensembles (name -> columns), one
+    ensemble after another, each row led by its ensemble's name under
+    `label`.  The ensembles' columns are emptied as they are joined, so
+    the two together hold one column more than the table."""
+    sizes = [len(columns["trial_seed"]) for columns in ensembles.values()]
+    table = {label: np.repeat(np.array(list(ensembles), dtype=object), sizes)}
+    for key in tuple(next(iter(ensembles.values()))):
+        table[key] = np.concatenate([columns.pop(key) for columns in ensembles.values()])
+    return table
 
 
 def _ensemble_row(check: str, trials: int, slacks: np.ndarray) -> dict:
@@ -362,16 +391,13 @@ def _ensemble_row(check: str, trials: int, slacks: np.ndarray) -> dict:
 def run_inequality_fuzz(which: str, trials: int, seed: int):
     """Seeded configuration fuzz for the classical electrostatic inequalities."""
     names = correlation.CHECKERS if which == "all" else (which,)
-    rows, samples = [], []
+    rows, ensembles = [], {}
     for name, sub in zip(names, seed_words(seed, len(names))):
-        ensemble = correlation.run_random_ensemble(name, trials, sub)
-        slacks = np.fromiter((r[5] for r in ensemble), float, len(ensemble))
-        rows.append(_ensemble_row(f"inequality-{name}", trials, slacks))
-        samples += _labelled(name, ensemble)
-    table = (("checker", "trial_seed", "n", "mu", "lhs", "rhs", "slack"), samples)
+        ensembles[name] = correlation.run_random_ensemble(name, trials, sub)
+        rows.append(_ensemble_row(f"inequality-{name}", trials, ensembles[name]["slack"]))
     summary = {"violations": sum(r["violations"] for r in rows),
                "min_slack": min(r["min_slack"] for r in rows)}
-    return rows, summary, {"trials": table}
+    return rows, summary, {"trials": _stacked("checker", ensembles)}
 
 
 def run_dyson(nodes: int, r_max: float):
@@ -412,9 +438,7 @@ def run_dyson(nodes: int, r_max: float):
             "holds": rel_change <= agreement_tol,
         },
     ]
-    profile = result.profile
-    table = (("r", "phi"),
-             list(zip(profile.grid.nodes.tolist(), profile.values.tolist())))
+    table = {"r": result.profile.grid.nodes, "phi": result.profile.values}
     summary = {"e_star": result.energy, "virial_residual": result.virial_residual}
     return rows, summary, {"profile": table}
 
@@ -511,20 +535,18 @@ def run_berezin(trials: int, seed: int):
     is an equality and must be exact to identity_tol (relative)."""
     identity_tol = 1e-12
     names = tuple(sorted(trialstate.XI_FUNCTIONS))
-    rows, samples = [], []
+    rows, ensembles = [], {}
     for name, sub in zip(names, seed_words(seed, len(names))):
-        ensemble = trialstate.berezin_lieb_ensemble(name, trials, sub)
-        slacks = np.fromiter((r[3] for r in ensemble), float, len(ensemble))
-        row = _ensemble_row(f"berezin-{name}", trials, slacks)
+        ensemble = ensembles[name] = trialstate.berezin_lieb_ensemble(name, trials, sub)
+        row = _ensemble_row(f"berezin-{name}", trials, ensemble["slack"])
         if name == "identity":
-            scale = np.array([max(1.0, abs(r[1])) for r in ensemble])
-            exactness = float(np.max(np.abs(slacks) / scale))
+            scale = np.maximum(1.0, np.abs(ensemble["lhs"]))
+            exactness = float(np.max(np.abs(ensemble["slack"]) / scale))
             row["max_rel_slack"] = exactness
             row["holds"] = row["holds"] and exactness <= identity_tol
         rows.append(row)
-        samples += _labelled(name, ensemble)
-    table = (("xi", "trial_seed", "lhs", "rhs", "slack"), samples)
-    return rows, {"violations": sum(r["violations"] for r in rows)}, {"instances": table}
+    summary = {"violations": sum(r["violations"] for r in rows)}
+    return rows, summary, {"instances": _stacked("xi", ensembles)}
 
 
 def run_matrixloc_ensemble(trials: int, seed: int, size: int, window: int):
@@ -532,7 +554,8 @@ def run_matrixloc_ensemble(trials: int, seed: int, size: int, window: int):
     the band budget with constant <= ceiling on every draw.  The margin is
     wide: in `verify --seed 1905` the worst c_required is 0.377."""
     ceiling = 50.0
-    worst, samples = matrixloc.gaussian_ensemble(trials, seed, n=size, window=window)
+    table = matrixloc.gaussian_ensemble(trials, seed, n=size, window=window)
+    worst = float(table["c_required"].max())
     row = {
         "check": "matrix-localization",
         "trials": trials,
@@ -542,7 +565,6 @@ def run_matrixloc_ensemble(trials: int, seed: int, size: int, window: int):
         "ceiling": ceiling,
         "holds": worst <= ceiling,
     }
-    table = (("trial_seed", "lam", "value", "c_required"), samples)
     return [row], {"worst_c_required": worst}, {"instances": table}
 
 
@@ -576,12 +598,10 @@ def run_matrix_localize(matrix_path, psi_path, window: int, budget_c: float | No
                 "holds": report.holds,
             }
         )
+    phi = np.asarray(result.phi, dtype=complex)
     tables = {
-        "bands": (("k", "d_k"), list(enumerate(result.d.tolist()))),
-        "phi": (
-            ("index", "re", "im"),
-            [(i, z.real, z.imag) for i, z in enumerate(np.asarray(result.phi, dtype=complex))],
-        ),
+        "bands": {"k": np.arange(result.d.size), "d_k": result.d},
+        "phi": {"index": np.arange(phi.size), "re": phi.real, "im": phi.imag},
     }
     return rows, {"value": result.value, "c_required": result.c_required}, tables
 
@@ -961,6 +981,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     args.meta["duration_s"] = time.perf_counter() - started
+    tables = {name: (tuple(columns), Columns(*columns.values()))
+              for name, columns in tables.items()}
+    args.meta["tables"] = {name: len(rows) for name, (_, rows) in tables.items()}
 
     params = _params(args)
     header = {

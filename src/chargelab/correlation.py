@@ -328,11 +328,10 @@ def replay_trial(which: str, trial_seed: int) -> tuple[ParticleConfiguration, fl
     return ParticleConfiguration(positions=pos[0], charges=z[0]), float(mu[0])
 
 
-def run_random_ensemble(
-    which: str, trials: int, seed: int
-) -> list[tuple[int, int, float, float, float, float]]:
-    """Seeded fuzzing rows (trial_seed, n, mu, lhs, rhs, slack) for one
-    checker; each trial is reproducible from its recorded 64-bit seed.
+def run_random_ensemble(which: str, trials: int, seed: int) -> dict[str, np.ndarray]:
+    """Seeded fuzzing columns for one checker, one entry per trial:
+    trial_seed (uint64), n (int), mu, lhs, rhs and slack (float64); each
+    trial is reproducible from its recorded 64-bit seed.
 
     The trial seeds are those of `numerics.trial_blocks`, and a trial's
     draws are words of the SplitMix64 stream seeded at its seed: words 0-3
@@ -340,18 +339,20 @@ def run_random_ensemble(
     BOX_RANGE and MUS), the next 5n its positions and charges.  A block of
     `_BLOCK` consecutive trials draws its headers at once, then the bodies
     of each group with the same n at once; each group is one stack for the
-    kernels the public checkers run on a stack of one, so row k equals
-    `replay_trial(which, trial seed k)` through the public checker, bit
-    for bit."""
+    kernels the public checkers run on a stack of one, so trial k's entries
+    equal `replay_trial(which, trial seed k)` through the public checker,
+    bit for bit."""
     _check_which(which)
-    rows = []
-    for block, words in trial_blocks(seed, trials, _BLOCK):
-        n, box, pm1, mu = _draw_header(which, words)
-        lhs, rhs = np.empty(len(block)), np.empty(len(block))
-        for m in sorted(set(n.tolist())):  # np.unique would load numpy.ma, about 1 MB
-            k = np.flatnonzero(n == m)
+    seeds, blocks = trial_blocks(seed, trials, _BLOCK)
+    n, mu = np.empty(trials, dtype=np.intp), np.empty(trials)
+    lhs, rhs = np.empty(trials), np.empty(trials)
+    for rows in blocks:
+        words = seeds[rows]
+        n[rows], box, pm1, mu[rows] = _draw_header(which, words)
+        # this block's rows of the columns, as views its n-groups fill
+        block_n, block_mu, block_lhs, block_rhs = n[rows], mu[rows], lhs[rows], rhs[rows]
+        for m in sorted(set(block_n.tolist())):  # np.unique would load numpy.ma, about 1 MB
+            k = np.flatnonzero(block_n == m)
             pos, z = _draw_body(words[k], m, box[k], pm1[k])
-            lhs[k], rhs[k] = _SUMS[which](z, _pair_distances(pos), mu[k])
-        rows += zip(block, n.tolist(), mu.tolist(), lhs.tolist(), rhs.tolist(),
-                    (lhs - rhs).tolist())
-    return rows
+            block_lhs[k], block_rhs[k] = _SUMS[which](z, _pair_distances(pos), block_mu[k])
+    return {"trial_seed": seeds, "n": n, "mu": mu, "lhs": lhs, "rhs": rhs, "slack": lhs - rhs}

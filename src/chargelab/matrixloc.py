@@ -321,11 +321,12 @@ def gaussian_ensemble(
     master_seed: int,
     n: int = 64,
     window: int = 8,
-):
+) -> dict[str, np.ndarray]:
     """Symmetric Gaussian matrices with random unit psi.
 
-    Returns (max_c_required, rows); rows are (seed, lam, value, c_required)
-    per trial, each reproducible from its recorded seed.
+    Returns columns trial_seed (uint64), lam, value and c_required
+    (float64), one entry per trial, each reproducible from its recorded
+    seed.
 
     The trial seeds are those of `numerics.trial_blocks`; a trial's
     matrix, then its psi, are normals of the SplitMix64 stream seeded at
@@ -333,26 +334,24 @@ def gaussian_ensemble(
     A block of `trials_per_block(n, n)` consecutive trials is drawn at
     once and runs on the kernels `localize` uses, with every product and
     sum taken per trial; the psi norms and the band sum rule are checked
-    for the whole block.  So row k equals `replay_trial(trial seed k, n)` through
-    `LocalizationProblem`, `localize` and `c_required`, bit for bit.
+    for the whole block.  So trial k's entries equal `replay_trial(trial
+    seed k, n)` through `LocalizationProblem`, `localize` and
+    `c_required`, bit for bit.
     """
     _check_size(n)
     if not 1 <= window <= n:
         raise PreconditionError("window must lie in [1, N]")
-    rows = []
-    worst = 0.0
-    for chunk, words in trial_blocks(master_seed, trials, trials_per_block(n, n)):
-        mats, psis = _draw_instances(words, n)
+    seeds, blocks = trial_blocks(master_seed, trials, trials_per_block(n, n))
+    lams, values, c_req = np.empty(trials), np.empty(trials), np.empty(trials)
+    for rows in blocks:
+        mats, psis = _draw_instances(seeds[rows], n)
         _check_unit_norm(psis)
-        _, values, lams = _best_windows(mats, psis, window)
+        _, values[rows], lams[rows] = _best_windows(mats, psis, window)
         d = _band_forms(mats, psis)
-        _check_sum_rule(d, lams)
-        c_req = _c_required(values, lams, d, window)
-        for row in zip(chunk, lams.tolist(), values.tolist(), c_req.tolist()):
-            worst = max(worst, row[3])
-            rows.append(row)
+        _check_sum_rule(d, lams[rows])
+        c_req[rows] = _c_required(values[rows], lams[rows], d, window)
         del mats  # so that the next block's draw does not stack on these matrices
-    return worst, rows
+    return {"trial_seed": seeds, "lam": lams, "value": values, "c_required": c_req}
 
 
 # ---------------------------------------------------------------------------

@@ -659,9 +659,11 @@ def tridiagonal_ldl_solve(factor: tuple[list[float], list[float]], rhs) -> np.nd
 
 
 # Most words seed_words derives at once, one per trial of an ensemble.  A
-# seeded run keeps about 1 KB per trial until its records are written (peak
-# RSS of check-inequalities, all three checkers, and of trialstate --check
-# berezin-lieb, between 2e4 and 1e5 trials), so the cap holds a run near 1 GB.
+# seeded run keeps its trials as columns of 8-byte numbers until its records
+# are written: check-inequalities (three checkers) peaks at 37.0 MB RSS at
+# 2e4 trials and 54.0 MB at 1e5, trialstate --check berezin-lieb (four xi)
+# at 37.3 and 58.9 MB, 0.2-0.3 KB per trial, so the cap holds a run near
+# 300 MB.
 SEED_WORDS_CAP = 1_000_000
 
 
@@ -706,6 +708,25 @@ def _seed_pool(seed: int) -> list[int]:
     return pool
 
 
+def _seed_array(seed: int, count: int) -> np.ndarray:
+    """`seed_words(seed, count)` as a uint64 array."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
+    if count > SEED_WORDS_CAP:
+        raise ResourceLimitError(f"{count} trials exceed cap {SEED_WORDS_CAP}")
+    hashes = np.full(2 * count + 1, _MULT_B, dtype=np.uint64)
+    hashes[0] = _INIT_B
+    # products wrap modulo 2^64, so their low 32 bits are those modulo 2^32
+    np.cumprod(hashes, out=hashes)
+    hashes &= _MASK32
+    state = np.resize(np.array(_seed_pool(seed), dtype=np.uint64), 2 * count)
+    state ^= hashes[:-1]
+    state *= hashes[1:]
+    state &= _MASK32
+    state ^= state >> _XSHIFT
+    return state[0::2] | state[1::2] << 32
+
+
 def seed_words(seed: int, count: int) -> list[int]:
     """The first `count` uint64 words of SeedSequence(seed), numpy's seed
     hash: `generate_state(count, uint64)`, computed here bit for bit.
@@ -717,32 +738,21 @@ def seed_words(seed: int, count: int) -> list[int]:
     count above SEED_WORDS_CAP raises ResourceLimitError before anything
     is allocated.
     """
-    if seed < 0:
-        raise PreconditionError(f"seed must be >= 0, got {seed}")
-    if count > SEED_WORDS_CAP:
-        raise ResourceLimitError(f"{count} trials exceed cap {SEED_WORDS_CAP}")
-    hashes = np.full(2 * count + 1, _MULT_B, dtype=np.uint64)
-    hashes[0] = _INIT_B
-    # products wrap modulo 2^64, so their low 32 bits are those modulo 2^32
-    hashes = np.cumprod(hashes) & _MASK32
-    pool = np.resize(np.array(_seed_pool(seed), dtype=np.uint64), 2 * count)
-    state = (pool ^ hashes[:-1]) * hashes[1:] & _MASK32
-    state ^= state >> _XSHIFT
-    return (state[0::2] | state[1::2] << 32).tolist()
+    return _seed_array(seed, count).tolist()
 
 
 def trial_blocks(seed: int, trials: int, block: int):
-    """The trial seeds of a seeded ensemble, `block` consecutive trials at a
-    time: (chunk, words) per block, the seeds as Python ints (what a row
-    records) and as a uint64 array (what the draws take).  Trial k's seed
-    is word k of `seed_words(seed, trials)`.  A trial count below 1 raises
+    """The trial seeds of a seeded ensemble as one uint64 array (trials,),
+    and the slices that cut it into blocks of `block` consecutive trials:
+    an ensemble draws a block from ``seeds[rows]``, a view, and fills the
+    same rows of its columns.  Trial k's seed is word k of
+    `seed_words(seed, trials)`.  A trial count below 1 raises
     PreconditionError, one above SEED_WORDS_CAP ResourceLimitError, both
     in this call, before anything is drawn."""
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
-    seeds = seed_words(seed, trials)
-    chunks = (seeds[start:start + block] for start in range(0, trials, block))
-    return ((chunk, np.array(chunk, dtype=np.uint64)) for chunk in chunks)
+    seeds = _seed_array(seed, trials)
+    return seeds, (slice(start, start + block) for start in range(0, trials, block))
 
 
 def trial_stack(trial_seed: int) -> np.ndarray:
@@ -846,7 +856,9 @@ def normals(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
 # bounds their memory at any trial count: a 64 x 64 matrix per trial gives
 # blocks of 16 trials.  Blocks of 32 ran `matrixloc-ensemble` 0-10% faster
 # in-process but raised the peak RSS of `verify --quick --seed 1905` from
-# 35.3 to 36.6 MB.  The lanes of `tridiagonal_eigenvalues` take half blocks,
+# 35.3 to 36.6 MB.  A Berezin-Lieb trial counts every float64 its block holds
+# at its peak (`trialstate._BLOCK_NUMBERS`), which gives blocks of 112.  The
+# lanes of `tridiagonal_eigenvalues` take half blocks,
 # 16 lanes of the 2000-node channel stencils: a count with slopes keeps
 # about 4.5 columns of n doubles per lane (its diagonal, reciprocal pivots,
 # half a column of slopes and two of scratch).  Lanes of 32 raised that

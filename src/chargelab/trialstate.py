@@ -326,16 +326,16 @@ def _tight_frames(seeds: np.ndarray):
     """
     dimension, count = FRAME_DIMENSION, FRAME_COUNT
     first = normal_words(dimension * dimension) + count
-    draws = normals(seeds, first, count * dimension).reshape(-1, count, dimension)
-    norms = np.linalg.norm(draws, axis=2)
+    units = normals(seeds, first, count * dimension).reshape(-1, count, dimension)
+    norms = np.linalg.norm(units, axis=2)
     _fail_draws(seeds, np.any(norms < NORM_FLOOR, axis=1),
                 f"a vector norm below {NORM_FLOOR:g}")
-    units = draws / norms[:, :, None]
+    units /= norms[:, :, None]  # the draws become the unit vectors, in place
     eigenvalues, basis = np.linalg.eigh(units.transpose(0, 2, 1) @ units)
     _fail_draws(seeds, eigenvalues[:, 0] < CONDITION_FLOOR * eigenvalues[:, -1],
                 f"an eigenvalue ratio below {CONDITION_FLOOR:g}")
-    inv_root = (basis / np.sqrt(eigenvalues)[:, None, :]) @ basis.transpose(0, 2, 1)
-    rows = units @ inv_root
+    rows = units @ ((basis / np.sqrt(eigenvalues)[:, None, :]) @ basis.transpose(0, 2, 1))
+    del units, basis  # so that the residual check does not stack on them
     weights = np.einsum("tkd,tkd->tk", rows, rows)
     rows /= np.sqrt(weights)[:, :, None]
     _fail_draws(seeds, ~(_frame_residuals(rows, weights) <= FRAME_TOL),
@@ -432,29 +432,43 @@ def replay_trial(trial_seed: int) -> tuple[CoherentFrame, np.ndarray, np.ndarray
     return frame, f[0], y[0]
 
 
-def berezin_lieb_ensemble(xi: str, trials: int, master_seed: int):
-    """Random (frame, PSD Y, f) instances for one xi: rows
-    (seed, lhs, rhs, slack), one per trial drawn from that seed, each frame
-    FRAME_COUNT vectors in dimension FRAME_DIMENSION.
+# Float64 numbers per trial that a Berezin-Lieb block holds at its peak, in
+# `_berezin_lieb_sums`: the frame (m d), its weights, f (m each) and Y (d^2),
+# and the sums' largest temporaries, the frame scaled by w f (m d and m) and
+# its d x d product.  That is 584 for 24 vectors in dimension 8; traced
+# peaks of `_berezin_lieb_block` read 577 per trial at 341 to 1000 trials.
+_BLOCK_NUMBERS = 2 * FRAME_COUNT * FRAME_DIMENSION + 3 * FRAME_COUNT + 2 * FRAME_DIMENSION**2
+
+
+def _berezin_lieb_block(seeds: np.ndarray, func):
+    """(lhs, rhs) of the trials seeded at `seeds` (uint64, (T,)), with the
+    frame and Y checks of the whole block; its arrays are freed when it
+    returns, before the next block draws."""
+    vectors, weights = _tight_frames(seeds)
+    _check_frames(vectors, weights)
+    y_psd, f_draw = _draw_y_f(seeds)
+    _check_psd(y_psd)
+    return _berezin_lieb_sums(vectors, weights, f_draw, y_psd, func)
+
+
+def berezin_lieb_ensemble(xi: str, trials: int, master_seed: int) -> dict[str, np.ndarray]:
+    """Random (frame, PSD Y, f) instances for one xi: columns trial_seed
+    (uint64), lhs, rhs and slack (float64), one entry per trial drawn from
+    that seed, each frame FRAME_COUNT vectors in dimension FRAME_DIMENSION.
 
     The trial seeds are those of `numerics.trial_blocks`; a trial's Y, f
     and frame are drawn from the SplitMix64 stream seeded at its seed, at
     the fixed words of the module docstring.  A block of
-    `trials_per_block(FRAME_COUNT, FRAME_DIMENSION)` consecutive trials is
-    drawn at once and runs on the kernels of the per-trial route, with
-    every product and sum taken per trial; the frame and Y checks cover
-    the whole block.  So row k equals `replay_trial(trial seed k)` through
+    `trials_per_block(_BLOCK_NUMBERS)` consecutive trials is drawn at once
+    and runs on the kernels of the per-trial route, with every product and
+    sum taken per trial; the frame and Y checks cover the whole block.  So
+    trial k's entries equal `replay_trial(trial seed k)` through
     `berezin_lieb_check`, bit for bit.
     """
     if xi not in XI_FUNCTIONS:
         raise PreconditionError(f"xi must be one of {sorted(XI_FUNCTIONS)}")
-    rows = []
-    block = trials_per_block(FRAME_COUNT, FRAME_DIMENSION)
-    for chunk, words in trial_blocks(master_seed, trials, block):
-        vectors, weights = _tight_frames(words)
-        _check_frames(vectors, weights)
-        y_psd, f_draw = _draw_y_f(words)
-        _check_psd(y_psd)
-        lhs, rhs = _berezin_lieb_sums(vectors, weights, f_draw, y_psd, XI_FUNCTIONS[xi])
-        rows += zip(chunk, lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist())
-    return rows
+    seeds, blocks = trial_blocks(master_seed, trials, trials_per_block(_BLOCK_NUMBERS))
+    lhs, rhs = np.empty(trials), np.empty(trials)
+    for rows in blocks:
+        lhs[rows], rhs[rows] = _berezin_lieb_block(seeds[rows], XI_FUNCTIONS[xi])
+    return {"trial_seed": seeds, "lhs": lhs, "rhs": rhs, "slack": lhs - rhs}

@@ -71,6 +71,11 @@ def read_record(path):
     return header, rows, summary
 
 
+def table_rows(columns):
+    """The rows of a table (column name -> array), as its CSV writes them."""
+    return list(cli.Columns(*columns.values()))
+
+
 class TestCheckFunctions:
     def test_j_check(self):
         rows, summary, tables = cli.run_j_check()
@@ -95,17 +100,17 @@ class TestCheckFunctions:
         rows_a, summary_a, tables_a = cli.run_bogolubov_fuzz(25, 31, 2, 6)
         rows_b, summary_b, tables_b = cli.run_bogolubov_fuzz(25, 31, 2, 6)
         assert rows_a == rows_b
-        assert tables_a["models"][1] == tables_b["models"][1]
+        assert table_rows(tables_a["models"]) == table_rows(tables_b["models"])
         assert summary_a["violations"] == 0
         assert summary_a["min_gap"] >= -1e-9
         # the row names the largest absolute allowance its verdicts read
         assert rows_a[0]["max_allowance"] == max(
             bogolubov.BogolubovModel(t, gp, gm).gap_tolerance
-            for _seed, t, gp, gm, *_ in tables_a["models"][1])
+            for _seed, t, gp, gm, *_ in table_rows(tables_a["models"]))
 
     def test_bogolubov_fuzz_rows_replay_their_trial_seeds(self):
         _, _, tables = cli.run_bogolubov_fuzz(40, 1905, 2, 6)
-        samples = tables["models"][1]
+        samples = table_rows(tables["models"])
         assert [s[0] for s in samples] == numerics.seed_words(1905, 40)
         for ts, t, g_plus, g_minus, n_max, _energy, _gap in samples:
             assert cli._draw_models(numerics.trial_stack(ts), 2, 6) == [
@@ -117,12 +122,12 @@ class TestCheckFunctions:
             "inequality-onsager", "inequality-baxter", "inequality-positivity",
         ]
         assert summary["violations"] == 0
-        assert len(tables["trials"][1]) == 450
+        assert len(table_rows(tables["trials"])) == 450
 
     def test_single_checker_selection(self):
         rows, _, tables = cli.run_inequality_fuzz("baxter", 40, 5)
         assert len(rows) == 1 and rows[0]["check"] == "inequality-baxter"
-        assert len(tables["trials"][1]) == 40
+        assert len(table_rows(tables["trials"])) == 40
 
     def test_dyson_rows(self):
         rows, summary, tables = cli.run_dyson(800, 25.0)
@@ -131,7 +136,7 @@ class TestCheckFunctions:
         assert by_name["dyson-virial"]["holds"]
         assert by_name["dyson-grid-agreement"]["rel_change"] <= 1e-4
         assert summary["e_star"] == by_name["dyson-minimize"]["energy"]
-        assert len(tables["profile"][1]) == 800
+        assert len(table_rows(tables["profile"])) == 800
 
     def test_pair_identity(self):
         rows, summary, _ = cli.run_pair_identity()
@@ -160,12 +165,13 @@ class TestCheckFunctions:
         ]
         assert summary["violations"] == 0
         assert rows[0]["max_rel_slack"] <= 1e-12
-        assert len(tables["instances"][1]) == 200
+        assert len(table_rows(tables["instances"])) == 200
 
     def test_matrixloc_ensemble(self):
-        rows, summary, _ = cli.run_matrixloc_ensemble(50, 8, 64, 8)
+        rows, summary, tables = cli.run_matrixloc_ensemble(50, 8, 64, 8)
         assert rows[0]["holds"]
         assert summary["worst_c_required"] <= 50.0
+        assert summary["worst_c_required"] == max(r[3] for r in table_rows(tables["instances"]))
 
     def test_lt_study(self):
         rows, summary, _ = cli.run_lt_study(depths=(50.0,))
@@ -190,10 +196,38 @@ class TestCheckFunctions:
         )
 
 
+def _traced_peak(run, *args):
+    """The peak traced memory, in bytes, of one call of `run`."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrialFootprint:
+    """A seeded run keeps its trials as columns of 8-byte numbers: its
+    traced peak grows by a bounded number of bytes per trial.  Measured
+    growth: rows of Python tuples took 580 B a trial in the inequality fuzz
+    (3 checkers) and 1369 B in the Berezin-Lieb ensembles (4 xi); columns
+    take 143 and 128 B, under the tables' own 168 and 160 B a trial."""
+
+    @pytest.mark.parametrize("run, args, trials, bound", [
+        (cli.run_inequality_fuzz, ("all",), (2000, 8000), 180),
+        (cli.run_berezin, (), (400, 1600), 160),
+    ], ids=["inequality-fuzz", "berezin-lieb"])
+    def test_peak_grows_by_a_bounded_size_per_trial(self, run, args, trials, bound):
+        run(*args, 20, 1905)  # the caches that a first run fills
+        small, large = (_traced_peak(run, *args, count, 1905) for count in trials)
+        per_trial = (large - small) / (trials[1] - trials[0])
+        assert per_trial <= bound, f"{per_trial:.0f} B per trial"
+
+
 class TestBogolubovDrawLayout:
     """Words 0-3 of each Bogolubov fuzz trial against its distribution."""
 
-    (_, SEEDS), = numerics.trial_blocks(1905, 4000, 4000)
+    SEEDS = numerics.trial_blocks(1905, 4000, 4000)[0]
 
     @pytest.mark.parametrize("lo, hi", [(2, 6), (1, 1), (3, 20)])
     def test_draws_cover_their_ranges(self, lo, hi):
@@ -250,6 +284,12 @@ RECORD_PINS = (
         "trialstate.jsonl": "0e6de10ce1c496f8a8d627734e572b130ef0d362b03a8a6b7b6ad203b1cb40e3",
         "trialstate-instances.csv":
             "babc27beb41d2b62aadb2bbecd88df4ce91ba5b5b114e1fab5186ff63d9d2497"}),
+    # a table over several blocks of each ensemble; --trials leads, so that
+    # its test id differs from the 20-trial pin's
+    (("trialstate", "--trials", "400", "--check", "berezin-lieb", "--seed", "1905"), {
+        "trialstate.jsonl": "977e16b1dbe65d414926219042f9138b315ef362f9b462d30e03589bb68e9f3a",
+        "trialstate-instances.csv":
+            "1307f0b720a11f185abc96e40d6c20462d122e4d53749aa3d1ff5ab60e8df969"}),
     (("matrixloc-ensemble", "--trials", "20"), {
         "matrixloc-ensemble.jsonl":
             "bf017c467ef926527f72084821d01ecd1aaaddb667bcd414d251881425e2e3e4",
@@ -279,8 +319,10 @@ class TestMainPlumbing:
         meta = json.loads((tmp_path / "foldy-j.meta.json").read_text())
         assert meta["schema"] == cli.SCHEMA_META
         assert meta["duration_s"] > 0
-        assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb"}
+        assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
+                             "tables"}
         assert type(meta["peak_rss_mb"]) is float and meta["peak_rss_mb"] > 0
+        assert meta["tables"] == {}  # foldy-j writes no CSV table
         config = np.show_config(mode="dicts")
         assert meta["env"] == {
             "python": platform.python_version(),
@@ -306,7 +348,7 @@ class TestMainPlumbing:
         assert cli.main(["verify", "--quick", "--outdir", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "verify.meta.json").read_text())
         assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
-                             "checks", "checks_peak_rss_mb"}
+                             "tables", "checks", "checks_peak_rss_mb"}
         checks = meta["checks"]
         assert sorted(checks) == sorted(name for name, _argv, _trials in cli.BATTERY)
         for seconds in checks.values():
@@ -399,7 +441,12 @@ class TestMainPlumbing:
             f"alters the records on purpose updates the pin and names the changed "
             f"fields in CHANGES.md")
         meta = json.loads((out / f"{argv[0]}.meta.json").read_text())
-        assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb"}
+        assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
+                             "tables"}
+        # the row count of each CSV table: its lines less the tag and the header
+        assert meta["tables"] == {
+            p.name[len(argv[0]) + 1:-4]: len(p.read_text().splitlines()) - 2
+            for p in out.iterdir() if p.suffix == ".csv"}
 
     def test_unseeded_trialstate_records_ignore_seed_and_trials(self, tmp_path):
         runs = (["trialstate", "--check", "pair-energy"],
@@ -441,7 +488,8 @@ class TestMainPlumbing:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "No space left on device" in err
         with pytest.raises(OSError), cli._staging() as staged:
-            cli.write_table(tmp_path, "bogolubov-fuzz", "models", ("a",), [(1,)], staged)
+            cli.write_table(tmp_path, "bogolubov-fuzz", "models", ("a",),
+                            cli.Columns(np.array([1])), staged)
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 

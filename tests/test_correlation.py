@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chargelab import correlation, numerics
+from chargelab.cli import Columns
 from chargelab.correlation import (
     _BLOCK,
     CHECKERS,
@@ -21,6 +22,11 @@ from chargelab.correlation import (
 )
 from chargelab.errors import DomainError, PreconditionError
 from chargelab.numerics import seed_words, splitmix64, uniforms
+
+
+def ensemble_rows(columns):
+    """An ensemble's columns as rows, as its CSV table writes them."""
+    return list(Columns(*columns.values()))
 
 
 def drawn(seed, n, box, kind):
@@ -304,14 +310,14 @@ class TestStoredGeometry:
 class TestEnsembles:
     def test_zero_violations(self):
         for which, seed in (("onsager", 101), ("baxter", 102), ("positivity", 103)):
-            rows = run_random_ensemble(which, 400, seed)
-            assert len(rows) == 400
-            assert min(r[5] for r in rows) >= -1e-10
+            columns = run_random_ensemble(which, 400, seed)
+            assert all(len(column) == 400 for column in columns.values())
+            assert columns["slack"].min() >= -1e-10
 
     def test_reproducible(self):
         a = run_random_ensemble("onsager", 50, 2024)
         b = run_random_ensemble("onsager", 50, 2024)
-        assert a == b
+        assert ensemble_rows(a) == ensemble_rows(b)
 
     def test_charge_kinds(self):
         pm = drawn(3, 30, 5.0, "pm1")
@@ -402,7 +408,10 @@ class TestBatchedEnsemble:
 
     @staticmethod
     def replayed(which, trials, seed):
-        rows = run_random_ensemble(which, trials, seed)
+        columns = run_random_ensemble(which, trials, seed)
+        assert tuple(columns) == ("trial_seed", "n", "mu", "lhs", "rhs", "slack")
+        assert columns["trial_seed"].dtype == np.uint64 and columns["n"].dtype.kind == "i"
+        rows = ensemble_rows(columns)
         assert [r[0] for r in rows] == seed_words(seed, trials)
         replay = [_replay(which, r[0]) for r in rows]
         expected = [row for row, _ in replay]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chargelab import matrixloc
+from chargelab.cli import Columns
 from chargelab.errors import (
     ConsistencyError,
     DomainError,
@@ -25,6 +26,11 @@ from chargelab.matrixloc import (
     write_vector,
 )
 from chargelab.numerics import seed_words, trials_per_block
+
+
+def ensemble_rows(columns):
+    """An ensemble's columns as rows, as its CSV table writes them."""
+    return list(Columns(*columns.values()))
 
 
 def second_difference(n: int) -> np.ndarray:
@@ -256,15 +262,14 @@ class TestBudget:
 
 class TestGaussianEnsemble:
     def test_required_constant_stays_small(self):
-        worst, rows = gaussian_ensemble(300, 20260825)
-        assert len(rows) == 300
-        assert worst <= 50.0
-        assert all(c >= 0.0 for _, _, _, c in rows)
+        columns = gaussian_ensemble(300, 20260825)
+        assert all(len(column) == 300 for column in columns.values())
+        assert np.all((columns["c_required"] >= 0.0) & (columns["c_required"] <= 50.0))
 
     def test_reproducible(self):
         first = gaussian_ensemble(40, 77)
         second = gaussian_ensemble(40, 77)
-        assert first == second
+        assert ensemble_rows(first) == ensemble_rows(second)
 
 
 def _replay(seed, n, window):
@@ -280,12 +285,14 @@ class TestBatchedEnsembles:
 
     @staticmethod
     def replayed(trials, seed, n=64, window=8):
-        worst, rows = gaussian_ensemble(trials, seed, n=n, window=window)
+        columns = gaussian_ensemble(trials, seed, n=n, window=window)
+        assert tuple(columns) == ("trial_seed", "lam", "value", "c_required")
+        assert columns["trial_seed"].dtype == np.uint64
+        rows = ensemble_rows(columns)
         assert [r[0] for r in rows] == seed_words(seed, trials)
         expected = [_replay(r[0], n, window) for r in rows]
         assert rows == expected
         assert repr(rows) == repr(expected)  # signed zeros as well
-        assert worst == max([0.0] + [r[3] for r in expected])
         return rows
 
     def test_single_trial(self):

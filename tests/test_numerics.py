@@ -237,13 +237,14 @@ def test_seed_words_match_seed_sequence(seed):
 
 @pytest.mark.parametrize("block", [1, 7, 40])
 def test_trial_blocks_slice_the_seed_words(block):
-    blocks = list(numerics.trial_blocks(1905, 40, block))
+    seeds, blocks = numerics.trial_blocks(1905, 40, block)
+    assert seeds.dtype == np.uint64 and seeds.tolist() == seed_words(1905, 40)
+    blocks = list(blocks)
     sizes = [min(block, 40 - start) for start in range(0, 40, block)]
-    assert [len(chunk) for chunk, _ in blocks] == sizes
-    assert [seed for chunk, _ in blocks for seed in chunk] == seed_words(1905, 40)
-    for chunk, words in blocks:
-        assert all(type(seed) is int for seed in chunk)
-        assert words.dtype == np.uint64 and words.tolist() == chunk
+    assert [seeds[rows].size for rows in blocks] == sizes
+    assert [seed for rows in blocks for seed in seeds[rows].tolist()] == seeds.tolist()
+    # each block is a view of the one seed array, not a copy
+    assert all(np.shares_memory(seeds[rows], seeds) for rows in blocks)
 
 
 def test_trial_blocks_check_the_count_before_drawing():
