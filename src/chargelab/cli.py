@@ -8,8 +8,9 @@ files.  `write_record` writes one from those parts; `main` passes it the
 parsed flags, less the plumbing ones, as the parameters.  Records are
 strict JSON: a non-finite float is written as the string "inf", "-inf"
 or "nan", the spelling the CSV tables use.  The wall-clock duration,
-the peak resident memory (and, for `verify`, each check's duration and
-the peak after it) and the environment are written to a sidecar
+the peak resident memory, the eigenvalue solver's counters (and, for
+`verify`, each check's duration, the peak after it and its counters) and
+the environment are written to a sidecar
 ``<name>.meta.json`` to keep them out of the deterministic surface.
 Plot-ready tables are CSV with a schema tag comment on the first line;
 rendering is out of scope.
@@ -61,7 +62,14 @@ from .errors import (
     SolverError,
 )
 from .foldy import foldy_j, j_closed_form, j_from_integral, simplified_energy_quadrature
-from .numerics import seed_words, trial_blocks, trials_per_block, uniform_radial_grid, uniforms
+from .numerics import (
+    seed_words,
+    solver_counters,
+    trial_blocks,
+    trials_per_block,
+    uniform_radial_grid,
+    uniforms,
+)
 
 __all__ = [
     "run_j_check",
@@ -646,8 +654,8 @@ def run_lt_study(depths):
     if len(depths) == 0:
         raise PreconditionError("depths must be nonempty")
     rows = []
-    for depth in depths:
-        result = spectral.negative_sum(spectral.gaussian_well(float(depth)))
+    results = spectral.negative_sums([spectral.gaussian_well(float(depth)) for depth in depths])
+    for depth, result in zip(depths, results):
         rel_gap = abs(result.lt_ratio / spectral.SEMICLASSICAL_LT_RATIO - 1.0)
         rows.append(
             {
@@ -673,9 +681,8 @@ def run_sobolev_study(depths):
     if len(depths) == 0:
         raise PreconditionError("depths must be nonempty")
     rows = []
-    for depth in depths:
-        spec = spectral.gaussian_well(float(depth))
-        e0 = spectral.ground_state_energy(spec)
+    specs = [spectral.gaussian_well(float(depth)) for depth in depths]
+    for depth, spec, e0 in zip(depths, specs, spectral.ground_state_energies(specs)):
         v = spec.v_integral()
         rows.append(
             {
@@ -737,18 +744,21 @@ def run_verification_suite(master_seed: int, quick: bool = False, meta: dict | N
     """The canonical battery, run serially as subcommand invocations; check
     i takes word i of seed_words(master_seed, len(BATTERY)).  If `meta` is
     given, each check's wall time in seconds is stored under its name in
-    meta["checks"], and the process's peak resident memory in MB after it
-    in meta["checks_peak_rss_mb"]."""
+    meta["checks"], the process's peak resident memory in MB after it in
+    meta["checks_peak_rss_mb"], and its `solver_counters` in
+    meta["checks_counters"]."""
     parser = build_parser()
     meta = {} if meta is None else meta
     durations, peaks = meta.setdefault("checks", {}), meta.setdefault("checks_peak_rss_mb", {})
+    counted = meta.setdefault("checks_counters", {})
     rows, failed = [], []
     for (name, argv, trials), seed in zip(BATTERY, seed_words(master_seed, len(BATTERY))):
         if trials is not None:
             argv += ("--trials", str(trials[1] if quick else trials[0]), "--seed", str(seed))
         args = parser.parse_args(argv)
         started = time.perf_counter()
-        check_rows, summary, _tables = args.run(args)
+        with solver_counters() as counted[name]:
+            check_rows, summary, _tables = args.run(args)
         durations[name], peaks[name] = time.perf_counter() - started, _peak_rss_mb()
         ok = all(r.get("holds", True) for r in check_rows)
         rows.extend(check_rows)
@@ -970,7 +980,8 @@ def main(argv=None) -> int:
             _probe_output(outdir, base)
         except OSError as exc:  # a missing, read-only or non-directory output
             raise PreconditionError(f"cannot write {outdir / base}.jsonl: {exc.strerror or exc}")
-        rows, summary, tables = args.run(args)
+        with solver_counters() as args.meta["counters"]:
+            rows, summary, tables = args.run(args)
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,8 @@ fuzz), `matrixloc` (Gaussian matrices) and `trialstate` (Berezin-Lieb).
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import sys
 from dataclasses import dataclass
@@ -54,6 +56,7 @@ __all__ = [
     "GRID_NODES_CAP",
     "tridiagonal_counts",
     "tridiagonal_eigenvalues",
+    "solver_counters",
     "tridiagonal_ldl",
     "tridiagonal_ldl_solve",
     "seed_words",
@@ -333,11 +336,19 @@ def _sturm_count(shifted: list[float], off_sq: list[float], pivmin: float) -> in
     return count
 
 
-def _inertia(shifted: np.ndarray, off_sq: np.ndarray, tnorm: np.ndarray,
-             slope: bool = False):
+def _split_into(target: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """`source` copied into the first rows of `target` in split order, its
+    even rows and then its odd rows; returns those rows of `target`."""
+    half = (source.shape[0] + 1) // 2
+    target[:half], target[half:source.shape[0]] = source[0::2], source[1::2]
+    return target[:source.shape[0]]
+
+
+def _inertia(diag: np.ndarray, rows: np.ndarray, shifts: np.ndarray, off_sq: np.ndarray,
+             tnorm: np.ndarray, slope: bool = False):
     """Number of negative eigenvalues of each symmetric tridiagonal matrix
-    whose diagonal is a column of `shifted` (n x lanes) and whose squared
-    off-diagonal is `off_sq` (n - 1, shared).
+    diag[rows[k]] - shifts[k] (lane k), all with the squared off-diagonal
+    `off_sq` (n - 1).
 
     Odd-even reduction: the entries 0, 2, 4, ... are decoupled from one
     another, so eliminating them leaves them as pivots and a tridiagonal
@@ -348,101 +359,103 @@ def _inertia(shifted: np.ndarray, off_sq: np.ndarray, tnorm: np.ndarray,
     those pivots, so S = d/dx log|det(A - x)| is the sum of p'/p over them,
     p' the derivative of pivot p in the shift x of the lane's matrix A - x.
     The reduction carries d' and c'/c of its diagonal d and squared
-    off-diagonal c; each lane's terms are summed in order.  A recounted
-    lane's S is NaN.
+    off-diagonal c.  S is the sum of the p'/p of the levels past the first
+    minus the sum of the first level's reciprocal pivots, each sum taken
+    row by row in order, level after level (numpy sums a lone lane's column
+    pairwise instead).  A recounted lane's S is NaN.
 
-    Besides the counts it allocates the reciprocal pivots (n x lanes), with
-    `slope` the p'/p past the first level (n/2 x lanes), and scratch for
-    the first level: three (n/2 x lanes) planes, four with `slope`.  The
-    second level computes in place in that scratch, and each later one,
-    n/8 rows or fewer, allocates about five arrays of its size.
+    A level keeps its own rows alone, in one scratch of about 2.5 n rows x
+    lanes: the shifted diagonals are written into it even rows first, a
+    level computes in place with every operand a block of whole rows, and
+    its kept rows are copied in the same split order into blocks it no
+    longer uses, so numpy copies no strided operand through a buffer.
     """
+    n, lanes = diag.shape[1], rows.size
+    first, kept = (n + 1) // 2, n // 2
+    # the diagonals; the reciprocal pivots, after a row that leads the sum
+    # of a level's p'/p; a third and a fourth block of kept rows, one row
+    # more in the fourth, where the second level's reciprocal pivots go
+    scratch = np.empty((n + first + 2 * kept + 2, lanes))
+    d, spare = scratch[:n], scratch[n:n + first + 1]
+    third, fourth = scratch[n + first + 1:n + first + kept + 1], scratch[n + first + kept + 1:]
+    for lane, (row, shift) in enumerate(zip(rows.tolist(), shifts.tolist())):
+        np.subtract(diag[row, 0::2], shift, out=d[:first, lane])
+        np.subtract(diag[row, 1::2], shift, out=d[first:, lane])
     guard, floor = _GUARD * tnorm, _PIVMIN * tnorm
     limit, largest_floor = 1.0 / guard.max(), floor.max()
-    # every level's reciprocal pivots, and from the second level on p'/p,
-    # one block of rows per level, so each lane's terms add up at the end;
-    # the first level has `first` pivots
-    first = (shifted.shape[0] + 1) // 2
-    inverses = np.empty(shifted.shape)
-    rates = np.empty((shifted.shape[0] - first, shifted.shape[1])) if slope else None
-    recount = np.zeros(shifted.shape[1], dtype=bool)
-    # the first level's left (then d), right (then c'/c), c and change
-    # (then d')
-    work = np.empty((4 if slope else 3, shifted.shape[0] // 2, shifted.shape[1]))
-    d, c = shifted, off_sq[:, None]
-    # d' and c'/c, None on the first level, where d' = -1 and c' = 0
-    d_rate = c_rate = None
-    row = level = 0
+    count, recount = np.zeros(lanes, np.int64), np.zeros(lanes, dtype=bool)
+    size, c, rate_sum = n, None, 0.0
     # A small pivot shows as a large reciprocal.  The lanes to be recounted
     # may overflow, and fmax/fmin skip the NaN they may leave.
     with np.errstate(all="ignore"):
         while True:
-            level += 1
-            pivot = d[::2]
-            kept, right_count = d.shape[0] // 2, (d.shape[0] - 1) // 2
-            inverse = np.divide(1.0, pivot, out=inverses[row:row + pivot.shape[0]])
+            pivots, kept, right_count = (size + 1) // 2, size // 2, (size - 1) // 2
+            pivot = d[:pivots]
+            inverse = np.divide(1.0, pivot, out=spare[1:pivots + 1])
             if np.fmax.reduce(inverse, axis=None) > limit or (
                     np.fmin.reduce(inverse, axis=None) < -limit):
-                size = np.abs(pivot)
+                magnitude = np.abs(pivot)
                 # a pivot at an end has one neighbour, which no other
                 # rounding then cancels against
-                interior = (size < guard)[1:kept]
-                recount |= interior.any(axis=0)
-                if np.fmin.reduce(size, axis=None) < largest_floor:
-                    np.divide(1.0, np.where(size < floor, -floor, pivot), out=inverse)
-            if slope:
-                # p'/p of each pivot; c/p, and so the coupling to it, has
-                # the log-derivative c'/c - p'/p
-                if d_rate is None:
-                    left_rate, right_rate = inverse[:kept], inverse[1:right_count + 1]
-                else:
-                    rate = np.multiply(d_rate[::2], inverse,
-                                       out=rates[row - first:row - first + pivot.shape[0]])
-                    left_rate = np.subtract(c_rate[0:2 * kept:2], rate[:kept],
-                                            out=c_rate[0:2 * kept:2] if level == 2 else None)
-                    right_rate = np.subtract(c_rate[1::2], rate[1:right_count + 1],
-                                             out=c_rate[1::2] if level == 2 else None)
-            row += pivot.shape[0]
+                recount |= (magnitude < guard)[1:kept].any(axis=0)
+                if np.fmin.reduce(magnitude, axis=None) < largest_floor:
+                    np.divide(1.0, np.where(magnitude < floor, -floor, pivot), out=inverse)
+            count += np.einsum("ij->j", np.signbit(inverse), dtype=np.int64)
+            # kept entry j couples to the pivots j (left) and j + 1 (right)
+            if c is None:
+                # the first level, where c = off_sq, d' = -1 and c' = 0, so
+                # c/p has the log-derivative 1/p
+                if slope:
+                    first_sum = np.einsum("ij->j", inverse)
+                left_rate, right_rate = inverse[:kept], inverse[1:right_count + 1]
+                left = np.multiply(off_sq[0:2 * kept:2, None], left_rate, out=d[:kept])
+                right = np.multiply(off_sq[1::2, None], right_rate, out=third[:right_count])
+                if slope:
+                    change = np.multiply(left, left_rate, out=fourth[:kept])
+                    d_rate = np.subtract(-1.0, change, out=change)
+                targets = spare, d[pivots:], d[:pivots], third
+                spare = fourth
+            else:
+                left = np.multiply(c[:kept], inverse[:kept], out=c[:kept])
+                right = np.multiply(c[kept:size - 1], inverse[1:right_count + 1],
+                                    out=c[kept:size - 1])
+                if slope:
+                    # p'/p in place of the reciprocal pivots, summed after
+                    # the earlier levels' sum
+                    rate = np.multiply(d_rate[:pivots], inverse, out=inverse)
+                    spare[0] = rate_sum
+                    rate_sum = np.add.reduce(spare[:pivots + 1], axis=0)
+                    # c/p has the log-derivative c'/c - p'/p
+                    left_rate = np.subtract(c_rate[:kept], rate[:kept], out=c_rate[:kept])
+                    right_rate = np.subtract(c_rate[kept:size - 1], rate[1:right_count + 1],
+                                             out=c_rate[kept:size - 1])
+                    change = np.multiply(left, left_rate, out=d_rate[:kept])
+                    d_rate = np.subtract(d_rate[pivots:size], change, out=change)
+                targets, spare = (spare, c_rate_area, d_area, c_area), d_rate_area
             if kept == 0:
                 break
-            # where left, right, the next c and change go: the first level's
-            # into `work`; the second's in place, over the c they come from
-            # and the rows of d and d' whose pivots were just inverted, as
-            # are its rates of the couplings; a later level's, n/8 rows or
-            # fewer, into new arrays, since numpy copies strided rows
-            # through a buffer
-            if level == 1:
-                into = work[0], work[1, :right_count], work[2, :kept - 1], work[-1]
-            elif level == 2:
-                into = (c[0:2 * kept:2], c[1::2], d[0:2 * kept - 2:2],
-                        d_rate[0:2 * kept:2] if slope else None)
-            else:
-                into = None, None, None, None
-            # kept entry 2j+1 couples to the pivots 2j (left) and 2j+2 (right)
-            left = np.multiply(c[0:2 * kept:2], inverse[:kept], out=into[0])
-            right = np.multiply(c[1::2], inverse[1:right_count + 1], out=into[1])
-            # (b_{2j+1} b_{2j+2} / p_{2j+2})^2 couples kept 2j+1 and 2j+3
-            c = np.multiply(right[:kept - 1], left[1:], out=into[2])
-            if slope:
-                change = np.multiply(left, left_rate, out=into[3])
-                d_rate = np.subtract(-1.0 if d_rate is None else d_rate[1::2], change,
-                                     out=change)
-            d = np.subtract(d[1::2], left, out=left)
-            d[:right_count] -= right
+            d_next = np.subtract(d[pivots:size], left, out=d[pivots:size])
+            d_next[:right_count] -= right
+            # (b_{2j+1} b_{2j+2} / p_{2j+2})^2 couples kept j and j + 1
+            c_next = np.multiply(right[:kept - 1], left[1:], out=left[1:])
             if slope:
                 right *= right_rate
                 d_rate[:right_count] -= right
                 c_rate = np.add(right_rate[:kept - 1], left_rate[1:], out=right[:kept - 1])
-    # einsum sums each column in one pass over the rows, faster than a
-    # reduction over axis 0; a matrix product, faster still, would convert
-    # the signs to a float copy of `inverses` while the scratch is held
-    count = np.einsum("ij->j", np.signbit(inverses), dtype=np.int64)
+            # the next level's rows, in split order, into blocks this level
+            # is done with, in an order that frees each block before it fills
+            d_area, c_area, c_rate_area, d_rate_area = targets
+            d, c = _split_into(d_area, d_next), _split_into(c_area, c_next)
+            if slope:
+                c_rate = _split_into(c_rate_area, c_rate)
+                d_rate = _split_into(d_rate_area, d_rate)
+            size = kept
     for lane in np.flatnonzero(recount):
-        count[lane] = _sturm_count(shifted[:, lane].tolist(), off_sq.tolist(),
+        count[lane] = _sturm_count((diag[rows[lane]] - shifts[lane]).tolist(), off_sq.tolist(),
                                    _PIVMIN * float(tnorm[lane]))
     if not slope:
         return count
-    total = np.einsum("ij->j", rates) - np.einsum("ij->j", inverses[:first])
+    total = rate_sum - first_sum
     total[recount] = np.nan
     return count, total
 
@@ -469,9 +482,8 @@ def tridiagonal_counts(diag, off, shifts) -> np.ndarray:
     matrix with diagonal diag[i] and off-diagonal `off`, which every matrix
     of the stack shares."""
     diag, off, lower, upper = _tridiagonal(diag, off)
-    stack, shifts = np.broadcast_arrays(diag, np.asarray(shifts, dtype=float)[:, None])
-    shifted = np.subtract(stack.T, shifts.T, out=np.empty(stack.shape[::-1]))
-    return _inertia(shifted, off * off, _tnorm(lower, upper))
+    rows, shifts = np.broadcast_arrays(np.arange(diag.shape[0]), np.asarray(shifts, dtype=float))
+    return _inertia(diag, rows, shifts, off * off, _tnorm(lower, upper)[rows])
 
 
 def _estimate(points, slopes, above):
@@ -507,13 +519,31 @@ def _split(lo, hi, newton, estimate, step):
         guess = estimate / step
         newton = newton & (guess >= lo) & (guess <= hi)
     nearest = np.rint(np.where(newton, guess, 0.0)).astype(np.int64)
-    return np.where(newton, np.clip(nearest, lo + 1, hi - 1), (lo + hi) // 2)
+    return np.where(newton, np.clip(nearest, lo + 1, hi - 1), (lo + hi) >> 1)
 
 
 # A lane whose bracket has not halved in this many counts splits at the
 # midpoint, so whatever the slopes, a bracket halves at least once in every
 # _STALL + 1 counts.  No lane of lt-study or sobolev-study stalls for 6.
 _STALL = 8
+
+_COUNTERS = contextvars.ContextVar("solver_counters", default=None)
+
+
+@contextlib.contextmanager
+def solver_counters():
+    """A dict of the work `tridiagonal_eigenvalues` does in the block: its
+    `inertia_calls` and `lane_evaluations` (matrices counted with their
+    slopes), which also add to those of an enclosing block."""
+    counters, outer = {"inertia_calls": 0, "lane_evaluations": 0}, _COUNTERS.get()
+    token = _COUNTERS.set(counters)
+    try:
+        yield counters
+    finally:
+        _COUNTERS.reset(token)
+        if outer is not None:
+            for name, value in counters.items():
+                outer[name] += value
 
 
 def tridiagonal_eigenvalues(diag, off, rows, index, upper, splits=None) -> np.ndarray:
@@ -543,6 +573,13 @@ def tridiagonal_eigenvalues(diag, off, rows, index, upper, splits=None) -> np.nd
     given, are each lane's first j split points, taken at the nearest grid
     points in one count; those outside the bracket are ignored.
 
+    The live lanes are counted `trials_per_block(2, n)` at a time, each
+    count in one scratch of about 2.5 n rows per lane (`_inertia`), so a
+    stack of many matrices, the channels of several wells on one grid,
+    costs its diagonals and the scratch of one count: the 88 lanes of
+    lt-study's three wells, 60 counts of 16 lanes or fewer, peak at 1.28 MB
+    of traced memory.
+
     The count itself carries rounding: odd-even reduction is not backward
     stable for every matrix.  Against ?stebz the eigenvalues of the radial
     stencils of `spectral` agreed within 0.7 eps * tnorm, those of 200
@@ -565,8 +602,10 @@ def tridiagonal_eigenvalues(diag, off, rows, index, upper, splits=None) -> np.nd
     # slopes and sides
     points, slopes = np.full((2, rows.size), np.nan), np.full((2, rows.size), np.nan)
     sides = np.zeros((2, rows.size), bool)
-    # the width the bracket is to halve to, and the counts since it last did
-    target, stalled = (hi - lo) // 2, np.zeros(rows.size, np.int64)
+    # the width the bracket is to halve to, and the counts since it last did;
+    # >> 1 halves as // 2 does, rounding down, without numpy's int64 floor
+    # division, whose code no other check runs (64 KB more resident memory)
+    target, stalled = (hi - lo) >> 1, np.zeros(rows.size, np.int64)
     off_sq = off * off
 
     def count(lanes, split):
@@ -580,12 +619,15 @@ def tridiagonal_eigenvalues(diag, off, rows, index, upper, splits=None) -> np.nd
         once = np.fromiter(first.values(), np.intp)
         where = np.searchsorted(once, [first[pair] for pair in pairs])
         if once.size == 1 < lanes.size:
-            # einsum sums a lone column in another order than a stack of them
+            # numpy sums a lone column in another order than a stack of them
             once = np.repeat(once, 2)
         lanes, split = lanes[once], split[once]
-        shifted = np.subtract(diag[rows[lanes]].T, split * step[lanes],
-                              out=np.empty((diag.shape[1], lanes.size)))
-        counts, slope = _inertia(shifted, off_sq, tnorm[lanes], slope=True)
+        counters = _COUNTERS.get()
+        if counters is not None:
+            counters["inertia_calls"] += 1
+            counters["lane_evaluations"] += lanes.size
+        counts, slope = _inertia(diag, rows[lanes], split * step[lanes], off_sq, tnorm[lanes],
+                                 slope=True)
         return counts[where], slope[where]
 
     def settle(lanes, split, counts, slope):
@@ -600,7 +642,7 @@ def tridiagonal_eigenvalues(diag, off, rows, index, upper, splits=None) -> np.nd
         width = hi[lanes] - lo[lanes]
         halved = width <= target[lanes]
         stalled[lanes] = np.where(halved, 0, stalled[lanes] + 1)
-        target[lanes] = np.where(halved, width // 2, target[lanes])
+        target[lanes] = np.where(halved, width >> 1, target[lanes])
 
     if splits is not None:
         grid = np.rint(np.asarray(splits, dtype=float) / step[:, None]).astype(np.int64)
@@ -858,11 +900,12 @@ def normals(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
 # in-process but raised the peak RSS of `verify --quick --seed 1905` from
 # 35.3 to 36.6 MB.  A Berezin-Lieb trial counts every float64 its block holds
 # at its peak (`trialstate._BLOCK_NUMBERS`), which gives blocks of 112.  The
-# lanes of `tridiagonal_eigenvalues` take half blocks,
-# 16 lanes of the 2000-node channel stencils: a count with slopes keeps
-# about 4.5 columns of n doubles per lane (its diagonal, reciprocal pivots,
-# half a column of slopes and two of scratch).  Lanes of 32 raised that
-# peak from 35.3 to 37.2 MB.
+# lanes of `tridiagonal_eigenvalues` take half blocks, 16 lanes of the
+# 2000-node channel stencils: a count with slopes keeps about 2.5 columns
+# of n doubles per lane (its shifted diagonal, the first level's reciprocal
+# pivots and two half columns of kept rows).  Lanes of 32 ran lt-study's
+# eigenvalues 20-27% faster in-process but raised their traced peak from
+# 1.28 to 1.93 MB.
 BLOCK_BYTES = 1 << 19
 
 

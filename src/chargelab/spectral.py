@@ -4,13 +4,17 @@ Negative spectra of -1/2 Laplacian + V are computed by radial reduction:
 u = r R(r) turns each angular-momentum channel into a Dirichlet
 tridiagonal eigenproblem on a uniform grid, with the (2 ell + 1)
 degeneracy summed adaptively.  The eigenvalues are settled by inertia
-counts on a dyadic grid (`numerics.tridiagonal_eigenvalues`), every
-negative eigenvalue of CHANNEL_CHUNK channels as one lane of a stack, with
-numpy alone.  The channels are counted before any eigenvalue is solved, so
-ELL_CAP and LANE_CAP bound the work up front.  Each eigenvalue is solved
-once per spectrum: `spectrum_and_ground_state` takes the ground state's
-coarse eigenvalue from the spectrum's channel-0 lane instead of solving it
-again, and the doubled grid's eigenvalue starts from a window around it.
+counts on a dyadic grid (`numerics.tridiagonal_eigenvalues`) with numpy
+alone.  Wells that share a grid share the off-diagonal, so their spectra
+are solved together (`negative_sums`, `ground_state_energies`): every
+negative eigenvalue of every binding channel of every well is one lane of
+one stack, whose rows are the channels' diagonals.  The channels are
+counted, CHANNEL_CHUNK to an inertia call, before any eigenvalue is
+solved, so ELL_CAP and LANE_CAP bound each well's work up front.  Each
+eigenvalue is solved once per spectrum: `spectrum_and_ground_state` takes
+the ground state's coarse eigenvalue from the spectrum's channel-0 lane
+instead of solving it again, and the doubled grid's eigenvalue starts from
+a window around it.
 Measured ratios E0 / int|V|_-^(5/2) and neg_sum / int|V|_-^(5/2) bracket
 the Sobolev and Lieb-Thirring constants empirically; no universal constant
 is hardcoded.
@@ -53,7 +57,9 @@ __all__ = [
     "StabilityBound",
     "default_eigen_grid",
     "ground_state_energy",
+    "ground_state_energies",
     "negative_sum",
+    "negative_sums",
     "spectrum_and_ground_state",
     "stability_bound",
 ]
@@ -66,11 +72,12 @@ POTENTIAL_KINDS = ("gaussian-well", "square-well", "screened-nucleus")
 
 ELL_CONVERGED = 1e-6  # stop adding channels below this relative contribution
 ELL_CAP = 300
-CHANNEL_CHUNK = 16  # channels solved together
+CHANNEL_CHUNK = 16  # channels counted together
 # Most negative eigenvalues one spectrum solves, counted before the first is
 # solved.  At the cap a spectrum takes about 1 s on the default 2000-node
-# grid (lt-study --depths 4080: 1023 eigenvalues, 0.97 s on 2 shared CPUs);
-# --depths 10000 holds 2515, which took 4.2 s.
+# grid (lt-study --depths 4080: 1023 eigenvalues, 0.90 s on 2 shared CPUs,
+# 0.27 s of it in the Sturm recounts of 1063 lanes); --depths 10000 holds
+# 2515, which took 4.0 s.
 LANE_CAP = 1024
 REFINE_TOL = 1e-4  # two-grid disagreement beyond this aborts
 V_QUAD_TOL = 1e-10  # quadrature tolerance of v_integral_quadrature
@@ -255,74 +262,144 @@ def _stencil(spec: PotentialSpec, grid: RadialGrid):
     return r, 1.0 / h**2 + v, np.full(r.size - 1, -0.5 / h**2)
 
 
-def _channel_chunks(r: np.ndarray, base: np.ndarray, off: np.ndarray):
-    """(ells, diagonals, counts) of the channels ell = 0, 1, ..., up to and
-    including the first empty one, CHANNEL_CHUNK at a time, where channel
-    ell adds ell (ell + 1) / (2 r^2) to the s-wave diagonal `base` and its
-    count is the number of its eigenvalues below 0 (one inertia count).
+def _shared_grid(specs, grid: RadialGrid | None) -> RadialGrid:
+    """`grid`, or the default grid of `specs`, which must be one grid."""
+    if grid is not None:
+        return grid
+    grids = {(g.n_nodes, g.r_max): g for g in map(default_eigen_grid, specs)}
+    if len(grids) != 1:
+        raise PreconditionError("the wells of one stack need one grid: pass it")
+    return grids.popitem()[1]
+
+
+def _channel_diagonals(ells: np.ndarray, r: np.ndarray, base: np.ndarray, out=None):
+    """The diagonals of channels `ells`: channel ell adds ell (ell + 1) / (2 r^2)
+    to the s-wave diagonal `base`."""
+    out = np.divide((0.5 * ells * (ells + 1))[:, None], r**2, out=out)
+    out += base
+    return out
+
+
+def _channel_counts(r: np.ndarray, base: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The counts of the channels ell = 0, 1, ..., up to and including the
+    first empty one, the count of a channel being the number of its
+    eigenvalues below 0: one inertia count each, CHANNEL_CHUNK channels to
+    a call.
 
     Nothing is solved here, so the solver's work is bounded first:
     AccuracyError when channel ELL_CAP still binds, ResourceLimitError when
     the channels hold more than LANE_CAP negative eigenvalues.
     """
-    chunks, lanes = [], 0
+    counts = []
     for first in range(0, ELL_CAP + 1, CHANNEL_CHUNK):
         ells = np.arange(first, min(first + CHANNEL_CHUNK, ELL_CAP + 1))
-        diag = base + (0.5 * ells * (ells + 1))[:, None] / r**2
-        counts = tridiagonal_counts(diag, off, np.zeros(ells.size))
-        empty = np.flatnonzero(counts == 0)
-        solved = int(empty[0]) + 1 if empty.size else ells.size
-        chunks.append((ells[:solved], diag, counts[:solved]))
-        lanes += int(counts[:solved].sum())
-        if empty.size:
+        counts += tridiagonal_counts(_channel_diagonals(ells, r, base), off,
+                                     np.zeros(ells.size)).tolist()
+        if 0 in counts:
             break
     else:
         raise AccuracyError(f"channel sum not converged by ell = {ELL_CAP}: "
                             f"channel {ELL_CAP} still binds")
-    if lanes > LANE_CAP:
-        raise ResourceLimitError(f"{lanes} negative eigenvalues exceed cap {LANE_CAP}")
-    return chunks
+    counts = np.array(counts[:counts.index(0) + 1])
+    if counts.sum() > LANE_CAP:
+        raise ResourceLimitError(f"{counts.sum()} negative eigenvalues exceed cap {LANE_CAP}")
+    return counts
 
 
-def _channel_negatives(chunks, off: np.ndarray):
-    """(ell, negative eigenvalues of channel ell, ascending) of each channel
-    of `_channel_chunks`, the last one empty.  The eigenvalues of a chunk
-    are solved as the lanes of one stack, when the chunk is reached."""
-    for ells, diag, counts in chunks:
-        ends = np.cumsum(counts)
-        rows = np.repeat(np.arange(counts.size), counts)
-        index = np.arange(rows.size) - np.repeat(ends - counts, counts)
-        values = tridiagonal_eigenvalues(diag, off, rows, index, np.zeros(rows.size))
-        yield from zip(ells.tolist(), np.split(values, ends[:-1]))
+def _spectra(specs, grid: RadialGrid):
+    """`negative_sum` of each well of `specs` on `grid`, and the lowest
+    eigenvalue of its channel 0 (None when channel 0 is empty).
+
+    Every well's channels are counted before anything is solved; then the
+    negative eigenvalues of all of them are the lanes of one
+    `tridiagonal_eigenvalues` stack, one row per binding channel.
+    """
+    stencils = [_stencil(spec, grid) for spec in specs]
+    off = stencils[0][2]  # the grid's alone
+    channels = [_channel_counts(r, base, off) for r, base, _ in stencils]
+    # every channel but the last, empty one binds
+    counts = np.concatenate([counts[:-1] for counts in channels])
+    stack, at = np.empty((counts.size, off.size + 1)), 0
+    for counted, (r, base, _) in zip(channels, stencils):
+        _channel_diagonals(np.arange(counted.size - 1), r, base,
+                           out=stack[at:at + counted.size - 1])
+        at += counted.size - 1
+    ends = np.cumsum(counts)
+    rows = np.repeat(np.arange(counts.size), counts)
+    index = np.arange(rows.size) - np.repeat(ends - counts, counts)
+    values = np.split(tridiagonal_eigenvalues(stack, off, rows, index, np.zeros(rows.size)),
+                      ends[:-1])
+    spectra = []
+    for spec, counted in zip(specs, channels):
+        found, total = [], 0.0
+        for ell, vals in enumerate(values[:counted.size - 1] + [np.empty(0)]):
+            if vals.size == 0:
+                break
+            contribution = (2 * ell + 1) * float(vals.sum())
+            found.append(np.repeat(vals, 2 * ell + 1))
+            total += contribution
+            if abs(contribution) < ELL_CONVERGED * abs(total):
+                break
+        # Python's sort: numpy's would map 128 KB of sort kernels that no
+        # other check runs into resident memory
+        eigenvalues = np.array(sorted(np.concatenate(found).tolist())) if found else np.empty(0)
+        result = SpectrumResult(eigenvalues=eigenvalues, v_integral=spec.v_integral(),
+                                ell_max=ell)
+        # found[0] is channel 0 whenever any channel binds
+        spectra.append((result, float(found[0][0]) if found else None))
+        values = values[counted.size - 1:]
+    return spectra
 
 
-def _lowest_eigenvalue(spec: PotentialSpec, grid: RadialGrid) -> float:
-    """The lowest eigenvalue of the s-wave stencil, solved below 0 when the
-    stencil binds, else below its smallest diagonal entry (the Rayleigh
-    quotient of a unit vector)."""
-    _, diag, off = _stencil(spec, grid)
-    upper = 0.0 if tridiagonal_counts(diag, off, [0.0])[0] else diag.min()
-    return float(tridiagonal_eigenvalues(diag, off, [0], [0], [upper])[0])
+def _s_wave_stack(specs, grid: RadialGrid):
+    """The s-wave diagonals of `specs` on `grid`, one row each, and the
+    grid's off-diagonal."""
+    stencils = [_stencil(spec, grid) for spec in specs]
+    return np.array([base for _, base, _ in stencils]), stencils[0][2]
 
 
-def _refined_ground_state(spec: PotentialSpec, grid: RadialGrid, coarse: float) -> float:
-    """The h^2 Richardson combination of the lowest eigenvalue `coarse` on
-    `grid` and the one on the doubled grid, clamped at 0; see
+def _lowest_eigenvalues(specs, grid: RadialGrid) -> list[float]:
+    """The lowest eigenvalue of each well's s-wave stencil, the lanes of one
+    stack: solved below 0 when the stencil binds, else below its smallest
+    diagonal entry (the Rayleigh quotient of a unit vector)."""
+    diag, off = _s_wave_stack(specs, grid)
+    wells = np.arange(len(specs))
+    upper = np.where(tridiagonal_counts(diag, off, np.zeros(wells.size)) > 0, 0.0,
+                     diag.min(axis=1))
+    return tridiagonal_eigenvalues(diag, off, wells, np.zeros(wells.size, int), upper).tolist()
+
+
+def _refined_ground_states(specs, grid: RadialGrid, coarse) -> list[float]:
+    """The h^2 Richardson combination of each well's lowest eigenvalue
+    coarse[k] on `grid` and the one on the doubled grid, clamped at 0; see
     `ground_state_energy`."""
-    _, diag, off = _stencil(spec, uniform_radial_grid(2 * grid.n_nodes, grid.r_max))
+    diag, off = _s_wave_stack(specs, uniform_radial_grid(2 * grid.n_nodes, grid.r_max))
+    coarse = np.asarray(coarse, dtype=float)
     # the gate below expects the fine eigenvalue within `window` of coarse,
     # so the window's ends are the lane's first two split points; the lane
     # starts below the smallest diagonal entry, which bounds the lowest
     # eigenvalue whether or not the stencil binds
-    window = REFINE_TOL * max(1.0, abs(coarse))
-    fine = float(tridiagonal_eigenvalues(diag, off, [0], [0], [diag.min()],
-                                         [[coarse - window, coarse + window]])[0])
-    if abs(fine - coarse) > REFINE_TOL * max(1.0, abs(fine)):
-        raise AccuracyError(
-            f"grid refinement moved E0 from {coarse!r} to {fine!r}; "
-            "discretization too coarse"
-        )
-    return min(0.0, fine + (fine - coarse) / 3.0)
+    window = REFINE_TOL * np.maximum(1.0, np.abs(coarse))
+    wells = np.arange(len(specs))
+    fine = tridiagonal_eigenvalues(diag, off, wells, np.zeros(wells.size, int), diag.min(axis=1),
+                                   np.stack([coarse - window, coarse + window], axis=1))
+    energies = []
+    for low, high in zip(coarse.tolist(), fine.tolist()):
+        if abs(high - low) > REFINE_TOL * max(1.0, abs(high)):
+            raise AccuracyError(
+                f"grid refinement moved E0 from {low!r} to {high!r}; "
+                "discretization too coarse"
+            )
+        energies.append(min(0.0, high + (high - low) / 3.0))
+    return energies
+
+
+def ground_state_energies(specs, grid: RadialGrid | None = None) -> list[float]:
+    """`ground_state_energy` of each well of `specs`, all on one grid (the
+    wells' default grid when None), each of the two grids' eigenvalues the
+    lanes of one stack."""
+    grid = _shared_grid(specs, grid)
+    return _refined_ground_states(specs, grid, _lowest_eigenvalues(specs, grid))
 
 
 def ground_state_energy(spec: PotentialSpec, grid: RadialGrid | None = None) -> float:
@@ -334,32 +411,14 @@ def ground_state_energy(spec: PotentialSpec, grid: RadialGrid | None = None) -> 
     AccuracyError when the two grids disagree beyond REFINE_TOL
     (relative to max(1, |E|)).
     """
-    if grid is None:
-        grid = default_eigen_grid(spec)
-    return _refined_ground_state(spec, grid, _lowest_eigenvalue(spec, grid))
+    return ground_state_energies([spec], grid)[0]
 
 
-def _spectrum(spec: PotentialSpec, grid: RadialGrid):
-    """`negative_sum` on `grid`, and the lowest eigenvalue of its channel 0
-    (None when channel 0 is empty)."""
-    r, base, off = _stencil(spec, grid)
-    channels = []
-    total = 0.0
-    for ell, vals in _channel_negatives(_channel_chunks(r, base, off), off):
-        if vals.size == 0:
-            break
-        contribution = (2 * ell + 1) * float(vals.sum())
-        channels.append(np.repeat(vals, 2 * ell + 1))
-        total += contribution
-        if abs(contribution) < ELL_CONVERGED * abs(total):
-            break
-    if channels:
-        eigenvalues = np.sort(np.concatenate(channels))
-    else:
-        eigenvalues = np.empty(0)
-    result = SpectrumResult(eigenvalues=eigenvalues, v_integral=spec.v_integral(), ell_max=ell)
-    # channels[0] is channel 0 whenever any channel binds
-    return result, float(channels[0][0]) if channels else None
+def negative_sums(specs, grid: RadialGrid | None = None) -> list[SpectrumResult]:
+    """`negative_sum` of each well of `specs`, all on one grid (the wells'
+    default grid when None), their eigenvalues the lanes of one stack.
+    Every well is counted, and its caps checked, before any is solved."""
+    return [result for result, _ in _spectra(specs, _shared_grid(specs, grid))]
 
 
 def negative_sum(spec: PotentialSpec, grid: RadialGrid | None = None) -> SpectrumResult:
@@ -368,23 +427,20 @@ def negative_sum(spec: PotentialSpec, grid: RadialGrid | None = None) -> Spectru
     is empty or contributes < ELL_CONVERGED relatively.  Raises
     AccuracyError when channel ELL_CAP still binds and ResourceLimitError
     beyond LANE_CAP negative eigenvalues, both before any is solved."""
-    if grid is None:
-        grid = default_eigen_grid(spec)
-    return _spectrum(spec, grid)[0]
+    return negative_sums([spec], grid)[0]
 
 
 def spectrum_and_ground_state(spec: PotentialSpec, grid: RadialGrid | None = None):
     """(`negative_sum(spec, grid)`, `ground_state_energy(spec, grid)`), with
     the ground state's coarse eigenvalue taken from the spectrum: channel
     0's lowest lane is settled by counts on the same grid of the same
-    stencil row as `_lowest_eigenvalue`, so with monotone counts it has the
-    same bits.  When nothing binds, the coarse eigenvalue is solved on its
-    own, below the smallest diagonal entry."""
-    if grid is None:
-        grid = default_eigen_grid(spec)
-    result, lowest = _spectrum(spec, grid)
-    coarse = _lowest_eigenvalue(spec, grid) if lowest is None else lowest
-    return result, _refined_ground_state(spec, grid, coarse)
+    stencil row as `_lowest_eigenvalues`, so with monotone counts it has
+    the same bits.  When nothing binds, the coarse eigenvalue is solved on
+    its own, below the smallest diagonal entry."""
+    grid = _shared_grid([spec], grid)
+    [(result, lowest)] = _spectra([spec], grid)
+    coarse = _lowest_eigenvalues([spec], grid)[0] if lowest is None else lowest
+    return result, _refined_ground_states([spec], grid, [coarse])[0]
 
 
 @dataclass(frozen=True)

@@ -291,8 +291,9 @@ def _frame_residuals(vectors: np.ndarray, weights: np.ndarray):
     return np.max(np.abs(np.linalg.eigvalsh(gap)), axis=-1)
 
 
-def _check_frames(vectors: np.ndarray, weights: np.ndarray) -> None:
-    """CoherentFrame's numerical checks, for a stack of frames (or one)."""
+def _check_frame_entries(vectors: np.ndarray, weights: np.ndarray) -> None:
+    """CoherentFrame's checks of the entries, for a stack of frames (or
+    one): finite, weights > 0, unit vectors."""
     if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(weights))):
         raise DomainError("vectors and weights must be finite")
     if np.any(weights <= 0.0):
@@ -300,6 +301,12 @@ def _check_frames(vectors: np.ndarray, weights: np.ndarray) -> None:
     norms = np.linalg.norm(vectors, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-10):
         raise DomainError("frame vectors must have unit length")
+
+
+def _check_frames(vectors: np.ndarray, weights: np.ndarray) -> None:
+    """CoherentFrame's numerical checks, for a stack of frames (or one):
+    those of the entries and the tight-frame residual."""
+    _check_frame_entries(vectors, weights)
     residual = np.max(_frame_residuals(vectors, weights))
     if residual > FRAME_TOL:
         raise DomainError(
@@ -442,10 +449,11 @@ _BLOCK_NUMBERS = 2 * FRAME_COUNT * FRAME_DIMENSION + 3 * FRAME_COUNT + 2 * FRAME
 
 def _berezin_lieb_block(seeds: np.ndarray, func):
     """(lhs, rhs) of the trials seeded at `seeds` (uint64, (T,)), with the
-    frame and Y checks of the whole block; its arrays are freed when it
-    returns, before the next block draws."""
+    frame and Y checks of the whole block (each frame's residual checked
+    once, by `_tight_frames`); its arrays are freed when it returns, before
+    the next block draws."""
     vectors, weights = _tight_frames(seeds)
-    _check_frames(vectors, weights)
+    _check_frame_entries(vectors, weights)
     y_psd, f_draw = _draw_y_f(seeds)
     _check_psd(y_psd)
     return _berezin_lieb_sums(vectors, weights, f_draw, y_psd, func)

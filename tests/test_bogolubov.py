@@ -165,6 +165,15 @@ class TestClosedFormBound:
 
 
 class TestBuildHamiltonian:
+    @pytest.mark.parametrize("n_max", range(1, 9))
+    def test_the_sector_basis_is_the_filtered_grid(self, n_max):
+        # the Q = 0 rows of the full occupation grid, in the grid's order
+        occ = occupations(n_max).T
+        expected = occ[occ[:, 0] + occ[:, 1] == occ[:, 2] + occ[:, 3]]
+        basis = bogolubov._sector_basis(n_max)
+        assert basis.dtype == expected.dtype and basis.flags.c_contiguous
+        assert np.array_equal(basis, expected)
+
     def test_dimension_and_symmetry(self):
         # Q = 0 states at n_max=2: sum over n0+n1 = k of (1, 2, 3, 2, 1)^2;
         # 9 of them are fixed by the tau-swap, so the blocks are 14 and 5

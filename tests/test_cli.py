@@ -320,9 +320,12 @@ class TestMainPlumbing:
         assert meta["schema"] == cli.SCHEMA_META
         assert meta["duration_s"] > 0
         assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
-                             "tables"}
+                             "tables", "counters"}
         assert type(meta["peak_rss_mb"]) is float and meta["peak_rss_mb"] > 0
         assert meta["tables"] == {}  # foldy-j writes no CSV table
+        assert meta["counters"] == {"inertia_calls": 0, "lane_evaluations": 0}
+        record = (tmp_path / "foldy-j.jsonl").read_text()
+        assert "counters" not in record and "inertia_calls" not in record
         config = np.show_config(mode="dicts")
         assert meta["env"] == {
             "python": platform.python_version(),
@@ -348,7 +351,15 @@ class TestMainPlumbing:
         assert cli.main(["verify", "--quick", "--outdir", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "verify.meta.json").read_text())
         assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
-                             "tables", "checks", "checks_peak_rss_mb"}
+                             "tables", "counters", "checks", "checks_peak_rss_mb",
+                             "checks_counters"}
+        # only lt-semiclassics solves eigenvalues; the run's counters add up its checks'
+        counters = meta["checks_counters"]
+        assert sorted(counters) == sorted(name for name, _argv, _trials in cli.BATTERY)
+        assert counters.pop("lt-semiclassics") == meta["counters"]
+        assert meta["counters"]["inertia_calls"] > 0
+        assert all(c == {"inertia_calls": 0, "lane_evaluations": 0} for c in counters.values())
+        assert "inertia_calls" not in (tmp_path / "verify.jsonl").read_text()
         checks = meta["checks"]
         assert sorted(checks) == sorted(name for name, _argv, _trials in cli.BATTERY)
         for seconds in checks.values():
@@ -442,7 +453,10 @@ class TestMainPlumbing:
             f"fields in CHANGES.md")
         meta = json.loads((out / f"{argv[0]}.meta.json").read_text())
         assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
-                             "tables"}
+                             "tables", "counters"}
+        # the spectral studies count their eigenvalue solver's work
+        solves = argv[0] in ("lt-study", "sobolev-study")
+        assert (meta["counters"]["lane_evaluations"] > 0) == solves
         # the row count of each CSV table: its lines less the tag and the header
         assert meta["tables"] == {
             p.name[len(argv[0]) + 1:-4]: len(p.read_text().splitlines()) - 2
@@ -684,7 +698,7 @@ class TestExitCodes:
         code = cli.main(["lt-study", "--depths", f"50,{depth}", "--outdir", str(tmp_path)])
         assert code == 3
         assert capsys.readouterr().err == err
-        assert len(calls) == 1  # depth 50's one chunk, and nothing of the deep well
+        assert not calls  # every well is counted before any is solved
         assert not list(tmp_path.iterdir())
 
     def test_inflated_occupation_fails_the_pair_identity(self, tmp_path, monkeypatch, capsys):
@@ -960,15 +974,15 @@ class TestVerifySuite:
 
     def test_quick_suite_repeats_no_solve(self, monkeypatch, fresh_minimum):
         # one descent per grid (dyson-minimize's 800 and 400 nodes; the
-        # trial-state check reuses the 800), and one bisection per chunk and
-        # grid: lt-study's three depths, its two scale-pair spectra and
-        # their two doubled grids, the coarse ground states taken from the
-        # spectra.  lt-study is the suite's only spectral check.
+        # trial-state check reuses the 800), and one eigenvalue solve per
+        # grid: lt-study's three depths as one stack, its two scale-pair
+        # spectra and their two doubled grids, the coarse ground states taken
+        # from the spectra.  lt-study is the suite's only spectral check.
         solves = count_calls(monkeypatch, variational, "minimize")
         bisections = count_calls(monkeypatch, spectral, "tridiagonal_eigenvalues")
         cli.run_verification_suite(1905, quick=True)
         assert [init.grid.n_nodes for (init,) in solves] == [800, 400]
-        assert len(bisections) == 7
+        assert len(bisections) == 5
 
     def test_quick_suite_passes_and_is_deterministic(self, tmp_path, capsys):
         base = ["verify", "--quick", "--seed", "77", "--outdir", str(tmp_path)]

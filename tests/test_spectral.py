@@ -238,15 +238,37 @@ class TestNegativeSum:
             assert not bisections
         else:
             assert negative_sum(gaussian_well(50.0)).ell_max == 5
-            assert len(bisections) == 3  # chunks {0, 1}, {2, 3}, {4, 5}
+            assert len(bisections) == 1  # counted as {0, 1}, {2, 3}, {4, 5}; one stack
+
+    def test_wells_stacked_on_one_grid_keep_every_bit(self, bisections):
+        specs = [gaussian_well(depth) for depth in (5.0, 50.0, 200.0)]
+        stacked = spectral.negative_sums(specs)
+        assert len(bisections) == 1
+        assert [(repr(r.eigenvalues.tolist()), r.ell_max) for r in stacked] == [
+            (repr(negative_sum(spec).eigenvalues.tolist()), negative_sum(spec).ell_max)
+            for spec in specs]
+        del bisections[:]
+        energies = spectral.ground_state_energies(specs)
+        assert len(bisections) == 2  # the grid and the doubled one
+        assert repr(energies) == repr([ground_state_energy(spec) for spec in specs])
+
+    def test_wells_on_different_grids_need_one(self):
+        specs = [gaussian_well(5.0), gaussian_well(5.0, 2.0)]
+        with pytest.raises(PreconditionError, match="one grid"):
+            spectral.negative_sums(specs)
+        with pytest.raises(PreconditionError, match="one grid"):
+            spectral.ground_state_energies(specs)
+        grid = uniform_radial_grid(2000, 16.0)
+        assert repr(spectral.ground_state_energies(specs, grid)) == repr(
+            [ground_state_energy(spec, grid) for spec in specs])
 
     @pytest.mark.parametrize("depth, width, rmax", [(12.0, 1.0, 10.0), (48.0, 0.5, 5.0)],
                              ids=["base", "scaled"])
     def test_coarse_ground_state_reuses_the_channel_0_lane(self, depth, width, rmax,
                                                            bisections):
         spec, grid = gaussian_well(depth, width), uniform_radial_grid(1600, rmax)
-        _, lowest = spectral._spectrum(spec, grid)
-        assert repr(lowest) == repr(spectral._lowest_eigenvalue(spec, grid))
+        _, lowest = spectral._spectra([spec], grid)[0]
+        assert repr(lowest) == repr(spectral._lowest_eigenvalues([spec], grid)[0])
         del bisections[:]
         result, energy = spectrum_and_ground_state(spec, grid)
         assert len(bisections) == 2  # the spectrum's chunk and the doubled grid
@@ -265,36 +287,36 @@ class TestNegativeSum:
     def test_the_fine_window_moves_no_bit(self, depth, monkeypatch):
         # the doubled grid's lane starts with two counts in one call, at the
         # ends of the window around coarse, and settles the eigenvalue that
-        # `_lowest_eigenvalue` finds without it, in fewer calls
+        # `_lowest_eigenvalues` finds without it, in fewer calls
         spec = gaussian_well(depth)
         grid = default_eigen_grid(spec)
-        coarse = spectral._lowest_eigenvalue(spec, grid)
+        coarse = spectral._lowest_eigenvalues([spec], grid)[0]
         columns, inertia = [], numerics._inertia
 
-        def counted(shifted, off_sq, tnorm, slope=False):
-            columns.append(shifted.shape[1])
-            return inertia(shifted, off_sq, tnorm, slope)
+        def counted(diag, rows, shifts, off_sq, tnorm, slope=False):
+            columns.append(rows.size)
+            return inertia(diag, rows, shifts, off_sq, tnorm, slope)
 
         monkeypatch.setattr(numerics, "_inertia", counted)
-        fine = spectral._lowest_eigenvalue(spec, uniform_radial_grid(2 * grid.n_nodes,
-                                                                     grid.r_max))
+        fine = spectral._lowest_eigenvalues(
+            [spec], uniform_radial_grid(2 * grid.n_nodes, grid.r_max))[0]
         alone = len(columns)
         del columns[:]
-        refined = spectral._refined_ground_state(spec, grid, coarse)
+        refined = spectral._refined_ground_states([spec], grid, [coarse])[0]
         assert repr(refined) == repr(min(0.0, fine + (fine - coarse) / 3.0))
         assert columns[0] == 2 and len(columns) < alone
 
     def test_a_fine_eigenvalue_outside_the_window_still_fails_the_gate(self):
         spec = gaussian_well(50.0)
         grid = default_eigen_grid(spec)
-        fine = spectral._lowest_eigenvalue(spec, uniform_radial_grid(2 * grid.n_nodes,
-                                                                     grid.r_max))
+        fine = spectral._lowest_eigenvalues(
+            [spec], uniform_radial_grid(2 * grid.n_nodes, grid.r_max))[0]
         # the window of coarse - 0.1 is 0.0036 wide at E0 = -36: fine is past it
-        coarse = spectral._lowest_eigenvalue(spec, grid) - 0.1
+        coarse = spectral._lowest_eigenvalues([spec], grid)[0] - 0.1
         message = (f"grid refinement moved E0 from {coarse!r} to {fine!r}; "
                    "discretization too coarse")
         with pytest.raises(AccuracyError) as raised:
-            spectral._refined_ground_state(spec, grid, coarse)
+            spectral._refined_ground_states([spec], grid, [coarse])[0]
         assert str(raised.value) == message
 
     def test_result_guards(self):

@@ -485,16 +485,31 @@ class TestBatchedEnsembles:
 
         monkeypatch.setattr(trialstate, "random_tight_frame", per_trial)
         berezin_lieb_ensemble("sqrt", 20, 3)
-        # frames that are not tight reach CoherentFrame's checks in both routes
+        # vectors that are not unit reach CoherentFrame's entry checks in
+        # both routes; `_tight_frames` has checked each residual
         tight_frames = trialstate._tight_frames
 
-        def loose_frames(seeds):
+        def stretched_frames(seeds):
             vectors, weights = tight_frames(seeds)
-            return vectors, 2.0 * weights
+            return 1.1 * vectors, weights
 
-        monkeypatch.setattr(trialstate, "_tight_frames", loose_frames)
-        with pytest.raises(DomainError, match="tight-frame residual"):
+        monkeypatch.setattr(trialstate, "_tight_frames", stretched_frames)
+        with pytest.raises(DomainError, match="unit length"):
             berezin_lieb_ensemble("sqrt", 20, 3)
         monkeypatch.setattr(trialstate, "random_tight_frame", random_tight_frame)
+        with pytest.raises(DomainError, match="unit length"):
+            random_tight_frame(3)
+
+    def test_a_loose_frame_fails_at_the_public_boundary(self, monkeypatch):
+        # weights off by a part in 1e6 pass the entry checks; the residual
+        # check of CoherentFrame, and so of every berezin_lieb_check, fails
+        frame = random_tight_frame(3)
+        weights = frame.weights.copy()
+        weights[0] *= 1.0 + 1e-6
+        with pytest.raises(DomainError, match="tight-frame residual"):
+            CoherentFrame(frame.dimension, frame.vectors, weights)
+        tight_frames = trialstate._tight_frames
+        monkeypatch.setattr(trialstate, "_tight_frames",
+                            lambda seeds: (tight_frames(seeds)[0], 2.0 * tight_frames(seeds)[1]))
         with pytest.raises(DomainError, match="tight-frame residual"):
             random_tight_frame(3)

@@ -18,13 +18,17 @@ whose cells settle ours.  The bounds are set from measurement:
   within 1.4e-8 of the sum of the terms' sizes (matrix 8); the bound is
   1e-7;
 - the depth-200 spectrum took 403 lane-evaluations (counts of one matrix
-  with its slope) for its 51 eigenvalues, 489 while sibling lanes that
-  shared a split point were counted once each, bisection on the same grid
-  2069; the budget is 650.  lt-study's spectra took 745, 875 before; the
-  budget is 750;
-- the depth-200 spectrum peaked at 1.71 MB of traced memory, 2.21 MB while
-  each level of the reduction allocated its own arrays and the solver held
-  a transposed copy of the diagonals; the bound is 1.95 MB.
+  with its slope) in 42 inertia calls for its 51 eigenvalues, 489 while
+  sibling lanes that shared a split point were counted once each,
+  bisection on the same grid 1983; the budget is 650.  lt-study's spectra,
+  its three wells one stack, took 749 (745 as three stacks, 875 with
+  sibling lanes counted once each); the budget is 750;
+- the depth-200 spectrum peaked at 1.06 MB of traced memory, 1.71 MB while
+  an inertia count kept every level's reciprocal pivots and slopes, 2.21
+  MB while each level allocated its own arrays; the bounds are 1.95 MB and,
+  for the streamed count, 1.2 MB.  `cli.run_lt_study` peaked at 1.28 MB,
+  1.73 MB as three stacks of the count that kept every level; the bound is
+  1.4 MB.
 """
 import inspect
 import textwrap
@@ -52,6 +56,8 @@ SLOPE_BOUND = 1e-7  # relative to the sum of the terms' sizes
 LANE_BUDGET = 650  # lane-evaluations of the depth-200 spectrum
 LT_STUDY_LANE_BUDGET = 750  # and of lt-study's
 NEG_SUM_PEAK = 1_950_000  # bytes of traced memory of the depth-200 spectrum
+STREAMED_PEAK = 1_200_000  # and since the inertia count streams its levels
+LT_STUDY_PEAK = 1_400_000  # of `cli.run_lt_study`, its wells solved as one stack
 
 # (potential, grid or None for the default): the grids of lt-study and the
 # matched scale pair that lt-study and sobolev-study share
@@ -61,6 +67,116 @@ STUDY_GRIDS = (
        (spectral.gaussian_well(48.0, 0.5), uniform_radial_grid(1600, 5.0))]
 )
 SOBOLEV_DEPTHS = (5.0, 10.0, 20.0, 50.0)
+
+
+def _reference_inertia(shifted: np.ndarray, off_sq: np.ndarray, tnorm: np.ndarray,
+                       slope: bool = False):
+    """The inertia kernel as it was before it streamed its levels, kept as
+    the oracle of `numerics._inertia`: every level's reciprocal pivots and
+    p'/p are kept as rows, and each lane's sums taken over them at the end;
+    `shifted` (n x lanes) holds the shifted diagonals."""
+    guard, floor = numerics._GUARD * tnorm, numerics._PIVMIN * tnorm
+    limit, largest_floor = 1.0 / guard.max(), floor.max()
+    # every level's reciprocal pivots, and from the second level on p'/p,
+    # one block of rows per level, so each lane's terms add up at the end;
+    # the first level has `first` pivots
+    first = (shifted.shape[0] + 1) // 2
+    inverses = np.empty(shifted.shape)
+    rates = np.empty((shifted.shape[0] - first, shifted.shape[1])) if slope else None
+    recount = np.zeros(shifted.shape[1], dtype=bool)
+    # the first level's left (then d), right (then c'/c), c and change
+    # (then d')
+    work = np.empty((4 if slope else 3, shifted.shape[0] // 2, shifted.shape[1]))
+    d, c = shifted, off_sq[:, None]
+    # d' and c'/c, None on the first level, where d' = -1 and c' = 0
+    d_rate = c_rate = None
+    row = level = 0
+    # A small pivot shows as a large reciprocal.  The lanes to be recounted
+    # may overflow, and fmax/fmin skip the NaN they may leave.
+    with np.errstate(all="ignore"):
+        while True:
+            level += 1
+            pivot = d[::2]
+            kept, right_count = d.shape[0] // 2, (d.shape[0] - 1) // 2
+            inverse = np.divide(1.0, pivot, out=inverses[row:row + pivot.shape[0]])
+            if np.fmax.reduce(inverse, axis=None) > limit or (
+                    np.fmin.reduce(inverse, axis=None) < -limit):
+                size = np.abs(pivot)
+                # a pivot at an end has one neighbour, which no other
+                # rounding then cancels against
+                interior = (size < guard)[1:kept]
+                recount |= interior.any(axis=0)
+                if np.fmin.reduce(size, axis=None) < largest_floor:
+                    np.divide(1.0, np.where(size < floor, -floor, pivot), out=inverse)
+            if slope:
+                # p'/p of each pivot; c/p, and so the coupling to it, has
+                # the log-derivative c'/c - p'/p
+                if d_rate is None:
+                    left_rate, right_rate = inverse[:kept], inverse[1:right_count + 1]
+                else:
+                    rate = np.multiply(d_rate[::2], inverse,
+                                       out=rates[row - first:row - first + pivot.shape[0]])
+                    left_rate = np.subtract(c_rate[0:2 * kept:2], rate[:kept],
+                                            out=c_rate[0:2 * kept:2] if level == 2 else None)
+                    right_rate = np.subtract(c_rate[1::2], rate[1:right_count + 1],
+                                             out=c_rate[1::2] if level == 2 else None)
+            row += pivot.shape[0]
+            if kept == 0:
+                break
+            # where left, right, the next c and change go: the first level's
+            # into `work`; the second's in place, over the c they come from
+            # and the rows of d and d' whose pivots were just inverted, as
+            # are its rates of the couplings; a later level's, n/8 rows or
+            # fewer, into new arrays, since numpy copies strided rows
+            # through a buffer
+            if level == 1:
+                into = work[0], work[1, :right_count], work[2, :kept - 1], work[-1]
+            elif level == 2:
+                into = (c[0:2 * kept:2], c[1::2], d[0:2 * kept - 2:2],
+                        d_rate[0:2 * kept:2] if slope else None)
+            else:
+                into = None, None, None, None
+            # kept entry 2j+1 couples to the pivots 2j (left) and 2j+2 (right)
+            left = np.multiply(c[0:2 * kept:2], inverse[:kept], out=into[0])
+            right = np.multiply(c[1::2], inverse[1:right_count + 1], out=into[1])
+            # (b_{2j+1} b_{2j+2} / p_{2j+2})^2 couples kept 2j+1 and 2j+3
+            c = np.multiply(right[:kept - 1], left[1:], out=into[2])
+            if slope:
+                change = np.multiply(left, left_rate, out=into[3])
+                d_rate = np.subtract(-1.0 if d_rate is None else d_rate[1::2], change,
+                                     out=change)
+            d = np.subtract(d[1::2], left, out=left)
+            d[:right_count] -= right
+            if slope:
+                right *= right_rate
+                d_rate[:right_count] -= right
+                c_rate = np.add(right_rate[:kept - 1], left_rate[1:], out=right[:kept - 1])
+    # einsum sums each column in one pass over the rows, faster than a
+    # reduction over axis 0; a matrix product, faster still, would convert
+    # the signs to a float copy of `inverses` while the scratch is held
+    count = np.einsum("ij->j", np.signbit(inverses), dtype=np.int64)
+    for lane in np.flatnonzero(recount):
+        count[lane] = numerics._sturm_count(shifted[:, lane].tolist(), off_sq.tolist(),
+                                            numerics._PIVMIN * float(tnorm[lane]))
+    if not slope:
+        return count
+    total = np.einsum("ij->j", rates) - np.einsum("ij->j", inverses[:first])
+    total[recount] = np.nan
+    return count, total
+
+
+def _matches_the_reference(diag, off, rows, shifts):
+    """Whether `numerics._inertia` gives the reference's counts, and its
+    slopes bit for bit, for the lanes diag[rows[k]] - shifts[k]."""
+    diag = np.atleast_2d(diag)
+    _, _, lower, upper = numerics._tridiagonal(diag, off)
+    tnorm = numerics._tnorm(lower, upper)[rows]
+    shifted = np.subtract(diag[rows].T, shifts, out=np.empty((diag.shape[1], rows.size)))
+    expected = _reference_inertia(shifted, off * off, tnorm, slope=True)
+    counts, slopes = numerics._inertia(diag, rows, shifts, off * off, tnorm, slope=True)
+    return (np.array_equal(counts, expected[0])
+            and np.array_equal(numerics._inertia(diag, rows, shifts, off * off, tnorm), counts)
+            and np.array_equal(slopes, expected[1], equal_nan=True))
 
 
 def _tnorm(diag, off):
@@ -142,8 +258,8 @@ def _solved_eigenvalues():
         spec = spectral.gaussian_well(depth)
         coarse = spectral.default_eigen_grid(spec)
         fine = uniform_radial_grid(2 * coarse.n_nodes, coarse.r_max)
-        values.append([spectral._lowest_eigenvalue(spec, coarse),
-                       spectral._lowest_eigenvalue(spec, fine),
+        values.append([spectral._lowest_eigenvalues([spec], coarse)[0],
+                       spectral._lowest_eigenvalues([spec], fine)[0],
                        spectral.ground_state_energy(spec)])
     return repr(values)
 
@@ -171,8 +287,8 @@ def _slope_errors(seed, monkeypatch):
                              [ref[-1] + 1.0]])
     recounts, sturm = [], numerics._sturm_count
     monkeypatch.setattr(numerics, "_sturm_count", lambda *a: recounts.append(1) or sturm(*a))
-    count, slope = numerics._inertia(np.ascontiguousarray(diag[:, None] - shifts),
-                                     off * off, np.full(shifts.size, tnorm), slope=True)
+    count, slope = numerics._inertia(diag[None], np.zeros(shifts.size, int), shifts, off * off,
+                                     np.full(shifts.size, tnorm), slope=True)
     assert count.tolist() == np.searchsorted(ref, shifts).tolist()
     terms = 1.0 / (shifts[:, None] - ref)
     return np.abs(slope - terms.sum(axis=1)) / np.abs(terms).sum(axis=1), len(recounts)
@@ -183,10 +299,10 @@ def _lane_evaluations(monkeypatch, run):
     lane-evaluations) while `run()` runs."""
     lanes, inertia = [], numerics._inertia
 
-    def counted(shifted, off_sq, tnorm, slope=False):
+    def counted(diag, rows, shifts, off_sq, tnorm, slope=False):
         if slope:
-            lanes.append(shifted.shape[1])
-        return inertia(shifted, off_sq, tnorm, slope)
+            lanes.append(rows.size)
+        return inertia(diag, rows, shifts, off_sq, tnorm, slope)
 
     monkeypatch.setattr(numerics, "_inertia", counted)
     run()
@@ -220,7 +336,7 @@ class TestStudyGrids:
             diag, off = _s_wave(spec, grid)
             assert tridiagonal_counts(diag, off, [0.0])[0] == _scipy_below(diag, off, 0.0).size
             ref = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-            assert abs(spectral._lowest_eigenvalue(spec, grid) - ref) <= (
+            assert abs(spectral._lowest_eigenvalues([spec], grid)[0] - ref) <= (
                 VALUE_BOUND * EPS * _tnorm(diag, off))
 
 
@@ -273,6 +389,15 @@ class TestRandomMatrices:
         assert tridiagonal_counts(diag, off, [3.0])[0] == np.searchsorted(ref, 3.0)
         assert calls == []  # a zero pivot at an end is harmless
 
+    def test_one_diagonal_recounts_the_lane_of_any_shift(self):
+        # the shared diagonal's Gershgorin bound is each lane's: the lane
+        # of the second shift, 2.0, has an interior zero pivot
+        diag = np.array([3.0, -1.0, 2.0, 0.5, 4.0])
+        off = np.array([1.0, 0.7, -0.3, 2.0])
+        ref = eigvalsh_tridiagonal(diag, off)
+        assert tridiagonal_counts(diag, off, [3.0, 2.0]).tolist() == np.searchsorted(
+            ref, [3.0, 2.0]).tolist()
+
     @pytest.mark.parametrize("power", [-6, -2, 2, 5])
     def test_power_of_two_scaling_is_exact(self, power):
         rng = np.random.default_rng(power + 10)
@@ -291,10 +416,10 @@ def _wrong_slope(factor):
     def perturb(monkeypatch):
         inertia = numerics._inertia
 
-        def wrong(shifted, off_sq, tnorm, slope=False):
+        def wrong(*args, slope=False):
             if not slope:
-                return inertia(shifted, off_sq, tnorm)
-            count, rate = inertia(shifted, off_sq, tnorm, slope=True)
+                return inertia(*args)
+            count, rate = inertia(*args, slope=True)
             return count, factor * rate
 
         monkeypatch.setattr(numerics, "_inertia", wrong)
@@ -380,20 +505,72 @@ class TestSplitPoints:
 
     def test_depth_200_spectrum_stays_within_its_memory_bound(self):
         spec = spectral.gaussian_well(200.0)
-        spectral.negative_sum(spec)
-        tracemalloc.start()
-        try:
-            spectral.negative_sum(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: spectral.negative_sum(spec))
         assert peak <= NEG_SUM_PEAK
+        assert peak <= STREAMED_PEAK
+
+    def test_lt_study_stays_within_its_memory_bound(self):
+        assert _traced_peak(lambda: cli.run_lt_study((50.0, 100.0, 200.0))) <= LT_STUDY_PEAK
+
+    def test_the_counters_count_the_lane_evaluations(self, monkeypatch):
+        with numerics.solver_counters() as outer:
+            with numerics.solver_counters() as counters:
+                lanes = _lane_evaluations(monkeypatch, lambda: cli.run_lt_study((50.0, 100.0)))
+        assert counters["lane_evaluations"] == lanes
+        assert 0 < counters["inertia_calls"] < lanes
+        assert outer == counters
+
+
+def _traced_peak(run):
+    """Bytes of traced memory `run()` peaks at, after a first call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedKernel:
+    """`numerics._inertia` keeps one level at a time; its counts and
+    slopes equal those of `_reference_inertia`, which keeps them all, bit
+    for bit, on stacks of two lanes or more."""
+
+    @pytest.mark.parametrize("spec, grid", STUDY_GRIDS,
+                             ids=["depth-50", "depth-100", "depth-200", "pair-base", "pair-scaled"])
+    def test_the_study_stencils(self, spec, grid):
+        # every channel, at 16 shifts from below its Gershgorin bound to 0
+        stack = np.array([diag for _, diag, _ in _channels(spec, grid)])
+        off = next(_channels(spec, grid))[2]
+        rows = np.repeat(np.arange(stack.shape[0]), 16)
+        shifts = np.concatenate([np.linspace(diag.min() - 2.0 * np.abs(off).max(), 0.0, 16)
+                                 for diag in stack])
+        assert _matches_the_reference(stack, off, rows, shifts)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_the_random_matrices(self, seed):
+        diag, off = _random_matrix(seed)
+        ref = eigvalsh_tridiagonal(diag, off)
+        shifts = np.concatenate([[ref[0] - 1.0], (ref[:-1] + ref[1:]) / 2, [ref[-1] + 1.0]])
+        assert _matches_the_reference(diag, off, np.zeros(shifts.size, int), shifts)
+
+    def test_a_stack_with_a_recounted_lane(self, monkeypatch):
+        # the shift 2.0 makes pivot 1 exactly zero: that lane is recounted
+        # from its shifted column, rebuilt by the same subtraction
+        calls, sturm = [], numerics._sturm_count
+        monkeypatch.setattr(numerics, "_sturm_count", lambda *a: calls.append(a) or sturm(*a))
+        diag = np.array([[3.0, -1.0, 2.0, 0.5, 4.0], [1.0, 2.0, -3.0, 0.25, 1.5]])
+        off, rows, shifts = np.array([1.0, 0.7, -0.3, 2.0]), np.array([1, 0, 0]), np.array(
+            [0.1, 2.0, 3.0])
+        assert _matches_the_reference(diag, off, rows, shifts)
+        assert [a[0] for a in calls] == [(diag[0] - 2.0).tolist()] * 3
 
 
 class TestDefectsFail:
     def test_dropped_right_neighbour_update_fails_the_counts(self, monkeypatch):
         source = textwrap.dedent(inspect.getsource(numerics._inertia))
-        line = "            d[:right_count] -= right\n"
+        line = "            d_next[:right_count] -= right\n"
         assert line in source
         scope = dict(vars(numerics))
         exec(source.replace(line, ""), scope)
@@ -408,7 +585,7 @@ class TestDefectsFail:
     def test_counts_without_the_sturm_recount_fail(self, monkeypatch):
         source = textwrap.dedent(inspect.getsource(numerics._inertia))
         recount = source[source.index("    for lane in np.flatnonzero(recount):"):
-                         source.index("    return count")]
+                         source.index("    if not slope:\n        return count")]
         scope = dict(vars(numerics))
         exec(source.replace(recount, ""), scope)
         monkeypatch.setattr(numerics, "_inertia", scope["_inertia"])
