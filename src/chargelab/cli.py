@@ -21,7 +21,15 @@ another through that same parser; check i takes word i of
 ``seed_words(master, 10)``, and a seeded check gets it as ``--seed``, so
 ``chargelab <argv> --trials N --seed <word i>`` replays it alone.
 
-The package runs on numpy alone: no subcommand imports scipy.
+Start-up: `import chargelab.cli` loads `chargelab`, `chargelab.errors` and
+`chargelab.numerics` (for `solver_counters`, seeds and grids) and no other
+chargelab module.  Each check imports the computation modules it runs
+where it runs them, so a subcommand loads only its own modules and what
+they import; `verify` loads every module of its battery before the first
+check.  The parser reads no computation module either: the fuzz checks
+`--which`, and the `dyson-minimize` grid defaults are `DEFAULT_NODES` and
+`DEFAULT_R_MAX` here.  The package runs on numpy alone: no subcommand
+imports scipy.
 
 Exit codes: 0 every asserted check holds, 1 a check failed, 2 usage or
 validation error, 3 resource/accuracy limit hit.
@@ -51,7 +59,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 
-from . import __version__, bogolubov, correlation, matrixloc, spectral, trialstate, variational
+from . import __version__
 from .errors import (
     AccuracyError,
     BudgetExceededError,
@@ -61,7 +69,6 @@ from .errors import (
     ResourceLimitError,
     SolverError,
 )
-from .foldy import foldy_j, j_closed_form, j_from_integral, simplified_energy_quadrature
 from .numerics import (
     seed_words,
     solver_counters,
@@ -108,6 +115,11 @@ IDENTITY_POINTS = tuple(
 # the particle-number ladders of trialstate --check trace-scaling|upper-bound
 TRACE_LADDER = (1_000, 10_000, 100_000, 1_000_000)
 UPPER_BOUND_LADDER = (1, 32, 100_000)
+# the Dyson minimizer's default box, of dyson-minimize and the trialstate
+# checks: the minimizer decays like exp(-0.37 r), so r_max = 25 keeps the
+# tail below 1e-9 while the finer spacing sharpens the kinetic stencil
+DEFAULT_R_MAX = 25.0
+DEFAULT_NODES = 800
 
 
 def _py(value):
@@ -181,12 +193,19 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _loaded_modules() -> list[str]:
+    """The chargelab modules this process has loaded so far, sorted."""
+    return sorted(name for name in sys.modules
+                  if name == __package__ or name.startswith(__package__ + "."))
+
+
 def write_record(outdir: Path, base: str, header: dict, rows, summary: dict,
                  meta: dict, staged: list) -> Path:
     """Write ``<base>.jsonl`` -- the header fields after the schema tag and
     version, one line per row, the summary -- and the ``<base>.meta.json``
     sidecar: the `meta` fields, the time of writing, the peak resident
-    memory then (`peak_rss_mb`) and the environment.
+    memory then (`peak_rss_mb`), the chargelab modules loaded then
+    (`modules`) and the environment.
     Both files are staged in `staged`, the list of an enclosing `_staging`,
     which replaces the old ones with the rest of its files."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -195,7 +214,8 @@ def write_record(outdir: Path, base: str, header: dict, rows, summary: dict,
              {"summary": summary}]
     path = outdir / f"{base}.jsonl"
     meta = {"schema": SCHEMA_META, "written_at": datetime.now(timezone.utc).isoformat(),
-            "env": _environment(), "peak_rss_mb": _peak_rss_mb(), **meta}
+            "env": _environment(), "peak_rss_mb": _peak_rss_mb(),
+            "modules": _loaded_modules(), **meta}
     with _open_staged(staged, path) as fh:
         for line in lines:
             fh.write(json.dumps(_py(line), sort_keys=True, allow_nan=False) + "\n")
@@ -253,6 +273,8 @@ def write_table(outdir: Path, base: str, name: str, columns, rows: Columns,
 
 
 def run_j_check():
+    from .foldy import j_closed_form, j_from_integral
+
     tol = 1e-8
     by_integral = j_from_integral()
     by_gamma = j_closed_form()
@@ -270,6 +292,8 @@ def run_j_check():
 
 def run_identity_check():
     """Quadrature of the simplified local energy against -J nu^(5/4) ell^(-3/4)."""
+    from .foldy import foldy_j, simplified_energy_quadrature
+
     tol = 1e-6
     j = foldy_j()
     rows, worst = [], 0.0
@@ -296,6 +320,8 @@ def run_identity_check():
 def run_bogolubov_ladder(t: float, g_plus: float, g_minus: float, n_max_list):
     """Truncated-ladder ground energies against the closed-form bound; the
     deepest cutoff must close the gap to fraction_tol of |bound|."""
+    from . import bogolubov
+
     fraction_tol = 0.01
     model = bogolubov.BogolubovModel(t=t, g_plus=g_plus, g_minus=g_minus)
     bound = bogolubov.closed_form_bound(model)
@@ -341,6 +367,8 @@ def run_bogolubov_fuzz(trials: int, seed: int, n_max_lo: int, n_max_hi: int):
     the model's gap_tolerance, whose largest value is `max_allowance`.
     The trial seeds are those of `numerics.trial_blocks`; a trial's model
     is `_draw_models` of its seed."""
+    from . import bogolubov
+
     if not 1 <= n_max_lo <= n_max_hi:
         raise PreconditionError("need 1 <= n_max_lo <= n_max_hi")
     seeds, blocks = trial_blocks(seed, trials, trials_per_block(4))
@@ -385,6 +413,8 @@ def _stacked(label: str, ensembles: dict) -> dict:
 def _ensemble_row(check: str, trials: int, slacks: np.ndarray) -> dict:
     """The verdict row of one seeded ensemble; a slack below -HOLDS_TOL, or
     a NaN slack, is a violation."""
+    from . import correlation
+
     violations = int(np.sum(~(slacks >= -correlation.HOLDS_TOL)))
     return {
         "check": check,
@@ -397,7 +427,10 @@ def _ensemble_row(check: str, trials: int, slacks: np.ndarray) -> dict:
 
 
 def run_inequality_fuzz(which: str, trials: int, seed: int):
-    """Seeded configuration fuzz for the classical electrostatic inequalities."""
+    """Seeded configuration fuzz for the classical electrostatic inequalities:
+    `which` is one of correlation.CHECKERS, which the fuzz checks, or "all"."""
+    from . import correlation
+
     names = correlation.CHECKERS if which == "all" else (which,)
     rows, ensembles = [], {}
     for name, sub in zip(names, seed_words(seed, len(names))):
@@ -411,6 +444,8 @@ def run_inequality_fuzz(which: str, trials: int, seed: int):
 def run_dyson(nodes: int, r_max: float):
     """Minimize the energy functional; assert the scaled-Gaussian ceiling,
     the virial identity, and two-grid agreement."""
+    from . import variational
+
     ceiling, agreement_tol = -0.05, 1e-4
     if nodes < 100:
         raise PreconditionError("nodes must be >= 100")
@@ -453,6 +488,9 @@ def run_dyson(nodes: int, r_max: float):
 
 def run_pair_identity():
     """Pointwise pair energy against -J rho^(5/4)."""
+    from . import trialstate
+    from .foldy import foldy_j
+
     tol = 1e-6
     j = foldy_j()
     rows, worst = [], 0.0
@@ -478,9 +516,10 @@ def run_pair_identity():
 def run_trace_scaling():
     """Tr Gamma over the particle-number ladder TRACE_LADDER; the log-log
     slope must be 3/5 within slope_tol."""
+    from . import trialstate, variational
+
     target, slope_tol = 0.6, 0.01
-    minimizer = variational.default_minimum(variational.DEFAULT_NODES,
-                                            variational.DEFAULT_R_MAX)
+    minimizer = variational.default_minimum(DEFAULT_NODES, DEFAULT_R_MAX)
     rows, traces = [], []
     for n in TRACE_LADDER:
         spec = trialstate.condensate_from_minimizer(int(n), minimizer.profile)
@@ -515,9 +554,10 @@ def run_upper_bound():
     The row guards plumbing only: `upper_bound_energy` already compares
     the same two values at the same 1e-8 and raises ConsistencyError (exit
     1) beyond it, so a row that reaches the record holds."""
+    from . import trialstate, variational
+
     tol = 1e-8
-    minimizer = variational.default_minimum(variational.DEFAULT_NODES,
-                                            variational.DEFAULT_R_MAX)
+    minimizer = variational.default_minimum(DEFAULT_NODES, DEFAULT_R_MAX)
     rows, worst = [], 0.0
     for n in UPPER_BOUND_LADDER:
         value = trialstate.upper_bound_energy(int(n), minimizer.profile)
@@ -541,6 +581,8 @@ def run_upper_bound():
 def run_berezin(trials: int, seed: int):
     """Trace-inequality ensembles for every registered xi; the identity xi
     is an equality and must be exact to identity_tol (relative)."""
+    from . import trialstate
+
     identity_tol = 1e-12
     names = tuple(sorted(trialstate.XI_FUNCTIONS))
     rows, ensembles = [], {}
@@ -561,6 +603,8 @@ def run_matrixloc_ensemble(trials: int, seed: int, size: int, window: int):
     """Gaussian symmetric instances: the restriction construction must meet
     the band budget with constant <= ceiling on every draw.  The margin is
     wide: in `verify --seed 1905` the worst c_required is 0.377."""
+    from . import matrixloc
+
     ceiling = 50.0
     table = matrixloc.gaussian_ensemble(trials, seed, n=size, window=window)
     worst = float(table["c_required"].max())
@@ -578,6 +622,8 @@ def run_matrixloc_ensemble(trials: int, seed: int, size: int, window: int):
 
 def run_matrix_localize(matrix_path, psi_path, window: int, budget_c: float | None = None):
     """Localize one instance read from plain-text files."""
+    from . import matrixloc
+
     matrix = matrixloc.read_matrix(matrix_path)
     psi = matrixloc.read_vector(psi_path)
     problem = matrixloc.LocalizationProblem(matrix=matrix, psi=psi, window=window)
@@ -616,6 +662,8 @@ def run_matrix_localize(matrix_path, psi_path, window: int, budget_c: float | No
 
 def _scale_pair_rows():
     """Matched-grid lambda = 2 covariance rows shared by both spectral studies."""
+    from . import spectral
+
     invariance_tol = 1e-6
     base_grid = uniform_radial_grid(1600, 10.0)
     scaled_grid = uniform_radial_grid(1600, 5.0)
@@ -650,6 +698,8 @@ def _scale_pair_rows():
 def run_lt_study(depths):
     """Channel-summed spectra of deepening wells against the semiclassical
     ratio, plus the matched-grid scale invariance of both ratios."""
+    from . import spectral
+
     ratio_tol = 0.15
     if len(depths) == 0:
         raise PreconditionError("depths must be nonempty")
@@ -678,6 +728,8 @@ def run_lt_study(depths):
 def run_sobolev_study(depths):
     """Ground-state-to-potential ratios along a depth ladder (the scale
     invariant combination), plus the matched-grid invariance rows."""
+    from . import spectral
+
     if len(depths) == 0:
         raise PreconditionError("depths must be nonempty")
     rows = []
@@ -702,6 +754,8 @@ def run_stability(charges, q: int, c_lt: float, n_electrons: int,
                   radius: float | None = None, vacuum_strength: float | None = None):
     """The nearest-nucleus stability bound for nuclei of the given charges,
     or for the vacuum at an explicit strength when vacuum_strength is set."""
+    from . import spectral
+
     bound = spectral.stability_bound(
         None if vacuum_strength is not None else charges, q=q, c_lt=c_lt,
         n_electrons=n_electrons, radius=radius, strength=vacuum_strength,
@@ -746,7 +800,14 @@ def run_verification_suite(master_seed: int, quick: bool = False, meta: dict | N
     given, each check's wall time in seconds is stored under its name in
     meta["checks"], the process's peak resident memory in MB after it in
     meta["checks_peak_rss_mb"], and its `solver_counters` in
-    meta["checks_counters"]."""
+    meta["checks_counters"].
+
+    The battery's modules load together before the first check: loading
+    one (compiling it, when its bytecode is not cached) in the middle of
+    the battery allocates on top of the heap the earlier checks left, and
+    raised the run's peak resident memory by about 0.2 MB."""
+    from . import bogolubov, correlation, foldy, matrixloc, spectral, trialstate, variational  # noqa: F401
+
     parser = build_parser()
     meta = {} if meta is None else meta
     durations, peaks = meta.setdefault("checks", {}), meta.setdefault("checks_peak_rss_mb", {})
@@ -862,14 +923,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-inequalities", parents=[seeded],
                        help="seeded fuzz of the electrostatic inequalities")
-    p.add_argument("--which", choices=correlation.CHECKERS + ("all",), default="all")
+    p.add_argument("--which", default="all", help="an inequality's name, or all")
     p.add_argument("--trials", type=int, default=10_000)
     p.set_defaults(run=lambda a: run_inequality_fuzz(a.which, a.trials, a.seed))
 
     p = sub.add_parser("dyson-minimize", parents=[common],
                        help="variational minimum, virial, grid agreement")
-    p.add_argument("--nodes", type=int, default=variational.DEFAULT_NODES)
-    p.add_argument("--rmax", type=_finite_float, default=variational.DEFAULT_R_MAX)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p.add_argument("--rmax", type=_finite_float, default=DEFAULT_R_MAX)
     p.set_defaults(run=lambda a: run_dyson(a.nodes, a.rmax))
 
     p = sub.add_parser("trialstate", parents=[seeded],

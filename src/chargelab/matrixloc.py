@@ -295,11 +295,13 @@ def _check_size(n: int) -> None:
 def _draw_instances(seeds: np.ndarray, n: int):
     """Matrices (T, n, n) and unit psi (T, n) of the trials seeded at
     `seeds` (uint64, (T,)): the n^2 normals of the first words of each
-    stream fill the raw matrix row by row, symmetrized as (raw + raw^T) / 2,
-    and the n normals of the next words are psi, divided by its norm."""
-    raw = normals(seeds, 0, n * n).reshape(-1, n, n)
-    mats = raw + raw.transpose(0, 2, 1)
-    mats *= 0.5
+    stream fill the raw matrix row by row, symmetrized as (raw + raw^T) / 2
+    in place through one matrix-sized buffer, and the n normals of the next
+    words are psi, divided by its norm."""
+    mats = normals(seeds, 0, n * n).reshape(-1, n, n)
+    pair = np.empty((n, n))
+    for mat in mats:
+        np.multiply(np.add(mat, mat.T, out=pair), 0.5, out=mat)
     psis = normals(seeds, normal_words(n * n), n)
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     return mats, psis

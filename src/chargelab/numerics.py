@@ -344,6 +344,10 @@ def _split_into(target: np.ndarray, source: np.ndarray) -> np.ndarray:
     return target[:source.shape[0]]
 
 
+# rows of signs a uint8 sum takes at once: it counts up to 255
+_SIGN_ROWS = 255
+
+
 def _inertia(diag: np.ndarray, rows: np.ndarray, shifts: np.ndarray, off_sq: np.ndarray,
              tnorm: np.ndarray, slope: bool = False):
     """Number of negative eigenvalues of each symmetric tridiagonal matrix
@@ -368,7 +372,11 @@ def _inertia(diag: np.ndarray, rows: np.ndarray, shifts: np.ndarray, off_sq: np.
     lanes: the shifted diagonals are written into it even rows first, a
     level computes in place with every operand a block of whole rows, and
     its kept rows are copied in the same split order into blocks it no
-    longer uses, so numpy copies no strided operand through a buffer.
+    longer uses, so numpy copies no strided operand through a buffer.  The
+    first level scales the rows by the shared off-diagonal through einsum,
+    which takes a strided operand as it is where a broadcasting ufunc
+    allocates a buffer, and the negative pivots are counted _SIGN_ROWS rows
+    at a time in uint8, so no count casts a level's signs to int64.
     """
     n, lanes = diag.shape[1], rows.size
     first, kept = (n + 1) // 2, n // 2
@@ -384,6 +392,7 @@ def _inertia(diag: np.ndarray, rows: np.ndarray, shifts: np.ndarray, off_sq: np.
     guard, floor = _GUARD * tnorm, _PIVMIN * tnorm
     limit, largest_floor = 1.0 / guard.max(), floor.max()
     count, recount = np.zeros(lanes, np.int64), np.zeros(lanes, dtype=bool)
+    signs = np.empty((first, lanes), dtype=np.uint8)
     size, c, rate_sum = n, None, 0.0
     # A small pivot shows as a large reciprocal.  The lanes to be recounted
     # may overflow, and fmax/fmin skip the NaN they may leave.
@@ -400,7 +409,10 @@ def _inertia(diag: np.ndarray, rows: np.ndarray, shifts: np.ndarray, off_sq: np.
                 recount |= (magnitude < guard)[1:kept].any(axis=0)
                 if np.fmin.reduce(magnitude, axis=None) < largest_floor:
                     np.divide(1.0, np.where(magnitude < floor, -floor, pivot), out=inverse)
-            count += np.einsum("ij->j", np.signbit(inverse), dtype=np.int64)
+            negative = signs[:pivots]
+            np.signbit(inverse, out=negative.view(bool))
+            for start in range(0, pivots, _SIGN_ROWS):
+                count += np.einsum("ij->j", negative[start:start + _SIGN_ROWS])
             # kept entry j couples to the pivots j (left) and j + 1 (right)
             if c is None:
                 # the first level, where c = off_sq, d' = -1 and c' = 0, so
@@ -408,8 +420,8 @@ def _inertia(diag: np.ndarray, rows: np.ndarray, shifts: np.ndarray, off_sq: np.
                 if slope:
                     first_sum = np.einsum("ij->j", inverse)
                 left_rate, right_rate = inverse[:kept], inverse[1:right_count + 1]
-                left = np.multiply(off_sq[0:2 * kept:2, None], left_rate, out=d[:kept])
-                right = np.multiply(off_sq[1::2, None], right_rate, out=third[:right_count])
+                left = np.einsum("i,ij->ij", off_sq[0:2 * kept:2], left_rate, out=d[:kept])
+                right = np.einsum("i,ij->ij", off_sq[1::2], right_rate, out=third[:right_count])
                 if slope:
                     change = np.multiply(left, left_rate, out=fourth[:kept])
                     d_rate = np.subtract(-1.0, change, out=change)

@@ -40,18 +40,12 @@ __all__ = [
     "minimize",
     "default_minimum",
     "GAUSSIAN_OPTIMAL_SCALE",
-    "DEFAULT_R_MAX",
-    "DEFAULT_NODES",
 ]
 
 NORM_SLACK = 1e-6  # functional_energy rejects profiles farther than this
 GAUSSIAN_WIDTH = 1.0  # of gaussian_profile, from which default_init starts
 # minimize's first step tau, the per-step decrease that stops it, its step cap
 DESCENT_STEP, DESCENT_TOL, DESCENT_MAX_ITER = 0.5, 1e-13, 2000
-# default box: the minimizer decays like exp(-0.37 r), so r_max = 25 keeps
-# the tail below 1e-9 while the finer spacing sharpens the kinetic stencil
-DEFAULT_R_MAX = 25.0
-DEFAULT_NODES = 800
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +176,7 @@ def _implicit_factor(disc: _Discretization, tau: float):
     return tridiagonal_ldl(disc.grid.weights + tau * disc.k_diag, tau * disc.k_off)
 
 
-def default_init(n_nodes: int = DEFAULT_NODES, r_max: float = DEFAULT_R_MAX) -> RadialProfile:
+def default_init(n_nodes: int, r_max: float) -> RadialProfile:
     """Gaussian pre-rescaled by its analytic optimal dilation; the default
     start removes the slow dilation mode from the descent."""
     return rescale(
@@ -258,8 +252,9 @@ def default_minimum(nodes: int, r_max: float) -> MinimizationResult:
     """`minimize(default_init(nodes, r_max))`, computed once per process for
     each (nodes, r_max), both passed by position (the cache keys on how they
     are passed): `dyson-minimize` takes its fine solve from here, and the
-    trial-state checks the default grid's (DEFAULT_NODES, DEFAULT_R_MAX),
-    which is the same solve in `verify`.  The arrays are read-only, so no
+    trial-state checks the command line's default grid
+    (`cli.DEFAULT_NODES`, `cli.DEFAULT_R_MAX`), which is the same solve in
+    `verify`.  The arrays are read-only, so no
     caller can change what the next one reads; a test that injects a defect
     upstream of the descent calls `default_minimum.cache_clear()`."""
     result = minimize(default_init(nodes, r_max))

@@ -24,7 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargelab import bogolubov, cli, foldy, matrixloc, numerics, spectral, trialstate, variational
+from chargelab import (
+    bogolubov, cli, correlation, foldy, matrixloc, numerics, spectral, trialstate, variational,
+)
 from chargelab.foldy import foldy_j
 
 
@@ -320,12 +322,16 @@ class TestMainPlumbing:
         assert meta["schema"] == cli.SCHEMA_META
         assert meta["duration_s"] > 0
         assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
-                             "tables", "counters"}
+                             "tables", "counters", "modules"}
         assert type(meta["peak_rss_mb"]) is float and meta["peak_rss_mb"] > 0
         assert meta["tables"] == {}  # foldy-j writes no CSV table
         assert meta["counters"] == {"inertia_calls": 0, "lane_evaluations": 0}
+        # this process imported every module before the run
+        assert meta["modules"] == sorted(
+            m for m in sys.modules if m == "chargelab" or m.startswith("chargelab."))
         record = (tmp_path / "foldy-j.jsonl").read_text()
         assert "counters" not in record and "inertia_calls" not in record
+        assert "modules" not in record and "chargelab.numerics" not in record
         config = np.show_config(mode="dicts")
         assert meta["env"] == {
             "python": platform.python_version(),
@@ -351,8 +357,8 @@ class TestMainPlumbing:
         assert cli.main(["verify", "--quick", "--outdir", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "verify.meta.json").read_text())
         assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
-                             "tables", "counters", "checks", "checks_peak_rss_mb",
-                             "checks_counters"}
+                             "tables", "counters", "modules", "checks",
+                             "checks_peak_rss_mb", "checks_counters"}
         # only lt-semiclassics solves eigenvalues; the run's counters add up its checks'
         counters = meta["checks_counters"]
         assert sorted(counters) == sorted(name for name, _argv, _trials in cli.BATTERY)
@@ -453,7 +459,7 @@ class TestMainPlumbing:
             f"fields in CHANGES.md")
         meta = json.loads((out / f"{argv[0]}.meta.json").read_text())
         assert set(meta) == {"schema", "duration_s", "written_at", "env", "peak_rss_mb",
-                             "tables", "counters"}
+                             "tables", "counters", "modules"}
         # the spectral studies count their eigenvalue solver's work
         solves = argv[0] in ("lt-study", "sobolev-study")
         assert (meta["counters"]["lane_evaluations"] > 0) == solves
@@ -599,6 +605,15 @@ class TestExitCodes:
     def test_bad_flag_value(self, capsys):
         assert cli.main(["dyson-minimize", "--nodes", "many"]) == 2
         capsys.readouterr()
+
+    def test_unknown_inequality_is_usage(self, tmp_path, capsys):
+        # the fuzz checks --which, so the parser needs no correlation module
+        assert cli.main(["check-inequalities", "--which", "bogus",
+                         "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert all(name in err for name in correlation.CHECKERS)
+        assert not list(tmp_path.iterdir())
 
     def test_domain_error_is_usage(self, tmp_path, capsys):
         code = cli.main(["lt-study", "--depths", "0", "--outdir", str(tmp_path)])
@@ -865,7 +880,7 @@ class TestExitCodes:
     def test_failed_check_is_exit_1(self, tmp_path, monkeypatch, capsys):
         # the sensitivity canary: a wrong J must surface as a check failure
         j = foldy_j()
-        monkeypatch.setattr(cli, "foldy_j", lambda: j * (1 + 1e-3))
+        monkeypatch.setattr(foldy, "foldy_j", lambda: j * (1 + 1e-3))
         code = cli.main(
             ["trialstate", "--check", "pair-energy", "--outdir", str(tmp_path)]
         )
@@ -1006,7 +1021,7 @@ class TestVerifySuite:
 
     def test_injected_wrong_j_fails_suite(self, tmp_path, monkeypatch, capsys):
         j = foldy_j()
-        monkeypatch.setattr(cli, "foldy_j", lambda: j * (1 + 1e-3))
+        monkeypatch.setattr(foldy, "foldy_j", lambda: j * (1 + 1e-3))
         code = cli.main(
             ["verify", "--quick", "--seed", "77", "--outdir", str(tmp_path),
              "--output", "bad"]
@@ -1061,6 +1076,30 @@ _SCIPY_FREE = (
     ["trialstate", "--check", "trace-scaling"],
     ["trialstate", "--check", "upper-bound"],
 )
+
+
+# What each subcommand of _SCIPY_FREE loads beyond `import chargelab.cli`:
+# the modules it runs and what they import.  foldy takes its mode floor from
+# bogolubov; variational imports foldy; trialstate imports correlation, foldy
+# and variational; matrixloc imports correlation.
+_FOLDY = ("foldy", "bogolubov")
+_VARIATIONAL = ("variational", *_FOLDY)
+_TRIALSTATE = ("trialstate", "correlation", *_VARIATIONAL)
+_RUN_MODULES = {
+    "foldy-j": _FOLDY,
+    "foldy-identity": _FOLDY,
+    "trialstate": _TRIALSTATE,
+    "stability-bound": ("spectral",),
+    "check-inequalities": ("correlation",),
+    "matrixloc-ensemble": ("matrixloc", "correlation"),
+    "bogolubov-fuzz": ("bogolubov",),
+    "bogolubov-sharpness": ("bogolubov",),
+    "lt-study": ("spectral",),
+    "sobolev-study": ("spectral",),
+    "dyson-minimize": _VARIATIONAL,
+}
+# what `import chargelab.cli` loads: main needs numerics' solver_counters
+_IMPORT_STAGE = ["chargelab", "chargelab.cli", "chargelab.errors", "chargelab.numerics"]
 
 
 def _loaded_after(package, *argvs):
@@ -1130,6 +1169,21 @@ class TestStartup:
         assert _loaded_after("numpy.random", *_SCIPY_FREE, ["verify", "--quick"]) == {
             "import": [], "run": []}
 
+    def test_each_subcommand_loads_only_its_modules(self):
+        for argv in _SCIPY_FREE:
+            loaded = _loaded_after("chargelab", argv)
+            assert loaded["import"] == _IMPORT_STAGE, argv
+            expected = {*_IMPORT_STAGE, *(f"chargelab.{m}" for m in _RUN_MODULES[argv[0]])}
+            assert loaded["run"] == sorted(expected), argv
+
+    def test_verify_loads_every_module(self):
+        package = Path(cli.__file__).resolve().parent
+        every = {f"chargelab.{path.stem}" for path in package.glob("*.py")} - {
+            "chargelab.__init__", "chargelab.__main__"}
+        loaded = _loaded_after("chargelab", ["verify", "--quick"])
+        assert loaded["import"] == _IMPORT_STAGE
+        assert loaded["run"] == sorted({"chargelab", *every})
+
     def test_no_source_file_names_numpy_random(self):
         package = Path(cli.__file__).resolve().parent
         sources = sorted(package.rglob("*.py"))
@@ -1165,6 +1219,8 @@ class TestStartup:
             assert proc.returncode == 0, proc.stderr
         _, rows, _ = read_record(tmp_path / "bogolubov-sharpness.jsonl")
         assert [r["n_max"] for r in rows] == [2, 4]
+        meta = json.loads((tmp_path / "bogolubov-sharpness.meta.json").read_text())
+        assert meta["modules"] == sorted([*_IMPORT_STAGE, "chargelab.bogolubov"])
 
 
 # Each variable switches the kernels of one process as on another class of

@@ -1,5 +1,6 @@
 """Tests for window localization, band budgets, and the matrix file format."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,23 @@ class TestGaussianEnsemble:
         first = gaussian_ensemble(40, 77)
         second = gaussian_ensemble(40, 77)
         assert ensemble_rows(first) == ensemble_rows(second)
+
+
+    def test_a_block_is_symmetrized_in_place(self):
+        # drawing a block costs its normals and the half-size buffer they
+        # are drawn through; the symmetrized matrices are the normals
+        n = 64
+        seeds = np.array(seed_words(5, trials_per_block(n, n)), dtype=np.uint64)
+        block = seeds.size * n * n * 8
+        matrixloc._draw_instances(seeds, n)
+        tracemalloc.start()
+        try:
+            mats, _ = matrixloc._draw_instances(seeds, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * block
+        assert np.array_equal(mats, mats.transpose(0, 2, 1))
 
 
 def _replay(seed, n, window):

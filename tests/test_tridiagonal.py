@@ -555,6 +555,23 @@ class TestStreamedKernel:
         shifts = np.concatenate([[ref[0] - 1.0], (ref[:-1] + ref[1:]) / 2, [ref[-1] + 1.0]])
         assert _matches_the_reference(diag, off, np.zeros(shifts.size, int), shifts)
 
+    @pytest.mark.parametrize("slope", [False, True])
+    def test_a_count_allocates_little_beyond_its_scratch(self, slope):
+        # 16 shifts of the depth-200 s-wave stencil: besides its scratch of
+        # about 2.5 n rows a count holds a byte per pivot sign; the first
+        # level's broadcast products and the int64 sum of the signs each
+        # took a numpy buffer of 8192 doubles (64 KiB) as well
+        spec = spectral.gaussian_well(200.0)
+        _, base, off = next(_channels(spec, None))
+        diag, off, lower, upper = numerics._tridiagonal(base[None], off)
+        n, lanes = diag.shape[1], 16
+        rows = np.zeros(lanes, np.intp)
+        shifts = np.linspace(diag.min() - 2.0 * np.abs(off).max(), 0.0, lanes)
+        tnorm = numerics._tnorm(lower, upper)[rows]
+        scratch = (n + (n + 1) // 2 + 2 * (n // 2) + 2) * lanes * 8
+        peak = _traced_peak(lambda: numerics._inertia(diag, rows, shifts, off * off, tnorm, slope))
+        assert peak - scratch < 8192 * 8
+
     def test_a_stack_with_a_recounted_lane(self, monkeypatch):
         # the shift 2.0 makes pivot 1 exactly zero: that lane is recounted
         # from its shifted column, rebuilt by the same subtraction
@@ -625,7 +642,7 @@ class TestLDL:
     @pytest.mark.parametrize("nodes", [400, 800])
     def test_solve_equals_solveh_banded_bit_for_bit(self, nodes):
         rng = np.random.default_rng(nodes)
-        disc = variational._Discretization(variational.default_init(nodes).grid)
+        disc = variational._Discretization(variational.default_init(nodes, cli.DEFAULT_R_MAX).grid)
         for tau in np.geomspace(1e-3, 1e4, 15):
             ab = np.zeros((2, nodes))
             ab[1] = disc.grid.weights + tau * disc.k_diag

@@ -130,7 +130,7 @@ class TestMinimize:
         assert converged.kinetic >= 0 and converged.potential >= 0
 
     def test_grid_refinement_agreement(self, converged):
-        res400 = minimize(default_init(400))
+        res400 = minimize(default_init(400, 25.0))
         assert res400.converged
         rel = abs(res400.energy - converged.energy) / abs(converged.energy)
         assert rel <= 1e-4
